@@ -11,8 +11,9 @@ hybrid_pga        projected gradient ascent hybrid beamforming + unrolling
 constellation_ae  autoencoder constellation design with a radar detector head
 cli               seeded experiment runner writing CSV artifacts
 
-Submodules are imported lazily so that the command-line entry point can pin
-BLAS thread counts before numpy loads.
+Submodules are imported lazily, on first attribute access. Nothing here pins
+BLAS threads: numpy's BLAS picks its own thread count unless the environment
+(e.g. OPENBLAS_NUM_THREADS) sets one before numpy loads.
 """
 
 import importlib

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -76,7 +77,6 @@ class RunRecord:
     experiment: str
     seed: int
     version: str
-    threads: int
     wall_time_s: float
     files: list
     summary: dict
@@ -256,6 +256,7 @@ def validate_config(cfg) -> list:
         out.append("params: must be an object")
     elif kind in _DEFAULTS:
         table = _DEFAULTS[kind]
+        invalid = False
         for name, value in params.items():
             if name not in table:
                 out.append(f"params.{name}: unknown parameter for {kind}")
@@ -263,6 +264,22 @@ def validate_config(cfg) -> list:
             check, message = _CHECKS[name]
             if not check(value):
                 out.append(f"params.{name}: {message}")
+                invalid = True
+        if kind.startswith("case1_") and not invalid:
+            out.extend(_case1_cross_checks({**table, **params}))
+    return out
+
+
+def _case1_cross_checks(p) -> list:
+    """Constraints between fields that every case1 experiment needs."""
+    out = []
+    if p["frame_length"] < p["num_antennas"]:
+        out.append("params.frame_length: must be at least num_antennas "
+                   f"({p['num_antennas']})")
+    limit = len(DEFAULT_RICIAN_FACTORS)
+    if p["num_users"] > limit:
+        out.append(f"params.num_users: must be at most {limit} (one default "
+                   "Rician factor per user)")
     return out
 
 
@@ -381,8 +398,7 @@ def _run_case1_aging(p, rng, out_dir, files):
     base_angles = (np.linspace(-np.pi / 3, np.pi / 3, K) if K > 1
                    else np.array([0.0]))
     alt_angles = np.linspace(-np.pi / 2.1, -np.pi / 18, K)
-    factors = [DEFAULT_RICIAN_FACTORS[k % len(DEFAULT_RICIAN_FACTORS)]
-               for k in range(K)]
+    factors = DEFAULT_RICIAN_FACTORS[:K]
     users = [RicianParams(rician_factor=f, departure_angle=a)
              for f, a in zip(factors, base_angles)]
     alt_users = [RicianParams(rician_factor=f, departure_angle=a)
@@ -533,13 +549,16 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: dict, out_dir, threads: int = 1) -> RunRecord:
+def run_experiment(cfg: dict, out_dir) -> RunRecord:
     """Execute a validated config and write artifacts plus the manifest."""
     kind = cfg["experiment"]
     params = dict(_DEFAULTS[kind])
     params.update(cfg.get("params", {}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "run_record.json"
+    # a manifest left by an earlier run must not vouch for this one
+    manifest.unlink(missing_ok=True)
     rng = np.random.default_rng(cfg["seed"])
     files: list = []
     start = time.perf_counter()
@@ -548,7 +567,6 @@ def run_experiment(cfg: dict, out_dir, threads: int = 1) -> RunRecord:
         experiment=kind,
         seed=cfg["seed"],
         version=__version__,
-        threads=threads,
         wall_time_s=time.perf_counter() - start,
         files=files,
         summary={k: (float(v) if isinstance(v, (int, float, np.floating))
@@ -556,10 +574,16 @@ def run_experiment(cfg: dict, out_dir, threads: int = 1) -> RunRecord:
         config={"experiment": kind, "seed": cfg["seed"],
                 "out": str(out_dir), "params": params},
     )
-    # the manifest is the atomicity marker: written after every artifact
-    with open(out_dir / "run_record.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(record), fh, indent=2)
-        fh.write("\n")
+    # the manifest is the atomicity marker: written after every artifact,
+    # and moved into place whole so that a failed write leaves none
+    tmp = out_dir / "run_record.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(record), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, manifest)
+    finally:
+        tmp.unlink(missing_ok=True)
     return record
 
 
@@ -573,9 +597,6 @@ def main(argv=None) -> int:
                        help="override the config seed")
     run_p.add_argument("--out", default=None,
                        help="override the output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (recorded; modules are "
-                            "single-threaded)")
     val_p = sub.add_parser("validate", help="schema-check a config")
     val_p.add_argument("config")
     sub.add_parser("version", help="print the toolkit version")
@@ -609,7 +630,7 @@ def main(argv=None) -> int:
         cfg["seed"] = args.seed
     out_dir = args.out or cfg.get("out", "results")
     try:
-        record = run_experiment(cfg, out_dir, threads=args.threads)
+        record = run_experiment(cfg, out_dir)
     except Exception as exc:  # surface module errors with a nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,14 @@
 """Projected gradient ascent for hybrid beamforming, plain and unrolled.
 
-The analog stage F carries unit-modulus entries, the digital stage W a total
-power budget through ||F W||_F^2 = P_t. Both constraints are re-imposed by
-projection after every gradient step. The unrolled variant treats the per-layer
-step sizes as 2I learnable parameters trained by SGD on a rate-weighted loss
-over intermediate layers.
+Every routine works on a batch of B independent instances: channels h
+(B, K, N) with rows h_k, an analog stage F (B, N, L) with unit-modulus
+entries, and a digital stage W (B, L, K) under the power budget
+||F W||_F^2 = P_t. One instance is the B = 1 slice. Each layer takes a
+gradient step on F, re-imposes the unit modulus by `project_unit_modulus`,
+then a step on W at the updated F, re-imposing the budget by
+`normalize_power`. The unrolled variant treats the per-layer step sizes as
+2I learnable parameters trained by SGD on a rate-weighted loss over
+intermediate layers.
 
 Internal rates are in nats; the closed-form gradients keep the 1/ln 2 factor
 of the log2 formulation, so they are exact gradients of the rate in bits.
@@ -16,37 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import hybrid_sum_rate
-
 _LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class HybridBeamformer:
-    """Analog/digital beamformer pair with its power budget."""
-
-    F: np.ndarray
-    W: np.ndarray
-    power: float
-
-    def __post_init__(self):
-        F = np.asarray(self.F, dtype=complex)
-        W = np.asarray(self.W, dtype=complex)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "W", W)
-        if F.ndim != 2 or W.ndim != 2 or F.shape[1] != W.shape[0]:
-            raise ValueError("F and W dimensions disagree")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if np.max(np.abs(np.abs(F) - 1.0)) > 1e-9:
-            raise ValueError("analog stage entries must be unit modulus")
-        actual = np.linalg.norm(F @ W) ** 2
-        if abs(actual - self.power) > 1e-6 * max(1.0, self.power):
-            raise ValueError("digital stage violates the power budget")
-
-    @property
-    def dims(self):
-        return self.F.shape[0], self.F.shape[1], self.W.shape[1]  # N, L, K
 
 
 @dataclass(frozen=True)
@@ -72,76 +46,9 @@ class StepSchedule:
         return cls(np.full((num_layers, 2), float(step)))
 
 
-@dataclass(frozen=True)
-class GradWorkspace:
-    """Shared blocks of the closed-form rate gradients.
-
-    Per-user stacks are indexed along axis 0; Wbar[k] is W with column k
-    zeroed, Vbar/Zbar the matching outer products.
-    """
-
-    Z: np.ndarray
-    Zbar: np.ndarray
-    V: np.ndarray
-    Vbar: np.ndarray
-    Htilde: np.ndarray
-    Hbar: np.ndarray
-    Wbar: np.ndarray
-
-    @classmethod
-    def build(cls, channels, F, W) -> "GradWorkspace":
-        h = np.asarray(channels, dtype=complex)
-        if h.ndim == 1:
-            h = h[None, :]
-        F = np.asarray(F, dtype=complex)
-        W = np.asarray(W, dtype=complex)
-        K = h.shape[0]
-        V = W @ W.conj().T
-        Z = F @ V @ F.conj().T
-        Wbar = np.repeat(W[None, :, :], K, axis=0)
-        for k in range(K):
-            Wbar[k, :, k] = 0.0
-        Vbar = np.einsum("klj,kmj->klm", Wbar, Wbar.conj())
-        Zbar = np.einsum("nl,klm,pm->knp", F, Vbar, F.conj())
-        Htilde = np.einsum("kn,kp->knp", h, h.conj())
-        Hbar = np.einsum("nl,knp,pm->klm", F.conj(), Htilde, F)
-        return cls(Z=Z, Zbar=Zbar, V=V, Vbar=Vbar,
-                   Htilde=Htilde, Hbar=Hbar, Wbar=Wbar)
-
-
 def _check_noise(noise_var: float):
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-
-
-def grad_F(channels, F, W, noise_var: float) -> np.ndarray:
-    """Closed-form gradient of the sum rate (bits) wrt conj(F)."""
-    _check_noise(noise_var)
-    ws = GradWorkspace.build(channels, F, W)
-    F = np.asarray(F, dtype=complex)
-    K = ws.Htilde.shape[0]
-    out = np.zeros_like(F)
-    for k in range(K):
-        num1 = ws.Htilde[k] @ F @ ws.V
-        den1 = np.real(np.trace(ws.Z @ ws.Htilde[k])) + noise_var
-        num2 = ws.Htilde[k] @ F @ ws.Vbar[k]
-        den2 = np.real(np.trace(ws.Zbar[k] @ ws.Htilde[k])) + noise_var
-        out += num1 / den1 - num2 / den2
-    return out / _LN2
-
-
-def grad_W(channels, F, W, noise_var: float) -> np.ndarray:
-    """Closed-form gradient of the sum rate (bits) wrt conj(W)."""
-    _check_noise(noise_var)
-    ws = GradWorkspace.build(channels, F, W)
-    W = np.asarray(W, dtype=complex)
-    K = ws.Hbar.shape[0]
-    out = np.zeros_like(W)
-    for k in range(K):
-        den1 = np.real(np.trace(ws.V @ ws.Hbar[k])) + noise_var
-        den2 = np.real(np.trace(ws.Vbar[k] @ ws.Hbar[k])) + noise_var
-        out += ws.Hbar[k] @ W / den1 - ws.Hbar[k] @ ws.Wbar[k] / den2
-    return out / _LN2
 
 
 def project_unit_modulus(F) -> np.ndarray:
@@ -153,37 +60,14 @@ def project_unit_modulus(F) -> np.ndarray:
 
 
 def normalize_power(F, W, power: float) -> np.ndarray:
-    """Rescale W so that ||F W||_F^2 equals the budget exactly."""
+    """Rescale W so that ||F W||_F^2 equals the budget exactly, one norm per
+    instance of the (..., N, L) and (..., L, K) stacks."""
     F = np.asarray(F, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    nrm = np.linalg.norm(F @ W)
-    if nrm <= 0:
+    nrm = np.linalg.norm(F @ W, axis=(-2, -1), keepdims=True)
+    if not np.all(nrm > 0):
         raise ValueError("degenerate beamformer")
     return np.sqrt(power) / nrm * W
-
-
-def pga_run(channels, init: HybridBeamformer, schedule: StepSchedule,
-            noise_var: float = 1.0, return_states: bool = False):
-    """Alternating projected ascent; returns the final beamformer and the
-    per-layer rate trace (nats). F moves first, W sees the updated F."""
-    _check_noise(noise_var)
-    F, W = init.F, init.W
-    rates = np.empty(schedule.num_layers)
-    states = []
-    for i, (mu_f, mu_w) in enumerate(schedule.steps):
-        F = project_unit_modulus(F + mu_f * grad_F(channels, F, W, noise_var))
-        W = normalize_power(F, W + mu_w * grad_W(channels, F, W, noise_var),
-                            init.power)
-        rates[i] = hybrid_sum_rate(channels, F, W, noise_var)
-        if return_states:
-            states.append(HybridBeamformer(F, W, init.power))
-    result = HybridBeamformer(F, W, init.power)
-    if return_states:
-        return result, rates, states
-    return result, rates
-
-
-# ------------------------------------------------------------- batched core
 
 
 def _batch_stats(h, F, W, noise_var):
@@ -202,7 +86,8 @@ def _batch_rates(total, inter) -> np.ndarray:
 
 
 def grad_F_batch(h, F, W, noise_var: float) -> np.ndarray:
-    """Batched grad_F using the rank-1 structure of h_k h_k^H."""
+    """Closed-form gradient of the sum rate (bits) wrt conj(F), using the
+    rank-1 structure of h_k h_k^H."""
     _check_noise(noise_var)
     hF, hFW, total, inter = _batch_stats(h, F, W, noise_var)
     V = np.einsum("blj,bmj->blm", W, W.conj())
@@ -216,7 +101,8 @@ def grad_F_batch(h, F, W, noise_var: float) -> np.ndarray:
 
 
 def grad_W_batch(h, F, W, noise_var: float) -> np.ndarray:
-    """Batched grad_W; Hbar_k = (F^H h_k)(h_k^H F) is rank one."""
+    """Closed-form gradient of the sum rate (bits) wrt conj(W);
+    Hbar_k = (F^H h_k)(h_k^H F) is rank one."""
     _check_noise(noise_var)
     hF, hFW, total, inter = _batch_stats(h, F, W, noise_var)
     hFW_z = hFW.copy()
@@ -229,20 +115,16 @@ def grad_W_batch(h, F, W, noise_var: float) -> np.ndarray:
 
 def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
                   noise_var: float = 1.0):
-    """Batched pga_run; returns (F, W, rates) with rates shaped (B, I)."""
+    """Alternating projected ascent; F moves first, W sees the updated F.
+    Returns the final (F, W) and the per-layer rates (nats) shaped (B, I)."""
     _check_noise(noise_var)
-    F = np.array(F0, dtype=complex)
-    W = np.array(W0, dtype=complex)
+    F = np.asarray(F0, dtype=complex)
+    W = np.asarray(W0, dtype=complex)
     rates = np.empty((F.shape[0], schedule.num_layers))
-    scale = np.sqrt(power)
     for i, (mu_f, mu_w) in enumerate(schedule.steps):
-        F = F + mu_f * grad_F_batch(h, F, W, noise_var)
-        mag = np.abs(F)
-        F = np.where(mag > 0, F / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
-        W = W + mu_w * grad_W_batch(h, F, W, noise_var)
-        nrm = np.sqrt(np.einsum("bnl,blk,bnm,bmk->b", F, W,
-                                F.conj(), W.conj()).real)
-        W = W * (scale / nrm)[:, None, None]
+        F = project_unit_modulus(F + mu_f * grad_F_batch(h, F, W, noise_var))
+        W = normalize_power(F, W + mu_w * grad_W_batch(h, F, W, noise_var),
+                            power)
         _, _, total, inter = _batch_stats(h, F, W, noise_var)
         rates[:, i] = _batch_rates(total, inter)
     return F, W, rates
@@ -282,8 +164,7 @@ def make_pga_dataset(num: int, num_antennas: int, num_chains: int,
     h /= np.sqrt(2.0)
     F0 = np.exp(2j * np.pi * rng.random((B, N, L)))
     W0 = (rng.standard_normal((B, L, K)) + 1j * rng.standard_normal((B, L, K)))
-    nrm = np.linalg.norm(np.einsum("bnl,blk->bnk", F0, W0), axis=(1, 2))
-    W0 *= (np.sqrt(power) / nrm)[:, None, None]
+    W0 = normalize_power(F0, W0, power)
     return PgaDataset(h, F0, W0, float(power), float(noise_var))
 
 

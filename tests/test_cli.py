@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from isackit import __version__
+from isackit import cli
 from isackit.cli import main, run_experiment, validate_config
 
 
@@ -61,6 +62,25 @@ def test_validate_config_diagnostics_direct():
                             "params": {"etas": [0.2, 1.5]}}) \
         == ["params.etas: must be a nonempty list of values in [0, 1]"]
     assert validate_config({"experiment": "mi_mmse", "seed": 0}) == []
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    ("case1_rate", {"frame_length": 4, "num_antennas": 8}, "frame_length"),
+    ("case1_rate", {"num_users": 5}, "num_users"),
+    ("case1_roc", {"frame_length": 4}, "frame_length"),
+    ("case1_beampattern", {"num_antennas": 20}, "frame_length"),
+    ("case1_aging", {"num_users": 5}, "num_users"),
+])
+def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
+                                                    params, field):
+    # configs that the case1 runners cannot execute fail validation too
+    cfg = write_config(tmp_path / "c.json",
+                       {"experiment": kind, "seed": 1, "params": params})
+    assert main(["validate", cfg]) == 2
+    assert f"params.{field}:" in capsys.readouterr().out
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"params.{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_refuses_invalid_config(tmp_path, capsys):
@@ -241,14 +261,20 @@ def test_case3_sweep_artifacts(tmp_path):
         assert key in record.summary
 
 
-def test_threads_flag_recorded(tmp_path):
-    cfg = write_config(tmp_path / "c.json",
-                       {"experiment": "mi_mmse", "seed": 1,
-                        "params": {"snr_db": [0.0]}})
-    assert main(["run", cfg, "--out", str(tmp_path / "o"),
-                 "--threads", "4"]) == 0
-    record = json.loads((tmp_path / "o" / "run_record.json").read_text())
-    assert record["threads"] == 4
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    cfg = {"experiment": "mi_mmse", "seed": 1, "params": {"snr_db": [0.0]}}
+    run_experiment(cfg, tmp_path)
+    assert (tmp_path / "run_record.json").exists()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"experiment": "mi_mmse", ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, tmp_path)
+    # neither a partial manifest nor the earlier run's one is left behind
+    assert {p.name for p in tmp_path.iterdir()} == {"mi_mmse.csv"}
 
 
 def test_record_lists_every_emitted_file(tmp_path):
