@@ -73,7 +73,7 @@ def normalize_power(F, W, power: float) -> np.ndarray:
 def _batch_stats(h, F, W, noise_var):
     """Cross-gains and per-user totals for a batch: h (B,K,N), F (B,N,L),
     W (B,L,K) -> (hF (B,K,L), hFW (B,K,K), total (B,K), inter (B,K))."""
-    hF = np.einsum("bkn,bnl->bkl", h.conj(), F)
+    hF = h.conj() @ F
     hFW = np.einsum("bkl,blj->bkj", hF, W)
     p = np.abs(hFW) ** 2
     total = p.sum(axis=2) + noise_var
@@ -95,8 +95,7 @@ def grad_F_batch(h, F, W, noise_var: float) -> np.ndarray:
     diag = np.einsum("bkk->bk", hFW)
     # h_k^H F Vbar_k = h_k^H F V - (h_k^H F w_k) w_k^H
     b = a - diag[:, :, None] * np.swapaxes(W.conj(), 1, 2)
-    out = np.einsum("bkn,bkl->bnl", h, a / total[:, :, None])
-    out -= np.einsum("bkn,bkl->bnl", h, b / inter[:, :, None])
+    out = np.swapaxes(h, 1, 2) @ (a / total[:, :, None] - b / inter[:, :, None])
     return out / _LN2
 
 

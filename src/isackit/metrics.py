@@ -325,7 +325,7 @@ def estimation_rate_bounds(prior_var: float, distortion: float):
     return float(mi_bound), float(-np.log2(distortion))
 
 
-# ----------------------------------------------------------------- SER/BER
+# --------------------------------------------------------------------- SER
 
 
 def ser(true_labels, decisions) -> float:
@@ -334,7 +334,3 @@ def ser(true_labels, decisions) -> float:
     if true_labels.shape != decisions.shape:
         raise ValueError("label arrays must have the same shape")
     return float(np.mean(true_labels != decisions))
-
-
-def ber(true_bits, decided_bits) -> float:
-    return ser(true_bits, decided_bits)

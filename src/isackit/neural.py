@@ -1,6 +1,5 @@
 """Minimal dense-network engine: forward pass, exact reverse-mode gradients,
-Adam, seeded mini-batch training with early stopping, and a flat binary
-save/load format.
+Adam, and seeded mini-batch training with early stopping.
 
 The engine is real-valued float64 throughout; callers that work with complex
 quantities stack real and imaginary parts into the feature vector. Losses are
@@ -10,7 +9,6 @@ and returns (scalar loss, gradient with respect to the outputs).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -114,12 +112,6 @@ def forward_pass(model: MlpModel, batch: np.ndarray):
     return a, (acts, zs)
 
 
-def forward(model: MlpModel, batch: np.ndarray):
-    """Per-layer activations, input first, output last."""
-    _, (acts, _) = forward_pass(model, batch)
-    return acts
-
-
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     out, _ = forward_pass(model, batch)
     return out
@@ -140,11 +132,6 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
         param_grads[i] = (dW, db)
         grad = grad @ model.weights[i].T
     return param_grads, grad
-
-
-def backward(model: MlpModel, batch: np.ndarray, grad_output: np.ndarray):
-    _, cache = forward_pass(model, batch)
-    return backward_pass(model, cache, grad_output)
 
 
 # ------------------------------------------------------------------- Adam
@@ -204,11 +191,9 @@ class TrainConfig:
 
 
 def _index_aux(aux, idx):
-    if aux is None:
-        return None
-    if isinstance(aux, np.ndarray):
-        return aux[idx]
-    return [aux[i] for i in idx]
+    if isinstance(aux, tuple):
+        return tuple(a[idx] for a in aux)
+    return None if aux is None else aux[idx]
 
 
 def train(model: MlpModel, inputs: np.ndarray, aux,
@@ -217,7 +202,9 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
           batch_transform: Optional[Callable] = None):
     """Seeded shuffled mini-batch training with Adam.
 
-    loss_fn(outputs, aux_batch) -> (loss, grad wrt outputs). When a validation
+    aux is None, an array, or a tuple of arrays, each indexed along its
+    leading axis like `inputs`; loss_fn(outputs, aux_batch) -> (loss, grad
+    wrt outputs) receives the rows of the batch. When a validation
     set and early_stop_patience are given, training stops after `patience`
     epochs without improvement; the best-scoring snapshot (validation when
     available, else training loss) is restored before returning.
@@ -272,43 +259,3 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
         model.weights = best_snapshot.weights
         model.biases = best_snapshot.biases
     return model, history
-
-
-# ------------------------------------------------------------- persistence
-
-_MAGIC = b"MLPB"
-_ACT_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
-
-
-def save_model(model: MlpModel, path: str) -> None:
-    """Flat binary layout: magic, version, layer count, then per layer
-    (fan_in, fan_out, activation code) followed by all parameter arrays in
-    row-major float64. Round-trips bit-exactly."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", 1, len(model.weights)))
-        for W, b, act in model.layers:
-            f.write(struct.pack("<IIB", W.shape[0], W.shape[1], _ACT_CODES[act]))
-        for W, b, _ in model.layers:
-            f.write(np.ascontiguousarray(W, dtype=np.float64).tobytes())
-            f.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
-
-
-def load_model(path: str) -> MlpModel:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("not a model file")
-        version, n_layers = struct.unpack("<II", f.read(8))
-        if version != 1:
-            raise ValueError(f"unsupported model format version {version}")
-        shapes = []
-        for _ in range(n_layers):
-            fan_in, fan_out, code = struct.unpack("<IIB", f.read(9))
-            shapes.append((fan_in, fan_out, ACTIVATIONS[code]))
-        weights, biases, acts = [], [], []
-        for fan_in, fan_out, act in shapes:
-            W = np.frombuffer(f.read(8 * fan_in * fan_out), dtype=np.float64)
-            weights.append(W.reshape(fan_in, fan_out).copy())
-            biases.append(np.frombuffer(f.read(8 * fan_out), dtype=np.float64).copy())
-            acts.append(act)
-    return MlpModel(weights, biases, acts)

@@ -4,19 +4,23 @@ A dense network maps the stacked real/imaginary parts of (H, D, X0) to a
 transmit frame, with a projection output layer enforcing the total power
 budget and an unsupervised trade-off loss eta*MUI + (1-eta)*similarity. The
 trained network replaces the per-frame optimization at prediction time.
+
+`make_dataset` draws a list of `WaveformSample`s; `stack_samples` turns such
+a list into the batch arrays H (B, K, M), D (B, K, tau) and X0 (B, M, tau)
+plus the common power budget. Every training-path function (features,
+projection and its VJP, loss, augmentation) works on these stacks with a
+leading batch axis.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, RicianParams, sample_channel_matrix
 from .classical_design import (
-    PROVENANCES,
     WaveformDesign,
     directional_covariance,
     procrustes_waveform,
@@ -26,33 +30,35 @@ from .neural import MlpModel, TrainConfig, init_mlp, predict, train
 
 DEFAULT_RICIAN_FACTORS = (1.5, 2.7, 1.2, 2.5)
 
-_MAGIC = b"WFDS"
-_VERSION = 1
-
 
 @dataclass(frozen=True)
 class WaveformSample:
-    """One training instance: channel, desired symbols, sensing reference.
+    """One instance: channel, desired symbols, sensing reference.
 
     D is expected to hold unit-power symbols (QPSK in the experiments); shape
     agreement is enforced here, the power convention by the dataset maker.
     """
 
-    H: ChannelMatrix | np.ndarray
+    H: ChannelMatrix
     D: np.ndarray
-    X0: WaveformDesign | np.ndarray
+    X0: WaveformDesign
 
     def __post_init__(self):
-        Hm = self.H.entries if isinstance(self.H, ChannelMatrix) else np.asarray(self.H)
-        X0m = self.X0.X if isinstance(self.X0, WaveformDesign) else np.asarray(self.X0)
-        D = np.asarray(self.D)
-        if D.shape != (Hm.shape[0], X0m.shape[1]) or Hm.shape[1] != X0m.shape[0]:
+        K, M = self.H.entries.shape
+        if np.shape(self.D) != (K, self.X0.frame_length) or self.X0.X.shape[0] != M:
             raise ValueError("H, D, X0 shapes disagree")
 
-    @property
-    def dims(self):
-        Hm = self.H.entries if isinstance(self.H, ChannelMatrix) else np.asarray(self.H)
-        return Hm.shape[1], Hm.shape[0], np.asarray(self.D).shape[1]  # M, K, tau
+
+def stack_samples(samples):
+    """(H (B,K,M), D (B,K,tau), X0 (B,M,tau), power) from a list of samples
+    sharing one shape and one power budget."""
+    powers = {s.X0.power for s in samples}
+    if len(powers) != 1:
+        raise ValueError("dataset must carry one common power budget")
+    H = np.stack([s.H.entries for s in samples])
+    D = np.stack([np.asarray(s.D, dtype=complex) for s in samples])
+    X0 = np.stack([s.X0.X for s in samples])
+    return H, D, X0, powers.pop()
 
 
 @dataclass(frozen=True)
@@ -82,79 +88,77 @@ class WaveformNetSpec:
 
 
 def _stack_complex(A: np.ndarray) -> np.ndarray:
-    v = np.asarray(A, dtype=complex).flatten(order="F")
-    return np.concatenate([v.real, v.imag])
+    """(B, r, c) complex -> (B, 2rc): [Re vec A, Im vec A], column-major vec."""
+    v = np.swapaxes(np.asarray(A, dtype=complex), 1, 2).reshape(len(A), -1)
+    return np.concatenate([v.real, v.imag], axis=1)
 
 
-def unstack_waveform(segment: np.ndarray, num_antennas: int, frame_length: int) -> np.ndarray:
-    """Inverse of the real/imag stacking used by build_features."""
-    segment = np.asarray(segment, dtype=float)
+def unstack_waveform(rows: np.ndarray, num_antennas: int, frame_length: int) -> np.ndarray:
+    """Inverse of the real/imag stacking used by build_features:
+    (B, 2*M*tau) -> (B, M, tau)."""
+    rows = np.asarray(rows, dtype=float)
     half = num_antennas * frame_length
-    if segment.shape != (2 * half,):
-        raise ValueError("segment length does not match the waveform shape")
-    flat = segment[:half] + 1j * segment[half:]
-    return flat.reshape(num_antennas, frame_length, order="F")
+    if rows.ndim != 2 or rows.shape[1] != 2 * half:
+        raise ValueError("row length does not match the waveform shape")
+    flat = rows[:, :half] + 1j * rows[:, half:]
+    return np.swapaxes(flat.reshape(-1, frame_length, num_antennas), 1, 2)
 
 
-def build_features(sample: WaveformSample) -> np.ndarray:
-    """[Re vec H, Im vec H, Re vec D, Im vec D, Re vec X0, Im vec X0],
-    column-major vectorization throughout."""
-    Hm = sample.H.entries if isinstance(sample.H, ChannelMatrix) else np.asarray(sample.H)
-    X0m = sample.X0.X if isinstance(sample.X0, WaveformDesign) else np.asarray(sample.X0)
-    return np.concatenate([
-        _stack_complex(Hm), _stack_complex(sample.D), _stack_complex(X0m)])
+def build_features(H: np.ndarray, D: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """One row per instance: [Re vec H, Im vec H, Re vec D, Im vec D,
+    Re vec X0, Im vec X0], column-major vectorization throughout."""
+    return np.concatenate([_stack_complex(H), _stack_complex(D), _stack_complex(X0)], axis=1)
+
+
+def _budget_scale(raw: np.ndarray, budget: float):
+    """Per-row energy of the raw outputs and the factor that pulls each row
+    into the ball of radius sqrt(budget) (exactly 1 inside it)."""
+    energy = np.einsum("bi,bi->b", raw, raw)
+    return energy, np.sqrt(budget / np.maximum(energy, budget))
 
 
 def power_projection(raw: np.ndarray, total_power: float, frame_length: int) -> np.ndarray:
-    """Reassemble the complex frame and pull it into the power ball."""
+    """Reassemble the complex frames (B, M, tau) and pull each one into the
+    power ball ||X||^2 <= tau * total_power."""
     raw = np.asarray(raw, dtype=float)
-    M = raw.size // (2 * frame_length)
-    theta = unstack_waveform(raw, M, frame_length)
-    budget = frame_length * total_power
-    energy = np.linalg.norm(theta) ** 2
-    if energy <= budget:
-        return theta
-    return np.sqrt(budget) * theta / np.sqrt(energy)
+    theta = unstack_waveform(raw, raw.shape[1] // (2 * frame_length), frame_length)
+    _, scale = _budget_scale(raw, frame_length * total_power)
+    return theta * scale[:, None, None]
 
 
 def _projection_vjp(raw: np.ndarray, grad_X: np.ndarray, total_power: float,
                     frame_length: int) -> np.ndarray:
-    """Pull a gradient on the projected frame back to the raw output layer.
+    """Pull gradients on the projected frames back to the raw output rows.
 
-    grad_X is the complex combination dL/dRe + j*dL/dIm; on the sphere the
-    map is c*(I - r r^T/|r|^2) with c = sqrt(budget)/|r|.
+    grad_X holds the complex combinations dL/dRe + j*dL/dIm (B, M, tau); on
+    the sphere the map is c*(I - r r^T/|r|^2) with c = sqrt(budget)/|r|.
     """
     raw = np.asarray(raw, dtype=float)
-    g = np.concatenate([grad_X.real.flatten(order="F"), grad_X.imag.flatten(order="F")])
+    g = _stack_complex(grad_X)
     budget = frame_length * total_power
-    energy = raw @ raw
-    if energy <= budget:
-        return g
-    c = np.sqrt(budget / energy)
-    return c * (g - raw * (raw @ g) / energy)
+    energy, scale = _budget_scale(raw, budget)
+    radial = np.where(energy > budget,
+                      np.einsum("bi,bi->b", raw, g) / np.maximum(energy, budget), 0.0)
+    return scale[:, None] * (g - raw * radial[:, None])
 
 
-def isac_waveform_loss(predictions, samples, weight: float):
+def isac_waveform_loss(X, H, D, X0, weight: float):
     """Batch trade-off loss and its gradient with respect to each frame.
 
     loss = (1/B) sum_n [ eta*||H_n X_n - D_n||^2 + (1-eta)*||X_n - X0_n||^2 ];
-    the returned gradients are complex matrices dL/dRe(X) + j*dL/dIm(X).
+    the gradient (B, M, tau) holds the complex combinations dL/dRe(X) +
+    j*dL/dIm(X).
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    batch = len(samples)
+    batch = len(X)
     if batch == 0:
         raise ValueError("empty batch")
-    total = 0.0
-    grads = []
-    for X, sample in zip(predictions, samples):
-        Hm = sample.H.entries if isinstance(sample.H, ChannelMatrix) else np.asarray(sample.H)
-        X0m = sample.X0.X if isinstance(sample.X0, WaveformDesign) else np.asarray(sample.X0)
-        comm = Hm @ X - sample.D
-        sens = X - X0m
-        total += weight * np.linalg.norm(comm) ** 2 + (1 - weight) * np.linalg.norm(sens) ** 2
-        grads.append((2.0 / batch) * (weight * Hm.conj().T @ comm + (1 - weight) * sens))
-    return total / batch, grads
+    comm = H @ X - D
+    sens = X - X0
+    total = weight * np.vdot(comm, comm).real + (1 - weight) * np.vdot(sens, sens).real
+    grad = (2.0 / batch) * (weight * np.swapaxes(H.conj(), 1, 2) @ comm + (1 - weight) * sens)
+    return total / batch, grad
 
 
 # ------------------------------------------------------------------- dataset
@@ -204,87 +208,26 @@ def split_dataset(num_samples: int, rng: np.random.Generator):
     return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
 
 
-def save_dataset(samples, path: str) -> None:
-    """Binary cache: counts header then contiguous complex arrays per sample."""
-    if not samples:
-        raise ValueError("nothing to save")
-    M, K, tau = samples[0].dims
-    power = samples[0].X0.power if isinstance(samples[0].X0, WaveformDesign) else 0.0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIIId", _VERSION, len(samples), M, K, tau, power))
-        for s in samples:
-            if s.dims != (M, K, tau):
-                raise ValueError("mixed sample shapes in dataset")
-            Hm = s.H.entries if isinstance(s.H, ChannelMatrix) else np.asarray(s.H, complex)
-            X0m = s.X0.X if isinstance(s.X0, WaveformDesign) else np.asarray(s.X0, complex)
-            prov = s.X0.provenance if isinstance(s.X0, WaveformDesign) else "learned"
-            if isinstance(s.H, ChannelMatrix):
-                params = np.array([[p.rician_factor, p.large_scale_gain, p.departure_angle]
-                                   for p in s.H.per_user_params])
-            else:
-                params = np.full((K, 3), np.nan)
-            fh.write(struct.pack("<B", PROVENANCES.index(prov)))
-            for arr in (Hm, np.asarray(s.D, complex), X0m):
-                fh.write(np.ascontiguousarray(arr, dtype=np.complex128).tobytes())
-            fh.write(np.ascontiguousarray(params, dtype=np.float64).tobytes())
-
-
-def load_dataset(path: str):
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a waveform dataset file")
-        version, count, M, K, tau, power = struct.unpack("<IIIIId", fh.read(28))
-        if version != _VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        samples = []
-        for _ in range(count):
-            prov = PROVENANCES[struct.unpack("<B", fh.read(1))[0]]
-            Hm = np.frombuffer(fh.read(16 * K * M), dtype=np.complex128).reshape(K, M)
-            D = np.frombuffer(fh.read(16 * K * tau), dtype=np.complex128).reshape(K, tau)
-            X0m = np.frombuffer(fh.read(16 * M * tau), dtype=np.complex128).reshape(M, tau)
-            params = np.frombuffer(fh.read(8 * K * 3), dtype=np.float64).reshape(K, 3)
-            if np.isnan(params).any():
-                H = Hm
-            else:
-                H = ChannelMatrix(Hm, tuple(
-                    RicianParams(rician_factor=p[0], large_scale_gain=p[1],
-                                 departure_angle=p[2]) for p in params))
-            X0 = WaveformDesign(X0m, power, prov) if power > 0 else X0m
-            samples.append(WaveformSample(H=H, D=D, X0=X0))
-    return samples
-
-
 # ------------------------------------------------------------------ training
-
-
-def _power_of(samples) -> float:
-    powers = {s.X0.power for s in samples if isinstance(s.X0, WaveformDesign)}
-    if len(powers) != 1:
-        raise ValueError("dataset must carry one common power budget")
-    return powers.pop()
 
 
 _QPSK_PHASES = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
 
 
-def symmetry_augment(sample: WaveformSample, rng: np.random.Generator) -> WaveformSample:
-    """Random column permutation plus per-column QPSK phase rotation.
+def symmetry_augment(D: np.ndarray, X0: np.ndarray, rng: np.random.Generator):
+    """Random column permutation plus per-column QPSK phase rotation, drawn
+    independently for each instance of the (B, K, tau) / (B, M, tau) stacks.
 
-    Both loss terms are column-separable, so the per-sample optimum maps
-    along with (D, X0); the transformed sample is distributed exactly like a
-    fresh draw sharing the same channel. Phases stay in the QPSK alphabet
+    Both loss terms are column-separable, so the per-instance optimum maps
+    along with (D, X0); the transformed instance is distributed exactly like
+    a fresh draw sharing the same channel. Phases stay in the QPSK alphabet
     and the rotation is exact in floating point (re/im swaps and sign flips).
     """
-    tau = np.asarray(sample.D).shape[1]
-    phases = _QPSK_PHASES[rng.integers(0, 4, tau)]
-    perm = rng.permutation(tau)
-    D = (np.asarray(sample.D) * phases)[:, perm]
-    X0m = sample.X0.X if isinstance(sample.X0, WaveformDesign) else np.asarray(sample.X0)
-    X0m = (X0m * phases)[:, perm]
-    X0 = (dataclasses.replace(sample.X0, X=X0m)
-          if isinstance(sample.X0, WaveformDesign) else X0m)
-    return WaveformSample(H=sample.H, D=D, X0=X0)
+    batch, _, tau = D.shape
+    phases = _QPSK_PHASES[rng.integers(0, 4, (batch, tau))][:, None, :]
+    perm = rng.permuted(np.tile(np.arange(tau), (batch, 1)), axis=1)[:, None, :]
+    return (np.take_along_axis(D * phases, perm, axis=2),
+            np.take_along_axis(X0 * phases, perm, axis=2))
 
 
 def train_waveform_net(dataset, weight: float, config: TrainConfig,
@@ -308,8 +251,9 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
         config = dataclasses.replace(config, early_stop_patience=20)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    total_power = _power_of(dataset)
-    M, K, tau = dataset[0].dims
+    H, D, X0, total_power = stack_samples(dataset)
+    _, K, M = H.shape
+    tau = D.shape[2]
 
     spec = WaveformNetSpec(M, K, tau)
     # build() always runs so the rng stream (and with it the seeded split
@@ -319,43 +263,32 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
         if [W.shape for W in init_model.weights] != [W.shape for W in model.weights]:
             raise ValueError("init_model does not match the problem dims")
         model = init_model.copy()
-    features = np.stack([build_features(s) for s in dataset])
+    features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
 
     def loss_fn(out, aux):
-        frames = [power_projection(row, total_power, tau) for row in out]
-        value, grads = isac_waveform_loss(frames, aux, weight)
-        grad_rows = np.stack([
-            _projection_vjp(row, g, total_power, tau)
-            for row, g in zip(out, grads)])
-        return value, grad_rows
+        value, grad = isac_waveform_loss(
+            power_projection(out, total_power, tau), *aux, weight)
+        return value, _projection_vjp(out, grad, total_power, tau)
 
     transform = None
     if augment:
-        def transform(rows, batch, rng_t):
-            fresh = [symmetry_augment(s, rng_t) for s in batch]
-            feats = np.stack([build_features(s) for s in fresh])
-            aux = np.empty(len(fresh), dtype=object)
-            aux[:] = fresh
-            return feats, aux
+        def transform(rows, aux, rng_t):
+            Hb, Db, X0b = aux
+            Db, X0b = symmetry_augment(Db, X0b, rng_t)
+            return build_features(Hb, Db, X0b), (Hb, Db, X0b)
 
-    samples = np.empty(len(dataset), dtype=object)
-    samples[:] = dataset
     model, history = train(
-        model, features[train_idx], samples[train_idx], loss_fn, config,
-        val_inputs=features[val_idx], val_aux=samples[val_idx],
-        batch_transform=transform)
+        model, features[train_idx], (H[train_idx], D[train_idx], X0[train_idx]),
+        loss_fn, config, val_inputs=features[val_idx],
+        val_aux=(H[val_idx], D[val_idx], X0[val_idx]), batch_transform=transform)
     return model, history, (train_idx, val_idx, test_idx)
 
 
-def predict_waveform(model: MlpModel, sample: WaveformSample,
-                     total_power: float | None = None) -> WaveformDesign:
-    """Forward pass plus projection; the power inequality always holds."""
-    if total_power is None:
-        if not isinstance(sample.X0, WaveformDesign):
-            raise ValueError("total_power needed when X0 carries none")
-        total_power = sample.X0.power
-    _, _, tau = sample.dims
-    raw = predict(model, build_features(sample)[None, :])[0]
-    X = power_projection(raw, total_power, tau)
+def predict_waveform(model: MlpModel, sample: WaveformSample) -> WaveformDesign:
+    """Forward pass plus projection at the sample's power budget; the power
+    inequality always holds."""
+    H, D, X0, total_power = stack_samples([sample])
+    raw = predict(model, build_features(H, D, X0))
+    X = power_projection(raw, total_power, D.shape[2])[0]
     return WaveformDesign(X, total_power, "learned")

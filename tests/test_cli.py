@@ -1,8 +1,10 @@
 """CLI: config validation diagnostics, artifact schemas, reproducibility."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,33 @@ def read_csv(path):
 
 
 # --------------------------------------------------------------- validation
+
+
+def _schema_tables():
+    """{kind: {param: default cell}} from the tables in docs/config_schema.md."""
+    text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    tables = {}
+    for section in re.split(r"^### ", text, flags=re.M)[1:]:
+        kind = section.split("\n", 1)[0].strip()
+        tables[kind] = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.M))
+    return tables
+
+
+def _doc_value(cell):
+    # the one non-JSON form in the tables is a power of ten, e.g. 10^-0.49
+    if cell.startswith("10^"):
+        return 10 ** float(cell[3:])
+    return json.loads(cell)
+
+
+def test_config_schema_doc_matches_defaults():
+    tables = _schema_tables()
+    assert list(tables) == list(cli._EXPERIMENTS)
+    for kind, table in tables.items():
+        defaults = cli._DEFAULTS[kind]
+        assert list(table) == list(defaults), kind
+        for name, cell in table.items():
+            assert _doc_value(cell) == defaults[name], f"{kind}.{name}"
 
 
 def test_validate_missing_seed_names_field(tmp_path, capsys):

@@ -7,7 +7,6 @@ from scipy.stats import norm
 from isackit.channel import ArrayGeometry, steering_vector
 from isackit.metrics import (
     awgn_mi_mmse,
-    ber,
     detection_at_false_alarm,
     estimation_rate_bounds,
     gaussian_mi_mmse,
@@ -29,6 +28,7 @@ from isackit.metrics import (
 
 BPSK = np.array([1.0, -1.0], dtype=complex)
 QPSK = np.exp(2j * np.pi * np.arange(4) / 4)
+QAM16 = (np.array([-3, -1, 1, 3])[:, None] + 1j * np.array([-3, -1, 1, 3])).ravel() / np.sqrt(10)
 
 
 # ---------------------------------------------------------------- MUI / SINR
@@ -336,16 +336,15 @@ def test_non_normalized_constellation_rejected():
 
 def test_i_mmse_derivative_identity():
     # complex-channel identity: dI/dgamma = MMSE(gamma), checked by centered
-    # finite differences on a 0.01-wide linear-SNR step
-    for points in (None, BPSK, QPSK):
+    # finite differences on a 0.01-wide linear-SNR step. The Monte Carlo path
+    # uses its default seed-0 generator, so the three SNRs share noise draws.
+    curves = [gaussian_mi_mmse]
+    curves += [lambda snr, p=p: awgn_mi_mmse(p, snr) for p in (BPSK, QPSK)]
+    curves += [lambda snr, p=p: awgn_mi_mmse(p, snr, mc_samples=20_000, method="mc")
+               for p in (QPSK, QAM16)]
+    for point_at in curves:
         for snr in (0.5, 1.0, 3.0):
-            if points is None:
-                lo, hi = gaussian_mi_mmse(snr - 0.005), gaussian_mi_mmse(snr + 0.005)
-                mid = gaussian_mi_mmse(snr)
-            else:
-                lo = awgn_mi_mmse(points, snr - 0.005)
-                hi = awgn_mi_mmse(points, snr + 0.005)
-                mid = awgn_mi_mmse(points, snr)
+            lo, hi, mid = point_at(snr - 0.005), point_at(snr + 0.005), point_at(snr)
             deriv = (hi.mutual_info - lo.mutual_info) / 0.01
             assert abs(deriv - mid.mmse) < 1e-2
 
@@ -403,7 +402,7 @@ def test_error_rates_trivial():
     a = np.array([0, 1, 2, 3])
     assert ser(a, a) == 0.0
     bits = np.array([0, 1, 0, 1])
-    assert ber(bits, 1 - bits) == 1.0
+    assert ser(bits, 1 - bits) == 1.0
 
 
 def test_qpsk_ser_closed_form_oracle(rng):

@@ -9,15 +9,11 @@ from isackit.neural import (
     MlpModel,
     TrainConfig,
     adam_step,
-    backward,
     backward_pass,
-    forward,
     forward_pass,
     init_adam,
     init_mlp,
-    load_model,
     predict,
-    save_model,
     train,
 )
 
@@ -65,7 +61,7 @@ def test_forward_softmax_rows_sum_to_one(rng):
     model = init_mlp([3, 6, 4], ["relu", "softmax"], rng)
     out = predict(model, rng.standard_normal((7, 3)))
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
-    acts = forward(model, rng.standard_normal((2, 3)))
+    _, (acts, _) = forward_pass(model, rng.standard_normal((2, 3)))
     assert len(acts) == 3  # input + two layers
 
 
@@ -74,8 +70,8 @@ def test_backward_linear_closed_form(rng):
     model = init_mlp([4, 3], ["linear"], rng)
     X = rng.standard_normal((6, 4))
     Y = rng.standard_normal((6, 3))
-    out = predict(model, X)
-    grads, _ = backward(model, X, out - Y)
+    out, cache = forward_pass(model, X)
+    grads, _ = backward_pass(model, cache, out - Y)
     expected = X.T @ (X @ model.weights[0] - Y)
     assert np.allclose(grads[0][0], expected, atol=1e-12)
     assert np.allclose(grads[0][1], (out - Y).sum(axis=0), atol=1e-12)
@@ -120,15 +116,17 @@ def test_backward_input_gradient_matches_fd(rng):
 def test_backward_zero_upstream_gives_zero_grads(rng):
     model = init_mlp([3, 4, 2], ["relu", "tanh"], rng)
     batch = rng.standard_normal((5, 3))
-    grads, grad_in = backward(model, batch, np.zeros((5, 2)))
+    _, cache = forward_pass(model, batch)
+    grads, grad_in = backward_pass(model, cache, np.zeros((5, 2)))
     assert all(np.all(dW == 0) and np.all(db == 0) for dW, db in grads)
     assert np.all(grad_in == 0)
 
 
 def test_backward_shape_mismatch(rng):
     model = init_mlp([3, 2], ["linear"], rng)
+    _, cache = forward_pass(model, rng.standard_normal((4, 3)))
     with pytest.raises(ValueError):
-        backward(model, rng.standard_normal((4, 3)), np.zeros((4, 3)))
+        backward_pass(model, cache, np.zeros((4, 3)))
 
 
 def test_softmax_cross_entropy_combined_gradient(rng):
@@ -243,6 +241,29 @@ def test_train_batch_transform_sees_every_training_batch(rng):
     assert calls == [8] * 12
 
 
+def test_train_indexes_tuple_aux_row_aligned(rng):
+    # each array of a tuple aux is indexed with the same rows as the inputs
+    X = np.column_stack([np.arange(12.0), rng.standard_normal(12)])
+    aux = (np.arange(12), 10j * np.arange(12))
+    seen = []
+
+    def check(batch_in, batch_aux, t_rng):
+        rows, scaled = batch_aux
+        assert np.array_equal(batch_in[:, 0], rows)
+        assert np.array_equal(scaled, 10j * rows)
+        seen.extend(rows)
+        return batch_in, batch_aux
+
+    def loss(out, batch_aux):
+        assert isinstance(batch_aux, tuple) and len(batch_aux) == 2
+        return float(np.mean(out**2)), 2 * out / out.size
+
+    model = init_mlp([2, 1], ["linear"], rng)
+    cfg = TrainConfig(epochs=2, batch_size=5, lr=0.01, seed=0)
+    train(model, X, aux, loss, cfg, val_inputs=X, val_aux=aux, batch_transform=check)
+    assert sorted(seen) == sorted(list(range(12)) * 2)
+
+
 def test_early_stopping_restores_best_snapshot(rng):
     # adversarial loss: improves for 3 epochs then worsens; best snapshot must
     # be the epoch-3 model, and training must stop before the epoch budget
@@ -258,20 +279,6 @@ def test_early_stopping_restores_best_snapshot(rng):
     model, history = train(model, X, Y, loss, cfg, val_inputs=X, val_aux=Y)
     final_val, _ = loss(predict(model, X), Y)
     assert np.isclose(final_val, np.min(history["val"]), atol=1e-12)
-
-
-def test_save_load_round_trip(tmp_path, rng):
-    model = init_mlp([4, 7, 3], ["relu", "softmax"], rng)
-    path = tmp_path / "model.bin"
-    save_model(model, str(path))
-    back = load_model(str(path))
-    assert back.activations == model.activations
-    for a, b in zip(model.weights + model.biases, back.weights + back.biases):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="not a model file"):
-        bad = tmp_path / "junk.bin"
-        bad.write_bytes(b"nope" + b"\x00" * 16)
-        load_model(str(bad))
 
 
 def test_model_validation():

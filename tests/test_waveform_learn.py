@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from isackit.channel import ChannelMatrix, RicianParams
 from isackit.classical_design import WaveformDesign, procrustes_waveform, reference_covariance_omni
 from isackit.metrics import mui_power
-from isackit.neural import TrainConfig, predict
+from isackit.neural import TrainConfig
 from isackit.waveform_learn import (
     WaveformNetSpec,
     WaveformSample,
     build_features,
     isac_waveform_loss,
-    load_dataset,
     make_dataset,
     power_projection,
     predict_waveform,
-    save_dataset,
     split_dataset,
+    stack_samples,
     symmetry_augment,
     train_waveform_net,
     unstack_waveform,
@@ -22,11 +22,69 @@ from isackit.waveform_learn import (
 )
 
 
-def _random_sample(rng, M=2, K=2, tau=3, power=1.0):
-    H = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
-    D = rng.standard_normal((K, tau)) + 1j * rng.standard_normal((K, tau))
-    X0 = procrustes_waveform(reference_covariance_omni(power, M), H, D, tau)
-    return WaveformSample(H=H, D=D, X0=X0)
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_batch(rng, B=4, M=2, K=2, tau=3, power=1.0):
+    """Stacks H (B,K,M), D (B,K,tau) and Procrustes references X0 (B,M,tau)."""
+    H, D = _complex(rng, B, K, M), _complex(rng, B, K, tau)
+    template = reference_covariance_omni(power, M)
+    X0 = np.stack([procrustes_waveform(template, h, d, tau).X for h, d in zip(H, D)])
+    return H, D, X0
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b))
+
+
+# ------------------------------------------------ per-instance oracles
+
+
+def _vec(A):
+    v = np.asarray(A, dtype=complex).flatten(order="F")
+    return np.concatenate([v.real, v.imag])
+
+
+def _features_oracle(H, D, X0):
+    return np.stack([np.concatenate([_vec(h), _vec(d), _vec(x)])
+                     for h, d, x in zip(H, D, X0)])
+
+
+def _projection_oracle(raw, power, tau):
+    out = []
+    for row in raw:
+        half = row.size // 2
+        theta = (row[:half] + 1j * row[half:]).reshape(half // tau, tau, order="F")
+        budget, energy = tau * power, np.linalg.norm(theta) ** 2
+        out.append(theta if energy <= budget else np.sqrt(budget) * theta / np.sqrt(energy))
+    return np.stack(out)
+
+
+def _loss_oracle(X, H, D, X0, weight):
+    total, grads = 0.0, []
+    for x, h, d, x0 in zip(X, H, D, X0):
+        comm, sens = h @ x - d, x - x0
+        total += weight * np.linalg.norm(comm) ** 2 + (1 - weight) * np.linalg.norm(sens) ** 2
+        grads.append((2.0 / len(X)) * (weight * h.conj().T @ comm + (1 - weight) * sens))
+    return total / len(X), np.stack(grads)
+
+
+def _vjp_oracle(raw, grad_X, power, tau):
+    out = []
+    for r, gx in zip(raw, grad_X):
+        g, budget, energy = _vec(gx), tau * power, r @ r
+        out.append(g if energy <= budget
+                   else np.sqrt(budget / energy) * (g - r * (r @ g) / energy))
+    return np.stack(out)
+
+
+def _raw_rows(rng, M, tau, power, scales):
+    """One raw output row per scale, at energy scale^2 * tau * power: rows
+    with scale < 1 sit inside the power ball, the rest are pulled onto it."""
+    raw = rng.standard_normal((len(scales), 2 * M * tau))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw * np.sqrt(tau * power) * np.asarray(scales)[:, None]
 
 
 # ------------------------------------------------------------------ features
@@ -34,13 +92,9 @@ def _random_sample(rng, M=2, K=2, tau=3, power=1.0):
 
 def test_feature_length_paper_dims(rng):
     M, K, tau = 16, 4, 10
-    sample = WaveformSample(
-        H=rng.standard_normal((K, M)) * 1j,
-        D=rng.standard_normal((K, tau)),
-        X0=rng.standard_normal((M, tau)),
-    )
-    feats = build_features(sample)
-    assert feats.shape == (528,)
+    feats = build_features(_complex(rng, 1, K, M), _complex(rng, 1, K, tau),
+                           _complex(rng, 1, M, tau))
+    assert feats.shape == (1, 528)
     spec = WaveformNetSpec(M, K, tau)
     assert spec.feature_size == K * (M + tau) + M * tau == 264
     assert spec.widths == [528, 5280, 2640, 320]
@@ -48,24 +102,45 @@ def test_feature_length_paper_dims(rng):
 
 
 def test_zero_sample_zero_features():
-    sample = WaveformSample(H=np.zeros((2, 3)), D=np.zeros((2, 4)),
-                            X0=np.zeros((3, 4)))
-    assert np.all(build_features(sample) == 0.0)
+    feats = build_features(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)), np.zeros((2, 3, 4)))
+    assert feats.shape == (2, 2 * (6 + 8 + 12))
+    assert np.all(feats == 0.0)
 
 
 def test_feature_order_roundtrip(rng):
-    sample = _random_sample(rng, M=3, K=2, tau=4)
-    feats = build_features(sample)
-    # X0 occupies the trailing 2*M*tau slots
-    back = unstack_waveform(feats[-24:], 3, 4)
-    assert np.array_equal(back, sample.X0.X)
+    H, D, X0 = _random_batch(rng, B=3, M=3, K=2, tau=4)
+    feats = build_features(H, D, X0)
+    # X0 occupies the trailing 2*M*tau slots of every row
+    back = unstack_waveform(feats[:, -24:], 3, 4)
+    assert np.array_equal(back, X0)
     with pytest.raises(ValueError, match="length"):
-        unstack_waveform(feats[-23:], 3, 4)
+        unstack_waveform(feats[:, -23:], 3, 4)
+
+
+def test_features_match_per_instance_oracle(rng):
+    H, D, X0 = _random_batch(rng, B=5, M=3, K=2, tau=4)
+    assert np.array_equal(build_features(H, D, X0), _features_oracle(H, D, X0))
 
 
 def test_sample_shape_mismatch(rng):
+    H = ChannelMatrix(_complex(rng, 2, 3), (RicianParams(1.0), RicianParams(1.0)))
+    X0 = WaveformDesign(np.eye(3, 5) * np.sqrt(5 / 3), 1.0, "omni")
     with pytest.raises(ValueError, match="shapes"):
-        WaveformSample(H=np.zeros((2, 3)), D=np.zeros((2, 4)), X0=np.zeros((3, 5)))
+        WaveformSample(H=H, D=np.zeros((2, 4)), X0=X0)
+    with pytest.raises(ValueError, match="shapes"):
+        WaveformSample(H=H, D=np.zeros((3, 5)), X0=X0)
+
+
+def test_stack_samples_shapes_and_power(rng):
+    samples = make_dataset(5, 3, 2, 4, rng, total_power=2.0)
+    H, D, X0, power = stack_samples(samples)
+    assert H.shape == (5, 2, 3) and D.shape == (5, 2, 4) and X0.shape == (5, 3, 4)
+    assert power == 2.0
+    assert np.array_equal(H[3], samples[3].H.entries)
+    assert np.array_equal(X0[3], samples[3].X0.X)
+    other = make_dataset(1, 3, 2, 4, rng, total_power=1.0)
+    with pytest.raises(ValueError, match="power"):
+        stack_samples(samples + other)
 
 
 # ---------------------------------------------------------------- projection
@@ -73,8 +148,7 @@ def test_sample_shape_mismatch(rng):
 
 def test_projection_inside_ball_unchanged(rng):
     tau, power = 4, 1.0
-    raw = rng.standard_normal(2 * 2 * tau)
-    raw *= np.sqrt(tau * power / 2) / np.linalg.norm(raw)
+    raw = _raw_rows(rng, 2, tau, power, [np.sqrt(0.5)])
     X = power_projection(raw, power, tau)
     assert np.isclose(np.linalg.norm(X) ** 2, tau * power / 2)
     assert np.array_equal(X, unstack_waveform(raw, 2, tau))
@@ -82,86 +156,111 @@ def test_projection_inside_ball_unchanged(rng):
 
 def test_projection_boundary_scaling(rng):
     tau, power = 5, 2.0
-    raw = rng.standard_normal(2 * 3 * tau)
-    raw *= np.sqrt(4 * tau * power) / np.linalg.norm(raw)
+    raw = _raw_rows(rng, 3, tau, power, [2.0, 3.0])
     X = power_projection(raw, power, tau)
-    assert np.isclose(np.linalg.norm(X) ** 2, tau * power)
+    assert np.allclose(np.linalg.norm(X, axis=(1, 2)) ** 2, tau * power)
 
 
 def test_projection_idempotent(rng):
     tau, power = 3, 1.0
-    raw = 10 * rng.standard_normal(2 * 2 * tau)
+    raw = 10 * rng.standard_normal((4, 2 * 2 * tau))
     once = power_projection(raw, power, tau)
-    stacked = np.concatenate([once.real.flatten(order="F"), once.imag.flatten(order="F")])
-    twice = power_projection(stacked, power, tau)
+    twice = power_projection(np.stack([_vec(x) for x in once]), power, tau)
     assert np.allclose(once, twice, atol=1e-12)
+
+
+def test_projection_matches_per_instance_oracle(rng):
+    # rows inside the ball, on its boundary and outside it in one batch
+    tau, power = 4, 1.5
+    raw = _raw_rows(rng, 3, tau, power, [0.3, 0.9, 1.0, 1.7, 6.0])
+    batched = power_projection(raw, power, tau)
+    oracle = _projection_oracle(raw, power, tau)
+    assert np.array_equal(batched[:2], oracle[:2])  # inside: unscaled
+    for b, o in zip(batched, oracle):
+        assert _rel(b, o) <= 1e-12
+
+
+def test_projection_vjp_matches_per_instance_oracle(rng):
+    tau, power = 4, 1.5
+    raw = _raw_rows(rng, 3, tau, power, [0.3, 0.9, 1.7, 6.0])
+    grad_X = _complex(rng, 4, 3, tau)
+    batched = _projection_vjp(raw, grad_X, power, tau)
+    oracle = _vjp_oracle(raw, grad_X, power, tau)
+    assert np.array_equal(batched[:2], oracle[:2])  # inside: identity map
+    for b, o in zip(batched, oracle):
+        assert _rel(b, o) <= 1e-12
 
 
 # --------------------------------------------------------------------- loss
 
 
 def test_loss_zero_at_each_extreme(rng):
-    H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    D = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    H, D = _complex(rng, 1, 2, 2), _complex(rng, 1, 2, 3)
     X = np.linalg.solve(H, D)
-    sample = WaveformSample(H=H, D=D, X0=np.zeros((2, 3)))
-    value, _ = isac_waveform_loss([X], [sample], 1.0)
+    value, _ = isac_waveform_loss(X, H, D, np.zeros((1, 2, 3)), 1.0)
     assert value <= 1e-20
-    sample2 = _random_sample(rng)
-    value2, _ = isac_waveform_loss([sample2.X0.X], [sample2], 0.0)
+    H, D, X0 = _random_batch(rng)
+    value2, _ = isac_waveform_loss(X0, H, D, X0, 0.0)
     assert value2 <= 1e-20
 
 
+def test_loss_matches_per_instance_oracle(rng):
+    H, D, X0 = _random_batch(rng, B=6, M=3, K=2, tau=4)
+    X = _complex(rng, 6, 3, 4)
+    for weight in (0.0, 0.37, 1.0):
+        value, grad = isac_waveform_loss(X, H, D, X0, weight)
+        ref_value, ref_grad = _loss_oracle(X, H, D, X0, weight)
+        assert abs(value - ref_value) <= 1e-12 * ref_value
+        assert _rel(grad, ref_grad) <= 1e-12
+
+
 def test_loss_gradient_matches_fd(rng):
-    samples = [_random_sample(rng) for _ in range(3)]
-    Xs = [rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-          for _ in range(3)]
+    H, D, X0 = _random_batch(rng, B=3)
+    X = _complex(rng, 3, 2, 3)
     weight = 0.37
-    _, grads = isac_waveform_loss(Xs, samples, weight)
+    _, grad = isac_waveform_loss(X, H, D, X0, weight)
     h = 1e-6
+    fd = np.zeros_like(X)
+    for idx in np.ndindex(X.shape):
+        for part in (1.0, 1.0j):
+            Xp, Xm = X.copy(), X.copy()
+            Xp[idx] += part * h
+            Xm[idx] -= part * h
+            lp, _ = isac_waveform_loss(Xp, H, D, X0, weight)
+            lm, _ = isac_waveform_loss(Xm, H, D, X0, weight)
+            fd[idx] += part * (lp - lm) / (2 * h)
     for n in range(3):
-        fd = np.zeros((2, 3), dtype=complex)
-        for i in range(2):
-            for j in range(3):
-                for part, delta in ((1.0, h), (1.0j, h)):
-                    Xp = [x.copy() for x in Xs]
-                    Xm = [x.copy() for x in Xs]
-                    Xp[n][i, j] += part * delta
-                    Xm[n][i, j] -= part * delta
-                    lp, _ = isac_waveform_loss(Xp, samples, weight)
-                    lm, _ = isac_waveform_loss(Xm, samples, weight)
-                    fd[i, j] += part * (lp - lm) / (2 * delta)
-        assert np.linalg.norm(fd - grads[n]) / np.linalg.norm(fd) < 1e-5
+        assert np.linalg.norm(fd[n] - grad[n]) / np.linalg.norm(fd[n]) < 1e-5
 
 
 def test_loss_validation(rng):
-    sample = _random_sample(rng)
+    H, D, X0 = _random_batch(rng)
     with pytest.raises(ValueError, match="weight"):
-        isac_waveform_loss([sample.X0.X], [sample], 1.5)
+        isac_waveform_loss(X0, H, D, X0, 1.5)
     with pytest.raises(ValueError, match="empty"):
-        isac_waveform_loss([], [], 0.5)
+        isac_waveform_loss(X0[:0], H[:0], D[:0], X0[:0], 0.5)
 
 
 def test_projection_vjp_matches_fd(rng):
     # chain loss(project(raw)) for both the active and inactive branch
-    sample = _random_sample(rng, M=2, K=2, tau=3)
+    H, D, X0 = _random_batch(rng, B=1, M=2, K=2, tau=3)
     weight = 0.6
 
     def chained(raw):
         X = power_projection(raw, 1.0, 3)
-        value, grads = isac_waveform_loss([X], [sample], weight)
-        return value, _projection_vjp(raw, grads[0], 1.0, 3)
+        value, grad = isac_waveform_loss(X, H, D, X0, weight)
+        return value, _projection_vjp(raw, grad, 1.0, 3)
 
     h = 1e-7
     for scale in (0.2, 5.0):  # inside the ball / on the sphere
-        raw = scale * rng.standard_normal(12)
+        raw = scale * rng.standard_normal((1, 12))
         _, vjp = chained(raw)
-        fd = np.zeros(12)
+        fd = np.zeros((1, 12))
         for i in range(12):
             rp, rm = raw.copy(), raw.copy()
-            rp[i] += h
-            rm[i] -= h
-            fd[i] = (chained(rp)[0] - chained(rm)[0]) / (2 * h)
+            rp[0, i] += h
+            rm[0, i] -= h
+            fd[0, i] = (chained(rp)[0] - chained(rm)[0]) / (2 * h)
         assert np.linalg.norm(fd - vjp) / np.linalg.norm(fd) < 1e-5
 
 
@@ -171,11 +270,11 @@ def test_projection_vjp_matches_fd(rng):
 def test_make_dataset_contents(rng):
     samples = make_dataset(5, 3, 2, 4, rng, total_power=2.0)
     assert len(samples) == 5
-    for s in samples:
-        assert s.dims == (3, 2, 4)
-        assert np.allclose(np.abs(s.D), 1.0)  # unit-power symbols
-        assert s.X0.provenance == "omni"
-        assert np.isclose(np.linalg.norm(s.X0.X) ** 2 / 4, 2.0)
+    H, D, X0, _ = stack_samples(samples)
+    assert H.shape == (5, 2, 3) and D.shape == (5, 2, 4) and X0.shape == (5, 3, 4)
+    assert np.allclose(np.abs(D), 1.0)  # unit-power symbols
+    assert all(s.X0.provenance == "omni" for s in samples)
+    assert np.allclose(np.linalg.norm(X0, axis=(1, 2)) ** 2 / 4, 2.0)
     again = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     redo = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     assert all(np.array_equal(a.D, b.D) for a, b in zip(again, redo))
@@ -190,25 +289,6 @@ def test_make_dataset_validation(rng):
         make_dataset(2, 2, 2, 3, rng, reference="directional")
     with pytest.raises(ValueError, match="Rician factor"):
         make_dataset(2, 2, 6, 3, rng)
-
-
-def test_dataset_cache_roundtrip(tmp_path, rng):
-    samples = make_dataset(4, 2, 2, 3, rng)
-    path = tmp_path / "cache.bin"
-    save_dataset(samples, str(path))
-    back = load_dataset(str(path))
-    assert len(back) == 4
-    for a, b in zip(samples, back):
-        assert np.array_equal(a.H.entries, b.H.entries)
-        assert np.array_equal(a.D, b.D)
-        assert np.array_equal(a.X0.X, b.X0.X)
-        assert a.X0.provenance == b.X0.provenance
-        assert [p.rician_factor for p in a.H.per_user_params] == \
-               [p.rician_factor for p in b.H.per_user_params]
-    junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"XXXX" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="not a waveform dataset"):
-        load_dataset(str(junk))
 
 
 def test_split_dataset_partition():
@@ -271,40 +351,34 @@ def test_training_warm_start(rng):
 def test_symmetry_augment_is_loss_invariant(rng):
     # column phases/permutations act on (D, X0) together, so the loss at the
     # mapped reference equals the loss at the original reference exactly
-    samples = make_dataset(5, 4, 2, 5, rng)
-    for s in samples:
-        t = symmetry_augment(s, rng)
+    H, D, X0, _ = stack_samples(make_dataset(5, 4, 2, 5, rng))
+    Dt, X0t = symmetry_augment(D, X0, rng)
+    for n in range(5):
         for weight in (0.0, 0.3, 1.0):
-            v0, _ = isac_waveform_loss([s.X0.X], [s], weight)
-            vt, _ = isac_waveform_loss([t.X0.X], [t], weight)
+            v0, _ = isac_waveform_loss(X0[n:n + 1], H[n:n + 1], D[n:n + 1], X0[n:n + 1], weight)
+            vt, _ = isac_waveform_loss(X0t[n:n + 1], H[n:n + 1], Dt[n:n + 1], X0t[n:n + 1],
+                                       weight)
             assert abs(v0 - vt) < 1e-12
-        assert t.X0.power == s.X0.power
-        assert abs(np.linalg.norm(t.X0.X) - np.linalg.norm(s.X0.X)) < 1e-12
-        # the symbol alphabet survives the rotation
-        assert np.allclose(np.sort(np.abs(t.D).ravel()), np.sort(np.abs(s.D).ravel()))
-        # multiset of D entries is preserved up to unit phases
-        assert t.D.shape == s.D.shape
+    assert np.allclose(np.linalg.norm(X0t, axis=(1, 2)), np.linalg.norm(X0, axis=(1, 2)),
+                       rtol=0, atol=1e-12)
+    # the symbol alphabet survives the rotation
+    assert Dt.shape == D.shape
+    assert np.allclose(np.sort(np.abs(Dt).ravel()), np.sort(np.abs(D).ravel()))
 
 
 def test_symmetry_augment_maps_columns_consistently(rng):
-    s = make_dataset(1, 3, 2, 4, rng)[0]
-    t = symmetry_augment(s, np.random.default_rng(77))
     # every transformed column must be (phase * original column) for both D
-    # and X0, with a common phase and a common source column
-    used = set()
-    for j in range(4):
-        matched = False
-        for k in range(4):
-            for phase in (1, 1j, -1, -1j):
-                if (np.allclose(t.D[:, j], phase * s.D[:, k])
-                        and np.allclose(t.X0.X[:, j], phase * s.X0.X[:, k])):
-                    assert k not in used
-                    used.add(k)
-                    matched = True
-                    break
-            if matched:
-                break
-        assert matched
+    # and X0, with a common phase and a common source column, per instance
+    _, D, X0, _ = stack_samples(make_dataset(3, 3, 2, 4, rng))
+    Dt, X0t = symmetry_augment(D, X0, np.random.default_rng(77))
+    for n in range(3):
+        used = set()
+        for j in range(4):
+            matches = [k for k in range(4) for phase in (1, 1j, -1, -1j)
+                       if np.allclose(Dt[n, :, j], phase * D[n, :, k])
+                       and np.allclose(X0t[n, :, j], phase * X0[n, :, k])]
+            assert len(matches) == 1 and matches[0] not in used
+            used.add(matches[0])
 
 
 def test_pareto_over_weight(rng):
@@ -339,13 +413,3 @@ def test_prediction_power_and_determinism(rng):
         assert np.linalg.norm(design.X) ** 2 / 3 <= 1.0 + 1e-9
         repeat = predict_waveform(model, s)
         assert np.array_equal(design.X, repeat.X)
-
-
-def test_prediction_needs_power_for_bare_reference(rng):
-    model = WaveformNetSpec(2, 2, 3).build(rng)
-    sample = WaveformSample(H=np.zeros((2, 2)), D=np.zeros((2, 3)),
-                            X0=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="total_power"):
-        predict_waveform(model, sample)
-    design = predict_waveform(model, sample, total_power=1.0)
-    assert design.power == 1.0
