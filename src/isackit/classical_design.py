@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,10 +109,9 @@ def _project_psd_trace(C: np.ndarray, power: float) -> np.ndarray:
     lam, U = np.linalg.eigh((C + C.conj().T) / 2)
     lam_sorted = np.sort(lam)[::-1]
     csum = np.cumsum(lam_sorted)
-    rho = 0
-    for i in range(len(lam)):
-        if lam_sorted[i] - (csum[i] - power) / (i + 1) > 0:
-            rho = i
+    # rho: the last index whose clipped value stays positive (0 if none)
+    clipped = lam_sorted - (csum - power) / np.arange(1, len(lam) + 1)
+    rho = int(np.flatnonzero(clipped > 0).max(initial=0))
     shift = (csum[rho] - power) / (rho + 1)
     lam = np.maximum(lam - shift, 0.0)
     return (U * lam) @ U.conj().T
@@ -204,9 +204,18 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int,
 
 # ----------------------------------------------------------------- trade-off
 
+_WEIGHT_TOL = 1e-12  # epsilon_design stops bisecting the weight at this width
+
 
 def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
-    """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam_min, inf)."""
+    """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam_min, inf).
+
+    Safeguarded Newton iteration on psi(mu) = phi(mu)^(-1/2) - target^(-1/2)
+    (More & Sorensen 1983), which is nearly linear in mu. It starts at the
+    pole side of the bracket; a step that leaves the bracket is replaced by
+    bisection. It stops when phi meets the target to within a few ulps, or
+    when no float lies strictly inside the bracket, never on step size alone.
+    """
 
     def phi(mu):
         return float(np.sum(rho / (lam + mu) ** 2))
@@ -220,45 +229,71 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
         hi = -lam_min + (hi + lam_min) * 2.0
         grew += 1
         if grew > 200:
-            raise RuntimeError("secular bisection failed to bracket the root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > target:
-            lo = mid
+            raise RuntimeError("secular solve failed to bracket the root")
+    eps = np.finfo(float).eps
+    mu = lo
+    while True:
+        inv = 1.0 / (lam + mu)
+        terms = rho * inv * inv
+        value = float(terms.sum())
+        cubic = float((terms * inv).sum())  # -phi'(mu) / 2
+        # a few ulps of the target, plus what one ulp of mu moves phi by: on
+        # a steep branch the float grid of mu cannot bring phi any closer
+        if abs(value - target) <= 4.0 * eps * (target + 2.0 * cubic * abs(mu)):
+            return mu
+        if value > target:
+            lo = mu
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = mu
+        # Newton step on psi, with psi' = phi^(-3/2) * cubic
+        nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return mu
+        mu = nxt
 
 
-def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesign:
-    """Global minimizer of eta*||HX-D||^2 + (1-eta)*||X-X0||^2 on the power
-    sphere ||X||_F^2 = tau_d * P.
+class _GramFactor(NamedTuple):
+    """Validated trade-off inputs and the eigendecomposition H^H H = U g U^H.
 
-    The stationarity system (A + mu I) X = B with A = eta H^H H + (1-eta) I is
-    solved exactly: one eigendecomposition of A, then bisection on the secular
-    equation for the multiplier mu that meets the power budget.
+    For every weight eta, A(eta) = eta H^H H + (1-eta) I has the eigenvectors
+    U and the eigenvalues eta g + (1-eta), and U^H B(eta) is the same mix of
+    U^H H^H D and U^H X0, so one factorization serves any number of weights.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
+
+    H: np.ndarray
+    D: np.ndarray
+    X0: np.ndarray
+    g: np.ndarray  # ascending
+    U: np.ndarray
+    UHD: np.ndarray  # U^H H^H D
+    UX0: np.ndarray  # U^H X0
+
+
+def _factor(H, D, X0) -> _GramFactor:
     Hm = _as_matrix(H)
     D = np.asarray(D, dtype=complex)
     X0m = _as_waveform(X0)
     if Hm.shape[1] != X0m.shape[0] or D.shape != (Hm.shape[0], X0m.shape[1]):
         raise ValueError("dimension mismatch between H, D, X0")
-    M, tau_d = X0m.shape
+    G = Hm.conj().T @ Hm
+    g, U = np.linalg.eigh((G + G.conj().T) / 2)
+    return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().T @ D, U.conj().T @ X0m)
+
+
+def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.ndarray:
+    """Trade-off minimizer at one weight, from the shared factorization."""
+    M, tau_d = f.X0.shape
     target = tau_d * total_power
-
-    A = weight * Hm.conj().T @ Hm + (1.0 - weight) * np.eye(M)
-    B = weight * Hm.conj().T @ D + (1.0 - weight) * X0m
-    if np.linalg.norm(B) == 0.0:
+    W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
+    if np.linalg.norm(W) == 0.0:
         warnings.warn("degenerate trade-off objective; returning a power-"
-                      "feasible reference", stacklevel=2)
-        X = X0m if np.linalg.norm(X0m) > 0 else np.eye(M, tau_d, dtype=complex)
-        X = X * np.sqrt(target) / np.linalg.norm(X)
-        return WaveformDesign(X, total_power, "tradeoff")
+                      "feasible reference", stacklevel=3)
+        X = f.X0 if np.linalg.norm(f.X0) > 0 else np.eye(M, tau_d, dtype=complex)
+        return X * np.sqrt(target) / np.linalg.norm(X)
 
-    lam, U = np.linalg.eigh((A + A.conj().T) / 2)
-    W = U.conj().T @ B
+    lam = weight * f.g + (1.0 - weight)
     rho = np.linalg.norm(W, axis=1) ** 2
 
     # hard case: no weight on the minimal eigenspace and the boundary value
@@ -273,63 +308,74 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
         deficit = target - boundary
         fill = np.zeros_like(W)
         fill[np.argmax(min_space)] = np.sqrt(deficit / tau_d)
-        X = U @ (coeff + fill)
+        X = f.U @ (coeff + fill)
     else:
         mu = _secular_solve(lam, rho, target)
-        X = U @ (W / (lam + mu)[:, None])
-    X = X * np.sqrt(target) / np.linalg.norm(X)  # kill bisection roundoff
+        X = f.U @ (W / (lam + mu)[:, None])
+    return X * np.sqrt(target) / np.linalg.norm(X)  # kill the solver's roundoff
+
+
+def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesign:
+    """Global minimizer of eta*||HX-D||^2 + (1-eta)*||X-X0||^2 on the power
+    sphere ||X||_F^2 = tau_d * P.
+
+    The stationarity system (A + mu I) X = B with A = eta H^H H + (1-eta) I is
+    solved exactly: one eigendecomposition of H^H H, which A shares, then a
+    safeguarded Newton iteration on the secular equation for the multiplier
+    mu that meets the power budget.
+    """
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError("weight must lie in [0, 1]")
+    X = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
     return WaveformDesign(X, total_power, "tradeoff")
 
 
-def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float,
-                   weight_tol: float = 1e-12):
+def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     """Epsilon-constraint designs by bisection on the trade-off weight.
 
     comm_priority: minimize MUI subject to ||X - X0||^2 <= bound.
     sens_priority: minimize ||X - X0||^2 subject to ||HX - D||^2 <= bound.
     Returns (design, slack) where slack = bound - achieved constraint value.
+    Every weight of the bisection reuses one factorization of H^H H.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
     if mode not in ("comm_priority", "sens_priority"):
         raise ValueError("mode must be comm_priority or sens_priority")
-    Hm = _as_matrix(H)
-    D = np.asarray(D, dtype=complex)
-    X0m = _as_waveform(X0)
+    f = _factor(H, D, X0)
 
     def constraint(X):
         if mode == "comm_priority":
-            return float(np.linalg.norm(X - X0m) ** 2)
-        return mui_power(Hm, X, D)
+            return float(np.linalg.norm(X - f.X0) ** 2)
+        return mui_power(f.H, X, f.D)
 
     # the constrained metric worsens monotonically toward its priority extreme
     best_eta = 1.0 if mode == "comm_priority" else 0.0
     worst_eta = 1.0 - best_eta
     provenance = "epsilon_comm" if mode == "comm_priority" else "epsilon_sens"
 
-    at_best = tradeoff_design(Hm, D, X0m, best_eta, total_power)
-    if constraint(at_best.X) <= bound:
-        design = WaveformDesign(at_best.X, total_power, provenance)
-        return design, bound - constraint(at_best.X)
-    at_worst = tradeoff_design(Hm, D, X0m, worst_eta, total_power)
-    floor = constraint(at_worst.X)
-    if floor > bound:
+    X = _tradeoff_solve(f, best_eta, total_power)
+    achieved = constraint(X)
+    if achieved <= bound:
+        return WaveformDesign(X, total_power, provenance), bound - achieved
+    X_feas = _tradeoff_solve(f, worst_eta, total_power)
+    achieved = constraint(X_feas)
+    if achieved > bound:
         raise ValueError(
-            f"epsilon infeasible: minimal achievable constraint is {floor:.6e}")
+            f"epsilon infeasible: minimal achievable constraint is {achieved:.6e}")
 
-    # at_best violates the bound and at_worst satisfies it; bisect the weight,
-    # keeping `feas` on the satisfied side and pushing it toward best_eta
+    # at best_eta the bound is violated and at worst_eta it holds; bisect the
+    # weight, keeping `feas` on the satisfied side and pushing it toward best_eta
     feas, infeas = worst_eta, best_eta
-    while abs(infeas - feas) > weight_tol:
+    while abs(infeas - feas) > _WEIGHT_TOL:
         mid = 0.5 * (feas + infeas)
-        X = tradeoff_design(Hm, D, X0m, mid, total_power).X
-        if constraint(X) <= bound:
-            feas = mid
+        X = _tradeoff_solve(f, mid, total_power)
+        value = constraint(X)
+        if value <= bound:
+            feas, X_feas, achieved = mid, X, value
         else:
             infeas = mid
-    final = tradeoff_design(Hm, D, X0m, feas, total_power)
-    design = WaveformDesign(final.X, total_power, provenance)
-    return design, bound - constraint(final.X)
+    return WaveformDesign(X_feas, total_power, provenance), bound - achieved
 
 
 def genie_rate(D, noise_var: float) -> RateReport:

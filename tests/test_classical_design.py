@@ -6,6 +6,8 @@ from isackit.channel import ArrayGeometry, steering_grid
 from isackit.classical_design import (
     CovarianceTemplate,
     WaveformDesign,
+    _project_psd_trace,
+    _secular_solve,
     directional_covariance,
     epsilon_design,
     genie_rate,
@@ -95,6 +97,66 @@ def _eta_sweep_oracle(H, D, X0, bound, mode, power):
     return float(min(feasible_objective(e) for e in fine))
 
 
+def _bisect_secular(lam, rho, target):
+    """200 bisection steps on sum_i rho_i / (lam_i + mu)^2 = target over the
+    bracket _secular_solve uses."""
+
+    def phi(mu):
+        return float(np.sum(rho / (lam + mu) ** 2))
+
+    lam_min = lam.min()
+    scale = max(1.0, abs(lam_min))
+    lo = -lam_min + 1e-14 * scale
+    hi = -lam_min + scale
+    while phi(hi) > target:
+        hi = -lam_min + (hi + lam_min) * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _project_psd_trace_loop(C, power):
+    """Spectrum clip of _project_psd_trace with the clip index found by a loop."""
+    lam, U = np.linalg.eigh((C + C.conj().T) / 2)
+    lam_sorted = np.sort(lam)[::-1]
+    csum = np.cumsum(lam_sorted)
+    rho = 0
+    for i in range(len(lam)):
+        if lam_sorted[i] - (csum[i] - power) / (i + 1) > 0:
+            rho = i
+    shift = (csum[rho] - power) / (rho + 1)
+    lam = np.maximum(lam - shift, 0.0)
+    return (U * lam) @ U.conj().T
+
+
+def _epsilon_bisection(H, D, X0, bound, mode, power):
+    """Epsilon-constraint design by bisecting the weight of the public
+    tradeoff_design down to a 1e-12 wide interval, keeping the satisfied side."""
+
+    def constraint(X):
+        if mode == "comm_priority":
+            return float(np.linalg.norm(X - X0) ** 2)
+        return mui_power(H, X, D)
+
+    best_eta = 1.0 if mode == "comm_priority" else 0.0
+    X = tradeoff_design(H, D, X0, best_eta, power).X
+    if constraint(X) <= bound:
+        return X, bound - constraint(X)
+    feas, infeas = 1.0 - best_eta, best_eta
+    while abs(infeas - feas) > 1e-12:
+        mid = 0.5 * (feas + infeas)
+        if constraint(tradeoff_design(H, D, X0, mid, power).X) <= bound:
+            feas = mid
+        else:
+            infeas = mid
+    X = tradeoff_design(H, D, X0, feas, power).X
+    return X, bound - constraint(X)
+
+
 # ------------------------------------------------------------ omni template
 
 
@@ -169,6 +231,16 @@ def test_directional_output_is_valid_template():
     tpl = directional_covariance([0.5, -0.5], 3.0, ArrayGeometry(8))
     assert np.isclose(np.trace(tpl.matrix).real, 3.0, atol=1e-8)
     assert np.linalg.eigvalsh(tpl.matrix).min() >= -1e-10
+
+
+def test_project_psd_trace_matches_loop(rng):
+    for M in (1, 2, 5, 16):
+        for _ in range(20):
+            G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+            C = G + G.conj().T
+            power = rng.uniform(0.1, 3.0)
+            assert np.array_equal(_project_psd_trace(C, power),
+                                  _project_psd_trace_loop(C, power))
 
 
 # ---------------------------------------------------------------- procrustes
@@ -328,6 +400,81 @@ def test_tradeoff_scipy_cross_check(rng):
     assert ours <= best + 1e-6
 
 
+def _secular_spectra(rng, M=16, K=4):
+    """(lam, rho, target) triples at the case1 shape: the minimal eigenvalue
+    1 - eta has multiplicity M - K. Generic targets, targets just below the
+    boundary value with no weight on the minimal eigenspace, and targets just
+    above it with a tiny weight there."""
+    for trial in range(90):
+        eta = rng.uniform(0.05, 0.95)
+        g = np.concatenate([np.zeros(M - K), rng.uniform(0.5, 20.0, K)])
+        lam = eta * g + (1.0 - eta)
+        rho = rng.uniform(0.1, 10.0, M)
+        gap = lam - lam.min()
+        pos = gap > 0
+        boundary = float(np.sum(rho[pos] / gap[pos] ** 2))
+        if trial % 3 == 0:
+            target = float(np.sum(rho / (gap + rng.uniform(0.01, 5.0)) ** 2))
+        elif trial % 3 == 1:
+            rho[~pos] = 0.0
+            target = boundary * (1.0 - 10.0 ** rng.uniform(-9, -3))
+        else:
+            rho[~pos] = 10.0 ** rng.uniform(-14, -8)
+            target = boundary * (1.0 + 10.0 ** rng.uniform(-9, -3))
+        yield lam, rho, target
+
+
+def test_secular_solve_matches_bisection_oracle(rng):
+    for lam, rho, target in _secular_spectra(rng):
+        mu = _secular_solve(lam, rho, target)
+        ref = _bisect_secular(lam, rho, target)
+        assert abs(mu - ref) <= 1e-12 * abs(ref)
+    # unequal eigenvalues with a spread of scales, shifted negative
+    for _ in range(30):
+        lam = np.sort(rng.uniform(-3.0, 40.0, 7))
+        rho = 10.0 ** rng.uniform(-3, 2, 7)
+        target = float(np.sum(rho / (lam - lam[0] + rng.uniform(0.001, 10.0)) ** 2))
+        mu = _secular_solve(lam, rho, target)
+        ref = _bisect_secular(lam, rho, target)
+        assert abs(mu - ref) <= 1e-12 * abs(ref)
+
+
+def test_secular_solve_fails_to_bracket():
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        _secular_solve(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1e-300)
+
+
+def test_tradeoff_kkt_optimality(rng):
+    # global optimality on the sphere: (A + mu I) X = B with A + mu I PSD
+    M, K, tau, P = 16, 4, 32, 1.0
+    for _ in range(3):
+        H, D, X0 = _random_instance(rng, M=M, K=K, tau=tau, power=P)
+        gram = H.conj().T @ H
+        for eta in np.linspace(0.0, 1.0, 10):
+            X = tradeoff_design(H, D, X0, eta, P).X
+            assert abs(np.linalg.norm(X) ** 2 - tau * P) <= 1e-12 * tau * P
+            A = eta * gram + (1.0 - eta) * np.eye(M)
+            B = eta * H.conj().T @ D + (1.0 - eta) * X0
+            AX = A @ X
+            mu = np.vdot(X, B - AX).real / np.linalg.norm(X) ** 2
+            assert np.linalg.norm(AX + mu * X - B) <= 1e-10 * np.linalg.norm(B)
+            lam_min = np.linalg.eigvalsh(A).min()
+            assert mu >= -lam_min - 1e-10 * max(1.0, abs(lam_min))
+
+
+@pytest.mark.parametrize("design", [
+    lambda H, D, X0: tradeoff_design(H, D, X0, 0.5, 1.0),
+    lambda H, D, X0: epsilon_design(H, D, X0, 1.0, "comm_priority", 1.0),
+    lambda H, D, X0: epsilon_design(H, D, X0, 1.0, "sens_priority", 1.0),
+], ids=["tradeoff", "epsilon_comm", "epsilon_sens"])
+def test_tradeoff_and_epsilon_dimension_mismatch(rng, design):
+    H, D, X0 = _random_instance(rng, M=3, K=2, tau=5)
+    for args in ((H, D[:, :-1], X0), (H, D, X0[:, :-1]), (H[:, :-1], D, X0),
+                 (H, D[:-1], X0)):
+        with pytest.raises(ValueError, match="dimension mismatch between H, D, X0"):
+            design(*args)
+
+
 # ------------------------------------------------------------------- epsilon
 
 
@@ -382,6 +529,23 @@ def test_epsilon_infeasible_raises(rng):
         epsilon_design(H, D, 1.5 * X0, 1e-12, "comm_priority", 1.0)
     with pytest.raises(ValueError, match="mode"):
         epsilon_design(H, D, X0, 1.0, "both", 1.0)
+
+
+@pytest.mark.parametrize("mode", ["comm_priority", "sens_priority"])
+def test_epsilon_matches_public_bisection(rng, mode):
+    for M, K, tau in ((2, 2, 4), (3, 2, 5), (16, 4, 32)):
+        H, D, X0 = _random_instance(rng, M=M, K=K, tau=tau)
+        ends = [tradeoff_design(H, D, X0, eta, 1.0).X for eta in (0.0, 1.0)]
+        if mode == "comm_priority":
+            values = [np.linalg.norm(X - X0) ** 2 for X in ends]
+        else:
+            values = [mui_power(H, X, D) for X in ends]
+        for bound in (0.5 * sum(values), 0.9 * values[0] + 0.1 * values[1],
+                      2.0 * max(values)):
+            design, slack = epsilon_design(H, D, X0, bound, mode, 1.0)
+            X_ref, slack_ref = _epsilon_bisection(H, D, X0, bound, mode, 1.0)
+            assert np.linalg.norm(design.X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+            assert abs(slack - slack_ref) <= 1e-9 * max(1.0, bound)
 
 
 # --------------------------------------------------------------------- genie
