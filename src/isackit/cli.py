@@ -267,6 +267,8 @@ def validate_config(cfg) -> list:
                 invalid = True
         if kind.startswith("case1_") and not invalid:
             out.extend(_case1_cross_checks({**table, **params}))
+        if kind == "case3_sweep" and not invalid:
+            out.extend(_case3_cross_checks({**table, **params}))
     return out
 
 
@@ -280,6 +282,20 @@ def _case1_cross_checks(p) -> list:
     if p["num_users"] > limit:
         out.append(f"params.num_users: must be at most {limit} (one default "
                    "Rician factor per user)")
+    return out
+
+
+def _case3_cross_checks(p) -> list:
+    """Operating points the calibration can reach: as the noise grows, SER
+    tends to (M-1)/M and Pd tends to Pfa without passing them."""
+    out = []
+    ceiling = 1.0 - 2.0 ** -p["num_bits"]
+    if p["target_ser"] >= ceiling:
+        out.append(f"params.target_ser: must be below 1 - 2^-num_bits "
+                   f"({ceiling:g})")
+    if p["target_pd"] <= p["target_pfa"]:
+        out.append(f"params.target_pd: must exceed target_pfa "
+                   f"({p['target_pfa']:g})")
     return out
 
 

@@ -1,15 +1,20 @@
 """Autoencoder constellation design with a radar presence detector head.
 
-A shared encoder maps K message bits to one complex symbol; a communication
-decoder and a radar presence detector are trained jointly through the weighted
-loss eta*BCE(detector) + (1-eta)*CE(decoder). The encoder batch is normalized
-to unit average symbol power every step, so the trade-off shapes geometry
-rather than transmit power.
+A shared encoder maps K message bits to one complex symbol; a softmax
+communication decoder over the 2^K messages and a radar presence detector are
+trained jointly through the weighted loss eta*BCE(detector) +
+(1-eta)*CE(decoder). The encoder batch is normalized to unit average symbol
+power every step, so the trade-off shapes geometry rather than transmit power.
 
 Evaluation compares constellations (learned or classical) under matched
 receivers: minimum-distance decoding for SER, and the exact likelihood-ratio
 statistic for presence detection, with noise levels calibrated against a
-reference constellation rather than quoted SNRs.
+reference constellation rather than quoted SNRs. The calibration bisects the
+noise variance; it widens its starting bracket as far as the target needs and
+raises a ValueError naming the target when no variance reaches it.
+
+A constellation is its points alone: message m is point m, and the bits of m
+are its little-endian expansion.
 """
 
 from __future__ import annotations
@@ -33,27 +38,29 @@ from .neural import (
 
 _HIDDEN = (16, 32, 16)
 _CLAMP = 1e-12
+# trials per block of detection_statistic's (trials, M) distance matrix
+_DETECT_BLOCK = 16384
+# starting noise-variance brackets of the calibrations, the number of times
+# each end may be halved (lo) or doubled (hi) to hold the target, and the
+# bisection steps inside the bracket
+_COMM_BRACKET = (1e-4, 4.0)
+_RADAR_BRACKET = (0.01, 4.0)
+_BRACKET_GROWTH = 30
+_BISECT_ITERS = 40
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-average-power symbol set with integer message labels."""
+    """Unit-average-power symbol set; message m is points[m]."""
 
     points: np.ndarray
-    labels: np.ndarray
-    avg_power: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
-        labels = np.asarray(self.labels, dtype=int)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", labels)
-        if pts.ndim != 1 or labels.shape != pts.shape:
-            raise ValueError("points and labels must be matching vectors")
-        if sorted(labels.tolist()) != list(range(pts.size)):
-            raise ValueError("labels must be a permutation of 0..M-1")
-        power = float(np.mean(np.abs(pts) ** 2))
-        if abs(power - 1.0) > 1e-6 or abs(self.avg_power - power) > 1e-6:
+        if pts.ndim != 1:
+            raise ValueError("points must be a vector")
+        if abs(float(np.mean(np.abs(pts) ** 2)) - 1.0) > 1e-6:
             raise ValueError("constellation must carry unit average power")
 
     @property
@@ -69,19 +76,12 @@ class IsacAutoencoder:
     comm_decoder: MlpModel
     radar_detector: MlpModel
     weight: float
-    comm_noise_var: float
-    radar_noise_var: float
-    comm_head: str = "softmax"
 
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
-        if self.comm_head not in ("softmax", "bits"):
-            raise ValueError("comm_head must be 'softmax' or 'bits'")
-        K = self.encoder.input_dim
-        out = self.comm_decoder.output_dim
-        expected = 2 ** K if self.comm_head == "softmax" else K
-        if out != expected or self.encoder.output_dim != 2:
+        M = 2 ** self.encoder.input_dim
+        if self.comm_decoder.output_dim != M or self.encoder.output_dim != 2:
             raise ValueError("head dimensions disagree with the message size")
         if self.radar_detector.output_dim != 1:
             raise ValueError("detector must end in a single unit")
@@ -98,19 +98,15 @@ def message_bits(labels, num_bits: int) -> np.ndarray:
     return ((labels[:, None] >> j) & 1).astype(float)
 
 
-def build_isac_ae(num_bits: int, weight: float, comm_noise_var: float,
-                  radar_noise_var: float, rng: np.random.Generator,
-                  comm_head: str = "softmax") -> IsacAutoencoder:
+def build_isac_ae(num_bits: int, weight: float,
+                  rng: np.random.Generator) -> IsacAutoencoder:
     """Fresh triple with the shared (16, 32, 16) hidden trunk."""
-    M = 2 ** num_bits
     hidden_acts = ["relu"] * len(_HIDDEN)
     enc = init_mlp([num_bits, *_HIDDEN, 2], hidden_acts + ["linear"], rng)
-    dec_out = M if comm_head == "softmax" else num_bits
-    dec_act = "softmax" if comm_head == "softmax" else "sigmoid"
-    dec = init_mlp([2, *_HIDDEN, dec_out], hidden_acts + [dec_act], rng)
+    dec = init_mlp([2, *_HIDDEN, 2 ** num_bits], hidden_acts + ["softmax"],
+                   rng)
     det = init_mlp([2, *_HIDDEN, 1], hidden_acts + ["sigmoid"], rng)
-    return IsacAutoencoder(enc, dec, det, weight, comm_noise_var,
-                           radar_noise_var, comm_head)
+    return IsacAutoencoder(enc, dec, det, weight)
 
 
 # ------------------------------------------------------- power normalization
@@ -135,30 +131,18 @@ def normalize_vjp(symbols: np.ndarray, scale: float,
 # ------------------------------------------------------------------- losses
 
 
-def comm_loss(outputs: np.ndarray, labels_or_bits, mode: str = "softmax"):
-    """Cross-entropy of the communication head; returns (value, gradient).
-
-    softmax mode: outputs are (B, M) class probabilities, targets are integer
-    labels. bits mode: outputs are (B, K) per-bit probabilities, targets are
-    bit matrices, scored by full binary cross-entropy summed over bits.
-    """
+def comm_loss(outputs: np.ndarray, labels):
+    """Cross-entropy of the softmax communication head over (B, M) class
+    probabilities and integer message labels; returns (value, gradient)."""
     out = np.atleast_2d(outputs)
     B = out.shape[0]
     p = np.clip(out, _CLAMP, 1.0 - _CLAMP)
-    if mode == "softmax":
-        labels = np.asarray(labels_or_bits, dtype=int)
-        picked = p[np.arange(B), labels]
-        value = float(-np.mean(np.log(picked)))
-        grad = np.zeros_like(out)
-        grad[np.arange(B), labels] = -1.0 / (B * picked)
-        return value, grad
-    if mode == "bits":
-        bits = np.atleast_2d(np.asarray(labels_or_bits, dtype=float))
-        value = float(-np.mean(
-            np.sum(bits * np.log(p) + (1 - bits) * np.log(1 - p), axis=1)))
-        grad = (-bits / p + (1 - bits) / (1 - p)) / B
-        return value, grad
-    raise ValueError("mode must be 'softmax' or 'bits'")
+    labels = np.asarray(labels, dtype=int)
+    picked = p[np.arange(B), labels]
+    value = float(-np.mean(np.log(picked)))
+    grad = np.zeros_like(out)
+    grad[np.arange(B), labels] = -1.0 / (B * picked)
+    return value, grad
 
 
 def radar_loss(outputs: np.ndarray, flags):
@@ -171,23 +155,7 @@ def radar_loss(outputs: np.ndarray, flags):
     return value, grad
 
 
-# ----------------------------------------------------------------- sampling
-
-
-def sample_training_batch(encoder: MlpModel, batch: int,
-                          comm_noise_var: float, radar_noise_var: float,
-                          rng: np.random.Generator):
-    """Draw messages, push them through the encoder (batch-normalized), and
-    emit channel observations: y = x + n_comm, z = T*x + n_radar with
-    T ~ Bernoulli(1/2). Returns (labels, y, z, T)."""
-    K = encoder.input_dim
-    labels = rng.integers(0, 2 ** K, size=batch)
-    x, _ = normalize_symbols(predict(encoder, message_bits(labels, K)))
-    y = x + np.sqrt(comm_noise_var / 2.0) * rng.standard_normal((batch, 2))
-    T = rng.integers(0, 2, size=batch)
-    z = T[:, None] * x \
-        + np.sqrt(radar_noise_var / 2.0) * rng.standard_normal((batch, 2))
-    return labels, y, z, T
+# ----------------------------------------------------------------- training
 
 
 def combined_step(ae: IsacAutoencoder, labels, T, noise_c, noise_r):
@@ -197,18 +165,15 @@ def combined_step(ae: IsacAutoencoder, labels, T, noise_c, noise_r):
     flags. Returns (value, enc_grads, dec_grads, det_grads) so the whole
     chain stays finite-difference checkable.
     """
-    bits = message_bits(labels, ae.num_bits)
-    raw, enc_cache = forward_pass(ae.encoder, bits)
+    raw, enc_cache = forward_pass(ae.encoder,
+                                  message_bits(labels, ae.num_bits))
     x, scale = normalize_symbols(raw)
     T = np.asarray(T, dtype=float)
     y = x + noise_c
     z = T[:, None] * x + noise_r
     probs, dec_cache = forward_pass(ae.comm_decoder, y)
     that, det_cache = forward_pass(ae.radar_detector, z)
-    if ae.comm_head == "softmax":
-        value_c, grad_c = comm_loss(probs, labels, "softmax")
-    else:
-        value_c, grad_c = comm_loss(probs, bits, "bits")
+    value_c, grad_c = comm_loss(probs, labels)
     value_r, grad_r = radar_loss(that, T)
     value = ae.weight * value_r + (1.0 - ae.weight) * value_c
     dec_grads, gy = backward_pass(ae.comm_decoder, dec_cache,
@@ -223,14 +188,14 @@ def combined_step(ae: IsacAutoencoder, labels, T, noise_c, noise_r):
 
 def train_isac_ae(weight: float, num_bits: int, comm_noise_var: float,
                   radar_noise_var: float, config: TrainConfig, *,
-                  samples_per_epoch: int = 100_000,
-                  comm_head: str = "softmax") -> IsacAutoencoder:
-    """Joint end-to-end training of the triple; fresh noise every step."""
+                  samples_per_epoch: int = 100_000) -> IsacAutoencoder:
+    """Joint end-to-end training of the triple. Every step draws fresh
+    messages, presence flags T ~ Bernoulli(1/2) and channel noise, so the
+    decoder sees y = x + n_comm and the detector z = T*x + n_radar."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     rng = np.random.default_rng(config.seed)
-    ae = build_isac_ae(num_bits, weight, comm_noise_var, radar_noise_var,
-                       rng, comm_head)
+    ae = build_isac_ae(num_bits, weight, rng)
     states = {name: init_adam(net, lr=config.lr) for name, net in
               (("enc", ae.encoder), ("dec", ae.comm_decoder),
                ("det", ae.radar_detector))}
@@ -255,27 +220,27 @@ def train_isac_ae(weight: float, num_bits: int, comm_noise_var: float,
 
 def extract_constellation(ae: IsacAutoencoder) -> Constellation:
     """Encode every message and renormalize to unit average power."""
-    M = 2 ** ae.num_bits
-    labels = np.arange(M)
-    raw = predict(ae.encoder, message_bits(labels, ae.num_bits))
+    raw = predict(ae.encoder,
+                  message_bits(np.arange(2 ** ae.num_bits), ae.num_bits))
     pts = raw[:, 0] + 1j * raw[:, 1]
     rms = np.sqrt(np.mean(np.abs(pts) ** 2))
     if rms <= 0:
         raise ValueError("degenerate all-zero constellation")
-    return Constellation(pts / rms, labels, 1.0)
+    return Constellation(pts / rms)
 
 
 # ------------------------------------------------------------------ receivers
 
 
-def detection_statistic(z, points, noise_var: float,
-                        block: int = 16384) -> np.ndarray:
+def detection_statistic(z, points, noise_var: float) -> np.ndarray:
     """Exact log likelihood ratio of target presence for a known symbol set:
     logmeanexp_i(-|z - p_i|^2 / sigma^2) + |z|^2 / sigma^2. Evaluated in
-    blocks to bound the (trials, M) distance matrix."""
+    blocks of _DETECT_BLOCK trials to bound the (trials, M) distance
+    matrix."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     pts = np.asarray(points, dtype=complex).reshape(-1)
     out = np.empty(z.size)
+    block = _DETECT_BLOCK
     for start in range(0, z.size, block):
         zb = z[start:start + block]
         d2 = np.abs(zb[:, None] - pts[None, :]) ** 2
@@ -290,21 +255,13 @@ def ml_decode(y, points) -> np.ndarray:
     return np.argmin(np.abs(y[:, None] - pts[None, :]) ** 2, axis=1)
 
 
-def _as_constellation(target) -> Constellation:
-    if isinstance(target, IsacAutoencoder):
-        return extract_constellation(target)
-    if isinstance(target, Constellation):
-        return target
-    raise TypeError("expected an IsacAutoencoder or a Constellation")
-
-
-def evaluate_isac(target, comm_noise_var: float, radar_noise_var: float,
-                  threshold: float, trials: int, rng: np.random.Generator):
+def evaluate_isac(const: Constellation, comm_noise_var: float,
+                  radar_noise_var: float, threshold: float, trials: int,
+                  rng: np.random.Generator):
     """Monte-Carlo (SER, Pd, Pfa) under matched receivers."""
     if trials < 10_000:
         warnings.warn("trial count below the statistical floor",
                       stacklevel=2)
-    const = _as_constellation(target)
     pts = const.points
     idx = rng.integers(0, pts.size, size=trials)
     noise = np.sqrt(comm_noise_var / 2.0) * (
@@ -322,25 +279,14 @@ def evaluate_isac(target, comm_noise_var: float, radar_noise_var: float,
     return ser, pd, pfa
 
 
-def threshold_for_pfa(target, radar_noise_var: float, pfa: float,
-                      trials: int, rng: np.random.Generator) -> float:
-    """H0 quantile of the detection statistic at the requested Pfa."""
-    const = _as_constellation(target)
-    noise = np.sqrt(radar_noise_var / 2.0) * (
-        rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    stats = detection_statistic(noise, const.points, radar_noise_var)
-    return float(np.quantile(stats, 1.0 - pfa))
-
-
 # ----------------------------------------------------------------- baselines
 
 
 def baseline_constellation(kind: str, size: int) -> Constellation:
     """Classical references: 'PSK' (uniform ring) or 'QAM' (square grid for
     square sizes, the 6x6-minus-corners cross for 32)."""
-    labels = np.arange(size)
     if kind.upper() == "PSK":
-        pts = np.exp(2j * np.pi * labels / size)
+        pts = np.exp(2j * np.pi * np.arange(size) / size)
     elif kind.upper() == "QAM":
         side = int(round(np.sqrt(size)))
         if side * side == size:
@@ -357,17 +303,44 @@ def baseline_constellation(kind: str, size: int) -> Constellation:
         pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
     else:
         raise ValueError("kind must be 'QAM' or 'PSK'")
-    return Constellation(pts, labels, 1.0)
+    return Constellation(pts)
 
 
 # --------------------------------------------------------------- calibration
 
 
+def _bisect_noise(metric, target: float, bracket, field: str) -> float:
+    """Noise variance at which metric, nondecreasing in the variance, crosses
+    target. The bracket's lo is halved and its hi doubled, each at most
+    _BRACKET_GROWTH times, until metric(lo) <= target <= metric(hi); then
+    _BISECT_ITERS bisection steps narrow it and its midpoint is returned."""
+    lo, hi = bracket
+    for _ in range(_BRACKET_GROWTH):
+        if metric(lo) <= target:
+            break
+        lo /= 2.0
+    else:
+        raise ValueError(f"{field} is out of reach: the reference misses it "
+                         f"down to noise variance {2.0 * lo:g}")
+    for _ in range(_BRACKET_GROWTH):
+        if metric(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError(f"{field} is out of reach: the reference misses it "
+                         f"up to noise variance {hi / 2.0:g}")
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if metric(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def calibrate_comm_noise(reference: Constellation, target_ser: float,
-                         trials: int, rng: np.random.Generator,
-                         lo: float = 1e-4, hi: float = 4.0,
-                         iters: int = 40) -> float:
-    """Bisect the comm noise variance so the reference constellation hits the
+                         trials: int, rng: np.random.Generator) -> float:
+    """Comm noise variance at which the reference constellation hits the
     target SER under ML decoding (common random numbers across candidates)."""
     pts = reference.points
     idx = rng.integers(0, pts.size, size=trials)
@@ -378,22 +351,13 @@ def calibrate_comm_noise(reference: Constellation, target_ser: float,
         y = pts[idx] + np.sqrt(var) * unit
         return np.mean(ml_decode(y, pts) != idx)
 
-    if ser_at(lo) > target_ser or ser_at(hi) < target_ser:
-        raise ValueError("target SER outside the bisection bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if ser_at(mid) < target_ser:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_noise(ser_at, target_ser, _COMM_BRACKET, "target_ser")
 
 
 def calibrate_radar_noise(reference: Constellation, target_pd: float,
                           target_pfa: float, trials: int,
-                          rng: np.random.Generator, lo: float = 0.01,
-                          hi: float = 4.0, iters: int = 40):
-    """Bisect the radar noise variance so the reference hits target_pd at the
+                          rng: np.random.Generator):
+    """Radar noise variance at which the reference hits target_pd at the
     threshold pinned to target_pfa; returns (noise_var, threshold)."""
     pts = reference.points
     idx = rng.integers(0, pts.size, size=trials)
@@ -408,15 +372,9 @@ def calibrate_radar_noise(reference: Constellation, target_pd: float,
         s1 = detection_statistic(pts[idx] + np.sqrt(var) * u1, pts, var)
         return np.mean(s1 > thr), thr
 
-    if pd_at(hi)[0] > target_pd or pd_at(lo)[0] < target_pd:
-        raise ValueError("target Pd outside the bisection bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if pd_at(mid)[0] > target_pd:
-            lo = mid
-        else:
-            hi = mid
-    var = 0.5 * (lo + hi)
+    # Pd falls as the noise grows, so bisect on -Pd
+    var = _bisect_noise(lambda v: -pd_at(v)[0], -target_pd, _RADAR_BRACKET,
+                        "target_pd")
     return var, float(pd_at(var)[1])
 
 
@@ -427,11 +385,8 @@ def amplitude_spread(const: Constellation) -> float:
 
 
 def export_constellation(const: Constellation, path) -> None:
-    """Write 'label,re,im' CSV rows sorted by ascending label."""
-    order = np.argsort(const.labels)
+    """Write one 'label,re,im' CSV row per point, in message order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label,re,im\n")
-        for i in order:
-            fh.write("{:d},{:.9g},{:.9g}\n".format(
-                int(const.labels[i]), const.points[i].real,
-                const.points[i].imag))
+        for m, p in enumerate(const.points):
+            fh.write("{:d},{:.9g},{:.9g}\n".format(m, p.real, p.imag))

@@ -260,8 +260,7 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
             raise ValueError("probs must be a probability vector matching points")
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    avg_power = float(np.sum(probs * np.abs(points) ** 2))
-    if abs(avg_power - 1.0) > 1e-6:
+    if abs(float(np.sum(probs * np.abs(points) ** 2)) - 1.0) > 1e-6:
         raise ValueError("constellation must have unit average power")
     if method == "auto":
         method = "mc" if points.size > 64 else "quadrature"
@@ -323,14 +322,3 @@ def estimation_rate_bounds(prior_var: float, distortion: float):
     else:
         mi_bound = 0.5 * np.log2(prior_var / distortion)
     return float(mi_bound), float(-np.log2(distortion))
-
-
-# --------------------------------------------------------------------- SER
-
-
-def ser(true_labels, decisions) -> float:
-    true_labels = np.asarray(true_labels)
-    decisions = np.asarray(decisions)
-    if true_labels.shape != decisions.shape:
-        raise ValueError("label arrays must have the same shape")
-    return float(np.mean(true_labels != decisions))

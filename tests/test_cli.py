@@ -28,12 +28,14 @@ def read_csv(path):
 
 
 def _schema_tables():
-    """{kind: {param: default cell}} from the tables in docs/config_schema.md."""
+    """{kind: {param: (default cell, constraint cell)}} from the tables in
+    docs/config_schema.md."""
     text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
     tables = {}
     for section in re.split(r"^### ", text, flags=re.M)[1:]:
         kind = section.split("\n", 1)[0].strip()
-        tables[kind] = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.M))
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| (.*) \|$", section, flags=re.M)
+        tables[kind] = {name: (default, constraint) for name, default, constraint in rows}
     return tables
 
 
@@ -50,8 +52,13 @@ def test_config_schema_doc_matches_defaults():
     for kind, table in tables.items():
         defaults = cli._DEFAULTS[kind]
         assert list(table) == list(defaults), kind
-        for name, cell in table.items():
-            assert _doc_value(cell) == defaults[name], f"{kind}.{name}"
+        for name, (default, constraint) in table.items():
+            assert _doc_value(default) == defaults[name], f"{kind}.{name}"
+            # the constraint restates the validate message, optionally
+            # followed by ", <cross-field limit or unit>"
+            message = re.sub(r"^must (be an? |lie )", "", cli._CHECKS[name][1])
+            assert constraint == message or constraint.startswith(message + ", "), \
+                f"{kind}.{name}: {constraint!r} does not start with {message!r}"
 
 
 def test_validate_missing_seed_names_field(tmp_path, capsys):
@@ -99,10 +106,14 @@ def test_validate_config_diagnostics_direct():
     ("case1_roc", {"frame_length": 4}, "frame_length"),
     ("case1_beampattern", {"num_antennas": 20}, "frame_length"),
     ("case1_aging", {"num_users": 5}, "num_users"),
+    ("case3_sweep", {"num_bits": 1, "target_ser": 0.5}, "target_ser"),
+    ("case3_sweep", {"target_ser": 0.95}, "target_ser"),
+    ("case3_sweep", {"target_pd": 0.005}, "target_pd"),
+    ("case3_sweep", {"target_pd": 0.2, "target_pfa": 0.2}, "target_pd"),
 ])
 def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
                                                     params, field):
-    # configs that the case1 runners cannot execute fail validation too
+    # configs that the runners cannot execute fail validation too
     cfg = write_config(tmp_path / "c.json",
                        {"experiment": kind, "seed": 1, "params": params})
     assert main(["validate", cfg]) == 2
@@ -110,6 +121,19 @@ def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"params.{field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_case3_sweep_bpsk_validates_and_runs(tmp_path):
+    # BPSK's calibrated comm noise lies beyond the calibration's starting
+    # bracket, which the calibration widens on its own
+    cfg = write_config(tmp_path / "c.json",
+                       {"experiment": "case3_sweep", "seed": 1,
+                        "params": {"num_bits": 1, "epochs": 1,
+                                   "samples_per_epoch": 400, "etas": [0.5]}})
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    record = json.loads((tmp_path / "o" / "run_record.json").read_text())
+    assert record["summary"]["comm_noise_var"] > 4.0
 
 
 def test_run_refuses_invalid_config(tmp_path, capsys):

@@ -3,8 +3,9 @@ closed forms, calibration round trips, and small training runs."""
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
+from isackit import constellation_ae
 from isackit.constellation_ae import (
     Constellation,
     IsacAutoencoder,
@@ -24,8 +25,6 @@ from isackit.constellation_ae import (
     normalize_symbols,
     normalize_vjp,
     radar_loss,
-    sample_training_batch,
-    threshold_for_pfa,
     train_isac_ae,
 )
 from isackit.neural import TrainConfig, predict
@@ -56,13 +55,13 @@ def test_message_bits_round_trip():
 
 def test_comm_loss_uniform_prediction_is_log_m():
     probs = np.full((5, 8), 1.0 / 8.0)
-    value, _ = comm_loss(probs, np.arange(5), "softmax")
+    value, _ = comm_loss(probs, np.arange(5))
     assert abs(value - np.log(8.0)) < 1e-12
 
 
 def test_comm_loss_perfect_prediction_is_zero():
     probs = np.eye(4)[[2, 0, 3]]
-    value, _ = comm_loss(probs, [2, 0, 3], "softmax")
+    value, _ = comm_loss(probs, [2, 0, 3])
     assert value < 1e-9
 
 
@@ -70,7 +69,7 @@ def test_comm_loss_matches_direct_sum():
     rng = np.random.default_rng(1)
     probs = rng.dirichlet(np.ones(8), size=6)
     labels = rng.integers(0, 8, size=6)
-    value, _ = comm_loss(probs, labels, "softmax")
+    value, _ = comm_loss(probs, labels)
     oracle = -sum(np.log(probs[i, labels[i]]) for i in range(6)) / 6.0
     assert abs(value - oracle) < 1e-12
 
@@ -79,41 +78,15 @@ def test_comm_loss_softmax_gradient_fd():
     rng = np.random.default_rng(2)
     probs = 0.05 + 0.9 * rng.random((4, 5))
     labels = rng.integers(0, 5, size=4)
-    _, grad = comm_loss(probs, labels, "softmax")
+    _, grad = comm_loss(probs, labels)
     h = 1e-7
     for i, j in [(0, labels[0]), (2, labels[2]), (1, 3)]:
         pp = probs.copy()
         pm = probs.copy()
         pp[i, j] += h
         pm[i, j] -= h
-        fd = (comm_loss(pp, labels, "softmax")[0]
-              - comm_loss(pm, labels, "softmax")[0]) / (2 * h)
+        fd = (comm_loss(pp, labels)[0] - comm_loss(pm, labels)[0]) / (2 * h)
         assert abs(grad[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
-
-
-def test_comm_loss_bits_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    probs = 0.05 + 0.9 * rng.random((7, 4))
-    bits = rng.integers(0, 2, size=(7, 4)).astype(float)
-    value, grad = comm_loss(probs, bits, "bits")
-    oracle = 0.0
-    for i in range(7):
-        for j in range(4):
-            m = bits[i, j]
-            oracle -= m * np.log(probs[i, j]) + (1 - m) * np.log(1 - probs[i, j])
-    assert abs(value - oracle / 7.0) < 1e-12
-    h = 1e-7
-    pp = probs.copy()
-    pm = probs.copy()
-    pp[3, 1] += h
-    pm[3, 1] -= h
-    fd = (comm_loss(pp, bits, "bits")[0] - comm_loss(pm, bits, "bits")[0]) / (2 * h)
-    assert abs(grad[3, 1] - fd) < 1e-6 * max(1.0, abs(fd))
-
-
-def test_comm_loss_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        comm_loss(np.ones((1, 2)), [0], "argmax")
 
 
 def test_radar_loss_matched_and_uniform():
@@ -174,38 +147,6 @@ def test_normalize_vjp_matches_fd():
         assert abs(grad[i, j] - fd) < 1e-7 * max(1.0, abs(fd))
 
 
-# ----------------------------------------------------------------- sampling
-
-
-def test_sample_batch_zero_comm_noise_returns_encoder_output():
-    rng = np.random.default_rng(7)
-    ae = build_isac_ae(3, 0.5, 0.0, 0.4, rng)
-    labels, y, z, T = sample_training_batch(ae.encoder, 64, 0.0, 0.4,
-                                            np.random.default_rng(8))
-    x, _ = normalize_symbols(predict(ae.encoder, message_bits(labels, 3)))
-    assert np.allclose(y, x)
-    assert set(np.unique(T)) <= {0, 1}
-    assert z.shape == (64, 2)
-
-
-def test_sample_batch_absent_target_noise_power():
-    rng = np.random.default_rng(9)
-    ae = build_isac_ae(2, 0.5, 0.1, 0.7, rng)
-    labels, _, z, T = sample_training_batch(ae.encoder, 200_000, 0.1, 0.7,
-                                            np.random.default_rng(10))
-    power = np.sum(z[T == 0] ** 2, axis=1)
-    assert abs(np.mean(power) - 0.7) < 0.02
-    assert labels.min() >= 0 and labels.max() < 4
-
-
-def test_sample_batch_k5_covers_all_messages():
-    rng = np.random.default_rng(11)
-    ae = build_isac_ae(5, 0.5, 0.1, 0.1, rng)
-    labels, _, _, _ = sample_training_batch(ae.encoder, 5000, 0.1, 0.1,
-                                            np.random.default_rng(12))
-    assert set(labels.tolist()) == set(range(32))
-
-
 # ------------------------------------------------- end-to-end gradient flow
 
 
@@ -219,10 +160,9 @@ def _fd_combined(ae, param, index, labels, T, nc, nr, h=1e-6):
     return (up - down) / (2 * h)
 
 
-@pytest.mark.parametrize("head", ["softmax", "bits"])
-def test_combined_step_gradients_match_fd(head):
+def test_combined_step_gradients_match_fd():
     rng = np.random.default_rng(13)
-    ae = build_isac_ae(2, 0.6, 0.3, 0.5, rng, comm_head=head)
+    ae = build_isac_ae(2, 0.6, rng)
     data = np.random.default_rng(14)
     labels = data.integers(0, 4, size=6)
     T = data.integers(0, 2, size=6)
@@ -243,7 +183,7 @@ def test_combined_step_gradients_match_fd(head):
 
 def test_encoder_gradient_is_alive():
     rng = np.random.default_rng(15)
-    ae = build_isac_ae(2, 0.5, 0.2, 0.4, rng)
+    ae = build_isac_ae(2, 0.5, rng)
     data = np.random.default_rng(16)
     labels = data.integers(0, 4, size=32)
     T = data.integers(0, 2, size=32)
@@ -260,16 +200,16 @@ def test_encoder_gradient_is_alive():
 
 def test_constellation_validation():
     with pytest.raises(ValueError):
-        Constellation(np.array([2.0 + 0j, 0j]), np.array([0, 1]), 1.0)
+        Constellation(np.array([2.0 + 0j, 0j]))
     with pytest.raises(ValueError):
-        Constellation(np.array([1j, 1.0 + 0j]), np.array([0, 2]), 1.0)
-    ok = Constellation(np.array([1j, -1j]), np.array([1, 0]), 1.0)
+        Constellation(np.array([[1j, 1.0 + 0j]]))
+    ok = Constellation(np.array([1j, -1j]))
     assert ok.size == 2
 
 
 def test_extract_constellation_unit_power_and_deterministic():
     rng = np.random.default_rng(17)
-    ae = build_isac_ae(4, 0.5, 0.1, 0.1, rng)
+    ae = build_isac_ae(4, 0.5, rng)
     c1 = extract_constellation(ae)
     c2 = extract_constellation(ae)
     assert c1.size == 16
@@ -301,7 +241,7 @@ def test_baseline_psk_and_qam():
 
 
 def test_export_constellation_format(tmp_path):
-    const = Constellation(np.array([1j, -1j]), np.array([1, 0]), 1.0)
+    const = Constellation(np.array([-1j, 1j]))
     path = tmp_path / "points.csv"
     export_constellation(const, path)
     lines = path.read_text().splitlines()
@@ -331,24 +271,50 @@ def test_qpsk_ser_matches_closed_form():
 
 
 def test_single_point_detection_matches_gaussian_closed_form():
-    const = Constellation(np.array([1.0 + 0j]), np.array([0]), 1.0)
+    const = Constellation(np.array([1.0 + 0j]))
     var = 1.0
     pfa = 0.1
     rng = np.random.default_rng(19)
-    thr = threshold_for_pfa(const, var, pfa, 200_000, rng)
+    h0 = np.sqrt(var / 2.0) * (rng.standard_normal(200_000)
+                               + 1j * rng.standard_normal(200_000))
+    thr = float(np.quantile(detection_statistic(h0, const.points, var),
+                            1.0 - pfa))
     _, pd, pfa_hat = evaluate_isac(const, 0.1, var, thr, 200_000, rng)
     closed = qfunc(norm.isf(pfa) - np.sqrt(2.0 / var))
     assert abs(pd - closed) < 0.01
     assert abs(pfa_hat - pfa) < 0.01
 
 
-def test_detection_statistic_blocking_is_invisible():
+def test_detection_statistic_blocking_is_invisible(monkeypatch):
     rng = np.random.default_rng(20)
     pts = baseline_constellation("PSK", 8).points
     z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    a = detection_statistic(z, pts, 0.5, block=64)
-    b = detection_statistic(z, pts, 0.5, block=100000)
+    monkeypatch.setattr(constellation_ae, "_DETECT_BLOCK", 64)
+    a = detection_statistic(z, pts, 0.5)
+    monkeypatch.setattr(constellation_ae, "_DETECT_BLOCK", 100000)
+    b = detection_statistic(z, pts, 0.5)
     assert np.allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, size", [("PSK", 8), ("QAM", 16)])
+@pytest.mark.parametrize("var", [0.3, 2.0])
+def test_detection_statistic_is_gaussian_mixture_llr(kind, size, var):
+    # log( mean_i N(z; p_i, var) / N(z; 0, var) ) with circular complex
+    # noise, i.e. a 2-D Gaussian of covariance var/2 * I on (Re, Im)
+    pts = baseline_constellation(kind, size).points
+    rng = np.random.default_rng(35)
+    n = 300
+    z = pts[rng.integers(0, size, n)] * rng.integers(0, 2, n) \
+        + np.sqrt(var / 2.0) * (rng.standard_normal(n)
+                                + 1j * rng.standard_normal(n))
+    zr = np.column_stack([z.real, z.imag])
+    cov = 0.5 * var * np.eye(2)
+    h1 = np.mean([multivariate_normal([p.real, p.imag], cov).pdf(zr)
+                  for p in pts], axis=0)
+    h0 = multivariate_normal([0.0, 0.0], cov).pdf(zr)
+    oracle = np.log(h1 / h0)
+    stat = detection_statistic(z, pts, var)
+    assert np.all(np.abs(stat - oracle) <= 1e-10 * np.abs(oracle))
 
 
 def test_evaluate_isac_zero_noise_ser_and_warning():
@@ -381,13 +347,37 @@ def test_calibrate_radar_noise_round_trip():
     assert abs(pfa - 0.1) < 0.01
 
 
+def test_calibration_grows_bracket_for_bpsk_ser():
+    # BPSK reaches SER 0.3236 only beyond the starting bracket's var = 4
+    const = baseline_constellation("PSK", 2)
+    var = calibrate_comm_noise(const, 0.3236, 50_000,
+                               np.random.default_rng(36))
+    assert var > 4.0
+    ser, _, _ = evaluate_isac(const, var, 1.0, 50.0, 100_000,
+                              np.random.default_rng(37))
+    assert abs(ser - 0.3236) < 0.005
+
+
+def test_calibration_grows_bracket_for_radar_noise():
+    # Pd 0.13 at Pfa 0.1 needs more radar noise than the starting var = 4
+    const = baseline_constellation("PSK", 4)
+    var, thr = calibrate_radar_noise(const, 0.13, 0.1, 30_000,
+                                     np.random.default_rng(38))
+    assert var > 4.0
+    _, pd, pfa = evaluate_isac(const, 0.1, var, thr, 100_000,
+                               np.random.default_rng(39))
+    assert abs(pd - 0.13) < 0.02
+    assert abs(pfa - 0.1) < 0.01
+
+
 def test_calibration_bracket_errors():
     const = baseline_constellation("PSK", 4)
-    with pytest.raises(ValueError):
+    # SER of QPSK tends to 3/4 and Pd to Pfa as the noise grows
+    with pytest.raises(ValueError, match="target_ser"):
         calibrate_comm_noise(const, 0.97, 20_000, np.random.default_rng(26))
-    with pytest.raises(ValueError):
-        calibrate_radar_noise(const, 0.9999, 0.1, 20_000,
-                              np.random.default_rng(27), lo=1.0, hi=4.0)
+    with pytest.raises(ValueError, match="target_pd"):
+        calibrate_radar_noise(const, 0.05, 0.1, 20_000,
+                              np.random.default_rng(27))
 
 
 # ----------------------------------------------------------------- training
@@ -409,7 +399,7 @@ def tiny_trained():
 
 def test_training_reduces_combined_loss(tiny_trained):
     rng = np.random.default_rng(29)
-    fresh = build_isac_ae(2, 0.5, 0.2, 0.4, np.random.default_rng(28))
+    fresh = build_isac_ae(2, 0.5, np.random.default_rng(28))
     labels = rng.integers(0, 4, size=500)
     T = rng.integers(0, 2, size=500)
     nc = np.sqrt(0.2 / 2) * rng.standard_normal((500, 2))
