@@ -8,7 +8,11 @@ gradient step on F, re-imposes the unit modulus by `project_unit_modulus`,
 then a step on W at the updated F, re-imposing the budget by
 `normalize_power`. The unrolled variant treats the per-layer step sizes as
 2I learnable parameters trained by SGD on a rate-weighted loss over
-intermediate layers.
+intermediate layers. Its gradient is exact: `unrolled_loss_grad` tapes one
+forward pass over the minibatch and runs one hand-written reverse pass
+through every layer (rate term, power renormalization, W step, unit-modulus
+projection, F step), so a minibatch costs O(I) layer evaluations. The
+evaluation path `pga_run_batch` runs the same layer code and keeps no tape.
 
 Internal rates are in nats; the closed-form gradients keep the 1/ln 2 factor
 of the log2 formulation, so they are exact gradients of the rate in bits.
@@ -55,8 +59,7 @@ def project_unit_modulus(F) -> np.ndarray:
     """Entrywise phase projection; zero entries map to 1+0j."""
     F = np.asarray(F, dtype=complex)
     mag = np.abs(F)
-    out = np.where(mag > 0, F / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
-    return out
+    return np.divide(F, mag, out=np.ones_like(F), where=mag > 0)
 
 
 def normalize_power(F, W, power: float) -> np.ndarray:
@@ -85,11 +88,26 @@ def _batch_rates(total, inter) -> np.ndarray:
     return np.log(total / inter).sum(axis=1)
 
 
-def grad_F_batch(h, F, W, noise_var: float) -> np.ndarray:
+def _offdiag(S) -> np.ndarray:
+    """Copy of a (B, K, K) stack with its diagonals set to zero."""
+    out = S.copy()
+    idx = np.arange(S.shape[1])
+    out[:, idx, idx] = 0.0
+    return out
+
+
+def _herm(X) -> np.ndarray:
+    return np.swapaxes(X.conj(), -2, -1)
+
+
+def grad_F_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(F), using the
-    rank-1 structure of h_k h_k^H."""
+    rank-1 structure of h_k h_k^H. `stats` is `_batch_stats` at (F, W) when
+    the caller already has it."""
     _check_noise(noise_var)
-    hF, hFW, total, inter = _batch_stats(h, F, W, noise_var)
+    if stats is None:
+        stats = _batch_stats(h, F, W, noise_var)
+    hF, hFW, total, inter = stats
     V = np.einsum("blj,bmj->blm", W, W.conj())
     a = np.einsum("bkl,blm->bkm", hF, V)  # h_k^H F V
     diag = np.einsum("bkk->bk", hFW)
@@ -99,17 +117,32 @@ def grad_F_batch(h, F, W, noise_var: float) -> np.ndarray:
     return out / _LN2
 
 
-def grad_W_batch(h, F, W, noise_var: float) -> np.ndarray:
+def grad_W_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(W);
-    Hbar_k = (F^H h_k)(h_k^H F) is rank one."""
+    Hbar_k = (F^H h_k)(h_k^H F) is rank one. `stats` as in `grad_F_batch`."""
     _check_noise(noise_var)
-    hF, hFW, total, inter = _batch_stats(h, F, W, noise_var)
-    hFW_z = hFW.copy()
-    idx = np.arange(hFW.shape[1])
-    hFW_z[:, idx, idx] = 0.0
+    if stats is None:
+        stats = _batch_stats(h, F, W, noise_var)
+    hF, hFW, total, inter = stats
     out = np.einsum("bkl,bkj->blj", hF.conj(), hFW / total[:, :, None])
-    out -= np.einsum("bkl,bkj->blj", hF.conj(), hFW_z / inter[:, :, None])
+    out -= np.einsum("bkl,bkj->blj", hF.conj(),
+                     _offdiag(hFW) / inter[:, :, None])
     return out / _LN2
+
+
+def _layer(h, F, W, stats, mu_f, mu_w, power, noise_var):
+    """One PGA layer from (F, W), whose `_batch_stats` are `stats`. Returns
+    the new (F, W), their statistics, and the small intermediates the reverse
+    pass reads: statistics at (F', W), grad_W and the W step. The F-sized
+    grad_F and F step are dropped at once, so that a large batch holds no
+    more than its state; the reverse pass recomputes them."""
+    F1 = project_unit_modulus(
+        F + mu_f * grad_F_batch(h, F, W, noise_var, stats=stats))
+    mid = _batch_stats(h, F1, W, noise_var)
+    gW = grad_W_batch(h, F1, W, noise_var, stats=mid)
+    Wt = W + mu_w * gW
+    W1 = normalize_power(F1, Wt, power)
+    return F1, W1, _batch_stats(h, F1, W1, noise_var), (mid, gW, Wt)
 
 
 def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
@@ -120,13 +153,53 @@ def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
     F = np.asarray(F0, dtype=complex)
     W = np.asarray(W0, dtype=complex)
     rates = np.empty((F.shape[0], schedule.num_layers))
+    # Layer i's rate statistics are the inputs of layer i+1's F gradient.
+    stats = _batch_stats(h, F, W, noise_var)
     for i, (mu_f, mu_w) in enumerate(schedule.steps):
-        F = project_unit_modulus(F + mu_f * grad_F_batch(h, F, W, noise_var))
-        W = normalize_power(F, W + mu_w * grad_W_batch(h, F, W, noise_var),
-                            power)
-        _, _, total, inter = _batch_stats(h, F, W, noise_var)
-        rates[:, i] = _batch_rates(total, inter)
+        F, W, stats = _layer(h, F, W, stats, mu_f, mu_w, power, noise_var)[:3]
+        rates[:, i] = _batch_rates(stats[2], stats[3])
     return F, W, rates
+
+
+# ------------------------------------------------------------ reverse pass
+#
+# Adjoints follow dL = Re sum(conj(Xbar) dX), i.e. Xbar = 2 dL/d(conj X).
+# With M = S/total - offdiag(S)/inter (row-wise) and Z = h^T M, the rate
+# gradients in nats are Z W^H wrt conj(F) and F^H Z wrt conj(W). The map
+# X -> grad(X) has the real Hessian as Jacobian, which is symmetric, so the
+# vector-Jacobian product of a gradient step is a directional derivative of
+# the same gradient (Griewank & Walther, Evaluating Derivatives).
+
+
+def _rate_z(h, stats) -> np.ndarray:
+    _, S, total, inter = stats
+    M = S / total[:, :, None] - _offdiag(S) / inter[:, :, None]
+    return np.swapaxes(h, 1, 2) @ M
+
+
+def _grad_jvp(h, F, W, stats, Z, dF=None, dW=None):
+    """Directional derivative of (grad_F_batch, grad_W_batch) at (F, W),
+    with `_batch_stats` `stats` and `_rate_z` Z, along (dF, dW); a None
+    direction is zero."""
+    hF, S, total, inter = stats
+    dS = 0.0
+    if dF is not None:
+        dS = (h.conj() @ dF) @ W
+    if dW is not None:
+        dS = dS + hF @ dW
+    dp = 2.0 * (S.conj() * dS).real
+    dT = dp.sum(axis=2)
+    dQ = dT - np.diagonal(dp, axis1=1, axis2=2)
+    dM = ((dS - S * (dT / total)[:, :, None]) / total[:, :, None]
+          - _offdiag(dS - S * (dQ / inter)[:, :, None]) / inter[:, :, None])
+    dZ = np.swapaxes(h, 1, 2) @ dM
+    dgF = dZ @ _herm(W)
+    dgW = _herm(F) @ dZ
+    if dF is not None:
+        dgW += _herm(dF) @ Z
+    if dW is not None:
+        dgF += Z @ _herm(dW)
+    return dgF / _LN2, dgW / _LN2
 
 
 # ---------------------------------------------------------------- datasets
@@ -167,6 +240,10 @@ def make_pga_dataset(num: int, num_antennas: int, num_chains: int,
     return PgaDataset(h, F0, W0, float(power), float(noise_var))
 
 
+def _layer_weights(num_layers: int) -> np.ndarray:
+    return np.log(1.0 + np.arange(1, num_layers + 1))
+
+
 def unrolled_loss(schedule: StepSchedule, dataset: PgaDataset) -> float:
     """Negative layer-weighted mean rate, weights ln(1+i) for layer i."""
     if len(dataset) == 0:
@@ -174,16 +251,79 @@ def unrolled_loss(schedule: StepSchedule, dataset: PgaDataset) -> float:
     _, _, rates = pga_run_batch(dataset.channels, dataset.F0, dataset.W0,
                                 schedule, dataset.power, dataset.noise_var)
     I = schedule.num_layers
-    weights = np.log(1.0 + np.arange(1, I + 1))
-    return float(-(rates @ weights).mean() / I)
+    return float(-(rates @ _layer_weights(I)).mean() / I)
+
+
+def unrolled_loss_grad(schedule: StepSchedule,
+                       dataset: PgaDataset) -> tuple[float, np.ndarray]:
+    """`unrolled_loss` and its exact gradient wrt the I x 2 step matrix, from
+    one taped forward pass and one reverse pass through the layers."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    h, power, noise_var = dataset.channels, dataset.power, dataset.noise_var
+    _check_noise(noise_var)
+    steps = schedule.steps
+    I, B = schedule.num_layers, len(dataset)
+    F = np.asarray(dataset.F0, dtype=complex)
+    W = np.asarray(dataset.W0, dtype=complex)
+    states = [(F, W, _batch_stats(h, F, W, noise_var))]
+    tape = []
+    for mu_f, mu_w in steps:
+        F, W, stats, inner = _layer(h, F, W, states[-1][2], mu_f, mu_w,
+                                    power, noise_var)
+        states.append((F, W, stats))
+        tape.append(inner)
+    weights = _layer_weights(I)
+    rates = np.stack([_batch_rates(s[2][2], s[2][3]) for s in states[1:]],
+                     axis=1)
+    loss = float(-(rates @ weights).mean() / I)
+
+    rate_bar = -2.0 * weights / (I * B)  # d loss / d rate, times 2
+    grad = np.empty((I, 2))
+    Fb = Wb = 0.0
+    Z1 = _rate_z(h, states[I][2])
+    for i in reversed(range(I)):
+        F, W, stats = states[i]
+        F1, W1, _ = states[i + 1]
+        mid, gW, Wt = tape[i]
+        mu_f, mu_w = steps[i]
+        # rate of layer i
+        Fb = Fb + rate_bar[i] * (Z1 @ _herm(W1))
+        Wb = Wb + rate_bar[i] * (_herm(F1) @ Z1)
+        # W1 = sqrt(P) Wt / ||F1 Wt||
+        Y = F1 @ Wt
+        nrm = np.linalg.norm(Y, axis=(1, 2), keepdims=True)
+        alpha = np.sum((Wb.conj() * Wt).real, axis=(1, 2), keepdims=True)
+        scale = np.sqrt(power) / nrm
+        Wtb = scale * (Wb - alpha / nrm ** 2 * (_herm(F1) @ Y))
+        Fb = Fb - scale * alpha / nrm ** 2 * (Y @ _herm(Wt))
+        # Wt = W + mu_w grad_W(F1, W)
+        grad[i, 1] = np.vdot(Wtb, gW).real
+        dgF, dgW = _grad_jvp(h, F1, W, mid, _rate_z(h, mid), dW=Wtb)
+        Fb = Fb + mu_w * dgF
+        Wb = Wtb + mu_w * dgW
+        # F1 = Ft / |Ft| with Ft = F + mu_f gF, recomputed bit for bit:
+        # keep the tangential part of the adjoint, divided by |Ft|
+        gF = grad_F_batch(h, F, W, noise_var, stats=stats)
+        mag = np.abs(F + mu_f * gF)
+        Ftb = np.divide(Fb - F1 * (F1.conj() * Fb).real, mag,
+                        out=np.zeros_like(Fb), where=mag > 0)
+        grad[i, 0] = np.vdot(Ftb, gF).real
+        if i == 0:
+            break
+        Z1 = _rate_z(h, stats)
+        dgF, dgW = _grad_jvp(h, F, W, stats, Z1, dF=Ftb)
+        Fb = Ftb + mu_f * dgF
+        Wb = Wb + mu_f * dgW
+    return loss, grad
 
 
 def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
                      epochs: int = 30, init_step: float = 0.05, *,
-                     batch_size: int = 100, fd_step: float = 1e-5,
-                     val_fraction: float = 0.1,
+                     batch_size: int = 100, val_fraction: float = 0.1,
                      seed: int = 0) -> StepSchedule:
-    """SGD on the 2I step sizes; gradients by central finite differences.
+    """SGD on the 2I step sizes with the exact reverse-mode gradient of
+    `unrolled_loss` on each minibatch (`unrolled_loss_grad`).
 
     A seeded slice of the dataset is held out for validation and the best
     schedule on it is returned (training loss when the slice is empty).
@@ -200,31 +340,17 @@ def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
     if len(tr) == 0:
         tr, val = dataset, None
 
-    phi = np.full((num_layers, 2), float(init_step))
-    flat = phi.ravel()
+    steps = np.full((num_layers, 2), float(init_step))
     best = np.inf
-    best_phi = phi.copy()
-
-    def score(p):
-        return unrolled_loss(StepSchedule(p.reshape(num_layers, 2)),
-                             val if val is not None else tr)
-
+    best_steps = steps.copy()
     for _ in range(epochs):
         idx = rng.permutation(len(tr))
         for start in range(0, len(tr), batch_size):
             batch = tr.subset(idx[start:start + batch_size])
-            grad = np.empty(flat.size)
-            for p in range(flat.size):
-                bump = np.zeros(flat.size)
-                bump[p] = fd_step
-                hi = unrolled_loss(
-                    StepSchedule((flat + bump).reshape(num_layers, 2)), batch)
-                lo = unrolled_loss(
-                    StepSchedule((flat - bump).reshape(num_layers, 2)), batch)
-                grad[p] = (hi - lo) / (2.0 * fd_step)
-            flat -= lr * grad
-        current = score(flat)
+            steps -= lr * unrolled_loss_grad(StepSchedule(steps), batch)[1]
+        current = unrolled_loss(StepSchedule(steps),
+                                val if val is not None else tr)
         if current < best:
             best = current
-            best_phi = flat.reshape(num_layers, 2).copy()
-    return StepSchedule(best_phi)
+            best_steps = steps.copy()
+    return StepSchedule(best_steps)

@@ -19,7 +19,9 @@ from isackit.hybrid_pga import (
     project_unit_modulus,
     train_step_sizes,
     unrolled_loss,
+    unrolled_loss_grad,
 )
+from isackit import hybrid_pga
 from isackit.metrics import hybrid_sum_rate, hybrid_sum_rate_bits
 
 
@@ -38,6 +40,38 @@ def fd_gradient(fun, X, h=1e-6):
             Xm[idx] -= h * part
             g[idx] += scale * (fun(Xp) - fun(Xm)) / (2 * h)
     return g / 2.0
+
+
+def fd_step_gradient(schedule, ds, h=1e-6):
+    """Central differences of `unrolled_loss` over each of the 2I steps."""
+    g = np.zeros(schedule.steps.shape)
+    for idx in np.ndindex(g.shape):
+        hi = schedule.steps.copy()
+        lo = schedule.steps.copy()
+        hi[idx] += h
+        lo[idx] -= h
+        g[idx] = (unrolled_loss(StepSchedule(hi), ds)
+                  - unrolled_loss(StepSchedule(lo), ds)) / (2 * h)
+    return g
+
+
+def old_project_unit_modulus(F):
+    mag = np.abs(F)
+    return np.where(mag > 0, F / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
+
+
+def old_pga_run_batch(h, F, W, schedule, power, noise_var):
+    """The loop as first written: three `_batch_stats` per layer (one inside
+    each gradient, one for the rate) and the double-`where` projection."""
+    rates = np.empty((F.shape[0], schedule.num_layers))
+    for i, (mu_f, mu_w) in enumerate(schedule.steps):
+        F = old_project_unit_modulus(
+            F + mu_f * grad_F_batch(h, F, W, noise_var))
+        W = normalize_power(F, W + mu_w * grad_W_batch(h, F, W, noise_var),
+                            power)
+        _, _, total, inter = hybrid_pga._batch_stats(h, F, W, noise_var)
+        rates[:, i] = hybrid_pga._batch_rates(total, inter)
+    return F, W, rates
 
 
 def run(ds, schedule, power=None):
@@ -131,6 +165,20 @@ def test_unit_modulus_projection():
     assert np.allclose(project_unit_modulus(out), out)
     stack = project_unit_modulus(np.stack([F, 2.0 * F]))
     assert np.array_equal(stack[0], out) and np.allclose(stack[1], out)
+
+
+def test_unit_modulus_projection_matches_old_formula_bitwise():
+    rng = np.random.default_rng(16)
+    F = rng.standard_normal((5, 7, 3)) + 1j * rng.standard_normal((5, 7, 3))
+    F[0, 0, 0] = 0.0
+    F[2, :, 1] = 0.0
+    F[4] = 0.0
+    F[3, 1, 2] = -0.0 - 0.0j
+    F[1, 2, 0] = 1e-300 + 0.0j
+    F[1, 3, 0] = -3.0
+    out = project_unit_modulus(F)
+    assert np.array_equal(out, old_project_unit_modulus(F))
+    assert np.all(out[4] == 1.0 + 0.0j)
 
 
 def test_power_normalization():
@@ -283,6 +331,18 @@ def test_batched_run_matches_single():
         assert np.allclose(rates[b], r1[0], rtol=0, atol=1e-12)
 
 
+def test_run_matches_three_stats_loop_bitwise():
+    rng = np.random.default_rng(34)
+    for N, L, K in ((6, 3, 2), (4, 1, 1), (5, 2, 3)):
+        ds = make_pga_dataset(7, N, L, K, rng, noise_var=0.7)
+        sched = StepSchedule(0.02 + 0.06 * rng.random((9, 2)))
+        new = run(ds, sched)
+        old = old_pga_run_batch(ds.channels, ds.F0, ds.W0, sched, ds.power,
+                                ds.noise_var)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+
 # ------------------------------------------------------------ unrolled loss
 
 
@@ -323,6 +383,45 @@ def test_unrolled_loss_empty_dataset():
                     np.empty((0, 2, 2)), 10.0, 1.0)
     with pytest.raises(ValueError, match="empty"):
         unrolled_loss(StepSchedule.fixed(0.05, 2), ds)
+
+
+# Four (N, L, K, I) shapes, including K=1, L=1, I=1 and I=8.
+_GRAD_SHAPES = [(4, 1, 1, 1), (5, 1, 3, 3), (3, 2, 1, 8), (6, 3, 2, 8),
+                (5, 3, 3, 4)]
+
+
+@pytest.mark.parametrize("N,L,K,I", _GRAD_SHAPES)
+def test_step_gradient_matches_finite_differences(N, L, K, I):
+    rng = np.random.default_rng(35 + I)
+    ds = make_pga_dataset(4, N, L, K, rng, noise_var=0.8)
+    sched = StepSchedule(0.02 + 0.05 * rng.random((I, 2)))
+    loss, g = unrolled_loss_grad(sched, ds)
+    assert loss == unrolled_loss(sched, ds)
+    g_fd = fd_step_gradient(sched, ds)
+    assert np.max(np.abs(g - g_fd)) <= 1e-6 * np.max(np.abs(g_fd))
+
+
+def test_step_gradient_of_batch_is_mean_of_singles():
+    rng = np.random.default_rng(36)
+    B = 6
+    ds = make_pga_dataset(B, 6, 3, 2, rng)
+    sched = StepSchedule(0.03 + 0.04 * rng.random((8, 2)))
+    _, g = unrolled_loss_grad(sched, ds)
+    singles = [unrolled_loss_grad(sched, ds.subset(slice(b, b + 1)))[1]
+               for b in range(B)]
+    assert np.allclose(g, np.mean(singles, axis=0), rtol=0, atol=1e-12)
+
+
+def test_step_gradient_validation():
+    ds = PgaDataset(np.empty((0, 2, 4)), np.empty((0, 4, 2)),
+                    np.empty((0, 2, 2)), 10.0, 1.0)
+    with pytest.raises(ValueError, match="empty"):
+        unrolled_loss_grad(StepSchedule.fixed(0.05, 2), ds)
+    ds = make_pga_dataset(2, 3, 2, 2, np.random.default_rng(37),
+                          noise_var=1.0)
+    ds = PgaDataset(ds.channels, ds.F0, ds.W0, ds.power, 0.0)
+    with pytest.raises(ValueError, match="noise_var"):
+        unrolled_loss_grad(StepSchedule.fixed(0.05, 2), ds)
 
 
 # ----------------------------------------------------------------- training
