@@ -9,9 +9,15 @@ power every step, so the trade-off shapes geometry rather than transmit power.
 Evaluation compares constellations (learned or classical) under matched
 receivers: minimum-distance decoding for SER, and the exact likelihood-ratio
 statistic for presence detection, with noise levels calibrated against a
-reference constellation rather than quoted SNRs. The calibration bisects the
-noise variance; it widens its starting bracket as far as the target needs and
-raises a ValueError naming the target when no variance reaches it.
+reference constellation rather than quoted SNRs. Both calibrations stop at
+the resolution of their Monte-Carlo draws. The comm variance is an order
+statistic: the noise draw is shared across candidate variances, so each
+trial's error starts at one critical variance, and the target SER is reached
+at the ceil(target * trials)-th smallest of them. The radar variance is found
+by safeguarded Illinois steps inside a bracket that widens as far as the
+target needs, and the search stops once Pd is within one count (1/trials) of
+the target. Each raises a ValueError naming its target when no variance
+reaches it.
 
 A constellation is its points alone: message m is point m, and the bits of m
 are its little-endian expansion.
@@ -23,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .neural import (
     MlpModel,
@@ -38,15 +43,13 @@ from .neural import (
 
 _HIDDEN = (16, 32, 16)
 _CLAMP = 1e-12
-# trials per block of detection_statistic's (trials, M) distance matrix
+# trials per block of the (trials, M) matrices of detection_statistic and
+# calibrate_comm_noise
 _DETECT_BLOCK = 16384
-# starting noise-variance brackets of the calibrations, the number of times
-# each end may be halved (lo) or doubled (hi) to hold the target, and the
-# bisection steps inside the bracket
-_COMM_BRACKET = (1e-4, 4.0)
+# starting noise-variance bracket of the radar calibration, and the number
+# of times each end may be halved (lo) or doubled (hi) to hold the target
 _RADAR_BRACKET = (0.01, 4.0)
 _BRACKET_GROWTH = 30
-_BISECT_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -233,19 +236,24 @@ def extract_constellation(ae: IsacAutoencoder) -> Constellation:
 
 
 def detection_statistic(z, points, noise_var: float) -> np.ndarray:
-    """Exact log likelihood ratio of target presence for a known symbol set:
-    logmeanexp_i(-|z - p_i|^2 / sigma^2) + |z|^2 / sigma^2. Evaluated in
-    blocks of _DETECT_BLOCK trials to bound the (trials, M) distance
-    matrix."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    """Exact log likelihood ratio of target presence for a known symbol set,
+    logmeanexp_i(-|z - p_i|^2 / sigma^2) + |z|^2 / sigma^2. The |z|^2 terms
+    cancel, leaving logmeanexp_i((2 Re(z conj p_i) - |p_i|^2) / sigma^2): one
+    real (trials, 2) @ (2, M) product per block of _DETECT_BLOCK trials."""
+    z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
     pts = np.asarray(points, dtype=complex).reshape(-1)
+    zr = z.view(np.float64).reshape(-1, 2)
+    gain = np.stack([pts.real, pts.imag]) * (2.0 / noise_var)
+    bias = -(pts.real ** 2 + pts.imag ** 2) / noise_var
     out = np.empty(z.size)
-    block = _DETECT_BLOCK
-    for start in range(0, z.size, block):
-        zb = z[start:start + block]
-        d2 = np.abs(zb[:, None] - pts[None, :]) ** 2
-        out[start:start + block] = logsumexp(-d2 / noise_var, axis=1)
-    return out - np.log(pts.size) + np.abs(z) ** 2 / noise_var
+    for start in range(0, z.size, _DETECT_BLOCK):
+        e = zr[start:start + _DETECT_BLOCK] @ gain
+        e += bias
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        np.exp(e, out=e)
+        out[start:start + _DETECT_BLOCK] = peak + np.log(e.sum(axis=1))
+    return out - np.log(pts.size)
 
 
 def ml_decode(y, points) -> np.ndarray:
@@ -309,73 +317,127 @@ def baseline_constellation(kind: str, size: int) -> Constellation:
 # --------------------------------------------------------------- calibration
 
 
-def _bisect_noise(metric, target: float, bracket, field: str) -> float:
-    """Noise variance at which metric, nondecreasing in the variance, crosses
-    target. The bracket's lo is halved and its hi doubled, each at most
-    _BRACKET_GROWTH times, until metric(lo) <= target <= metric(hi); then
-    _BISECT_ITERS bisection steps narrow it and its midpoint is returned."""
+def calibrate_comm_noise(reference: Constellation, target_ser: float,
+                         trials: int, rng: np.random.Generator) -> float:
+    """Comm noise variance at which the reference constellation hits the
+    target SER under ML decoding, on one draw of messages and unit noise
+    u_n shared by every candidate variance.
+
+    Voronoi cells are convex, so trial n (point p) is decoded wrongly exactly
+    when the variance exceeds t_n^2, with t_n the smallest
+    |q - p|^2 / (2 Re((q - p) conj(u_n))) over points q where the
+    denominator is positive (infinite when there is none). The Monte-Carlo
+    SER first reaches the target just above the k-th smallest t_n^2,
+    k = ceil(target_ser * trials), which is returned."""
+    if not 0.0 < target_ser < 1.0:
+        raise ValueError("target_ser must lie strictly inside (0, 1)")
+    pts = reference.points
+    idx = rng.integers(0, pts.size, size=trials)
+    unit = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    unit /= np.sqrt(2.0)
+    crit = np.empty(trials)
+    for start in range(0, trials, _DETECT_BLOCK):
+        stop = start + _DETECT_BLOCK
+        diff = pts[None, :] - pts[idx[start:stop], None]
+        u = unit[start:stop, None]
+        toward = 2.0 * (diff.real * u.real + diff.imag * u.imag)
+        dist2 = diff.real ** 2 + diff.imag ** 2
+        t = np.divide(dist2, toward, out=np.full(toward.shape, np.inf),
+                      where=toward > 0)
+        crit[start:stop] = t.min(axis=1) ** 2
+    k = int(np.ceil(target_ser * trials))
+    var = float(np.partition(crit, k - 1)[k - 1])
+    if not np.isfinite(var):
+        raise ValueError(f"target_ser is out of reach: the reference decodes "
+                         f"fewer than {k} of the {trials} trials wrongly at "
+                         f"any noise variance")
+    return var
+
+
+def _falling_root(miss, bracket, tol: float, field: str) -> float:
+    """Noise variance at which miss(var), a Monte-Carlo estimate minus its
+    target that falls as the variance grows, is within tol of zero.
+
+    The bracket's lo is halved and its hi doubled, each at most
+    _BRACKET_GROWTH times, until miss(lo) >= 0 >= miss(hi). Inside it,
+    safeguarded Illinois steps run: regula falsi that halves the kept end's
+    miss when the same end is kept twice (Dowell and Jarratt 1971), and a
+    bisection step after each pair of steps that did not halve the bracket.
+    The first evaluated variance with |miss| <= tol is returned; should the
+    bracket first shrink to 2^-40 of its grown width, the last evaluated
+    variance, an end of that bracket, is."""
     lo, hi = bracket
     for _ in range(_BRACKET_GROWTH):
-        if metric(lo) <= target:
+        f_lo = miss(lo)
+        if abs(f_lo) <= tol:
+            return lo
+        if f_lo > 0:
             break
         lo /= 2.0
     else:
         raise ValueError(f"{field} is out of reach: the reference misses it "
                          f"down to noise variance {2.0 * lo:g}")
     for _ in range(_BRACKET_GROWTH):
-        if metric(hi) >= target:
+        f_hi = miss(hi)
+        if abs(f_hi) <= tol:
+            return hi
+        if f_hi < 0:
             break
         hi *= 2.0
     else:
         raise ValueError(f"{field} is out of reach: the reference misses it "
                          f"up to noise variance {hi / 2.0:g}")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if metric(mid) < target:
-            lo = mid
+    floor = (hi - lo) * 2.0 ** -40
+    mark, steps, bisect = hi - lo, 0, False
+    kept = 0  # +1 after lo moved last, -1 after hi did
+    while hi - lo > floor:
+        if bisect:
+            var = 0.5 * (lo + hi)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def calibrate_comm_noise(reference: Constellation, target_ser: float,
-                         trials: int, rng: np.random.Generator) -> float:
-    """Comm noise variance at which the reference constellation hits the
-    target SER under ML decoding (common random numbers across candidates)."""
-    pts = reference.points
-    idx = rng.integers(0, pts.size, size=trials)
-    unit = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    unit /= np.sqrt(2.0)
-
-    def ser_at(var):
-        y = pts[idx] + np.sqrt(var) * unit
-        return np.mean(ml_decode(y, pts) != idx)
-
-    return _bisect_noise(ser_at, target_ser, _COMM_BRACKET, "target_ser")
+            var = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        f = miss(var)
+        if abs(f) <= tol:
+            return var
+        if f > 0:
+            lo, f_lo = var, f
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = var, f
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        steps, bisect = steps + 1, False
+        if steps == 2:
+            bisect = hi - lo > 0.5 * mark
+            mark, steps = hi - lo, 0
+    return var
 
 
 def calibrate_radar_noise(reference: Constellation, target_pd: float,
                           target_pfa: float, trials: int,
                           rng: np.random.Generator):
-    """Radar noise variance at which the reference hits target_pd at the
-    threshold pinned to target_pfa; returns (noise_var, threshold)."""
+    """Radar noise variance at which the reference hits target_pd, to one
+    Monte-Carlo count (1/trials), at the threshold pinned to target_pfa;
+    returns (noise_var, threshold), the threshold found at that variance."""
     pts = reference.points
     idx = rng.integers(0, pts.size, size=trials)
     u1 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
     u0 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
     u1 /= np.sqrt(2.0)
     u0 /= np.sqrt(2.0)
+    thresholds = {}
 
-    def pd_at(var):
+    def pd_miss(var):
         thr = np.quantile(detection_statistic(np.sqrt(var) * u0, pts, var),
                           1.0 - target_pfa)
         s1 = detection_statistic(pts[idx] + np.sqrt(var) * u1, pts, var)
-        return np.mean(s1 > thr), thr
+        thresholds[var] = float(thr)
+        return float(np.mean(s1 > thr)) - target_pd
 
-    # Pd falls as the noise grows, so bisect on -Pd
-    var = _bisect_noise(lambda v: -pd_at(v)[0], -target_pd, _RADAR_BRACKET,
-                        "target_pd")
-    return var, float(pd_at(var)[1])
+    var = _falling_root(pd_miss, _RADAR_BRACKET, 1.0 / trials, "target_pd")
+    return var, thresholds[var]
 
 
 def amplitude_spread(const: Constellation) -> float:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import SPEED_OF_LIGHT, ArrayGeometry, ChannelMatrix, steering_vector
 
@@ -182,9 +181,12 @@ def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: fl
     X = np.asarray(X, dtype=complex)
     v = steering_vector(target_angle, geom)
     mean = alpha * np.outer(v, v @ X)
-    shape = (trials,) + mean.shape
-    noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return mean[None, :, :] + noise
+    echoes = np.empty((trials,) + mean.shape, dtype=complex)
+    echoes.real = rng.standard_normal(echoes.shape)
+    echoes.imag = rng.standard_normal(echoes.shape)
+    echoes *= np.sqrt(noise_var / 2.0)
+    echoes += mean
+    return echoes
 
 
 def roc_curve(stats_h0, stats_h1, num_thresholds: int = 201) -> RocCurve:
@@ -219,10 +221,15 @@ def gaussian_mi_mmse(snr: float) -> MiMmsePoint:
 
 def _mi_mmse_on_noise(points, probs, snr, noise, weights):
     # noise: complex offsets whose expectation is realized by `weights`;
-    # processed in chunks so the (M, chunk, M) tensors stay small
+    # processed in chunks so the (M, chunk, M) tensors stay small. With
+    # y = a x_i + n, log p_j - |y - a x_j|^2 + |y|^2 is the real product
+    # [Re y, Im y] @ 2a [Re x_j; Im x_j] plus log p_j - a^2 |x_j|^2, so one
+    # matmul and one exp pass give both log p(y) and the posterior mean.
     M = points.size
     a = np.sqrt(snr)
-    log_probs = np.log(probs)
+    xr = np.stack([points.real, points.imag])  # (2, M)
+    gain = 2.0 * a * xr
+    bias = np.log(probs) - a * a * (points.real ** 2 + points.imag ** 2)
     chunk = max(1, int(4_000_000 // (M * M)))
     neg_logpy_acc = 0.0
     mmse_acc = 0.0
@@ -230,13 +237,16 @@ def _mi_mmse_on_noise(points, probs, snr, noise, weights):
         nz = noise[start:start + chunk]
         wz = weights[start:start + chunk]
         y = a * points[:, None] + nz[None, :]  # (M, Q)
-        d2 = np.abs(y[:, :, None] - a * points[None, None, :]) ** 2
-        log_terms = log_probs[None, None, :] - d2
-        log_norm = logsumexp(log_terms, axis=-1)
+        e = y.view(np.float64).reshape(M, -1, 2) @ gain  # (M, Q, M)
+        e += bias
+        peak = e.max(axis=-1)
+        e -= peak[:, :, None]
+        np.exp(e, out=e)
+        total = e.sum(axis=-1)
+        log_norm = peak + np.log(total) - (y.real ** 2 + y.imag ** 2)
         neg_logpy_acc += -np.sum(probs[:, None] * wz[None, :] * (log_norm - np.log(np.pi)))
-        post = np.exp(log_terms - log_norm[:, :, None])
-        xhat = post @ points  # (M, Q)
-        se = np.abs(points[:, None] - xhat) ** 2
+        xhat = (e @ xr.T) / total[:, :, None]  # (M, Q, 2)
+        se = (points.real[:, None] - xhat[:, :, 0]) ** 2 + (points.imag[:, None] - xhat[:, :, 1]) ** 2
         mmse_acc += np.sum(probs[:, None] * wz[None, :] * se)
     mi = neg_logpy_acc - (1.0 + np.log(np.pi))
     return float(max(mi, 0.0)), float(np.clip(mmse_acc, 0.0, 1.0))

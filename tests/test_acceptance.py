@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import isackit
+from isackit.cli import run_experiment
 from isackit.hybrid_pga import (
     StepSchedule,
     make_pga_dataset,
@@ -75,7 +76,62 @@ def test_learned_schedule_rapid_claim(case2_runs):
         assert fixed[1] < learned < fixed[4]
 
 
+# --------------------------------------------------------------- Case III
+
+_ETAS = ("0.05", "0.7", "0.9")
+
+
+@pytest.fixture(scope="module")
+def case3_runs(tmp_path_factory):
+    """Per seed: the run_record summary of case3_sweep at its defaults (4
+    bits, 16-PSK reference calibrated to SER 10^-0.49 and Pd 0.935 at Pfa
+    0.0085 on 20000 trials, autoencoders at eta 0.05, 0.7, 0.9)."""
+    root = tmp_path_factory.mktemp("case3")
+    return [run_experiment({"experiment": "case3_sweep", "seed": seed},
+                           root / str(seed)).summary for seed in _SEEDS]
+
+
+def test_psk_constant_modulus_and_qam_lower_ser(case3_runs):
+    """Claim: PSK has zero amplitude spread, and at equal average power QAM
+    decodes better. Pass rule: on every one of the ten seeds, the PSK
+    amplitude spread is below 1e-12 and the QAM SER is below the PSK SER at
+    the comm noise variance calibrated on PSK."""
+    for s in case3_runs:
+        assert s["psk_spread"] < 1e-12
+        assert s["qam_ser"] < s["psk_ser"]
+
+
+def test_sensing_weight_raises_pd_and_ser(case3_runs):
+    """Claim: as the weight eta moves toward sensing, the learned
+    constellation detects better and decodes worse. Pass rule: on at least
+    8 of the ten seeds, both Pd and SER rise strictly along eta = 0.05, 0.7,
+    0.9 (all ten did when this test was written)."""
+    rising = 0
+    for s in case3_runs:
+        pd = [s[f"eta_{eta}_pd"] for eta in _ETAS]
+        ser = [s[f"eta_{eta}_ser"] for eta in _ETAS]
+        rising += bool(np.all(np.diff(pd) > 0) and np.all(np.diff(ser) > 0))
+    assert rising >= 8
+
+
 # ------------------------------------------------------------- determinism
+
+
+def _csvs_at_blas_threads(tmp_path, experiment, threads):
+    """The CSV bytes `isackit run` writes for experiment at its defaults and
+    seed 7, in a fresh process with OPENBLAS_NUM_THREADS=threads."""
+    src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
+    config = tmp_path / f"{experiment}.json"
+    config.write_text(f'{{"experiment": "{experiment}", "seed": 7}}')
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / f"{experiment}_threads{threads}"
+    proc = subprocess.run([sys.executable, "-m", "isackit.cli", "run",
+                           str(config), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
 def test_case2_convergence_identical_across_blas_threads(tmp_path):
@@ -83,18 +139,19 @@ def test_case2_convergence_identical_across_blas_threads(tmp_path):
     `isackit run` of case2_convergence at its defaults and seed 7, in fresh
     processes with OPENBLAS_NUM_THREADS=1 and =2, writes byte-identical
     convergence.csv files."""
-    src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
-    config = tmp_path / "case2.json"
-    config.write_text('{"experiment": "case2_convergence", "seed": 7}')
-    csvs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run([sys.executable, "-m", "isackit.cli", "run",
-                               str(config), "--out", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        csvs.append((out / "convergence.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+    one = _csvs_at_blas_threads(tmp_path, "case2_convergence", "1")
+    two = _csvs_at_blas_threads(tmp_path, "case2_convergence", "2")
+    assert "convergence.csv" in one
+    assert one == two
+
+
+def test_case3_sweep_identical_across_blas_threads(tmp_path):
+    """Reruns are byte-identical across BLAS thread counts, also through the
+    matmul likelihood kernels of Case III. Pass rule: `isackit run` of
+    case3_sweep at its defaults and seed 7, in fresh processes with
+    OPENBLAS_NUM_THREADS=1 and =2, writes the same five constellation CSVs,
+    byte for byte."""
+    one = _csvs_at_blas_threads(tmp_path, "case3_sweep", "1")
+    two = _csvs_at_blas_threads(tmp_path, "case3_sweep", "2")
+    assert len(one) == 5
+    assert one == two

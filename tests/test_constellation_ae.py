@@ -3,6 +3,7 @@ closed forms, calibration round trips, and small training runs."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from isackit import constellation_ae
@@ -317,6 +318,33 @@ def test_detection_statistic_is_gaussian_mixture_llr(kind, size, var):
     assert np.all(np.abs(stat - oracle) <= 1e-10 * np.abs(oracle))
 
 
+def _detection_statistic_oracle(z, pts, noise_var):
+    # the complex-distance form: logsumexp over the (trials, M) matrix of
+    # -|z - p|^2 / sigma^2, plus |z|^2 / sigma^2
+    d2 = np.abs(z[:, None] - pts[None, :]) ** 2
+    return (logsumexp(-d2 / noise_var, axis=1) - np.log(pts.size)
+            + np.abs(z) ** 2 / noise_var)
+
+
+@pytest.mark.parametrize("kind, size", [("PSK", 2), ("PSK", 16), ("QAM", 16),
+                                        ("QAM", 64), ("QAM", 256)])
+@pytest.mark.parametrize("var", [0.01, 0.3, 10.0])
+def test_detection_statistic_matches_complex_logsumexp(kind, size, var):
+    # relative agreement, with an absolute floor of 1e-12 where the
+    # statistic crosses zero (there the old form's cancellation of the
+    # |z|^2 / sigma^2 terms, not the new form, sets the error)
+    pts = baseline_constellation(kind, size).points
+    rng = np.random.default_rng(40)
+    n = 3000
+    z = pts[rng.integers(0, size, n)] * rng.integers(0, 2, n) \
+        + np.sqrt(var / 2.0) * (rng.standard_normal(n)
+                                + 1j * rng.standard_normal(n))
+    oracle = _detection_statistic_oracle(z, pts, var)
+    stat = detection_statistic(z, pts, var)
+    assert np.all(np.abs(stat - oracle)
+                  <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
+
+
 def test_evaluate_isac_zero_noise_ser_and_warning():
     const = baseline_constellation("PSK", 8)
     with pytest.warns(UserWarning):
@@ -347,6 +375,121 @@ def test_calibrate_radar_noise_round_trip():
     assert abs(pfa - 0.1) < 0.01
 
 
+def _bisect_noise_oracle(metric, target, bracket):
+    # the 40-step bisection the comm calibration used before its order
+    # statistic: grow the bracket until it holds the target, then bisect
+    lo, hi = bracket
+    for _ in range(30):
+        if metric(lo) <= target:
+            break
+        lo /= 2.0
+    for _ in range(30):
+        if metric(hi) >= target:
+            break
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if metric(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind, size, target", [
+    ("PSK", 2, 0.05), ("PSK", 2, 0.3236), ("PSK", 4, 0.05),
+    ("PSK", 16, 10 ** -0.49), ("QAM", 16, 0.05)])
+def test_comm_calibration_matches_bisection_oracle(kind, size, target):
+    const = baseline_constellation(kind, size)
+    trials = 50_000
+    var = calibrate_comm_noise(const, target, trials,
+                               np.random.default_rng(41))
+    # the same draws, decoded by minimum distance at each candidate
+    rng = np.random.default_rng(41)
+    pts = const.points
+    idx = rng.integers(0, size, size=trials)
+    unit = (rng.standard_normal(trials)
+            + 1j * rng.standard_normal(trials)) / np.sqrt(2.0)
+
+    def ser_at(v):
+        return np.mean(ml_decode(pts[idx] + np.sqrt(v) * unit, pts) != idx)
+
+    oracle = _bisect_noise_oracle(ser_at, target, (1e-4, 4.0))
+    assert abs(var - oracle) <= 1e-9 * oracle
+
+
+@pytest.mark.parametrize("size, pd, pfa, trials", [
+    (16, 0.935, 0.0085, 50_000), (4, 0.6, 0.1, 30_000),
+    (4, 0.13, 0.1, 30_000)])
+def test_radar_calibration_stops_at_one_count(monkeypatch, size, pd, pfa,
+                                              trials):
+    const = baseline_constellation("PSK", size)
+    # calibrate_radar_noise calls detection_statistic twice per Pd
+    calls = []
+    real = constellation_ae.detection_statistic
+
+    def counting(z, points, noise_var):
+        calls.append(noise_var)
+        return real(z, points, noise_var)
+
+    monkeypatch.setattr(constellation_ae, "detection_statistic", counting)
+    var, thr = calibrate_radar_noise(const, pd, pfa, trials,
+                                     np.random.default_rng(42))
+    assert len(calls) % 2 == 0 and len(calls) // 2 <= 20
+    assert calls[-1] == var
+    monkeypatch.undo()
+    # Pd and the threshold at the returned variance, on the same draws
+    rng = np.random.default_rng(42)
+    pts = const.points
+    idx = rng.integers(0, size, size=trials)
+    u1 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    u0 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    u1 /= np.sqrt(2.0)
+    u0 /= np.sqrt(2.0)
+    again = np.quantile(detection_statistic(np.sqrt(var) * u0, pts, var),
+                        1.0 - pfa)
+    s1 = detection_statistic(pts[idx] + np.sqrt(var) * u1, pts, var)
+    assert thr == again
+    assert abs(np.mean(s1 > thr) - pd) <= 1.0 / trials
+
+
+@pytest.mark.parametrize("below, above", [(0.5, -0.5), (1e-12, -1.0)])
+def test_falling_root_ends_at_a_jump_it_cannot_resolve(below, above):
+    # a miss that jumps over the tolerance band at var = 1: the bracket
+    # shrinks to 2^-40 of its width around the jump. The lopsided jump
+    # stalls regula falsi at the low end; the safeguard bisects at least
+    # once in every four steps.
+    seen = []
+
+    def miss(var):
+        seen.append(var)
+        return below if var < 1.0 else above
+
+    var = constellation_ae._falling_root(miss, (0.01, 4.0), 1e-13, "x")
+    assert var == seen[-1]
+    assert abs(var - 1.0) <= 3.99 * 2.0 ** -40
+    assert len(seen) <= 2 + 4 * 40
+
+
+@pytest.mark.parametrize("miss, root", [
+    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, 0.37),
+    (lambda v: 1.0 / (1.0 + np.exp((v - 0.1) / 0.01)) - 0.935,
+     0.1 + 0.01 * np.log(1.0 / 0.935 - 1.0))])
+def test_falling_root_is_superlinear_on_a_smooth_miss(miss, root):
+    # plain regula falsi under the same safeguard needs 25 and 34
+    # evaluations here; the Illinois step needs 14
+    seen = []
+
+    def counted(var):
+        seen.append(var)
+        return miss(var)
+
+    var = constellation_ae._falling_root(counted, (0.01, 4.0), 1e-12, "x")
+    assert abs(miss(var)) <= 1e-12
+    assert abs(var - root) <= 1e-9
+    assert len(seen) <= 16
+
+
 def test_calibration_grows_bracket_for_bpsk_ser():
     # BPSK reaches SER 0.3236 only beyond the starting bracket's var = 4
     const = baseline_constellation("PSK", 2)
@@ -375,6 +518,8 @@ def test_calibration_bracket_errors():
     # SER of QPSK tends to 3/4 and Pd to Pfa as the noise grows
     with pytest.raises(ValueError, match="target_ser"):
         calibrate_comm_noise(const, 0.97, 20_000, np.random.default_rng(26))
+    with pytest.raises(ValueError, match="target_ser"):
+        calibrate_comm_noise(const, 0.0, 20_000, np.random.default_rng(26))
     with pytest.raises(ValueError, match="target_pd"):
         calibrate_radar_noise(const, 0.05, 0.1, 20_000,
                               np.random.default_rng(27))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import norm
 
+from isackit import metrics
 from isackit.channel import ArrayGeometry, steering_vector
 from isackit.metrics import (
     awgn_mi_mmse,
@@ -241,6 +243,22 @@ def test_glrt_null_distribution_unit_mean(rng):
     assert 0.95 < stats.mean() < 1.05
 
 
+def test_echoes_match_out_of_place_formula_bitwise(rng):
+    # alpha * v v^T X plus sqrt(var/2) (N_re + 1j N_im), N_re drawn first
+    geom = ArrayGeometry(4)
+    X = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    alpha, var, angle = 0.3 - 0.2j, 1.7, 0.4
+    echoes = simulate_target_echoes(X, angle, alpha, var, geom, 500,
+                                    np.random.default_rng(9))
+    r = np.random.default_rng(9)
+    v = steering_vector(angle, geom)
+    shape = (500, 4, 8)
+    noise = np.sqrt(var / 2.0) * (r.standard_normal(shape)
+                                  + 1j * r.standard_normal(shape))
+    oracle = alpha * np.outer(v, v @ X)[None, :, :] + noise
+    assert np.array_equal(echoes.view(np.uint64), oracle.view(np.uint64))
+
+
 def test_glrt_zero_energy_waveform_rejected():
     geom = ArrayGeometry(3)
     with pytest.raises(ValueError, match="no energy"):
@@ -346,6 +364,52 @@ def test_i_mmse_derivative_identity():
             lo, hi, mid = point_at(snr - 0.005), point_at(snr + 0.005), point_at(snr)
             deriv = (hi.mutual_info - lo.mutual_info) / 0.01
             assert abs(deriv - mid.mmse) < 1e-2
+
+
+def _mi_mmse_oracle(points, probs, snr, noise, weights):
+    # the complex-distance form: (M, Q, M) distances, scipy logsumexp, and a
+    # second exp pass for the posterior
+    a = np.sqrt(snr)
+    y = a * points[:, None] + noise[None, :]
+    log_terms = np.log(probs) - np.abs(y[:, :, None] - a * points) ** 2
+    log_norm = logsumexp(log_terms, axis=-1)
+    w = probs[:, None] * weights[None, :]
+    mi = -np.sum(w * (log_norm - np.log(np.pi))) - (1.0 + np.log(np.pi))
+    xhat = np.exp(log_terms - log_norm[:, :, None]) @ points
+    return mi, np.sum(w * np.abs(points[:, None] - xhat) ** 2)
+
+
+def _maxwell_boltzmann_qam16():
+    pts = QAM16 * np.sqrt(10)
+    probs = np.exp(-0.1 * np.abs(pts) ** 2)
+    probs /= probs.sum()
+    return pts / np.sqrt(np.sum(probs * np.abs(pts) ** 2)), probs
+
+
+@pytest.mark.parametrize("noise_kind", ["quadrature", "mc"])
+@pytest.mark.parametrize("case", ["qam64", "qam256", "mb_qam16"])
+@pytest.mark.parametrize("snr", [0.5, 3.0, 10.0])
+def test_mi_mmse_kernel_matches_complex_logsumexp(noise_kind, case, snr):
+    if case == "mb_qam16":
+        pts, probs = _maxwell_boltzmann_qam16()
+    else:
+        side = 8 if case == "qam64" else 16
+        lv = 2 * np.arange(side) - side + 1.0
+        pts = (lv[:, None] + 1j * lv[None, :]).ravel()
+        pts /= np.sqrt(np.mean(np.abs(pts) ** 2))
+        probs = np.full(pts.size, 1.0 / pts.size)
+    if noise_kind == "quadrature":
+        t, w = np.polynomial.hermite.hermgauss(12)
+        noise = (t[:, None] + 1j * t[None, :]).ravel()
+        weights = ((w[:, None] * w[None, :]) / np.pi).ravel()
+    else:
+        r = np.random.default_rng(8)
+        noise = (r.standard_normal(120) + 1j * r.standard_normal(120)) / np.sqrt(2)
+        weights = np.full(120, 1.0 / 120)
+    mi, mmse = metrics._mi_mmse_on_noise(pts, probs, snr, noise, weights)
+    mi_o, mmse_o = _mi_mmse_oracle(pts, probs, snr, noise, weights)
+    assert abs(mi - mi_o) <= 1e-12 * abs(mi_o)
+    assert abs(mmse - mmse_o) <= 1e-12 * abs(mmse_o)
 
 
 def test_gaussian_dominates_discrete_mmse():
