@@ -5,6 +5,16 @@ The engine is real-valued float64 throughout; callers that work with complex
 quantities stack real and imaginary parts into the feature vector. Losses are
 pluggable: a loss callable receives (network outputs, auxiliary batch data)
 and returns (scalar loss, gradient with respect to the outputs).
+
+Each `MlpModel` keeps all of its parameters in one contiguous vector
+`params`, laid out layer by layer as W0 (row-major), b0, W1, b1, ...; its
+`weights[i]` and `biases[i]` are reshaped views into that vector, so writes
+to either side are seen by the other, and they are updated in place.
+`backward_pass` writes the gradients into one fresh vector of the same
+layout per call and returns (dW, db) views of it; a view keeps its vector
+alive for as long as the view lives, and two calls never share memory.
+`adam_step` keeps its moments as two flat vectors and updates the model's
+`params` block by block in place, with no parameter-sized temporaries.
 """
 
 from __future__ import annotations
@@ -19,9 +29,13 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
 
 @dataclass
 class MlpModel:
+    """Dense network. The weights and biases given are copied into one new
+    `params` vector; afterwards weights[i] and biases[i] are views of it."""
+
     weights: list  # weights[i]: (fan_in, fan_out)
     biases: list  # biases[i]: (fan_out,)
     activations: list  # activation tag per layer
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -29,9 +43,32 @@ class MlpModel:
         for act in self.activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
+        for W, b in zip(self.weights, self.biases):
+            if np.ndim(W) != 2 or np.shape(b) != np.shape(W)[1:]:
+                raise ValueError("weights must be (fan_in, fan_out) and biases (fan_out,)")
         for i in range(len(self.weights) - 1):
             if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
                 raise ValueError("consecutive layer dimensions must chain")
+        self.params = np.empty(sum(np.size(W) + np.size(b)
+                                   for W, b in zip(self.weights, self.biases)))
+        views = self.layer_views(self.params)
+        for (W, b), (W_view, b_view) in zip(zip(self.weights, self.biases), views):
+            W_view[...] = W
+            b_view[...] = b
+        self.weights = [W for W, _ in views]
+        self.biases = [b for _, b in views]
+
+    def layer_views(self, flat: np.ndarray):
+        """(W, b)-shaped views, one pair per layer, of a flat vector laid out
+        like `params`."""
+        pairs, start = [], 0
+        for W in self.weights:
+            fan_in, fan_out = W.shape
+            stop = start + fan_in * fan_out
+            pairs.append((flat[start:stop].reshape(fan_in, fan_out),
+                          flat[stop:stop + fan_out]))
+            start = stop + fan_out
+        return pairs
 
     @property
     def layers(self):
@@ -46,9 +83,7 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases],
-                        list(self.activations))
+        return MlpModel(self.weights, self.biases, list(self.activations))
 
 
 def init_mlp(widths: Sequence[int], activations: Sequence[str],
@@ -119,58 +154,123 @@ def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
     """Exact reverse-mode gradients. Returns (param_grads, grad_input) where
-    param_grads is a list of (dW, db) matching model.layers."""
+    param_grads is a list of (dW, db) matching model.layers: views of one
+    fresh flat vector laid out like model.params."""
     acts, zs = cache
     grad = np.asarray(grad_output, dtype=float)
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
-    param_grads = [None] * len(model.weights)
+    param_grads = model.layer_views(np.empty(model.params.size))
     for i in reversed(range(len(model.weights))):
         grad = _activation_vjp(grad, acts[i + 1], zs[i], model.activations[i])
-        dW = acts[i].T @ grad
-        db = grad.sum(axis=0)
-        param_grads[i] = (dW, db)
+        dW, db = param_grads[i]
+        np.matmul(acts[i].T, grad, out=dW)
+        grad.sum(axis=0, out=db)
         grad = grad @ model.weights[i].T
     return param_grads, grad
 
 
 # ------------------------------------------------------------------- Adam
 
+# Elements per block of the in-place Adam update: 2^15 float64 = 256 KiB per
+# operand, so the six operands of a block (gradient, both moments, parameters,
+# two scratch blocks) take 1.5 MiB and stay in a 2 MiB per-core L2 cache.
+_ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class AdamState:
+    """Adam hyperparameters and flat moment vectors laid out like the model's
+    params. `scratch` holds two blocks of work space; `grad_copy` receives
+    gradients that are not views of one flat vector (allocated on first
+    use)."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    first_moment: Optional[np.ndarray] = None
+    second_moment: Optional[np.ndarray] = None
+    scratch: Optional[np.ndarray] = None
+    grad_copy: Optional[np.ndarray] = None
 
 
 def init_adam(model: MlpModel, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    first = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
-    second = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
+    n = model.params.size
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                     first_moment=first, second_moment=second)
+                     first_moment=np.zeros(n), second_moment=np.zeros(n),
+                     scratch=np.empty((2, min(n, _ADAM_BLOCK))))
+
+
+def _tiles(flat, param_grads, model: MlpModel) -> bool:
+    """True when the (dW, db) pairs are views that tile `flat` in the layout
+    of model.params, as backward_pass returns them."""
+    if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+            and flat.shape == model.params.shape and flat.flags.c_contiguous):
+        return False
+    address, start = flat.ctypes.data, 0
+    grads = (g for pair in param_grads for g in pair)
+    refs = (r for layer in zip(model.weights, model.biases) for r in layer)
+    for g, ref in zip(grads, refs):
+        if (getattr(g, "base", None) is not flat or g.shape != ref.shape
+                or not g.flags.c_contiguous
+                or g.ctypes.data != address + start * flat.itemsize):
+            return False
+        start += ref.size
+    return True
+
+
+def _flat_grad(state: AdamState, model: MlpModel, param_grads) -> np.ndarray:
+    """The flat gradient vector laid out like model.params: the one the pairs
+    are views of when they tile it, else a copy of the pairs in
+    state.grad_copy."""
+    if len(param_grads) != len(model.weights):
+        raise ValueError("need one (dW, db) pair per layer")
+    flat = getattr(param_grads[0][0], "base", None)
+    if _tiles(flat, param_grads, model):
+        return flat
+    if state.grad_copy is None:
+        state.grad_copy = np.empty_like(model.params)
+    for (dW, db), (W_copy, b_copy) in zip(param_grads, model.layer_views(state.grad_copy)):
+        W_copy[...] = dW
+        b_copy[...] = db
+    return state.grad_copy
 
 
 def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place to model.params.
+
+    param_grads is a list of (dW, db) pairs, one per layer. Each block of
+    _ADAM_BLOCK elements runs m += (1-b1)(g-m); v += (1-b2)(g^2-v);
+    p -= lr (m/c1) / (sqrt(v/c2) + eps) in that operation order, so the
+    result is bit for bit that of the same expressions on whole arrays.
+    """
+    grad = _flat_grad(state, model, param_grads)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for i, (dW, db) in enumerate(param_grads):
-        mW, mb = state.first_moment[i]
-        vW, vb = state.second_moment[i]
-        mW += (1 - state.beta1) * (dW - mW)
-        mb += (1 - state.beta1) * (db - mb)
-        vW += (1 - state.beta2) * (dW**2 - vW)
-        vb += (1 - state.beta2) * (db**2 - vb)
-        model.weights[i] -= state.lr * (mW / c1) / (np.sqrt(vW / c2) + state.eps)
-        model.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.eps)
+    params, first, second = model.params, state.first_moment, state.second_moment
+    for start in range(0, params.size, _ADAM_BLOCK):
+        stop = min(start + _ADAM_BLOCK, params.size)
+        g, m, v, p = grad[start:stop], first[start:stop], second[start:stop], params[start:stop]
+        step, denom = state.scratch[0, :stop - start], state.scratch[1, :stop - start]
+        np.subtract(g, m, out=step)
+        np.multiply(step, 1 - state.beta1, out=step)
+        m += step
+        np.square(g, out=step)
+        np.subtract(step, v, out=step)
+        np.multiply(step, 1 - state.beta2, out=step)
+        v += step
+        np.divide(m, c1, out=step)
+        np.multiply(step, state.lr, out=step)
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, state.eps, out=denom)
+        np.divide(step, denom, out=step)
+        p -= step
     return model
 
 
@@ -223,7 +323,7 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
     state = init_adam(model, lr=config.lr)
     history = {"train": [], "val": []}
     best_score = np.inf
-    best_snapshot = None
+    best = np.empty_like(model.params)
     stale = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -237,6 +337,8 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
             loss, grad_out = loss_fn(out, batch_aux)
             grads, _ = backward_pass(model, cache, grad_out)
             adam_step(state, model, grads)
+            # free this step's gradient vector before the next one is allocated
+            del grads, cache
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / n
         history["train"].append(train_loss)
@@ -249,13 +351,12 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
             score = train_loss
         if score < best_score - 1e-15:
             best_score = score
-            best_snapshot = model.copy()
+            np.copyto(best, model.params)
             stale = 0
         else:
             stale += 1
             if config.early_stop_patience is not None and stale >= config.early_stop_patience:
                 break
-    if best_snapshot is not None:
-        model.weights = best_snapshot.weights
-        model.biases = best_snapshot.biases
+    if best_score < np.inf:
+        model.params[...] = best
     return model, history

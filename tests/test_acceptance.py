@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import isackit
+from isackit.classical_design import tradeoff_design
 from isackit.cli import run_experiment
 from isackit.hybrid_pga import (
     StepSchedule,
@@ -21,6 +22,31 @@ from isackit.hybrid_pga import (
     pga_run_batch,
     train_step_sizes,
 )
+from isackit.metrics import mui_power
+from isackit.waveform_learn import make_dataset
+
+# ----------------------------------------------------------------- Case I
+
+
+def test_tradeoff_sweep_trades_mui_for_sensing_error():
+    """Claim: moving the trade-off weight toward communication lowers the
+    multi-user interference at the cost of sensing error. tradeoff_design is
+    an exact solver, so the pass rule is every seed: on every one of five
+    seeds, for each of ten channels drawn at the case1_rate defaults (M=8,
+    K=2, tau=8, unit power), along weights 0, 0.1, ..., 1 the MUI
+    ||HX - D||^2 never rises and the sensing error ||X - X0||^2 never falls,
+    up to roundoff of 1e-9 of the largest value on the sweep."""
+    weights = np.linspace(0.0, 1.0, 11)
+    for seed in range(5):
+        for s in make_dataset(10, 8, 2, 8, np.random.default_rng(seed)):
+            designs = [tradeoff_design(s.H, s.D, s.X0, w, 1.0).X for w in weights]
+            mui = np.array([mui_power(s.H, X, s.D) for X in designs])
+            sens = np.array([np.linalg.norm(X - s.X0.X) ** 2 for X in designs])
+            tol = 1e-9 * max(mui.max(), sens.max())
+            assert np.all(np.diff(mui) <= tol)
+            assert np.all(np.diff(sens) >= -tol)
+            assert mui[-1] < mui[0] and sens[-1] > sens[0]
+
 
 # ---------------------------------------------------------------- Case II
 
@@ -117,20 +143,27 @@ def test_sensing_weight_raises_pd_and_ser(case3_runs):
 # ------------------------------------------------------------- determinism
 
 
-def _csvs_at_blas_threads(tmp_path, experiment, threads):
-    """The CSV bytes `isackit run` writes for experiment at its defaults and
-    seed 7, in a fresh process with OPENBLAS_NUM_THREADS=threads."""
+def _run_at_blas_threads(args, threads):
+    """Runs `python args...` in a fresh process with this checkout's isackit
+    and OPENBLAS_NUM_THREADS=threads; returns its stdout."""
     src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
-    config = tmp_path / f"{experiment}.json"
-    config.write_text(f'{{"experiment": "{experiment}", "seed": 7}}')
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = tmp_path / f"{experiment}_threads{threads}"
-    proc = subprocess.run([sys.executable, "-m", "isackit.cli", "run",
-                           str(config), "--out", str(out)],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _csvs_at_blas_threads(tmp_path, experiment, threads):
+    """The CSV bytes `isackit run` writes for experiment at its defaults and
+    seed 7, in a fresh process with OPENBLAS_NUM_THREADS=threads."""
+    config = tmp_path / f"{experiment}.json"
+    config.write_text(f'{{"experiment": "{experiment}", "seed": 7}}')
+    out = tmp_path / f"{experiment}_threads{threads}"
+    _run_at_blas_threads(["-m", "isackit.cli", "run", str(config), "--out", str(out)],
+                         threads)
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
@@ -154,4 +187,29 @@ def test_case3_sweep_identical_across_blas_threads(tmp_path):
     one = _csvs_at_blas_threads(tmp_path, "case3_sweep", "1")
     two = _csvs_at_blas_threads(tmp_path, "case3_sweep", "2")
     assert len(one) == 5
+    assert one == two
+
+
+_WAVEFORM_DIGEST = """
+import hashlib
+import numpy as np
+from isackit.neural import TrainConfig
+from isackit.waveform_learn import make_dataset, train_waveform_net
+samples = make_dataset(100, 8, 2, 8, np.random.default_rng(7))
+model, history, _ = train_waveform_net(
+    samples, 0.2, TrainConfig(epochs=2, batch_size=16, seed=7), augment=True)
+print(hashlib.sha256(model.params.tobytes()).hexdigest())
+print(np.array(history["train"] + history["val"]).tobytes().hex())
+"""
+
+
+def test_waveform_net_training_identical_across_blas_threads():
+    """Reruns are byte-identical across BLAS thread counts, also through the
+    in-place matmul gradient kernels of the learned waveform net. Pass rule:
+    training the waveform net (M=8, K=2, tau=8, 100 samples, 2 epochs,
+    augmentation on, seed 7) in fresh processes with OPENBLAS_NUM_THREADS=1
+    and =2 gives the same weights and loss history, byte for byte."""
+    one = _run_at_blas_threads(["-c", _WAVEFORM_DIGEST], "1")
+    two = _run_at_blas_threads(["-c", _WAVEFORM_DIGEST], "2")
+    assert len(one.split()) == 2
     assert one == two

@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from isackit import constellation_ae, neural
+from isackit.constellation_ae import train_isac_ae
 from isackit.neural import (
     ACTIVATIONS,
-    AdamState,
     MlpModel,
     TrainConfig,
+    _activation_vjp,
     adam_step,
     backward_pass,
     forward_pass,
@@ -15,6 +18,12 @@ from isackit.neural import (
     init_mlp,
     predict,
     train,
+)
+from isackit.waveform_learn import (
+    WaveformNetSpec,
+    make_dataset,
+    predict_waveform,
+    train_waveform_net,
 )
 
 
@@ -39,6 +48,64 @@ def _fd_param_grads(model, batch, target, h=1e-6):
             g[idx] = (lp - lm) / (2 * h)
         grads.append(g)
     return grads[: len(model.weights)], grads[len(model.weights):]
+
+
+# ------------------------------------------------------------------ oracles
+# The per-layer engine that the flat-buffer one replaced: fresh (dW, db)
+# arrays per layer, and Adam as whole-array expressions on each layer's
+# weights, biases and moments. The flat engine must give the same bits.
+
+
+def _oracle_backward_pass(model, cache, grad_output):
+    acts, zs = cache
+    grad = np.asarray(grad_output, dtype=float)
+    if grad.shape != acts[-1].shape:
+        raise ValueError("upstream gradient shape mismatch")
+    param_grads = [None] * len(model.weights)
+    for i in reversed(range(len(model.weights))):
+        grad = _activation_vjp(grad, acts[i + 1], zs[i], model.activations[i])
+        param_grads[i] = (acts[i].T @ grad, grad.sum(axis=0))
+        grad = grad @ model.weights[i].T
+    return param_grads, grad
+
+
+def _oracle_adam_step(state, model, param_grads):
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    first = model.layer_views(state.first_moment)
+    second = model.layer_views(state.second_moment)
+    for i, (dW, db) in enumerate(param_grads):
+        (mW, mb), (vW, vb) = first[i], second[i]
+        mW += (1 - state.beta1) * (dW - mW)
+        mb += (1 - state.beta1) * (db - mb)
+        vW += (1 - state.beta2) * (dW**2 - vW)
+        vb += (1 - state.beta2) * (db**2 - vb)
+        model.weights[i] -= state.lr * (mW / c1) / (np.sqrt(vW / c2) + state.eps)
+        model.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.eps)
+    return model
+
+
+def _use_oracle_engine(monkeypatch):
+    """Routes training through the per-layer oracles, also where
+    constellation_ae imported the engine's names."""
+    for module in (neural, constellation_ae):
+        monkeypatch.setattr(module, "backward_pass", _oracle_backward_pass)
+        monkeypatch.setattr(module, "adam_step", _oracle_adam_step)
+
+
+def _param_bytes(*models):
+    return [a.tobytes() for m in models for a in m.weights + m.biases]
+
+
+def _assert_tiles_params(model):
+    """weights[i] and biases[i] are views laid out W0, b0, W1, b1, ... in
+    model.params (overwrites the parameters)."""
+    model.params[:] = np.arange(model.params.size)
+    flat = np.concatenate([a.ravel() for layer in zip(model.weights, model.biases)
+                           for a in layer])
+    assert np.array_equal(flat, np.arange(model.params.size))
 
 
 def test_forward_zero_relu_net():
@@ -168,6 +235,55 @@ def test_adam_constant_gradient_step_approaches_lr():
     assert state.step_count == 400
 
 
+def test_adam_step_allocates_no_parameter_sized_temporaries(rng):
+    model = WaveformNetSpec(8, 2, 8).build(rng)
+    out, cache = forward_pass(model, rng.standard_normal((32, model.input_dim)))
+    grads, _ = backward_pass(model, cache, rng.standard_normal(out.shape))
+    state = init_adam(model)
+    tracemalloc.start()
+    try:
+        adam_step(state, model, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.params.nbytes > 15e6  # one whole-array temporary would be this size
+    assert peak < 1e6
+
+
+def _three_adam_steps(model, x, step, rebuild):
+    """Bytes of params and moments after three steps on the gradients of
+    backward_pass, passed through rebuild(param_grads) first."""
+    net = model.copy()
+    state = init_adam(net, lr=0.05)
+    for _ in range(3):
+        out, cache = forward_pass(net, x)
+        grads, _ = backward_pass(net, cache, out - 0.5)
+        step(state, net, rebuild(grads))
+    return [a.tobytes() for a in (net.params, state.first_moment, state.second_moment)]
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda g: g,  # the views backward_pass returns
+    # fresh pairs, built like those of perfbench's selftest
+    lambda g: [(np.ones_like(dW) * dW, np.ones_like(db) * db) for dW, db in g],
+    lambda g: [g[0], (g[1][0].copy(), g[1][1].copy())],  # one pair replaced
+    lambda g: [g[1], g[0]],  # views of one vector, out of layout order
+], ids=["views", "fresh", "patched", "swapped"])
+def test_adam_step_matches_oracle_bitwise(rebuild, rng):
+    # two layers of one shape, so only the data addresses tell them apart
+    model = init_mlp([4, 4, 4], ["tanh", "sigmoid"], rng)
+    x = rng.standard_normal((6, 4))
+    assert _three_adam_steps(model, x, adam_step, rebuild) == \
+        _three_adam_steps(model, x, _oracle_adam_step, rebuild)
+
+
+def test_adam_step_rejects_wrong_layer_count(rng):
+    model = init_mlp([3, 4, 2], ["relu", "linear"], rng)
+    grads = [(np.zeros((3, 4)), np.zeros(4))]
+    with pytest.raises(ValueError, match="one \\(dW, db\\) pair per layer"):
+        adam_step(init_adam(model), model, grads)
+
+
 def test_train_at_minimum_keeps_parameters(rng):
     model = init_mlp([2, 2], ["linear"], rng)
     before = model.copy()
@@ -279,6 +395,76 @@ def test_early_stopping_restores_best_snapshot(rng):
     model, history = train(model, X, Y, loss, cfg, val_inputs=X, val_aux=Y)
     final_val, _ = loss(predict(model, X), Y)
     assert np.isclose(final_val, np.min(history["val"]), atol=1e-12)
+    assert len(history["val"]) < 200
+    _assert_tiles_params(model)
+
+
+# ------------------------------------------------------------ flat buffers
+
+
+def test_init_and_copy_keep_weights_views_of_params(rng):
+    model = init_mlp([3, 5, 2], ["relu", "linear"], rng)
+    assert model.params.size == 3 * 5 + 5 + 5 * 2 + 2
+    clone = model.copy()
+    assert not np.shares_memory(clone.params, model.params)
+    assert _param_bytes(clone) == _param_bytes(model)
+    before = model.params.copy()
+    _assert_tiles_params(clone)
+    assert np.array_equal(model.params, before)
+    _assert_tiles_params(model)
+
+
+def test_model_copies_the_arrays_it_is_given():
+    W = np.eye(2)
+    model = MlpModel([W], [np.zeros(2)], ["linear"])
+    model.weights[0][0, 1] = 5.0
+    assert W[0, 1] == 0.0
+    assert model.params[1] == 5.0
+
+
+def test_backward_results_share_no_memory(rng):
+    model = init_mlp([4, 6, 3], ["tanh", "linear"], rng)
+    out, cache = forward_pass(model, rng.standard_normal((5, 4)))
+    first, _ = backward_pass(model, cache, out)
+    second, _ = backward_pass(model, cache, out)
+    arrays = [[a for pair in grads for a in pair] for grads in (first, second)]
+    for a in arrays[0]:
+        for b in arrays[1] + [model.params]:
+            assert not np.shares_memory(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(*arrays))
+
+
+def test_backward_matches_oracle_bitwise(rng):
+    model = init_mlp([4, 6, 5, 3], ["relu", "softmax", "sigmoid"], rng)
+    out, cache = forward_pass(model, rng.standard_normal((7, 4)))
+    upstream = rng.standard_normal(out.shape)
+    grads, grad_in = backward_pass(model, cache, upstream)
+    oracle, oracle_in = _oracle_backward_pass(model, cache, upstream)
+    assert [a.tobytes() for pair in grads for a in pair] == \
+        [a.tobytes() for pair in oracle for a in pair]
+    assert grad_in.tobytes() == oracle_in.tobytes()
+
+
+def _waveform_training():
+    """Weights, history and predicted test frames of a small augmented
+    waveform-net run (M=8, K=2, tau=8, 3 epochs)."""
+    samples = make_dataset(100, 8, 2, 8, np.random.default_rng(21))
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+    model, history, (_, _, test_idx) = train_waveform_net(samples, 0.2, cfg, augment=True)
+    frames = [predict_waveform(model, samples[i]).X.tobytes() for i in test_idx]
+    return _param_bytes(model), np.array(history["train"] + history["val"]).tobytes(), frames
+
+
+def _ae_training():
+    ae = train_isac_ae(0.5, 3, 0.3, 0.5, TrainConfig(epochs=1, batch_size=64, seed=2),
+                       samples_per_epoch=64 * 60)
+    return _param_bytes(ae.encoder, ae.comm_decoder, ae.radar_detector)
+
+
+def test_training_matches_per_layer_oracle_bitwise(monkeypatch):
+    flat = _waveform_training(), _ae_training()
+    _use_oracle_engine(monkeypatch)
+    assert (_waveform_training(), _ae_training()) == flat
 
 
 def test_model_validation():
@@ -287,3 +473,5 @@ def test_model_validation():
                  ["relu", "linear"])
     with pytest.raises(ValueError, match="unknown activation"):
         MlpModel([np.zeros((3, 4))], [np.zeros(4)], ["swish"])
+    with pytest.raises(ValueError, match="biases"):
+        MlpModel([np.zeros((3, 4))], [np.zeros(3)], ["linear"])
