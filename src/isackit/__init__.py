@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-channel           steering vectors, Rician/Rayleigh channels, channel aging
-metrics           MUI, SINR/sum rate, beampatterns, GLRT/ROC, MI/MMSE, bounds
+channel           steering vectors, Rician channels, channel aging
+metrics           MUI, SINR/sum rate, beampatterns, GLRT/ROC, MI/MMSE
 classical_design  closed-form and exact-solver waveform baselines
 neural            minimal dense-network engine (forward/backward/Adam/train)
 waveform_learn    unsupervised waveform network (features, projection, loss)

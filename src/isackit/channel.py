@@ -1,5 +1,5 @@
 """Propagation layer: uniform-linear-array steering, Rician user channels,
-Rayleigh draws, and Jakes-correlated channel aging.
+and Jakes-correlated channel aging.
 
 Conventions: angles are radians from broadside, antenna spacing is normalized
 by the carrier wavelength, and every random quantity is drawn from an explicit
@@ -107,13 +107,6 @@ class AgingParams:
             raise ValueError("mobility_phase must lie in [-pi, pi]")
 
 
-def path_loss_gain(distance_m: float, exponent: float = 3.0, reference_m: float = 1.0) -> float:
-    """Stand-in large-scale gain (d/d0)^(-exponent) for building RicianParams."""
-    if distance_m <= 0 or reference_m <= 0:
-        raise ValueError("distances must be positive")
-    return float((distance_m / reference_m) ** (-exponent))
-
-
 def steering_vector(theta: float, geom: ArrayGeometry) -> np.ndarray:
     """Array response at angle theta; element m is exp(j*2*pi*spacing*m*sin(theta))."""
     m = np.arange(geom.num_antennas)
@@ -147,13 +140,6 @@ def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
         raise ValueError("no users")
     rows = np.stack([sample_user_channel(u, geom, rng) for u in users])
     return ChannelMatrix(entries=rows, per_user_params=tuple(users))
-
-
-def sample_rayleigh(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. unit circularly-symmetric complex Gaussian vector."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return _scatter_draw(dim, rng)
 
 
 def jakes_correlation(aging: AgingParams) -> float:

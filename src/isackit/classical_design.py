@@ -6,12 +6,14 @@ beampattern-matched directional template, the covariance-constrained MUI
 minimizer (an orthogonal-Procrustes problem solved by one SVD), the weighted
 radar/communication trade-off under a total power constraint (a trust-region
 subproblem solved exactly through the secular equation), the epsilon-constraint
-variants obtained by bisecting the trade-off weight, and the zero-interference
-genie rate bound.
+variants (a root search on the trade-off weight that returns the feasible
+weight on a 2^-40 grid nearest the priority extreme, in Illinois steps), and
+the zero-interference genie rate bound.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -204,7 +206,14 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int,
 
 # ----------------------------------------------------------------- trade-off
 
-_WEIGHT_TOL = 1e-12  # epsilon_design stops bisecting the weight at this width
+_EPS = np.finfo(float).eps
+
+# epsilon_design resolves the weight to _WEIGHT_TOL. Its answers lie on the
+# grid j / _WEIGHT_CELLS, the coarsest power-of-two grid no wider than the
+# tolerance (2^-40), which is where a bisection of [0, 1] stops once its
+# bracket is no wider than _WEIGHT_TOL.
+_WEIGHT_TOL = 1e-12
+_WEIGHT_CELLS = 2 ** math.ceil(-math.log2(_WEIGHT_TOL))
 
 
 def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
@@ -230,7 +239,6 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
         grew += 1
         if grew > 200:
             raise RuntimeError("secular solve failed to bracket the root")
-    eps = np.finfo(float).eps
     mu = lo
     while True:
         inv = 1.0 / (lam + mu)
@@ -239,7 +247,7 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
         cubic = float((terms * inv).sum())  # -phi'(mu) / 2
         # a few ulps of the target, plus what one ulp of mu moves phi by: on
         # a steep branch the float grid of mu cannot bring phi any closer
-        if abs(value - target) <= 4.0 * eps * (target + 2.0 * cubic * abs(mu)):
+        if abs(value - target) <= 4.0 * _EPS * (target + 2.0 * cubic * abs(mu)):
             return mu
         if value > target:
             lo = mu
@@ -331,12 +339,27 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
 
 
 def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
-    """Epsilon-constraint designs by bisection on the trade-off weight.
+    """Epsilon-constraint designs through a root search on the trade-off
+    weight.
 
     comm_priority: minimize MUI subject to ||X - X0||^2 <= bound.
     sens_priority: minimize ||X - X0||^2 subject to ||HX - D||^2 <= bound.
     Returns (design, slack) where slack = bound - achieved constraint value.
-    Every weight of the bisection reuses one factorization of H^H H.
+
+    The constrained metric worsens monotonically as the weight moves toward
+    the priority extreme, so the answer is the trade-off design at the weight
+    j / _WEIGHT_CELLS nearest that extreme that still meets the bound: what a
+    bisection of [0, 1] down to _WEIGHT_TOL returns, bit for bit.
+
+    The search runs on that grid and keeps a bracket of a feasible and an
+    infeasible weight. Illinois steps (regula falsi that halves the kept
+    end's miss when the same end is kept twice; Dowell and Jarratt 1971)
+    shrink it superlinearly. A step is kept two cells inside the bracket, and
+    a bisection step follows a step that had to be moved so, or a pair of
+    steps that did not halve the bracket. From four cells on, the search
+    bisects. The design returned is the one solved at the last feasible
+    weight, so no weight is solved twice, and every weight reuses one
+    factorization of H^H H.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -344,37 +367,56 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         raise ValueError("mode must be comm_priority or sens_priority")
     f = _factor(H, D, X0)
 
-    def constraint(X):
+    def solve(j):
+        X = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
         if mode == "comm_priority":
-            return float(np.linalg.norm(X - f.X0) ** 2)
-        return mui_power(f.H, X, f.D)
+            return X, float(np.linalg.norm(X - f.X0) ** 2)
+        return X, mui_power(f.H, X, f.D)
 
-    # the constrained metric worsens monotonically toward its priority extreme
-    best_eta = 1.0 if mode == "comm_priority" else 0.0
-    worst_eta = 1.0 - best_eta
-    provenance = "epsilon_comm" if mode == "comm_priority" else "epsilon_sens"
+    # grid indices of the weight extremes: the constrained metric is at its
+    # best at `infeas` and at its worst at `feas`
+    if mode == "comm_priority":
+        feas, infeas, provenance = 0, _WEIGHT_CELLS, "epsilon_comm"
+    else:
+        feas, infeas, provenance = _WEIGHT_CELLS, 0, "epsilon_sens"
 
-    X = _tradeoff_solve(f, best_eta, total_power)
-    achieved = constraint(X)
-    if achieved <= bound:
-        return WaveformDesign(X, total_power, provenance), bound - achieved
-    X_feas = _tradeoff_solve(f, worst_eta, total_power)
-    achieved = constraint(X_feas)
+    X, value = solve(infeas)
+    if value <= bound:
+        return WaveformDesign(X, total_power, provenance), bound - value
+    X_feas, achieved = solve(feas)
     if achieved > bound:
         raise ValueError(
             f"epsilon infeasible: minimal achievable constraint is {achieved:.6e}")
 
-    # at best_eta the bound is violated and at worst_eta it holds; bisect the
-    # weight, keeping `feas` on the satisfied side and pushing it toward best_eta
-    feas, infeas = worst_eta, best_eta
-    while abs(infeas - feas) > _WEIGHT_TOL:
-        mid = 0.5 * (feas + infeas)
-        X = _tradeoff_solve(f, mid, total_power)
-        value = constraint(X)
-        if value <= bound:
-            feas, X_feas, achieved = mid, X, value
+    # the bound holds at `feas` and fails at `infeas`; the misses straddle 0
+    miss_feas, miss_infeas = achieved - bound, value - bound
+    mark, steps, bisect = abs(infeas - feas), 0, False
+    kept = 0  # +1 after feas moved last, -1 after infeas did
+    while abs(infeas - feas) > 1:
+        lo, hi = min(feas, infeas), max(feas, infeas)
+        if bisect or hi - lo <= 4:
+            j, clamped = (lo + hi) // 2, False
         else:
-            infeas = mid
+            j = feas + round((infeas - feas) * (miss_feas / (miss_feas - miss_infeas)))
+            # stay two cells inside the bracket, so that a root next to one
+            # end puts the step past it and the far end moves too
+            clamped = not lo + 2 <= j <= hi - 2
+            j = min(max(j, lo + 2), hi - 2)
+        X, value = solve(j)
+        if value <= bound:
+            feas, miss_feas, X_feas, achieved = j, value - bound, X, value
+            if kept > 0:
+                miss_infeas *= 0.5
+            kept = 1
+        else:
+            infeas, miss_infeas = j, value - bound
+            if kept < 0:
+                miss_feas *= 0.5
+            kept = -1
+        steps, bisect = steps + 1, clamped
+        if steps == 2:
+            bisect = bisect or abs(infeas - feas) > 0.5 * mark
+            mark, steps = abs(infeas - feas), 0
     return WaveformDesign(X_feas, total_power, provenance), bound - achieved
 
 

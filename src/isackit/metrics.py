@@ -1,7 +1,6 @@
 """Evaluation quantities shared by all case studies: multi-user interference,
 SINR and sum rates, transmit beampatterns, GLRT detection and ROC curves,
-MI/MMSE curves for scalar AWGN inputs, modified CRBs, radar resolutions, and
-the estimation-information bounds.
+and MI/MMSE curves for scalar AWGN inputs.
 
 Rates: `sum_rate` is bits/symbol (log2); `hybrid_sum_rate` is nats (natural
 log), with `hybrid_sum_rate_bits` as the converted variant. Mutual information
@@ -10,12 +9,11 @@ is computed in nats internally.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ArrayGeometry, ChannelMatrix, steering_vector
+from .channel import ArrayGeometry, ChannelMatrix, steering_vector
 
 
 @dataclass(frozen=True)
@@ -288,47 +286,3 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
         raise ValueError(f"unknown method {method!r}")
     mi, mmse = _mi_mmse_on_noise(points, probs, snr, noise, weights)
     return MiMmsePoint(snr=snr, mutual_info=mi, mmse=mmse)
-
-
-# ------------------------------------------------------------------- bounds
-
-
-def mcrb_phase(es_over_n0: float, num_samples: int) -> float:
-    """Modified CRB for carrier phase: (N0/2Es) * (1/L)."""
-    if es_over_n0 <= 0 or num_samples < 1:
-        raise ValueError("es_over_n0 must be positive and num_samples >= 1")
-    return 1.0 / (2.0 * es_over_n0 * num_samples)
-
-
-def mcrb_freq(es_over_n0: float, num_samples: int) -> float:
-    """Modified CRB for frequency offset: (N0/2Es) * 3 / (pi^2 L (L^2 - 1))."""
-    if es_over_n0 <= 0:
-        raise ValueError("es_over_n0 must be positive")
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
-    L = num_samples
-    return (1.0 / (2.0 * es_over_n0)) * 3.0 / (np.pi**2 * L * (L**2 - 1))
-
-
-def radar_resolutions(bandwidth: float, wavelength: float, pulses: int,
-                      pri: float, aperture: float):
-    """(range, velocity, angle) resolutions: c/2W, lambda/2NT, 0.886 lambda/D."""
-    if min(bandwidth, wavelength, pulses, pri, aperture) <= 0:
-        raise ValueError("all radar parameters must be positive")
-    delta_r = SPEED_OF_LIGHT / (2.0 * bandwidth)
-    delta_v = wavelength / (2.0 * pulses * pri)
-    delta_theta = 0.886 * wavelength / aperture
-    return delta_r, delta_v, delta_theta
-
-
-def estimation_rate_bounds(prior_var: float, distortion: float):
-    """Estimation-information bounds: (1/2) log2(P/D) and R = -log2(D).
-    A distortion above the prior variance clamps the first bound at zero."""
-    if prior_var <= 0 or distortion <= 0:
-        raise ValueError("prior_var and distortion must be positive")
-    if distortion > prior_var:
-        warnings.warn("distortion exceeds prior variance; bound clamped at 0")
-        mi_bound = 0.0
-    else:
-        mi_bound = 0.5 * np.log2(prior_var / distortion)
-    return float(mi_bound), float(-np.log2(distortion))

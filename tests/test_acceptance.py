@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import isackit
-from isackit.classical_design import tradeoff_design
+from isackit.classical_design import epsilon_design, tradeoff_design
 from isackit.cli import run_experiment
 from isackit.hybrid_pga import (
     StepSchedule,
@@ -46,6 +46,31 @@ def test_tradeoff_sweep_trades_mui_for_sensing_error():
             assert np.all(np.diff(mui) <= tol)
             assert np.all(np.diff(sens) >= -tol)
             assert mui[-1] < mui[0] and sens[-1] > sens[0]
+
+
+def test_epsilon_design_beats_every_feasible_sweep_design():
+    """Claim: the epsilon-constraint design (sens_priority) has the least
+    sensing error among designs whose MUI meets the bound. epsilon_design is
+    an exact solver (it returns the feasible weight of a 2^-40 grid nearest
+    the sensing extreme), so the pass rule is every seed: on every one of
+    five seeds, for each of ten channels at M=16, K=4, tau=32 and unit power,
+    with the MUI bound 0.1, 0.5 and 0.9 of the way from the MUI at weight 1
+    to that at weight 0, the slack is >= 0 and the sensing error is at most
+    (1 + 1e-12) times that of every design of a 21-weight tradeoff_design
+    sweep whose MUI meets the bound."""
+    weights = np.linspace(0.0, 1.0, 21)
+    for seed in range(5):
+        for s in make_dataset(10, 16, 4, 32, np.random.default_rng(seed)):
+            sweep = [tradeoff_design(s.H, s.D, s.X0, w, 1.0).X for w in weights]
+            mui = np.array([mui_power(s.H, X, s.D) for X in sweep])
+            sens = np.array([np.linalg.norm(X - s.X0.X) ** 2 for X in sweep])
+            for frac in (0.1, 0.5, 0.9):
+                bound = mui[-1] + frac * (mui[0] - mui[-1])
+                design, slack = epsilon_design(s.H, s.D, s.X0, bound,
+                                               "sens_priority", 1.0)
+                assert slack >= 0
+                error = np.linalg.norm(design.X - s.X0.X) ** 2
+                assert error <= (1 + 1e-12) * sens[mui <= bound].min()
 
 
 # ---------------------------------------------------------------- Case II

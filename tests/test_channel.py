@@ -10,9 +10,7 @@ from isackit.channel import (
     RicianParams,
     age_channel,
     jakes_correlation,
-    path_loss_gain,
     sample_channel_matrix,
-    sample_rayleigh,
     sample_user_channel,
     steering_vector,
 )
@@ -127,23 +125,6 @@ def test_channel_matrix_empty_users_rejected(rng):
         sample_channel_matrix([], ArrayGeometry(4), rng)
 
 
-def test_rayleigh_shape_and_moments(rng):
-    v = sample_rayleigh(16, rng)
-    assert v.shape == (16,)
-    n = 100_000
-    draws = sample_rayleigh(n, rng)
-    assert abs(draws.mean()) < 3 / np.sqrt(n)
-    assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 3 / np.sqrt(n)
-
-
-def test_rayleigh_determinism_and_errors():
-    a = sample_rayleigh(5, np.random.default_rng(3))
-    b = sample_rayleigh(5, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        sample_rayleigh(0, np.random.default_rng(3))
-
-
 def _aging_for_argument(argument, speed=2.0, carrier=3.2e9):
     # choose the sample period so 2*pi*f_D*T_s hits the requested argument
     f_d = speed * carrier / SPEED_OF_LIGHT
@@ -224,10 +205,3 @@ def test_aging_params_validation():
         AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=0.0)
     with pytest.raises(ValueError):
         AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=1e-3, mobility_phase=4.0)
-
-
-def test_path_loss_gain():
-    assert path_loss_gain(1.0) == 1.0
-    assert np.isclose(path_loss_gain(10.0, exponent=3.0), 1e-3)
-    with pytest.raises(ValueError):
-        path_loss_gain(0.0)

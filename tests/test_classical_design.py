@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from isackit import classical_design
 from isackit.channel import ArrayGeometry, steering_grid
 from isackit.classical_design import (
     CovarianceTemplate,
@@ -21,6 +22,7 @@ from isackit.metrics import (
     transmit_beampattern,
     waveform_covariance,
 )
+from isackit.waveform_learn import make_dataset
 
 GEOM2 = ArrayGeometry(2)
 
@@ -546,6 +548,73 @@ def test_epsilon_matches_public_bisection(rng, mode):
             X_ref, slack_ref = _epsilon_bisection(H, D, X0, bound, mode, 1.0)
             assert np.linalg.norm(design.X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
             assert abs(slack - slack_ref) <= 1e-9 * max(1.0, bound)
+
+
+def _epsilon_draws(rng, reps=5):
+    """(H, D, X0, bound, mode) draws: `reps` instances at each of the shapes
+    (M, K, tau) = (2, 2, 4), (3, 2, 5) and (16, 4, 32), both modes, and four
+    bounds from the constraint values v0, v1 at weights 0 and 1: the mean,
+    0.9 v0 + 0.1 v1, 0.1 v0 + 0.9 v1 and 2 max (the inactive case). At
+    (16, 4, 32) comm_priority the sensing error jumps from ~1 to ~45 within
+    a few 1e-9 of weight 1, so the mixed bounds put the root on that jump."""
+    for _ in range(reps):
+        for M, K, tau in ((2, 2, 4), (3, 2, 5), (16, 4, 32)):
+            H, D, X0 = _random_instance(rng, M=M, K=K, tau=tau)
+            ends = [tradeoff_design(H, D, X0, eta, 1.0).X for eta in (0.0, 1.0)]
+            for mode in ("comm_priority", "sens_priority"):
+                if mode == "comm_priority":
+                    v0, v1 = (np.linalg.norm(X - X0) ** 2 for X in ends)
+                else:
+                    v0, v1 = (mui_power(H, X, D) for X in ends)
+                for bound in (0.5 * (v0 + v1), 0.9 * v0 + 0.1 * v1,
+                              0.1 * v0 + 0.9 * v1, 2.0 * max(v0, v1)):
+                    yield H, D, X0, bound, mode
+
+
+def test_epsilon_design_is_the_bisection_bit_for_bit(rng):
+    """The root search returns the weight a 40-step bisection returns, so the
+    design and the slack are identical to the oracle's, not just close."""
+    draws = list(_epsilon_draws(rng))
+    assert len(draws) == 120
+    for H, D, X0, bound, mode in draws:
+        design, slack = epsilon_design(H, D, X0, bound, mode, 1.0)
+        X_ref, slack_ref = _epsilon_bisection(H, D, X0, bound, mode, 1.0)
+        assert np.array_equal(design.X, X_ref)
+        assert slack == slack_ref
+
+
+def test_epsilon_design_solve_counts(rng, monkeypatch):
+    """Trade-off solves per epsilon_design call; a 40-step bisection needs 42.
+
+    On the 50 case1 benchmark channels (M=16, K=4, tau=32, seed 211) with
+    the sens_priority bound halfway between the MUI at weights 0 and 1, the
+    mean must stay <= 16 and the max <= 20 (measured: mean 14.6, max 16).
+    On every draw of the bit-for-bit test, at most 60 solves (measured worst
+    41 on these draws, and 49 over 12,000 draws of the same kind; the
+    worst cases are comm_priority roots at the jump near weight 1 when
+    K < M, where regula falsi gains little and the search bisects)."""
+    calls = []  # the weight of every trade-off solve
+    solve = classical_design._tradeoff_solve
+
+    def counted(f, weight, power):
+        calls.append(weight)
+        return solve(f, weight, power)
+
+    monkeypatch.setattr(classical_design, "_tradeoff_solve", counted)
+    counts = []
+    for s in make_dataset(50, 16, 4, 32, np.random.default_rng(211)):
+        ends = [tradeoff_design(s.H, s.D, s.X0, eta, 1.0).X for eta in (0.0, 1.0)]
+        bound = 0.5 * sum(mui_power(s.H, X, s.D) for X in ends)
+        calls.clear()
+        epsilon_design(s.H, s.D, s.X0, bound, "sens_priority", 1.0)
+        counts.append(len(calls))
+        assert len(set(calls)) == len(calls)  # no weight solved twice
+    assert np.mean(counts) <= 16 and max(counts) <= 20
+    for H, D, X0, bound, mode in _epsilon_draws(rng):
+        calls.clear()
+        epsilon_design(H, D, X0, bound, mode, 1.0)
+        assert len(calls) <= 60
+        assert len(set(calls)) == len(calls)
 
 
 # --------------------------------------------------------------------- genie

@@ -10,16 +10,12 @@ from isackit.channel import ArrayGeometry, steering_vector
 from isackit.metrics import (
     awgn_mi_mmse,
     detection_at_false_alarm,
-    estimation_rate_bounds,
     gaussian_mi_mmse,
     glrt_statistic,
     glrt_statistics,
     hybrid_sum_rate,
-    mcrb_freq,
-    mcrb_phase,
     mui_power,
     per_user_sinr,
-    radar_resolutions,
     roc_curve,
     simulate_target_echoes,
     sum_rate,
@@ -418,44 +414,6 @@ def test_gaussian_dominates_discrete_mmse():
         g = gaussian_mi_mmse(snr).mmse
         assert g >= awgn_mi_mmse(BPSK, snr).mmse - 1e-9
         assert g >= awgn_mi_mmse(QPSK, snr).mmse - 1e-9
-
-
-# ------------------------------------------------------------------- bounds
-
-
-def test_mcrb_phase_values():
-    assert np.isclose(mcrb_phase(0.5, 1), 1.0)
-    assert np.isclose(mcrb_phase(10.0, 10), 0.005)
-
-
-def test_mcrb_freq_value_and_validation():
-    assert np.isclose(mcrb_freq(1.0, 2), 3.0 / (np.pi**2 * 2 * 3 * 2))
-    with pytest.raises(ValueError):
-        mcrb_freq(1.0, 1)
-
-
-def test_radar_resolutions():
-    c = 299792458.0
-    dr, dv, dth = radar_resolutions(c / 2, 0.1, 10, 1e-3, 1.0)
-    assert np.isclose(dr, 1.0)
-    assert np.isclose(dv, 5.0)
-    lam = c / 3.2e9
-    _, _, dth = radar_resolutions(1e6, lam, 10, 1e-3, 1.0)
-    assert abs(dth - 0.0830) < 5e-4
-
-
-def test_estimation_rate_bounds():
-    assert estimation_rate_bounds(1.0, 0.25) == (1.0, 2.0)
-    mi, rate = estimation_rate_bounds(0.5, 0.5)
-    assert mi == 0.0 and np.isclose(rate, 1.0)
-    assert estimation_rate_bounds(4.0, 1.0) == (1.0, 0.0)
-    with pytest.raises(ValueError):
-        estimation_rate_bounds(0.0, 0.5)
-    with pytest.raises(ValueError):
-        estimation_rate_bounds(1.0, -1.0)
-    with pytest.warns(UserWarning):
-        mi, _ = estimation_rate_bounds(1.0, 2.0)
-    assert mi == 0.0
 
 
 # ----------------------------------------------------------------------- SER
