@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import j0
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -143,7 +142,13 @@ def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
 
 
 def jakes_correlation(aging: AgingParams) -> float:
-    """Temporal correlation J0(2*pi*f_D*T_s) with Doppler f_D = v*f_c/c."""
+    """Temporal correlation J0(2*pi*f_D*T_s) with Doppler f_D = v*f_c/c.
+
+    J0 is scipy.special's, loaded here on first call: scipy is loaded only by
+    case1_aging (through `age_channel`) and by the tests."""
+    # importing scipy.special costs about 0.24 s and 25 MB; only case1_aging needs it
+    from scipy.special import j0
+
     f_d = aging.user_speed * aging.carrier_freq / SPEED_OF_LIGHT
     return float(j0(2 * np.pi * f_d * aging.sample_period))
 

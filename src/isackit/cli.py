@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -72,7 +73,7 @@ _EXPERIMENTS = (
 @dataclasses.dataclass
 class RunRecord:
     """Manifest written after all artifacts: config echo, version, timing,
-    emitted files, and headline metrics."""
+    emitted files, headline metrics, and the environment the run saw."""
 
     experiment: str
     seed: int
@@ -81,6 +82,26 @@ class RunRecord:
     files: list
     summary: dict
     config: dict
+    environment: dict
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Python, numpy, scipy and BLAS versions, and the BLAS thread variables
+    (None where unset). The scipy version comes from the package metadata, so
+    that writing a record imports no scipy."""
+    import importlib.metadata  # about 20 ms to import; only a finished run needs it
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+    }
 
 
 def _fmt(x) -> str:
@@ -589,6 +610,7 @@ def run_experiment(cfg: dict, out_dir) -> RunRecord:
                      else v) for k, v in summary.items()},
         config={"experiment": kind, "seed": cfg["seed"],
                 "out": str(out_dir), "params": params},
+        environment=_environment(),
     )
     # the manifest is the atomicity marker: written after every artifact,
     # and moved into place whole so that a failed write leaves none

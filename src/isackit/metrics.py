@@ -2,9 +2,9 @@
 SINR and sum rates, transmit beampatterns, GLRT detection and ROC curves,
 and MI/MMSE curves for scalar AWGN inputs.
 
-Rates: `sum_rate` is bits/symbol (log2); `hybrid_sum_rate` is nats (natural
-log), with `hybrid_sum_rate_bits` as the converted variant. Mutual information
-is computed in nats internally.
+Rates: `sum_rate` is bits/symbol (log2); the hybrid-beamformer rates of
+`hybrid_pga` are nats (natural log). Mutual information is computed in nats
+internally.
 """
 
 from __future__ import annotations
@@ -90,29 +90,6 @@ def rate_report(H, X, D, noise_var: float) -> RateReport:
     return RateReport(per_user_sinr=gam, sum_rate=sum_rate(gam))
 
 
-def hybrid_sum_rate(channels, F, W, noise_var: float) -> float:
-    """Sum rate (nats) of a hybrid beamformer: channels is K x N (rows h_k),
-    F the N x L analog stage, W the L x K digital stage."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    h = np.asarray(channels, dtype=complex)
-    if h.ndim == 1:
-        h = h[None, :]
-    F = np.asarray(F, dtype=complex)
-    W = np.asarray(W, dtype=complex)
-    if h.shape[1] != F.shape[0] or F.shape[1] != W.shape[0] or W.shape[1] != h.shape[0]:
-        raise ValueError("dimension mismatch between channels, F, W")
-    T = h.conj() @ F @ W  # T[k, j] = h_k^H F w_j
-    p = np.abs(T) ** 2
-    total = p.sum(axis=1) + noise_var
-    signal = np.diag(p)
-    return float(np.sum(np.log(total / (total - signal))))
-
-
-def hybrid_sum_rate_bits(channels, F, W, noise_var: float) -> float:
-    return hybrid_sum_rate(channels, F, W, noise_var) / np.log(2.0)
-
-
 # ----------------------------------------------------- covariance / pattern
 
 
@@ -139,10 +116,17 @@ def transmit_beampattern(cov, angles, geom: ArrayGeometry) -> BeampatternCurve:
 # ------------------------------------------------------------ GLRT and ROC
 
 
-def _glrt_core(echoes: np.ndarray, target_angle: float, X: np.ndarray,
-               noise_var: float, geom: ArrayGeometry) -> np.ndarray:
+def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
+                    geom: ArrayGeometry) -> np.ndarray:
+    """GLRT statistic for a target at `target_angle` with unknown complex
+    amplitude, one per echo of a (trials x M x tau_d) stack:
+    |v^H Z s^H|^2 / (sigma^2 ||v||^2 ||s||^2), s = v^T X.
+
+    Under H0 (echo = noise with per-entry variance sigma^2) the statistic is
+    exponential with unit mean; larger values indicate a target."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
+    echoes = np.asarray(echoes, dtype=complex)
     X = np.asarray(X, dtype=complex)
     v = steering_vector(target_angle, geom)
     s = v @ X  # effective probing sequence v^T X, length tau_d
@@ -152,23 +136,6 @@ def _glrt_core(echoes: np.ndarray, target_angle: float, X: np.ndarray,
     v_energy = float(np.linalg.norm(v) ** 2)
     inner = np.einsum("a,tab,b->t", v.conj(), echoes, s.conj())
     return np.abs(inner) ** 2 / (noise_var * v_energy * s_energy)
-
-
-def glrt_statistic(echo, target_angle: float, X, noise_var: float,
-                   geom: ArrayGeometry) -> float:
-    """GLRT statistic for a target at `target_angle` with unknown complex
-    amplitude: |v^H Z s^H|^2 / (sigma^2 ||v||^2 ||s||^2), s = v^T X.
-
-    Under H0 (echo = noise with per-entry variance sigma^2) the statistic is
-    exponential with unit mean; larger values indicate a target."""
-    echo = np.asarray(echo, dtype=complex)
-    return float(_glrt_core(echo[None, :, :], target_angle, X, noise_var, geom)[0])
-
-
-def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
-                    geom: ArrayGeometry) -> np.ndarray:
-    """Vectorized glrt_statistic over a stack of echoes (trials x M x tau_d)."""
-    return _glrt_core(np.asarray(echoes, dtype=complex), target_angle, X, noise_var, geom)
 
 
 def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: float,

@@ -1,0 +1,34 @@
+"""Test helpers shared across test modules: a fresh-process runner for this
+checkout's isackit, and the per-instance hybrid sum-rate oracle."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+import isackit
+
+
+def run_python(args, **env):
+    """Runs `python args...` in a fresh process that imports this checkout's
+    isackit (its `src` first on PYTHONPATH) with `env` added to the
+    environment; asserts that it exits 0 and returns its stdout."""
+    src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def hybrid_sum_rate(channels, F, W, noise_var):
+    """Sum rate (nats) of one hybrid beamformer: channels is K x N (rows h_k),
+    F the N x L analog stage, W the L x K digital stage."""
+    T = np.asarray(channels).conj() @ F @ W  # T[k, j] = h_k^H F w_j
+    p = np.abs(T) ** 2
+    total = p.sum(axis=1) + noise_var
+    return float(np.sum(np.log(total / (total - np.diag(p)))))

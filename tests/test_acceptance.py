@@ -5,15 +5,10 @@ stochastic training are run on ten seeds at desk scale (the CLI defaults of
 the matching experiment), and the sizes were not chosen to make a claim hold.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import isackit
+from helpers import run_python
 from isackit.classical_design import epsilon_design, tradeoff_design
 from isackit.cli import run_experiment
 from isackit.hybrid_pga import (
@@ -168,27 +163,14 @@ def test_sensing_weight_raises_pd_and_ser(case3_runs):
 # ------------------------------------------------------------- determinism
 
 
-def _run_at_blas_threads(args, threads):
-    """Runs `python args...` in a fresh process with this checkout's isackit
-    and OPENBLAS_NUM_THREADS=threads; returns its stdout."""
-    src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def _csvs_at_blas_threads(tmp_path, experiment, threads):
     """The CSV bytes `isackit run` writes for experiment at its defaults and
     seed 7, in a fresh process with OPENBLAS_NUM_THREADS=threads."""
     config = tmp_path / f"{experiment}.json"
     config.write_text(f'{{"experiment": "{experiment}", "seed": 7}}')
     out = tmp_path / f"{experiment}_threads{threads}"
-    _run_at_blas_threads(["-m", "isackit.cli", "run", str(config), "--out", str(out)],
-                         threads)
+    run_python(["-m", "isackit.cli", "run", str(config), "--out", str(out)],
+               OPENBLAS_NUM_THREADS=threads)
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
@@ -234,7 +216,7 @@ def test_waveform_net_training_identical_across_blas_threads():
     training the waveform net (M=8, K=2, tau=8, 100 samples, 2 epochs,
     augmentation on, seed 7) in fresh processes with OPENBLAS_NUM_THREADS=1
     and =2 gives the same weights and loss history, byte for byte."""
-    one = _run_at_blas_threads(["-c", _WAVEFORM_DIGEST], "1")
-    two = _run_at_blas_threads(["-c", _WAVEFORM_DIGEST], "2")
+    one = run_python(["-c", _WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="1")
+    two = run_python(["-c", _WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="2")
     assert len(one.split()) == 2
     assert one == two

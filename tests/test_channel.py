@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from isackit.channel import (
     SPEED_OF_LIGHT,
@@ -136,9 +137,16 @@ def _aging_for_argument(argument, speed=2.0, carrier=3.2e9):
     )
 
 
-def test_jakes_static_user_is_one():
+def test_jakes_is_scipy_j0():
     aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3)
     assert jakes_correlation(aging) == 1.0
+    # exactly scipy's J0 at 2*pi*f_D*T_s, with f_D = v*f_c/c
+    for speed, carrier, period in [(2.0, 3.2e9, 1e-3), (30.0, 28e9, 2e-4),
+                                   (120.0, 2.4e9, 5e-3)]:
+        aging = AgingParams(user_speed=speed, carrier_freq=carrier,
+                            sample_period=period)
+        f_d = speed * carrier / SPEED_OF_LIGHT
+        assert jakes_correlation(aging) == j0(2 * np.pi * f_d * period)
 
 
 def test_jakes_first_bessel_zero():

@@ -2,13 +2,13 @@
 
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from helpers import run_python
 from isackit import __version__
 from isackit import cli
 from isackit.cli import main, run_experiment, validate_config
@@ -157,17 +157,36 @@ def test_version_subcommand(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-def test_module_is_executable():
-    proc = subprocess.run([sys.executable, "-m", "isackit.cli", "version"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == __version__
+_SCIPY_MODULES_AFTER_RUN = """
+import sys
+def scipy_modules():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import isackit.cli
+scipy_modules()
+isackit.cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+scipy_modules()
+"""
+
+
+def test_module_is_executable(tmp_path):
+    assert run_python(["-m", "isackit.cli", "version"]).strip() == __version__
+    # neither importing the CLI (which imports every module) nor a run that
+    # writes its record loads scipy: only case1_aging needs it, for J0
+    cfg = write_config(tmp_path / "c.json",
+                       {"experiment": "mi_mmse", "seed": 1,
+                        "params": {"snr_db": [0.0]}})
+    lines = run_python(["-c", _SCIPY_MODULES_AFTER_RUN, cfg,
+                        str(tmp_path / "o")]).splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert (tmp_path / "o" / "run_record.json").exists()
 
 
 # ----------------------------------------------------------------- mi_mmse
 
 
-def test_mi_mmse_run_and_gaussian_identity(tmp_path, capsys):
+def test_mi_mmse_run_and_gaussian_identity(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = write_config(tmp_path / "c.json",
                        {"experiment": "mi_mmse", "seed": 5,
                         "params": {"snr_db": [-5.0, 0.0, 10.0]}})
@@ -186,6 +205,13 @@ def test_mi_mmse_run_and_gaussian_identity(tmp_path, capsys):
     assert record["files"] == ["mi_mmse.csv"]
     assert record["experiment"] == "mi_mmse"
     assert record["wall_time_s"] >= 0.0
+    env = record["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_thread_vars"}
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["blas_thread_vars"]["OMP_NUM_THREADS"] == "3"
+    assert env["blas_thread_vars"]["MKL_NUM_THREADS"] is None
+    assert set(env["blas_thread_vars"]) == {"OPENBLAS_NUM_THREADS",
+                                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert capsys.readouterr().out.startswith("wrote 1 artifact")
 
 

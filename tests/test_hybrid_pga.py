@@ -1,13 +1,14 @@
 """Hybrid beamforming PGA: gradient oracles, projections, unrolled training.
 
 The references are independent of the code under test: central finite
-differences and per-instance evaluations of the rate formulas in `metrics`,
+differences and per-instance evaluations of the rate formula in `helpers`,
 and B=1 slices of the same batch.
 """
 
 import numpy as np
 import pytest
 
+from helpers import hybrid_sum_rate
 from isackit.hybrid_pga import (
     PgaDataset,
     StepSchedule,
@@ -22,7 +23,6 @@ from isackit.hybrid_pga import (
     unrolled_loss_grad,
 )
 from isackit import hybrid_pga
-from isackit.metrics import hybrid_sum_rate, hybrid_sum_rate_bits
 
 
 # ------------------------------------------------------------------ oracles
@@ -97,7 +97,7 @@ def test_grad_f_matches_finite_differences():
         g = grad_F_batch(ds.channels, ds.F0, ds.W0, 1.0)
         for b in range(2):
             h, W = ds.channels[b], ds.W0[b]
-            g_fd = fd_gradient(lambda Fp: hybrid_sum_rate_bits(h, Fp, W, 1.0),
+            g_fd = fd_gradient(lambda Fp: hybrid_sum_rate(h, Fp, W, 1.0) / np.log(2.0),
                                ds.F0[b])
             assert np.linalg.norm(g[b] - g_fd) < 1e-5 * np.linalg.norm(g_fd)
 
@@ -109,7 +109,7 @@ def test_grad_w_matches_finite_differences():
         g = grad_W_batch(ds.channels, ds.F0, ds.W0, 1.0)
         for b in range(2):
             h, F = ds.channels[b], ds.F0[b]
-            g_fd = fd_gradient(lambda Wp: hybrid_sum_rate_bits(h, F, Wp, 1.0),
+            g_fd = fd_gradient(lambda Wp: hybrid_sum_rate(h, F, Wp, 1.0) / np.log(2.0),
                                ds.W0[b])
             assert np.linalg.norm(g[b] - g_fd) < 1e-5 * np.linalg.norm(g_fd)
 

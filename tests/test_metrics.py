@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from helpers import hybrid_sum_rate
 from isackit import metrics
 from isackit.channel import ArrayGeometry, steering_vector
+from isackit.hybrid_pga import StepSchedule, pga_run_batch
 from isackit.metrics import (
     awgn_mi_mmse,
     detection_at_false_alarm,
     gaussian_mi_mmse,
-    glrt_statistic,
     glrt_statistics,
-    hybrid_sum_rate,
     mui_power,
     per_user_sinr,
     roc_curve,
@@ -101,6 +101,9 @@ def test_sum_rate_values():
 
 
 # ----------------------------------------------------------- hybrid sum rate
+#
+# `hybrid_sum_rate` is the per-instance oracle that tests/test_hybrid_pga.py
+# checks the batched rates of `hybrid_pga` against; these tests check it.
 
 
 def test_hybrid_rate_single_user(rng):
@@ -132,14 +135,16 @@ def test_hybrid_rate_matches_scalar_oracle(rng):
     assert np.isclose(hybrid_sum_rate(h, F, W, noise_var=0.5), acc)
 
 
-def test_hybrid_rate_validation(rng):
-    h = np.ones((2, 4), dtype=complex)
-    F = np.ones((4, 2), dtype=complex)
-    W = np.ones((2, 2), dtype=complex)
+def test_hybrid_rate_validation():
+    # the rates of hybrid_pga refuse a zero noise and mismatched stages
+    h = np.ones((1, 2, 4), dtype=complex)
+    F = np.ones((1, 4, 2), dtype=complex)
+    W = np.ones((1, 2, 2), dtype=complex)
+    schedule = StepSchedule.fixed(0.1, 1)
     with pytest.raises(ValueError):
-        hybrid_sum_rate(h, F, W, noise_var=0.0)
+        pga_run_batch(h, F, W, schedule, 1.0, noise_var=0.0)
     with pytest.raises(ValueError):
-        hybrid_sum_rate(h, np.ones((3, 2), dtype=complex), W, noise_var=1.0)
+        pga_run_batch(h, np.ones((1, 3, 2), dtype=complex), W, schedule, 1.0)
 
 
 # ------------------------------------------------------ covariance / pattern
@@ -216,7 +221,7 @@ def test_beampattern_average_equals_trace(rng):
 def test_glrt_zero_echo(rng):
     geom = ArrayGeometry(4)
     X = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    assert glrt_statistic(np.zeros((4, 6)), 0.2, X, 1.0, geom) == 0.0
+    assert glrt_statistics(np.zeros((1, 4, 6)), 0.2, X, 1.0, geom)[0] == 0.0
 
 
 def test_glrt_noise_free_divergence(rng):
@@ -224,8 +229,8 @@ def test_glrt_noise_free_divergence(rng):
     X = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     echoes = simulate_target_echoes(X, 0.2, alpha=0.5, noise_var=0.0, geom=geom,
                                     trials=1, rng=rng)
-    t1 = glrt_statistic(echoes[0], 0.2, X, 1e-2, geom)
-    t2 = glrt_statistic(echoes[0], 0.2, X, 1e-4, geom)
+    t1 = glrt_statistics(echoes, 0.2, X, 1e-2, geom)[0]
+    t2 = glrt_statistics(echoes, 0.2, X, 1e-4, geom)[0]
     assert np.isclose(t2 / t1, 100.0)
 
 
@@ -258,7 +263,7 @@ def test_echoes_match_out_of_place_formula_bitwise(rng):
 def test_glrt_zero_energy_waveform_rejected():
     geom = ArrayGeometry(3)
     with pytest.raises(ValueError, match="no energy"):
-        glrt_statistic(np.ones((3, 4)), 0.0, np.zeros((3, 4)), 1.0, geom)
+        glrt_statistics(np.ones((1, 3, 4)), 0.0, np.zeros((3, 4)), 1.0, geom)
 
 
 def test_roc_endpoints_and_chance_line(rng):
