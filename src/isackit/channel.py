@@ -8,7 +8,7 @@ numpy Generator so that experiments replay bit-identically from their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,24 +62,14 @@ class ChannelMatrix:
     """Stack of user channels, one row per user (K x M)."""
 
     entries: np.ndarray
-    per_user_params: tuple
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "per_user_params", tuple(self.per_user_params))
-        if ent.ndim != 2 or ent.shape[0] != len(self.per_user_params):
-            raise ValueError("row count must equal the number of users")
+        if ent.ndim != 2:
+            raise ValueError("channel matrix must be K x M")
         if not np.all(np.isfinite(ent)):
             raise ValueError("channel entries must be finite")
-
-    @property
-    def num_users(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
     if len(users) == 0:
         raise ValueError("no users")
     rows = np.stack([sample_user_channel(u, geom, rng) for u in users])
-    return ChannelMatrix(entries=rows, per_user_params=tuple(users))
+    return ChannelMatrix(entries=rows)
 
 
 def jakes_correlation(aging: AgingParams) -> float:

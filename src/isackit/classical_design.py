@@ -15,24 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ArrayGeometry, steering_grid
 from .metrics import RateReport, _as_matrix, mui_power, sum_rate
-
-PROVENANCES = (
-    "omni",
-    "directional",
-    "tradeoff",
-    "epsilon_comm",
-    "epsilon_sens",
-    "learned",
-    "genie",
-)
-
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
@@ -62,25 +51,27 @@ class CovarianceTemplate:
 
 @dataclass(frozen=True)
 class WaveformDesign:
-    """A space-time transmit frame together with its power budget and origin."""
+    """A space-time transmit frame X (M x tau_d) together with its power
+    budget P.
+
+    Solver frames meet the budget exactly, ||X||_F^2 = tau_d * P. A learned
+    frame is built with exact_power=False: its projection only promises
+    ||X||_F^2 <= tau_d * P and may leave it inside the ball.
+    """
 
     X: np.ndarray
     power: float
-    provenance: str
+    exact_power: InitVar[bool] = True
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __post_init__(self, exact_power):
         X = np.asarray(self.X, dtype=complex)
         if X.ndim != 2:
             raise ValueError("waveform must be a matrix")
         avg = np.linalg.norm(X) ** 2 / X.shape[1]
-        # solver outputs meet the budget exactly; network outputs only promise
-        # the inequality (projection may leave them inside the ball)
-        if self.provenance == "learned":
-            violated = avg > (1 + 1e-6) * self.power
-        else:
+        if exact_power:
             violated = abs(avg - self.power) > 1e-6 * self.power
+        else:
+            violated = avg > (1 + 1e-6) * self.power
         if violated:
             raise ValueError("waveform violates the power budget")
         object.__setattr__(self, "X", X)
@@ -119,31 +110,33 @@ def _project_psd_trace(C: np.ndarray, power: float) -> np.ndarray:
     return (U * lam) @ U.conj().T
 
 
-def directional_covariance(target_angles, total_power: float, geom: ArrayGeometry,
-                           grid=None, mask_halfwidth: float = np.deg2rad(5.0),
-                           mask_height: float | None = None,
-                           max_iters: int = 8000, tol: float = 1e-13) -> CovarianceTemplate:
+# Beampattern matching: the fit grid (1-degree steps over [-90, 90]), the
+# half-width of the mask around each target, and FISTA's iteration limit and
+# relative stopping tolerance on the objective.
+_PATTERN_GRID = np.deg2rad(np.arange(-90.0, 91.0))
+_MASK_HALFWIDTH = np.deg2rad(5.0)
+_FISTA_MAX_ITERS = 8000
+_FISTA_TOL = 1e-13
+
+
+def directional_covariance(target_angles, total_power: float,
+                           geom: ArrayGeometry) -> CovarianceTemplate:
     """Least-squares beampattern matching over the PSD trace-power set.
 
     Fits v(theta)^H C v(theta) to a rectangular mask around each requested
     target by accelerated projected gradient descent (monotone-restart FISTA
-    with backtracking). The default mask height 4*M*P/n sits well above the
-    attainable gain, which makes the fit concentrate one dominant lobe per
-    target instead of splitting into in-mask ripple.
+    with backtracking). The mask height 4*M*P/n (n targets) sits well above
+    the attainable gain, which makes the fit concentrate one dominant lobe
+    per target instead of splitting into in-mask ripple.
     """
     targets = np.atleast_1d(np.asarray(target_angles, dtype=float))
     if targets.size == 0:
         raise ValueError("need at least one target direction")
-    if grid is None:
-        grid = np.deg2rad(np.arange(-90.0, 91.0))
-    grid = np.asarray(grid, dtype=float)
     M = geom.num_antennas
-    if mask_height is None:
-        mask_height = 4.0 * total_power * M / targets.size
 
-    V = steering_grid(grid, geom)  # M x A
-    dist = np.min(np.abs(grid[:, None] - targets[None, :]), axis=1)
-    desired = np.where(dist <= mask_halfwidth, mask_height, 0.0)
+    V = steering_grid(_PATTERN_GRID, geom)  # M x A
+    dist = np.min(np.abs(_PATTERN_GRID[:, None] - targets[None, :]), axis=1)
+    desired = np.where(dist <= _MASK_HALFWIDTH, 4.0 * total_power * M / targets.size, 0.0)
 
     def f_and_g(Cm):
         p = np.einsum("ma,mn,na->a", V.conj(), Cm, V).real
@@ -153,9 +146,9 @@ def directional_covariance(target_angles, total_power: float, geom: ArrayGeometr
     C = reference_covariance_omni(total_power, M).matrix
     Z = C
     t = 1.0
-    step = 1.0 / (2.0 * grid.size * M)
+    step = 1.0 / (2.0 * _PATTERN_GRID.size * M)
     prev_obj = np.inf
-    for it in range(max_iters):
+    for it in range(_FISTA_MAX_ITERS):
         fz, gz = f_and_g(Z)
         while True:  # backtracking on the local quadratic upper bound
             Cn = _project_psd_trace(Z - step * gz, total_power)
@@ -170,11 +163,11 @@ def directional_covariance(target_angles, total_power: float, geom: ArrayGeometr
             Z, t = Cn, 1.0
         else:
             Z, t = Cn + ((t - 1.0) / t_next) * (Cn - C), t_next
-        if it >= 50 and abs(prev_obj - obj) <= tol * max(1.0, obj):
+        if it >= 50 and abs(prev_obj - obj) <= _FISTA_TOL * max(1.0, obj):
             return CovarianceTemplate(Cn, total_power)
         C, prev_obj = Cn, obj
     raise RuntimeError(
-        f"beampattern matching did not converge in {max_iters} iterations "
+        f"beampattern matching did not converge in {_FISTA_MAX_ITERS} iterations "
         f"(residual {prev_obj:.3e})")
 
 
@@ -183,8 +176,7 @@ def _hermitian_sqrt(C: np.ndarray) -> np.ndarray:
     return (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T
 
 
-def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int,
-                        provenance: str = "omni") -> WaveformDesign:
+def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> WaveformDesign:
     """MUI-optimal waveform under an exact covariance constraint.
 
     Minimizes ||H X - D||_F over all X with (1/tau_d) X X^H equal to the
@@ -201,7 +193,7 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int,
     F = _hermitian_sqrt(template.matrix)
     U, _, Vh = np.linalg.svd(F @ Hm.conj().T @ D)
     X = np.sqrt(tau_d) * F @ U @ Vh[:M, :]
-    return WaveformDesign(X, template.power, provenance)
+    return WaveformDesign(X, template.power)
 
 
 # ----------------------------------------------------------------- trade-off
@@ -335,7 +327,7 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     X = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
-    return WaveformDesign(X, total_power, "tradeoff")
+    return WaveformDesign(X, total_power)
 
 
 def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
@@ -376,13 +368,13 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     # grid indices of the weight extremes: the constrained metric is at its
     # best at `infeas` and at its worst at `feas`
     if mode == "comm_priority":
-        feas, infeas, provenance = 0, _WEIGHT_CELLS, "epsilon_comm"
+        feas, infeas = 0, _WEIGHT_CELLS
     else:
-        feas, infeas, provenance = _WEIGHT_CELLS, 0, "epsilon_sens"
+        feas, infeas = _WEIGHT_CELLS, 0
 
     X, value = solve(infeas)
     if value <= bound:
-        return WaveformDesign(X, total_power, provenance), bound - value
+        return WaveformDesign(X, total_power), bound - value
     X_feas, achieved = solve(feas)
     if achieved > bound:
         raise ValueError(
@@ -417,7 +409,7 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         if steps == 2:
             bisect = bisect or abs(infeas - feas) > 0.5 * mark
             mark, steps = abs(infeas - feas), 0
-    return WaveformDesign(X_feas, total_power, provenance), bound - achieved
+    return WaveformDesign(X_feas, total_power), bound - achieved
 
 
 def genie_rate(D, noise_var: float) -> RateReport:

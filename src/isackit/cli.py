@@ -39,7 +39,6 @@ from .constellation_ae import (
     calibrate_comm_noise,
     calibrate_radar_noise,
     evaluate_isac,
-    export_constellation,
     extract_constellation,
     train_isac_ae,
 )
@@ -56,7 +55,7 @@ from .metrics import (
     waveform_covariance,
 )
 from .neural import TrainConfig
-from .waveform_learn import DEFAULT_RICIAN_FACTORS, make_dataset
+from .waveform_learn import DEFAULT_RICIAN_FACTORS, QPSK, make_dataset, scenario_users
 
 _EXPERIMENTS = (
     "mi_mmse",
@@ -432,19 +431,14 @@ def _run_case1_beampattern(p, rng, out_dir, files):
 def _run_case1_aging(p, rng, out_dir, files):
     M, K, tau = p["num_antennas"], p["num_users"], p["frame_length"]
     geom = ArrayGeometry(M)
-    base_angles = (np.linspace(-np.pi / 3, np.pi / 3, K) if K > 1
-                   else np.array([0.0]))
+    users = scenario_users(K, DEFAULT_RICIAN_FACTORS)
     alt_angles = np.linspace(-np.pi / 2.1, -np.pi / 18, K)
-    factors = DEFAULT_RICIAN_FACTORS[:K]
-    users = [RicianParams(rician_factor=f, departure_angle=a)
-             for f, a in zip(factors, base_angles)]
-    alt_users = [RicianParams(rician_factor=f, departure_angle=a)
-                 for f, a in zip(factors, alt_angles)]
+    alt_users = [RicianParams(rician_factor=u.rician_factor, departure_angle=a)
+                 for u, a in zip(users, alt_angles)]
     aging = AgingParams(user_speed=p["user_speed"],
                         carrier_freq=p["carrier_freq"],
                         sample_period=p["sample_period"])
     template = reference_covariance_omni(p["total_power"], M)
-    qpsk = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
     def design(H, D):
         X0 = procrustes_waveform(template, H, D, tau)
@@ -456,7 +450,7 @@ def _run_case1_aging(p, rng, out_dir, files):
         H_new = np.stack([age_channel(H_old.entries[k], users[k], geom,
                                       aging, rng) for k in range(K)])
         H_alt = sample_channel_matrix(alt_users, geom, rng)
-        D = qpsk[rng.integers(0, 4, size=(K, tau))]
+        D = QPSK[rng.integers(0, 4, size=(K, tau))]
         triples.append((design(H_new, D), design(H_old.entries, D),
                         design(H_alt.entries, D), H_new, D))
     rows = []
@@ -551,7 +545,9 @@ def _run_case3_sweep(p, rng, out_dir, files):
 
     def record(tag, const):
         path = out_dir / f"constellation_{tag}.csv"
-        export_constellation(const, path)
+        _write_csv(path, "label,re,im",
+                   ((str(m), _fmt(z.real), _fmt(z.imag))
+                    for m, z in enumerate(const.points)))
         files.append(path.name)
         ser, pd, pfa = evaluate_isac(const, comm_var, radar_var, threshold,
                                      p["trials"],

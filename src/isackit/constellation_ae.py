@@ -444,11 +444,3 @@ def amplitude_spread(const: Constellation) -> float:
     """stddev(|points|) / mean(|points|); 0 for exact constant modulus."""
     mags = np.abs(const.points)
     return float(np.std(mags) / np.mean(mags))
-
-
-def export_constellation(const: Constellation, path) -> None:
-    """Write one 'label,re,im' CSV row per point, in message order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label,re,im\n")
-        for m, p in enumerate(const.points):
-            fh.write("{:d},{:.9g},{:.9g}\n".format(m, p.real, p.imag))

@@ -318,15 +318,18 @@ def unrolled_loss_grad(schedule: StepSchedule,
     return loss, grad
 
 
+_VAL_FRACTION = 0.1
+
+
 def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
                      epochs: int = 30, init_step: float = 0.05, *,
-                     batch_size: int = 100, val_fraction: float = 0.1,
-                     seed: int = 0) -> StepSchedule:
+                     batch_size: int = 100, seed: int = 0) -> StepSchedule:
     """SGD on the 2I step sizes with the exact reverse-mode gradient of
     `unrolled_loss` on each minibatch (`unrolled_loss_grad`).
 
-    A seeded slice of the dataset is held out for validation and the best
-    schedule on it is returned (training loss when the slice is empty).
+    A seeded _VAL_FRACTION slice of the dataset is held out for validation
+    and the best schedule on it is returned (training loss when the slice
+    rounds to empty).
     """
     if num_layers < 1:
         raise ValueError("num_layers must be at least 1")
@@ -334,11 +337,9 @@ def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
-    n_val = int(round(val_fraction * len(dataset)))
+    n_val = int(round(_VAL_FRACTION * len(dataset)))
     val = dataset.subset(order[:n_val]) if n_val else None
     tr = dataset.subset(order[n_val:])
-    if len(tr) == 0:
-        tr, val = dataset, None
 
     steps = np.full((num_layers, 2), float(init_step))
     best = np.inf

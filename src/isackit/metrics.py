@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelMatrix, steering_vector
+from .channel import ArrayGeometry, ChannelMatrix, steering_grid, steering_vector
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class MiMmsePoint:
-    snr: float  # linear
     mutual_info: float  # nats
     mmse: float  # in [0, 1] for unit-power input
 
@@ -93,12 +92,11 @@ def rate_report(H, X, D, noise_var: float) -> RateReport:
 # ----------------------------------------------------- covariance / pattern
 
 
-def waveform_covariance(X, tau_d: int | None = None) -> np.ndarray:
-    """Transmit covariance (1/tau_d) X X^H, Hermitian-symmetrized."""
+def waveform_covariance(X) -> np.ndarray:
+    """Transmit covariance (1/tau_d) X X^H of an M x tau_d frame,
+    Hermitian-symmetrized."""
     X = np.asarray(X, dtype=complex)
-    if tau_d is None:
-        tau_d = X.shape[1]
-    cov = (X @ X.conj().T) / tau_d
+    cov = (X @ X.conj().T) / X.shape[1]
     return 0.5 * (cov + cov.conj().T)
 
 
@@ -107,8 +105,7 @@ def transmit_beampattern(cov, angles, geom: ArrayGeometry) -> BeampatternCurve:
     cov = np.asarray(cov, dtype=complex)
     cov = 0.5 * (cov + cov.conj().T)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    m = np.arange(geom.num_antennas)
-    V = np.exp(1j * 2 * np.pi * geom.spacing * np.outer(m, np.sin(angles)))  # M x A
+    V = steering_grid(angles, geom)  # M x A
     gains = np.einsum("ma,mn,na->a", V.conj(), cov, V).real
     return BeampatternCurve(angles=angles, gains=gains)
 
@@ -154,15 +151,19 @@ def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: fl
     return echoes
 
 
-def roc_curve(stats_h0, stats_h1, num_thresholds: int = 201) -> RocCurve:
-    """Empirical ROC by sweeping a shared threshold grid; exceedance is strict,
-    so the lowest threshold yields (pfa, pd) = (1, 1) and the highest (0, 0)."""
+_ROC_THRESHOLDS = 201
+
+
+def roc_curve(stats_h0, stats_h1) -> RocCurve:
+    """Empirical ROC by sweeping a shared grid of _ROC_THRESHOLDS thresholds;
+    exceedance is strict, so the lowest threshold yields (pfa, pd) = (1, 1)
+    and the highest (0, 0)."""
     h0 = np.sort(np.asarray(stats_h0, dtype=float))
     h1 = np.sort(np.asarray(stats_h1, dtype=float))
     lo = min(h0[0], h1[0])
     hi = max(h0[-1], h1[-1])
     span = max(hi - lo, 1e-12)
-    thresholds = np.linspace(lo - 1e-9 * span - 1e-12, hi, num_thresholds)
+    thresholds = np.linspace(lo - 1e-9 * span - 1e-12, hi, _ROC_THRESHOLDS)
     pfa = 1.0 - np.searchsorted(h0, thresholds, side="right") / len(h0)
     pd = 1.0 - np.searchsorted(h1, thresholds, side="right") / len(h1)
     return RocCurve(thresholds=thresholds, pfa=pfa, pd=pd)
@@ -181,7 +182,7 @@ def gaussian_mi_mmse(snr: float) -> MiMmsePoint:
     """Closed-form Gaussian-input reference: I = ln(1+snr), MMSE = 1/(1+snr)."""
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    return MiMmsePoint(snr=snr, mutual_info=float(np.log1p(snr)), mmse=float(1.0 / (1.0 + snr)))
+    return MiMmsePoint(mutual_info=float(np.log1p(snr)), mmse=float(1.0 / (1.0 + snr)))
 
 
 def _mi_mmse_on_noise(points, probs, snr, noise, weights):
@@ -252,4 +253,4 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
     else:
         raise ValueError(f"unknown method {method!r}")
     mi, mmse = _mi_mmse_on_noise(points, probs, snr, noise, weights)
-    return MiMmsePoint(snr=snr, mutual_info=mi, mmse=mmse)
+    return MiMmsePoint(mutual_info=mi, mmse=mmse)

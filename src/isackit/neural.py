@@ -14,7 +14,9 @@ to either side are seen by the other, and they are updated in place.
 layout per call and returns (dW, db) views of it; a view keeps its vector
 alive for as long as the view lives, and two calls never share memory.
 `adam_step` keeps its moments as two flat vectors and updates the model's
-`params` block by block in place, with no parameter-sized temporaries.
+`params` block by block in place, with no parameter-sized temporaries. Its
+decay rates and epsilon are the constants of Kingma and Ba (ICLR 2015);
+only the learning rate is set per run.
 """
 
 from __future__ import annotations
@@ -177,18 +179,21 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
 # two scratch blocks) take 1.5 MiB and stay in a 2 MiB per-core L2 cache.
 _ADAM_BLOCK = 1 << 15
 
+# b1, b2 and eps of adam_step
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters and flat moment vectors laid out like the model's
-    params. `scratch` holds two blocks of work space; `grad_copy` receives
+    """Learning rate, step count and flat moment vectors laid out like the
+    model's params; the decay rates and epsilon are the module's _ADAM_*
+    constants. `scratch` holds two blocks of work space; `grad_copy` receives
     gradients that are not views of one flat vector (allocated on first
     use)."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
@@ -196,11 +201,9 @@ class AdamState:
     grad_copy: Optional[np.ndarray] = None
 
 
-def init_adam(model: MlpModel, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(model: MlpModel, lr: float = 1e-3) -> AdamState:
     n = model.params.size
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                     first_moment=np.zeros(n), second_moment=np.zeros(n),
+    return AdamState(lr=lr, first_moment=np.zeros(n), second_moment=np.zeros(n),
                      scratch=np.empty((2, min(n, _ADAM_BLOCK))))
 
 
@@ -250,25 +253,25 @@ def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
     grad = _flat_grad(state, model, param_grads)
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - _ADAM_BETA1**t
+    c2 = 1.0 - _ADAM_BETA2**t
     params, first, second = model.params, state.first_moment, state.second_moment
     for start in range(0, params.size, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, params.size)
         g, m, v, p = grad[start:stop], first[start:stop], second[start:stop], params[start:stop]
         step, denom = state.scratch[0, :stop - start], state.scratch[1, :stop - start]
         np.subtract(g, m, out=step)
-        np.multiply(step, 1 - state.beta1, out=step)
+        np.multiply(step, 1 - _ADAM_BETA1, out=step)
         m += step
         np.square(g, out=step)
         np.subtract(step, v, out=step)
-        np.multiply(step, 1 - state.beta2, out=step)
+        np.multiply(step, 1 - _ADAM_BETA2, out=step)
         v += step
         np.divide(m, c1, out=step)
         np.multiply(step, state.lr, out=step)
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        np.add(denom, state.eps, out=denom)
+        np.add(denom, _ADAM_EPS, out=denom)
         np.divide(step, denom, out=step)
         p -= step
     return model

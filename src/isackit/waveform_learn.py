@@ -29,6 +29,7 @@ from .classical_design import (
 from .neural import MlpModel, TrainConfig, init_mlp, predict, train
 
 DEFAULT_RICIAN_FACTORS = (1.5, 2.7, 1.2, 2.5)
+QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))  # unit-power symbols of D
 
 
 @dataclass(frozen=True)
@@ -164,22 +165,26 @@ def isac_waveform_loss(X, H, D, X0, weight: float):
 # ------------------------------------------------------------------- dataset
 
 
-def make_dataset(num_samples: int, num_antennas: int, num_users: int,
-                 frame_length: int, rng: np.random.Generator,
-                 total_power: float = 1.0, reference: str = "omni",
-                 target_angles=None, rician_factors=None):
-    """Draw (H, D, X0) triples: Rician users on evenly spaced departure
-    angles, QPSK symbols, and a covariance-constrained reference waveform."""
-    if frame_length < num_antennas:
-        raise ValueError("frame length must be at least the antenna count")
-    geom = ArrayGeometry(num_antennas)
-    if rician_factors is None:
-        rician_factors = DEFAULT_RICIAN_FACTORS
+def scenario_users(num_users: int, rician_factors):
+    """The Case I users: the first `num_users` Rician factors on departure
+    angles evenly spaced over [-pi/3, pi/3] (broadside for a single user)."""
     if len(rician_factors) < num_users:
         raise ValueError("need a Rician factor per user")
     angles = np.linspace(-np.pi / 3, np.pi / 3, num_users) if num_users > 1 else [0.0]
-    users = [RicianParams(rician_factor=rician_factors[k], departure_angle=angles[k])
-             for k in range(num_users)]
+    return [RicianParams(rician_factor=rician_factors[k], departure_angle=angles[k])
+            for k in range(num_users)]
+
+
+def make_dataset(num_samples: int, num_antennas: int, num_users: int,
+                 frame_length: int, rng: np.random.Generator,
+                 total_power: float = 1.0, reference: str = "omni",
+                 target_angles=None, rician_factors=DEFAULT_RICIAN_FACTORS):
+    """Draw (H, D, X0) triples: the `scenario_users` channels, QPSK symbols,
+    and a covariance-constrained reference waveform."""
+    if frame_length < num_antennas:
+        raise ValueError("frame length must be at least the antenna count")
+    geom = ArrayGeometry(num_antennas)
+    users = scenario_users(num_users, rician_factors)
 
     if reference == "omni":
         template = reference_covariance_omni(total_power, num_antennas)
@@ -190,12 +195,11 @@ def make_dataset(num_samples: int, num_antennas: int, num_users: int,
     else:
         raise ValueError("reference must be omni or directional")
 
-    qpsk = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
     samples = []
     for _ in range(num_samples):
         H = sample_channel_matrix(users, geom, rng)
-        D = qpsk[rng.integers(0, 4, size=(num_users, frame_length))]
-        X0 = procrustes_waveform(template, H, D, frame_length, provenance=reference)
+        D = QPSK[rng.integers(0, 4, size=(num_users, frame_length))]
+        X0 = procrustes_waveform(template, H, D, frame_length)
         samples.append(WaveformSample(H=H, D=D, X0=X0))
     return samples
 
@@ -231,17 +235,14 @@ def symmetry_augment(D: np.ndarray, X0: np.ndarray, rng: np.random.Generator):
 
 
 def train_waveform_net(dataset, weight: float, config: TrainConfig,
-                       rng: np.random.Generator | None = None,
-                       augment: bool = False,
-                       init_model: MlpModel | None = None):
+                       augment: bool = False):
     """Unsupervised training of the waveform net on a 60/20/20 split.
 
-    Returns (model, history, (train_idx, val_idx, test_idx)). Early stopping
-    defaults to patience 20 when the config does not set one. With augment,
-    each training batch is rewritten through symmetry_augment before the
-    forward pass; validation batches are left untouched. init_model warm
-    starts from an earlier phase (e.g. a weight-0 copy pretrain); passing the
-    same seed keeps the split identical across phases.
+    Returns (model, history, (train_idx, val_idx, test_idx)). config.seed
+    draws the initial weights and then the split. Early stopping defaults to
+    patience 20 when the config does not set one. With augment, each
+    training batch is rewritten through symmetry_augment before the forward
+    pass; validation batches are left untouched.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
@@ -249,20 +250,12 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
         raise ValueError("dataset smaller than one batch")
     if config.early_stop_patience is None:
         config = dataclasses.replace(config, early_stop_patience=20)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     H, D, X0, total_power = stack_samples(dataset)
     _, K, M = H.shape
     tau = D.shape[2]
 
-    spec = WaveformNetSpec(M, K, tau)
-    # build() always runs so the rng stream (and with it the seeded split
-    # below) is the same whether or not a warm start replaces the model
-    model = spec.build(rng)
-    if init_model is not None:
-        if [W.shape for W in init_model.weights] != [W.shape for W in model.weights]:
-            raise ValueError("init_model does not match the problem dims")
-        model = init_model.copy()
+    model = WaveformNetSpec(M, K, tau).build(rng)
     features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
 
@@ -291,4 +284,4 @@ def predict_waveform(model: MlpModel, sample: WaveformSample) -> WaveformDesign:
     H, D, X0, total_power = stack_samples([sample])
     raw = predict(model, build_features(H, D, X0))
     X = power_projection(raw, total_power, D.shape[2])[0]
-    return WaveformDesign(X, total_power, "learned")
+    return WaveformDesign(X, total_power, exact_power=False)

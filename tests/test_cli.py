@@ -61,6 +61,14 @@ def test_config_schema_doc_matches_defaults():
                 f"{kind}.{name}: {constraint!r} does not start with {message!r}"
 
 
+def test_shipped_configs_validate():
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    loaded = {path.name: cli.load_config(path) for path in configs}
+    assert sorted(cfg["experiment"] for cfg in loaded.values()) == sorted(cli._EXPERIMENTS)
+    for name, cfg in loaded.items():
+        assert validate_config(cfg) == [], name
+
+
 def test_validate_missing_seed_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"experiment": "mi_mmse"})
     assert main(["validate", cfg]) == 2
@@ -330,6 +338,10 @@ def test_case3_sweep_artifacts(tmp_path):
     assert set(record.files) == {"constellation_psk.csv",
                                  "constellation_qam.csv",
                                  "constellation_eta_0.5.csv"}
+    # one 'label,re,im' row per point, in message order, at 9 significant digits
+    psk = cli.baseline_constellation("PSK", 4).points
+    assert (tmp_path / "constellation_psk.csv").read_text().splitlines() == \
+        ["label,re,im"] + [f"{m},{z.real:.9g},{z.imag:.9g}" for m, z in enumerate(psk)]
     header, rows = read_csv(tmp_path / "constellation_eta_0.5.csv")
     assert header == "label,re,im"
     assert [int(r[0]) for r in rows] == [0, 1, 2, 3]

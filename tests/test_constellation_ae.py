@@ -19,7 +19,6 @@ from isackit.constellation_ae import (
     comm_loss,
     detection_statistic,
     evaluate_isac,
-    export_constellation,
     extract_constellation,
     message_bits,
     ml_decode,
@@ -239,16 +238,6 @@ def test_baseline_psk_and_qam():
         baseline_constellation("QAM", 12)
     with pytest.raises(ValueError):
         baseline_constellation("APSK", 16)
-
-
-def test_export_constellation_format(tmp_path):
-    const = Constellation(np.array([-1j, 1j]))
-    path = tmp_path / "points.csv"
-    export_constellation(const, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "label,re,im"
-    assert lines[1] == "0,-0,-1"
-    assert lines[2] == "1,0,1"
 
 
 # -------------------------------------------------------------- receivers

@@ -155,13 +155,13 @@ def test_covariance_orthogonal_rows():
     # rows of a scaled unitary embedding: X X^H = tau * (P/M) I
     U = np.fft.fft(np.eye(tau)) / np.sqrt(tau)
     X = np.sqrt(P / M * tau) * U[:M, :]
-    cov = waveform_covariance(X, tau)
+    cov = waveform_covariance(X)
     assert np.allclose(cov, (P / M) * np.eye(M), atol=1e-10)
 
 
 def test_covariance_rank_one(rng):
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    cov = waveform_covariance(x[:, None], 1)
+    cov = waveform_covariance(x[:, None])
     assert np.allclose(cov, np.outer(x, x.conj()), atol=1e-12)
     assert np.linalg.matrix_rank(cov, tol=1e-9) == 1
 
@@ -169,7 +169,7 @@ def test_covariance_rank_one(rng):
 def test_covariance_matches_triple_loop(rng):
     M, tau = 3, 5
     X = rng.standard_normal((M, tau)) + 1j * rng.standard_normal((M, tau))
-    cov = waveform_covariance(X, tau)
+    cov = waveform_covariance(X)
     for a in range(M):
         for b in range(M):
             acc = sum(X[a, q] * np.conj(X[b, q]) for q in range(tau)) / tau
@@ -268,7 +268,7 @@ def test_glrt_zero_energy_waveform_rejected():
 
 def test_roc_endpoints_and_chance_line(rng):
     same = rng.standard_normal(5000)
-    curve = roc_curve(same, same.copy(), 101)
+    curve = roc_curve(same, same.copy())
     assert curve.pfa[0] == 1.0 and curve.pd[0] == 1.0
     assert curve.pfa[-1] == 0.0 and curve.pd[-1] == 0.0
     assert np.max(np.abs(curve.pd - curve.pfa)) < 1e-12
@@ -279,7 +279,7 @@ def test_roc_gaussian_oracle(rng):
     n = 100_000
     h0 = rng.standard_normal(n)
     h1 = rng.standard_normal(n) + 3.0
-    curve = roc_curve(h0, h1, 2001)
+    curve = roc_curve(h0, h1)
     pd = detection_at_false_alarm(curve, 0.1)
     oracle = norm.sf(norm.isf(0.1) - 3.0)
     assert abs(pd - oracle) < 0.02
@@ -288,7 +288,7 @@ def test_roc_gaussian_oracle(rng):
 @given(seed=st.integers(0, 2**31 - 1))
 def test_roc_monotone_in_pfa(seed):
     r = np.random.default_rng(seed)
-    curve = roc_curve(r.standard_normal(300), r.standard_normal(300) + 1.0, 51)
+    curve = roc_curve(r.standard_normal(300), r.standard_normal(300) + 1.0)
     # thresholds ascend, so both series are nonincreasing
     assert np.all(np.diff(curve.pfa) <= 1e-15)
     assert np.all(np.diff(curve.pd) <= 1e-15)

@@ -72,18 +72,19 @@ def _oracle_backward_pass(model, cache, grad_output):
 def _oracle_adam_step(state, model, param_grads):
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    b1, b2, eps = neural._ADAM_BETA1, neural._ADAM_BETA2, neural._ADAM_EPS
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
     first = model.layer_views(state.first_moment)
     second = model.layer_views(state.second_moment)
     for i, (dW, db) in enumerate(param_grads):
         (mW, mb), (vW, vb) = first[i], second[i]
-        mW += (1 - state.beta1) * (dW - mW)
-        mb += (1 - state.beta1) * (db - mb)
-        vW += (1 - state.beta2) * (dW**2 - vW)
-        vb += (1 - state.beta2) * (db**2 - vb)
-        model.weights[i] -= state.lr * (mW / c1) / (np.sqrt(vW / c2) + state.eps)
-        model.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.eps)
+        mW += (1 - b1) * (dW - mW)
+        mb += (1 - b1) * (db - mb)
+        vW += (1 - b2) * (dW**2 - vW)
+        vb += (1 - b2) * (db**2 - vb)
+        model.weights[i] -= state.lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
+        model.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
     return model
 
 
