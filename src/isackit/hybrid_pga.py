@@ -12,10 +12,15 @@ intermediate layers. Its gradient is exact: `unrolled_loss_grad` tapes one
 forward pass over the minibatch and runs one hand-written reverse pass
 through every layer (rate term, power renormalization, W step, unit-modulus
 projection, F step), so a minibatch costs O(I) layer evaluations. The
-evaluation path `pga_run_batch` runs the same layer code and keeps no tape.
+evaluation path `pga_run_batch` runs the same layer code and keeps no tape:
+it forms conj(h) once, writes each layer's F gradient, F step and projection
+into one of two F-sized buffers that alternate, and F' W into a third.
 
 Internal rates are in nats; the closed-form gradients keep the 1/ln 2 factor
 of the log2 formulation, so they are exact gradients of the rate in bits.
+A complex array is divided by a real value as numpy's complex division
+computes it, x * (1/c) with the reciprocal in real arithmetic, but without
+that division's generic path: the bits are the same, up to the sign of zero.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _LN2 = float(np.log(2.0))
+_INV_LN2 = 1.0 / _LN2
+# Below the smallest normal modulus, 1/|F| can overflow.
+_TINY = np.finfo(float).tiny
+_SUBNORMAL_SCALE = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -55,28 +64,42 @@ def _check_noise(noise_var: float):
         raise ValueError("noise_var must be positive")
 
 
-def project_unit_modulus(F) -> np.ndarray:
-    """Entrywise phase projection; zero entries map to 1+0j."""
+def project_unit_modulus(F, out=None) -> np.ndarray:
+    """Entrywise phase projection F / |F|; zero entries map to 1+0j. `out`
+    may be F itself. An entry of subnormal modulus, whose reciprocal can
+    overflow, is first scaled by an exact power of two."""
     F = np.asarray(F, dtype=complex)
-    mag = np.abs(F)
-    return np.divide(F, mag, out=np.ones_like(F), where=mag > 0)
+    inv = np.abs(F)
+    small = inv < _TINY  # zero, or subnormal
+    fix = None
+    if small.any():
+        Fs = F[small] * _SUBNORMAL_SCALE
+        mag = np.abs(Fs)
+        fix = np.divide(Fs, mag, out=np.ones_like(Fs), where=mag > 0)
+        inv[small] = 1.0
+    np.divide(1.0, inv, out=inv)
+    out = np.multiply(F, inv, out=out)
+    if fix is not None:
+        out[small] = fix
+    return out
 
 
-def normalize_power(F, W, power: float) -> np.ndarray:
+def normalize_power(F, W, power: float, *, prod=None) -> np.ndarray:
     """Rescale W so that ||F W||_F^2 equals the budget exactly, one norm per
-    instance of the (..., N, L) and (..., L, K) stacks."""
+    instance of the (..., N, L) and (..., L, K) stacks. F W is written into
+    `prod` when given."""
     F = np.asarray(F, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    nrm = np.linalg.norm(F @ W, axis=(-2, -1), keepdims=True)
+    nrm = np.linalg.norm(np.matmul(F, W, out=prod), axis=(-2, -1),
+                         keepdims=True)
     if not np.all(nrm > 0):
         raise ValueError("degenerate beamformer")
     return np.sqrt(power) / nrm * W
 
 
-def _batch_stats(h, F, W, noise_var):
-    """Cross-gains and per-user totals for a batch: h (B,K,N), F (B,N,L),
-    W (B,L,K) -> (hF (B,K,L), hFW (B,K,K), total (B,K), inter (B,K))."""
-    hF = h.conj() @ F
+def _batch_stats(hF, W, noise_var):
+    """Cross-gains and per-user totals for a batch, from hF = h^H F (B,K,L)
+    and W (B,L,K) -> (hF, hFW (B,K,K), total (B,K), inter (B,K))."""
     hFW = np.einsum("bkl,blj->bkj", hF, W)
     p = np.abs(hFW) ** 2
     total = p.sum(axis=2) + noise_var
@@ -100,21 +123,30 @@ def _herm(X) -> np.ndarray:
     return np.swapaxes(X.conj(), -2, -1)
 
 
-def grad_F_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
+def _recip(x) -> np.ndarray:
+    """1/x of a real (B, K) stack, shaped to scale the rows of (B, K, .)."""
+    return (1.0 / x)[:, :, None]
+
+
+def grad_F_batch(h, F, W, noise_var: float, *, stats=None,
+                 out=None) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(F), using the
     rank-1 structure of h_k h_k^H. `stats` is `_batch_stats` at (F, W) when
-    the caller already has it."""
+    the caller already has it; the gradient is written into `out` when
+    given."""
     _check_noise(noise_var)
     if stats is None:
-        stats = _batch_stats(h, F, W, noise_var)
+        stats = _batch_stats(h.conj() @ F, W, noise_var)
     hF, hFW, total, inter = stats
     V = np.einsum("blj,bmj->blm", W, W.conj())
     a = np.einsum("bkl,blm->bkm", hF, V)  # h_k^H F V
     diag = np.einsum("bkk->bk", hFW)
     # h_k^H F Vbar_k = h_k^H F V - (h_k^H F w_k) w_k^H
     b = a - diag[:, :, None] * np.swapaxes(W.conj(), 1, 2)
-    out = np.swapaxes(h, 1, 2) @ (a / total[:, :, None] - b / inter[:, :, None])
-    return out / _LN2
+    out = np.matmul(np.swapaxes(h, 1, 2),
+                    a * _recip(total) - b * _recip(inter), out=out)
+    out *= _INV_LN2
+    return out
 
 
 def grad_W_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
@@ -122,27 +154,33 @@ def grad_W_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
     Hbar_k = (F^H h_k)(h_k^H F) is rank one. `stats` as in `grad_F_batch`."""
     _check_noise(noise_var)
     if stats is None:
-        stats = _batch_stats(h, F, W, noise_var)
+        stats = _batch_stats(h.conj() @ F, W, noise_var)
     hF, hFW, total, inter = stats
-    out = np.einsum("bkl,bkj->blj", hF.conj(), hFW / total[:, :, None])
-    out -= np.einsum("bkl,bkj->blj", hF.conj(),
-                     _offdiag(hFW) / inter[:, :, None])
-    return out / _LN2
+    hFc = hF.conj()
+    out = np.einsum("bkl,bkj->blj", hFc, hFW * _recip(total))
+    out -= np.einsum("bkl,bkj->blj", hFc, _offdiag(hFW) * _recip(inter))
+    out *= _INV_LN2
+    return out
 
 
-def _layer(h, F, W, stats, mu_f, mu_w, power, noise_var):
-    """One PGA layer from (F, W), whose `_batch_stats` are `stats`. Returns
-    the new (F, W), their statistics, and the small intermediates the reverse
-    pass reads: statistics at (F', W), grad_W and the W step. The F-sized
-    grad_F and F step are dropped at once, so that a large batch holds no
-    more than its state; the reverse pass recomputes them."""
-    F1 = project_unit_modulus(
-        F + mu_f * grad_F_batch(h, F, W, noise_var, stats=stats))
-    mid = _batch_stats(h, F1, W, noise_var)
+def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var, out=None,
+           prod=None):
+    """One PGA layer from (F, W), whose `_batch_stats` are `stats`; hc is
+    conj(h). Returns the new (F, W), their statistics, and the small
+    intermediates the reverse pass reads: statistics at (F', W), grad_W and
+    the W step. grad_F is written into `out` (not F; a fresh array when
+    None), and the F step and the projection overwrite it, so F' is `out`;
+    the reverse pass recomputes grad_F and the F step. F' W goes into `prod`
+    (a dropped temporary when None). Statistics at (F', W') reuse h^H F'."""
+    F1 = grad_F_batch(h, F, W, noise_var, stats=stats, out=out)
+    F1 *= mu_f
+    F1 += F
+    project_unit_modulus(F1, out=F1)
+    mid = _batch_stats(hc @ F1, W, noise_var)
     gW = grad_W_batch(h, F1, W, noise_var, stats=mid)
     Wt = W + mu_w * gW
-    W1 = normalize_power(F1, Wt, power)
-    return F1, W1, _batch_stats(h, F1, W1, noise_var), (mid, gW, Wt)
+    W1 = normalize_power(F1, Wt, power, prod=prod)
+    return F1, W1, _batch_stats(mid[0], W1, noise_var), (mid, gW, Wt)
 
 
 def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
@@ -152,11 +190,16 @@ def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
     _check_noise(noise_var)
     F = np.asarray(F0, dtype=complex)
     W = np.asarray(W0, dtype=complex)
+    hc = h.conj()
+    # Layer i writes F' into the buffer that does not hold its input F.
+    bufs = (np.empty_like(F), np.empty_like(F))
+    prod = np.empty(F.shape[:-1] + W.shape[-1:], dtype=complex)
     rates = np.empty((F.shape[0], schedule.num_layers))
     # Layer i's rate statistics are the inputs of layer i+1's F gradient.
-    stats = _batch_stats(h, F, W, noise_var)
+    stats = _batch_stats(hc @ F, W, noise_var)
     for i, (mu_f, mu_w) in enumerate(schedule.steps):
-        F, W, stats = _layer(h, F, W, stats, mu_f, mu_w, power, noise_var)[:3]
+        F, W, stats = _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var,
+                             out=bufs[i % 2], prod=prod)[:3]
         rates[:, i] = _batch_rates(stats[2], stats[3])
     return F, W, rates
 
@@ -173,25 +216,25 @@ def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
 
 def _rate_z(h, stats) -> np.ndarray:
     _, S, total, inter = stats
-    M = S / total[:, :, None] - _offdiag(S) / inter[:, :, None]
+    M = S * _recip(total) - _offdiag(S) * _recip(inter)
     return np.swapaxes(h, 1, 2) @ M
 
 
-def _grad_jvp(h, F, W, stats, Z, dF=None, dW=None):
+def _grad_jvp(h, hc, F, W, stats, Z, dF=None, dW=None):
     """Directional derivative of (grad_F_batch, grad_W_batch) at (F, W),
     with `_batch_stats` `stats` and `_rate_z` Z, along (dF, dW); a None
-    direction is zero."""
+    direction is zero. hc is conj(h)."""
     hF, S, total, inter = stats
     dS = 0.0
     if dF is not None:
-        dS = (h.conj() @ dF) @ W
+        dS = (hc @ dF) @ W
     if dW is not None:
         dS = dS + hF @ dW
     dp = 2.0 * (S.conj() * dS).real
     dT = dp.sum(axis=2)
     dQ = dT - np.diagonal(dp, axis1=1, axis2=2)
-    dM = ((dS - S * (dT / total)[:, :, None]) / total[:, :, None]
-          - _offdiag(dS - S * (dQ / inter)[:, :, None]) / inter[:, :, None])
+    dM = ((dS - S * (dT / total)[:, :, None]) * _recip(total)
+          - _offdiag(dS - S * (dQ / inter)[:, :, None]) * _recip(inter))
     dZ = np.swapaxes(h, 1, 2) @ dM
     dgF = dZ @ _herm(W)
     dgW = _herm(F) @ dZ
@@ -199,7 +242,9 @@ def _grad_jvp(h, F, W, stats, Z, dF=None, dW=None):
         dgW += _herm(dF) @ Z
     if dW is not None:
         dgF += Z @ _herm(dW)
-    return dgF / _LN2, dgW / _LN2
+    dgF *= _INV_LN2
+    dgW *= _INV_LN2
+    return dgF, dgW
 
 
 # ---------------------------------------------------------------- datasets
@@ -266,10 +311,12 @@ def unrolled_loss_grad(schedule: StepSchedule,
     I, B = schedule.num_layers, len(dataset)
     F = np.asarray(dataset.F0, dtype=complex)
     W = np.asarray(dataset.W0, dtype=complex)
-    states = [(F, W, _batch_stats(h, F, W, noise_var))]
+    hc = h.conj()
+    states = [(F, W, _batch_stats(hc @ F, W, noise_var))]
     tape = []
     for mu_f, mu_w in steps:
-        F, W, stats, inner = _layer(h, F, W, states[-1][2], mu_f, mu_w,
+        # Fresh arrays per layer: the tape keeps every state.
+        F, W, stats, inner = _layer(h, hc, F, W, states[-1][2], mu_f, mu_w,
                                     power, noise_var)
         states.append((F, W, stats))
         tape.append(inner)
@@ -299,20 +346,21 @@ def unrolled_loss_grad(schedule: StepSchedule,
         Fb = Fb - scale * alpha / nrm ** 2 * (Y @ _herm(Wt))
         # Wt = W + mu_w grad_W(F1, W)
         grad[i, 1] = np.vdot(Wtb, gW).real
-        dgF, dgW = _grad_jvp(h, F1, W, mid, _rate_z(h, mid), dW=Wtb)
+        dgF, dgW = _grad_jvp(h, hc, F1, W, mid, _rate_z(h, mid), dW=Wtb)
         Fb = Fb + mu_w * dgF
         Wb = Wtb + mu_w * dgW
         # F1 = Ft / |Ft| with Ft = F + mu_f gF, recomputed bit for bit:
         # keep the tangential part of the adjoint, divided by |Ft|
         gF = grad_F_batch(h, F, W, noise_var, stats=stats)
-        mag = np.abs(F + mu_f * gF)
-        Ftb = np.divide(Fb - F1 * (F1.conj() * Fb).real, mag,
-                        out=np.zeros_like(Fb), where=mag > 0)
+        inv = np.abs(F + mu_f * gF)
+        np.divide(1.0, inv, out=inv, where=inv > 0)  # 0 where Ft = 0
+        Ftb = Fb - F1 * (F1.conj() * Fb).real
+        Ftb *= inv
         grad[i, 0] = np.vdot(Ftb, gF).real
         if i == 0:
             break
         Z1 = _rate_z(h, stats)
-        dgF, dgW = _grad_jvp(h, F, W, stats, Z1, dF=Ftb)
+        dgF, dgW = _grad_jvp(h, hc, F, W, stats, Z1, dF=Ftb)
         Fb = Ftb + mu_f * dgF
         Wb = Wb + mu_f * dgW
     return loss, grad
