@@ -211,27 +211,18 @@ _WEIGHT_CELLS = 2 ** math.ceil(-math.log2(_WEIGHT_TOL))
 def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
     """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam_min, inf).
 
-    Safeguarded Newton iteration on psi(mu) = phi(mu)^(-1/2) - target^(-1/2)
-    (More & Sorensen 1983), which is nearly linear in mu. It starts at the
-    pole side of the bracket; a step that leaves the bracket is replaced by
-    bisection. It stops when phi meets the target to within a few ulps, or
-    when no float lies strictly inside the bracket, never on step size alone.
+    Newton iteration on psi(mu) = phi(mu)^(-1/2) - target^(-1/2) (More &
+    Sorensen 1983). psi is increasing and concave on (-lam_min, inf), since
+    psi'' <= 0 is Cauchy-Schwarz on the sums of rho / (lam + mu)^k, k = 2, 3,
+    4; so Newton started left of the root rises monotonically and never
+    passes it. The start is next to the pole, or further right where one term
+    alone already reaches the target. It stops when phi meets the target to
+    within a few ulps, or when a step no longer moves mu to the right, never
+    on step size alone.
     """
-
-    def phi(mu):
-        return float(np.sum(rho / (lam + mu) ** 2))
-
     lam_min = lam.min()
-    scale = max(1.0, abs(lam_min))
-    lo = -lam_min + 1e-14 * scale
-    hi = -lam_min + scale
-    grew = 0
-    while phi(hi) > target:
-        hi = -lam_min + (hi + lam_min) * 2.0
-        grew += 1
-        if grew > 200:
-            raise RuntimeError("secular solve failed to bracket the root")
-    mu = lo
+    mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
+             float(np.max(np.sqrt(rho / target) - lam)))
     while True:
         inv = 1.0 / (lam + mu)
         terms = rho * inv * inv
@@ -241,16 +232,12 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
         # a steep branch the float grid of mu cannot bring phi any closer
         if abs(value - target) <= 4.0 * _EPS * (target + 2.0 * cubic * abs(mu)):
             return mu
-        if value > target:
-            lo = mu
-        else:
-            hi = mu
+        if cubic == 0.0:
+            raise RuntimeError(f"secular solve: phi' underflows to 0 at target {target:.3e}")
         # Newton step on psi, with psi' = phi^(-3/2) * cubic
         nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                return mu
+        if not nxt > mu:
+            return mu
         mu = nxt
 
 
@@ -297,7 +284,9 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.nda
     rho = np.linalg.norm(W, axis=1) ** 2
 
     # hard case: no weight on the minimal eigenspace and the boundary value
-    # already undershoots the budget; fill the gap inside that eigenspace
+    # already undershoots the budget; fill the gap inside that eigenspace,
+    # along X0's part there (the limit as the weight goes to 1), or along its
+    # first eigenvector when X0 has no part there
     lam_min = lam.min()
     min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
     pos = ~min_space
@@ -305,10 +294,10 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.nda
     if rho[min_space].sum() < 1e-20 * max(1.0, rho.sum()) and boundary <= target:
         coeff = np.zeros_like(W)
         coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
-        deficit = target - boundary
-        fill = np.zeros_like(W)
-        fill[np.argmax(min_space)] = np.sqrt(deficit / tau_d)
-        X = f.U @ (coeff + fill)
+        fill = np.where(min_space[:, None], f.UX0, 0.0)
+        if not fill.any():
+            fill[np.argmax(min_space)] = 1.0
+        X = f.U @ (coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2))
     else:
         mu = _secular_solve(lam, rho, target)
         X = f.U @ (W / (lam + mu)[:, None])
@@ -321,8 +310,8 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
 
     The stationarity system (A + mu I) X = B with A = eta H^H H + (1-eta) I is
     solved exactly: one eigendecomposition of H^H H, which A shares, then a
-    safeguarded Newton iteration on the secular equation for the multiplier
-    mu that meets the power budget.
+    monotone Newton iteration on the secular equation for the multiplier mu
+    that meets the power budget.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")

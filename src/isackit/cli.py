@@ -57,18 +57,6 @@ from .metrics import (
 from .neural import TrainConfig
 from .waveform_learn import DEFAULT_RICIAN_FACTORS, QPSK, make_dataset, scenario_users
 
-_EXPERIMENTS = (
-    "mi_mmse",
-    "case1_rate",
-    "case1_roc",
-    "case1_beampattern",
-    "case1_aging",
-    "case2_convergence",
-    "case2_snr",
-    "case3_sweep",
-)
-
-
 @dataclasses.dataclass
 class RunRecord:
     """Manifest written after all artifacts: config echo, version, timing,
@@ -580,6 +568,7 @@ _RUNNERS = {
     "case2_snr": _run_case2_snr,
     "case3_sweep": _run_case3_sweep,
 }
+_EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: dict, out_dir) -> RunRecord:

@@ -84,9 +84,6 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.weights, self.biases, list(self.activations))
-
 
 def init_mlp(widths: Sequence[int], activations: Sequence[str],
              rng: np.random.Generator) -> MlpModel:

@@ -68,6 +68,31 @@ def test_epsilon_design_beats_every_feasible_sweep_design():
                 assert error <= (1 + 1e-12) * sens[mui <= bound].min()
 
 
+def test_comm_priority_design_beats_every_feasible_sweep_design():
+    """Claim: the epsilon-constraint design (comm_priority) has the least MUI
+    among designs whose sensing error meets the bound, and meets it with
+    almost no slack. Same pass rule and draws as the sens_priority claim, with
+    the sensing-error bound 0.1, 0.5 and 0.9 of the way from its value at
+    weight 0 to that at weight 1: on every seed and channel, 0 <= slack <=
+    1e-6 * bound and the MUI is at most (1 + 1e-12) times that of every
+    sweep design whose sensing error meets the bound. With K < M the weight-1
+    design is the limit of the weights below it, so the bound is met at a
+    root inside (0, 1)."""
+    weights = np.linspace(0.0, 1.0, 21)
+    for seed in range(5):
+        for s in make_dataset(10, 16, 4, 32, np.random.default_rng(seed)):
+            sweep = [tradeoff_design(s.H, s.D, s.X0, w, 1.0).X for w in weights]
+            mui = np.array([mui_power(s.H, X, s.D) for X in sweep])
+            sens = np.array([np.linalg.norm(X - s.X0.X) ** 2 for X in sweep])
+            for frac in (0.1, 0.5, 0.9):
+                bound = sens[0] + frac * (sens[-1] - sens[0])
+                design, slack = epsilon_design(s.H, s.D, s.X0, bound,
+                                               "comm_priority", 1.0)
+                assert 0 <= slack <= 1e-6 * bound
+                achieved = mui_power(s.H, design.X, s.D)
+                assert achieved <= (1 + 1e-12) * mui[sens <= bound].min()
+
+
 # ---------------------------------------------------------------- Case II
 
 _SEEDS = range(10)

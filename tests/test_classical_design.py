@@ -100,8 +100,9 @@ def _eta_sweep_oracle(H, D, X0, bound, mode, power):
 
 
 def _bisect_secular(lam, rho, target):
-    """200 bisection steps on sum_i rho_i / (lam_i + mu)^2 = target over the
-    bracket _secular_solve uses."""
+    """200 bisection steps on sum_i rho_i / (lam_i + mu)^2 = target over its
+    own bracket: from next to the pole out to a point whose distance from the
+    pole is doubled until phi there falls below the target."""
 
     def phi(mu):
         return float(np.sum(rho / (lam + mu) ** 2))
@@ -119,6 +120,44 @@ def _bisect_secular(lam, rho, target):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _secular_solve_bracketed(lam, rho, target):
+    """_secular_solve as it was before its monotone form: a doubling search
+    for a bracket, then Newton on phi^(-1/2) with a bisection fallback."""
+
+    def phi(mu):
+        return float(np.sum(rho / (lam + mu) ** 2))
+
+    eps = np.finfo(float).eps
+    lam_min = lam.min()
+    scale = max(1.0, abs(lam_min))
+    lo = -lam_min + 1e-14 * scale
+    hi = -lam_min + scale
+    grew = 0
+    while phi(hi) > target:
+        hi = -lam_min + (hi + lam_min) * 2.0
+        grew += 1
+        if grew > 200:
+            raise RuntimeError("secular solve failed to bracket the root")
+    mu = lo
+    while True:
+        inv = 1.0 / (lam + mu)
+        terms = rho * inv * inv
+        value = float(terms.sum())
+        cubic = float((terms * inv).sum())
+        if abs(value - target) <= 4.0 * eps * (target + 2.0 * cubic * abs(mu)):
+            return mu
+        if value > target:
+            lo = mu
+        else:
+            hi = mu
+        nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return mu
+        mu = nxt
 
 
 def _project_psd_trace_loop(C, power):
@@ -371,6 +410,19 @@ def test_tradeoff_hard_case_fills_power(rng):
     assert mui_power(H, design.X, D) <= 1e-12
 
 
+def test_tradeoff_continuous_at_weight_one():
+    """K < M: the hard case at weight 1 fills the power deficit along the
+    limit of the weights below it, X0's part in the null space of H."""
+    for i in range(20):
+        s = make_dataset(1, 16, 4, 32, np.random.default_rng(1234 + i))[0]
+        X = {w: tradeoff_design(s.H, s.D, s.X0, w, 1.0).X
+             for w in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 2.0 ** -40, 1.0)}
+        sens = [np.linalg.norm(X[w] - s.X0.X) ** 2 for w in (1.0 - 1e-9, 1.0 - 2.0 ** -40)]
+        ref = np.linalg.norm(X[1.0] - s.X0.X) ** 2
+        assert np.allclose(sens, ref, rtol=1e-4, atol=0.0)
+        assert np.linalg.norm(X[1.0] - X[1.0 - 1e-6]) <= 1e-6 * np.linalg.norm(X[1.0])
+
+
 def test_tradeoff_degenerate_objective_warns():
     H = np.eye(2)
     with pytest.warns(UserWarning, match="degenerate"):
@@ -442,8 +494,26 @@ def test_secular_solve_matches_bisection_oracle(rng):
         assert abs(mu - ref) <= 1e-12 * abs(ref)
 
 
-def test_secular_solve_fails_to_bracket():
-    with pytest.raises(RuntimeError, match="failed to bracket"):
+def test_secular_solve_matches_bracketed_oracle(rng):
+    """1,000 spectra: repeated minimal eigenvalues, shifts in [-5, 5], rho
+    from 1e-16 to 1e3 and roots 1e-8 to 1e3 above the pole. The tolerance is
+    relative to the larger of |mu| and the root's distance from the pole:
+    a root near mu = 0 is fixed only to the roundoff of lam + mu."""
+    for _ in range(1000):
+        M = int(rng.integers(2, 17))
+        lam = np.sort(rng.uniform(0.0, 30.0, M)) + rng.uniform(-5.0, 5.0)
+        lam[:rng.integers(1, M)] = lam[0]
+        rho = 10.0 ** rng.uniform(-16, 3, M)
+        gap = 10.0 ** rng.uniform(-8, 3)
+        target = float(np.sum(rho / (lam - lam[0] + gap) ** 2))
+        mu = _secular_solve(lam, rho, target)
+        ref = _secular_solve_bracketed(lam, rho, target)
+        assert abs(mu - ref) <= 1e-12 * max(abs(ref), lam[0] + ref)
+
+
+def test_secular_solve_names_the_target_it_cannot_step_from():
+    # phi' underflows to 0 at the start, so no Newton step can be formed
+    with pytest.raises(RuntimeError, match="target 1.000e-300"):
         _secular_solve(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1e-300)
 
 
@@ -553,9 +623,10 @@ def _epsilon_draws(rng, reps=5):
     """(H, D, X0, bound, mode) draws: `reps` instances at each of the shapes
     (M, K, tau) = (2, 2, 4), (3, 2, 5) and (16, 4, 32), both modes, and four
     bounds from the constraint values v0, v1 at weights 0 and 1: the mean,
-    0.9 v0 + 0.1 v1, 0.1 v0 + 0.9 v1 and 2 max (the inactive case). At
-    (16, 4, 32) comm_priority the sensing error jumps from ~1 to ~45 within
-    a few 1e-9 of weight 1, so the mixed bounds put the root on that jump."""
+    0.9 v0 + 0.1 v1, 0.1 v0 + 0.9 v1 and 2 max (the inactive case). When
+    K < M the weight-1 design fills the power deficit along the limit of the
+    weights below it, so the comm_priority sensing error is continuous there
+    and the mixed bounds put generic roots inside (0, 1)."""
     for _ in range(reps):
         for M, K, tau in ((2, 2, 4), (3, 2, 5), (16, 4, 32)):
             H, D, X0 = _random_instance(rng, M=M, K=K, tau=tau)
@@ -589,9 +660,9 @@ def test_epsilon_design_solve_counts(rng, monkeypatch):
     the sens_priority bound halfway between the MUI at weights 0 and 1, the
     mean must stay <= 16 and the max <= 20 (measured: mean 14.6, max 16).
     On every draw of the bit-for-bit test, at most 60 solves (measured worst
-    41 on these draws, and 49 over 12,000 draws of the same kind; the
-    worst cases are comm_priority roots at the jump near weight 1 when
-    K < M, where regula falsi gains little and the search bisects)."""
+    18 on these draws, and 18 over 12,000 draws of the same kind, in both
+    modes: the comm_priority sensing error is continuous at weight 1 when
+    K < M, so no root sits on a jump there)."""
     calls = []  # the weight of every trade-off solve
     solve = classical_design._tradeoff_solve
 

@@ -48,6 +48,7 @@ def _doc_value(cell):
 
 def test_config_schema_doc_matches_defaults():
     tables = _schema_tables()
+    assert list(cli._DEFAULTS) == list(cli._RUNNERS)
     assert list(tables) == list(cli._EXPERIMENTS)
     for kind, table in tables.items():
         defaults = cli._DEFAULTS[kind]

@@ -372,7 +372,11 @@ def test_symmetry_augment_maps_columns_consistently(rng):
 
 def test_pareto_over_weight(rng):
     # symmetry augmentation is what makes the MUI term generalize here;
-    # without it the high-weight net wanders off X0 without zero-forcing
+    # without it the high-weight net wanders off X0 without zero-forcing.
+    # The ordering holds on these seeded draws, not by a margin this test
+    # establishes: changing only the augmentation draw order moved the
+    # weight-0.5 vs 0.9 MUI gap from 0.139 (1.187 vs 1.048) to 0.102
+    # (1.229 vs 1.127).
     samples = make_dataset(400, 4, 2, 4, rng)
     cfg = TrainConfig(epochs=120, batch_size=32, lr=1e-3, seed=2)
     avg_mui, avg_sens = [], []
