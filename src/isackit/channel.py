@@ -9,6 +9,7 @@ numpy Generator so that experiments replay bit-identically from their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,17 +60,32 @@ class RicianParams:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Stack of user channels, one row per user (K x M)."""
+    """Stack of user channels, one row per user (K x M).
+
+    An immutable value: `entries` is a read-only copy of the input, so a
+    factorization computed from it stays valid for the object's lifetime.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
+        ent = np.array(self.entries, dtype=complex)
+        ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
         if ent.ndim != 2:
             raise ValueError("channel matrix must be K x M")
         if not np.all(np.isfinite(ent)):
             raise ValueError("channel entries must be finite")
+
+    @cached_property
+    def gram_eigh(self):
+        """(g, U) with H^H H = U diag(g) U^H, g ascending; computed on first
+        use and read-only."""
+        G = self.entries.conj().T @ self.entries
+        g, U = np.linalg.eigh((G + G.conj().T) / 2)
+        g.flags.writeable = False
+        U.flags.writeable = False
+        return g, U
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ subproblem solved exactly through the secular equation), the epsilon-constraint
 variants (a root search on the trade-off weight that returns the feasible
 weight on a 2^-40 grid nearest the priority extreme, in Illinois steps), and
 the zero-interference genie rate bound.
+
+`ChannelMatrix` and `CovarianceTemplate` are immutable values that carry
+their factorizations: the eigendecomposition of H^H H is computed once per
+ChannelMatrix and shared by every trade-off and epsilon design on it (a
+plain-array H is wrapped in one per call), and the Hermitian square root of a
+template once per template, shared by every Procrustes design scaled by it.
 """
 
 from __future__ import annotations
@@ -16,22 +22,29 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ArrayGeometry, steering_grid
-from .metrics import RateReport, _as_matrix, mui_power, sum_rate
+from .channel import ArrayGeometry, ChannelMatrix, steering_grid
+from .metrics import RateReport, _as_matrix, sum_rate
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
-    """Target transmit covariance: Hermitian PSD with trace equal to power."""
+    """Target transmit covariance: Hermitian PSD with trace equal to power.
+
+    An immutable value: `matrix` is a read-only copy of the input, and the
+    Hermitian square root that `procrustes_waveform` scales by is computed
+    once, on first use.
+    """
 
     matrix: np.ndarray
     power: float
 
     def __post_init__(self):
-        C = np.asarray(self.matrix, dtype=complex)
+        C = np.array(self.matrix, dtype=complex)
+        C.flags.writeable = False
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError("covariance template must be square")
         if self.power <= 0:
@@ -47,6 +60,15 @@ class CovarianceTemplate:
     @property
     def num_antennas(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """Hermitian PSD square root F, F @ F = matrix (read-only)."""
+        C = self.matrix
+        lam, U = np.linalg.eigh((C + C.conj().T) / 2)
+        F = (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T
+        F.flags.writeable = False
+        return F
 
 
 @dataclass(frozen=True)
@@ -171,11 +193,6 @@ def directional_covariance(target_angles, total_power: float,
         f"(residual {prev_obj:.3e})")
 
 
-def _hermitian_sqrt(C: np.ndarray) -> np.ndarray:
-    lam, U = np.linalg.eigh((C + C.conj().T) / 2)
-    return (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T
-
-
 def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> WaveformDesign:
     """MUI-optimal waveform under an exact covariance constraint.
 
@@ -190,7 +207,7 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> Wavef
         raise ValueError("frame length must be at least the antenna count")
     if D.shape != (Hm.shape[0], tau_d):
         raise ValueError("D must be K x tau_d")
-    F = _hermitian_sqrt(template.matrix)
+    F = template.sqrt
     U, _, Vh = np.linalg.svd(F @ Hm.conj().T @ D)
     X = np.sqrt(tau_d) * F @ U @ Vh[:M, :]
     return WaveformDesign(X, template.power)
@@ -223,11 +240,12 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
     lam_min = lam.min()
     mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
              float(np.max(np.sqrt(rho / target) - lam)))
+    inv, terms = np.empty(lam.shape), np.empty(lam.shape)
     while True:
-        inv = 1.0 / (lam + mu)
-        terms = rho * inv * inv
-        value = float(terms.sum())
-        cubic = float((terms * inv).sum())  # -phi'(mu) / 2
+        np.divide(1.0, np.add(lam, mu, out=inv), out=inv)
+        np.multiply(np.multiply(rho, inv, out=terms), inv, out=terms)
+        value = float(np.add.reduce(terms))
+        cubic = float(np.add.reduce(np.multiply(terms, inv, out=terms)))  # -phi'(mu) / 2
         # a few ulps of the target, plus what one ulp of mu moves phi by: on
         # a steep branch the float grid of mu cannot bring phi any closer
         if abs(value - target) <= 4.0 * _EPS * (target + 2.0 * cubic * abs(mu)):
@@ -235,7 +253,7 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
         if cubic == 0.0:
             raise RuntimeError(f"secular solve: phi' underflows to 0 at target {target:.3e}")
         # Newton step on psi, with psi' = phi^(-3/2) * cubic
-        nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
+        nxt = mu + value / cubic * (math.sqrt(value / target) - 1.0)
         if not nxt > mu:
             return mu
         mu = nxt
@@ -247,6 +265,9 @@ class _GramFactor(NamedTuple):
     For every weight eta, A(eta) = eta H^H H + (1-eta) I has the eigenvectors
     U and the eigenvalues eta g + (1-eta), and U^H B(eta) is the same mix of
     U^H H^H D and U^H X0, so one factorization serves any number of weights.
+    (g, U) is the `ChannelMatrix.gram_eigh` of the channel: an immutable
+    value that carries its factorization, so every design on one
+    ChannelMatrix shares one eigh.
     """
 
     H: np.ndarray
@@ -259,13 +280,14 @@ class _GramFactor(NamedTuple):
 
 
 def _factor(H, D, X0) -> _GramFactor:
-    Hm = _as_matrix(H)
+    if not isinstance(H, ChannelMatrix):
+        H = ChannelMatrix(H)
+    Hm = H.entries
     D = np.asarray(D, dtype=complex)
     X0m = _as_waveform(X0)
     if Hm.shape[1] != X0m.shape[0] or D.shape != (Hm.shape[0], X0m.shape[1]):
         raise ValueError("dimension mismatch between H, D, X0")
-    G = Hm.conj().T @ Hm
-    g, U = np.linalg.eigh((G + G.conj().T) / 2)
+    g, U = H.gram_eigh
     return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().T @ D, U.conj().T @ X0m)
 
 
@@ -274,14 +296,15 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.nda
     M, tau_d = f.X0.shape
     target = tau_d * total_power
     W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
-    if np.linalg.norm(W) == 0.0:
+    rho = np.linalg.norm(W, axis=1) ** 2
+    rho_sum = rho.sum()
+    if rho_sum == 0.0:  # W == 0
         warnings.warn("degenerate trade-off objective; returning a power-"
                       "feasible reference", stacklevel=3)
         X = f.X0 if np.linalg.norm(f.X0) > 0 else np.eye(M, tau_d, dtype=complex)
         return X * np.sqrt(target) / np.linalg.norm(X)
 
     lam = weight * f.g + (1.0 - weight)
-    rho = np.linalg.norm(W, axis=1) ** 2
 
     # hard case: no weight on the minimal eigenspace and the boundary value
     # already undershoots the budget; fill the gap inside that eigenspace,
@@ -290,8 +313,11 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.nda
     lam_min = lam.min()
     min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
     pos = ~min_space
-    boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
-    if rho[min_space].sum() < 1e-20 * max(1.0, rho.sum()) and boundary <= target:
+    hard = rho[min_space].sum() < 1e-20 * max(1.0, rho_sum)
+    if hard:  # the boundary sum matters only then
+        boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
+        hard = boundary <= target
+    if hard:
         coeff = np.zeros_like(W)
         coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
         fill = np.where(min_space[:, None], f.UX0, 0.0)
@@ -352,7 +378,7 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         X = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
         if mode == "comm_priority":
             return X, float(np.linalg.norm(X - f.X0) ** 2)
-        return X, mui_power(f.H, X, f.D)
+        return X, float(np.linalg.norm(f.H @ X - f.D) ** 2)
 
     # grid indices of the weight extremes: the constrained metric is at its
     # best at `infeas` and at its worst at `feas`

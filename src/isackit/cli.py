@@ -394,7 +394,7 @@ def _run_case1_beampattern(p, rng, out_dir, files):
     sample = make_dataset(1, p["num_antennas"], p["num_users"],
                           p["frame_length"], rng,
                           total_power=p["total_power"],
-                          reference="directional", target_angles=targets)[0]
+                          reference=template)[0]
     trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"],
                             p["total_power"])
     angles = np.linspace(-np.pi / 2, np.pi / 2, p["grid_points"])

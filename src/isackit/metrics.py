@@ -74,8 +74,10 @@ def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
     D = np.asarray(D, dtype=complex)
     if Hm.shape[1] != X.shape[0] or Hm.shape[0] != D.shape[0] or X.shape[1] != D.shape[1]:
         raise ValueError("dimension mismatch between H, X, D")
-    signal = np.mean(np.abs(D) ** 2, axis=1)
-    residual = np.mean(np.abs(Hm @ X - D) ** 2, axis=1)
+    # the row sums over tau: np.mean's own reduction and division, bit for bit
+    tau = D.shape[1]
+    signal = np.add.reduce(np.abs(D) ** 2, axis=1) / tau
+    residual = np.add.reduce(np.abs(Hm @ X - D) ** 2, axis=1) / tau
     return signal / (residual + noise_var)
 
 

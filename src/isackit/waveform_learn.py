@@ -21,8 +21,8 @@ import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, RicianParams, sample_channel_matrix
 from .classical_design import (
+    CovarianceTemplate,
     WaveformDesign,
-    directional_covariance,
     procrustes_waveform,
     reference_covariance_omni,
 )
@@ -177,23 +177,29 @@ def scenario_users(num_users: int, rician_factors):
 
 def make_dataset(num_samples: int, num_antennas: int, num_users: int,
                  frame_length: int, rng: np.random.Generator,
-                 total_power: float = 1.0, reference: str = "omni",
-                 target_angles=None, rician_factors=DEFAULT_RICIAN_FACTORS):
+                 total_power: float = 1.0, reference="omni",
+                 rician_factors=DEFAULT_RICIAN_FACTORS):
     """Draw (H, D, X0) triples: the `scenario_users` channels, QPSK symbols,
-    and a covariance-constrained reference waveform."""
+    and a covariance-constrained reference waveform.
+
+    `reference` is "omni" for the isotropic template (P/M) I, or a
+    `CovarianceTemplate` of M antennas and power `total_power`; its square
+    root is taken once for the whole dataset.
+    """
     if frame_length < num_antennas:
         raise ValueError("frame length must be at least the antenna count")
     geom = ArrayGeometry(num_antennas)
     users = scenario_users(num_users, rician_factors)
 
-    if reference == "omni":
+    if isinstance(reference, CovarianceTemplate):
+        if reference.num_antennas != num_antennas or reference.power != total_power:
+            raise ValueError("reference template must have num_antennas antennas "
+                             "and power total_power")
+        template = reference
+    elif isinstance(reference, str) and reference == "omni":
         template = reference_covariance_omni(total_power, num_antennas)
-    elif reference == "directional":
-        if target_angles is None:
-            raise ValueError("directional reference needs target_angles")
-        template = directional_covariance(target_angles, total_power, geom)
     else:
-        raise ValueError("reference must be omni or directional")
+        raise ValueError("reference must be 'omni' or a CovarianceTemplate")
 
     samples = []
     for _ in range(num_samples):

@@ -199,6 +199,18 @@ def _csvs_at_blas_threads(tmp_path, experiment, threads):
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
+def test_case1_rate_identical_across_blas_threads(tmp_path):
+    """Reruns are byte-identical across BLAS thread counts, also through the
+    Case I solvers (Procrustes SVD, the Gram eigh, the secular solve). Pass
+    rule: `isackit run` of case1_rate at its defaults and seed 7, in fresh
+    processes with OPENBLAS_NUM_THREADS=1 and =2, writes byte-identical
+    rate.csv files."""
+    one = _csvs_at_blas_threads(tmp_path, "case1_rate", "1")
+    two = _csvs_at_blas_threads(tmp_path, "case1_rate", "2")
+    assert "rate.csv" in one
+    assert one == two
+
+
 def test_case2_convergence_identical_across_blas_threads(tmp_path):
     """Reruns are byte-identical across BLAS thread counts. Pass rule:
     `isackit run` of case2_convergence at its defaults and seed 7, in fresh

@@ -8,6 +8,7 @@ from isackit.channel import (
     SPEED_OF_LIGHT,
     AgingParams,
     ArrayGeometry,
+    ChannelMatrix,
     RicianParams,
     age_channel,
     jakes_correlation,
@@ -118,6 +119,30 @@ def test_channel_matrix_determinism():
     a = sample_channel_matrix(users, geom, np.random.default_rng(99))
     b = sample_channel_matrix(users, geom, np.random.default_rng(99))
     assert np.array_equal(a.entries, b.entries)
+
+
+def test_channel_matrix_copies_and_freezes_its_entries(rng):
+    H = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    before = H.copy()
+    cm = ChannelMatrix(H)
+    assert H.flags.writeable  # the caller's array is left as it was
+    H[0, 0] = 99.0  # and later writes to it do not reach the object
+    assert np.array_equal(cm.entries, before)
+    with pytest.raises(ValueError, match="read-only"):
+        cm.entries[0, 0] = 1.0
+
+
+def test_channel_matrix_carries_its_gram_factorization(rng):
+    H = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    cm = ChannelMatrix(H)
+    g, U = cm.gram_eigh
+    assert cm.gram_eigh[1] is U  # computed once
+    assert np.all(np.diff(g) >= 0)
+    assert np.allclose((U * g) @ U.conj().T, H.conj().T @ H, atol=1e-12)
+    assert np.allclose(U.conj().T @ U, np.eye(5), atol=1e-12)
+    for stored in (g, U):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
 
 
 def test_channel_matrix_empty_users_rejected(rng):

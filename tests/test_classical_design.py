@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from isackit import classical_design
-from isackit.channel import ArrayGeometry, steering_grid
+from isackit.channel import ArrayGeometry, ChannelMatrix, steering_grid
 from isackit.classical_design import (
     CovarianceTemplate,
     WaveformDesign,
@@ -735,3 +735,142 @@ def test_waveform_design_validation():
         WaveformDesign(inside, 4.0)
     assert WaveformDesign(inside, 4.0, exact_power=False).frame_length == 4
     assert WaveformDesign(inside, 1.0).frame_length == 4
+
+
+# ------------------------------------------- immutable inputs, one factorization
+
+
+def test_covariance_template_copies_and_freezes_its_matrix():
+    C = np.diag([0.75, 0.25]).astype(complex)
+    tpl = CovarianceTemplate(C, 1.0)
+    assert C.flags.writeable  # the caller's array is left as it was
+    C[0, 0] = 99.0  # and later writes to it do not reach the template
+    assert np.array_equal(tpl.matrix, np.diag([0.75, 0.25]))
+    for stored in (tpl.matrix, tpl.sqrt):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 0.0
+    assert tpl.sqrt is tpl.sqrt  # computed once
+    assert np.allclose(tpl.sqrt @ tpl.sqrt, tpl.matrix, atol=1e-15)
+
+
+def test_template_sqrt_matches_per_call_formula_bitwise(rng):
+    """The cached square root has the bits of the per-call formula it
+    replaces, so Procrustes designs keep theirs."""
+    geom = ArrayGeometry(6)
+    templates = [reference_covariance_omni(2.0, 6),
+                 directional_covariance([-0.5, 0.4], 2.0, geom)]
+    for _ in range(3):
+        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        C = G @ G.conj().T
+        templates.append(CovarianceTemplate(C * (2.0 / np.trace(C).real), 2.0))
+    for tpl in templates:
+        C = tpl.matrix
+        lam, U = np.linalg.eigh((C + C.conj().T) / 2)
+        assert np.array_equal(tpl.sqrt, (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T)
+
+
+def _case1_job(H, D, X0, weights):
+    """The perfbench case1_classical job: a weight sweep, then a
+    sens_priority epsilon design with the bound halfway between the sweep's
+    MUI extremes."""
+    sweep = [tradeoff_design(H, D, X0, w, 1.0) for w in weights]
+    bound = 0.5 * (mui_power(H, sweep[0].X, D) + mui_power(H, sweep[-1].X, D))
+    return sweep, epsilon_design(H, D, X0, bound, "sens_priority", 1.0)
+
+
+def test_one_gram_eigh_per_channel(monkeypatch):
+    s = make_dataset(1, 16, 4, 32, np.random.default_rng(3))[0]
+    H = ChannelMatrix(s.H.entries)  # no factorization cached yet
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _case1_job(H, s.D, s.X0, np.linspace(0.0, 1.0, 10))
+    assert calls == [(16, 16)]
+
+
+def test_channel_matrix_and_plain_array_designs_agree():
+    """A ChannelMatrix and its entries as a plain array give the same
+    designs and slacks, bit for bit."""
+    for i in range(4):
+        s = make_dataset(1, 8, 3, 10, np.random.default_rng(50 + i))[0]
+        Hm = np.array(s.H.entries)
+        by_matrix = _case1_job(s.H, s.D, s.X0, (0.0, 0.3, 0.9, 1.0))
+        by_array = _case1_job(Hm, s.D, s.X0, (0.0, 0.3, 0.9, 1.0))
+        for a, b in zip(by_matrix[0] + [by_matrix[1][0]], by_array[0] + [by_array[1][0]]):
+            assert np.array_equal(a.X, b.X)
+        assert by_matrix[1][1] == by_array[1][1]
+        sens = [np.linalg.norm(d.X - s.X0.X) ** 2 for d in by_matrix[0]]
+        bound = 0.5 * (sens[0] + sens[-1])
+        comm_matrix = epsilon_design(s.H, s.D, s.X0, bound, "comm_priority", 1.0)
+        comm_array = epsilon_design(Hm, s.D, s.X0, bound, "comm_priority", 1.0)
+        assert np.array_equal(comm_matrix[0].X, comm_array[0].X)
+        assert comm_matrix[1] == comm_array[1]
+
+
+def _ref_secular_solve(lam, rho, target):
+    # the solver's per-step arithmetic as it was with fresh temporaries,
+    # ndarray.sum and np.sqrt: a frozen bitwise reference
+    lam_min = lam.min()
+    mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
+             float(np.max(np.sqrt(rho / target) - lam)))
+    eps = np.finfo(float).eps
+    while True:
+        inv = 1.0 / (lam + mu)
+        terms = rho * inv * inv
+        value = float(terms.sum())
+        cubic = float((terms * inv).sum())
+        if abs(value - target) <= 4.0 * eps * (target + 2.0 * cubic * abs(mu)):
+            return mu
+        nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
+        if not nxt > mu:
+            return mu
+        mu = nxt
+
+
+def _ref_tradeoff(H, D, X0, weight, power):
+    """Frozen reference of the trade-off design as it was computed per call:
+    a fresh eigh of H^H H, the degenerate test on ||W||, and the boundary sum
+    formed before the hard-case test."""
+    G = H.conj().T @ H
+    g, U = np.linalg.eigh((G + G.conj().T) / 2)
+    UHD, UX0 = (H @ U).conj().T @ D, U.conj().T @ X0
+    target = X0.shape[1] * power
+    W = weight * UHD + (1.0 - weight) * UX0
+    assert np.linalg.norm(W) > 0.0
+    lam = weight * g + (1.0 - weight)
+    rho = np.linalg.norm(W, axis=1) ** 2
+    lam_min = lam.min()
+    min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
+    pos = ~min_space
+    boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
+    if rho[min_space].sum() < 1e-20 * max(1.0, rho.sum()) and boundary <= target:
+        coeff = np.zeros_like(W)
+        coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
+        fill = np.where(min_space[:, None], UX0, 0.0)
+        if not fill.any():
+            fill[np.argmax(min_space)] = 1.0
+        X = U @ (coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2))
+    else:
+        mu = _ref_secular_solve(lam, rho, target)
+        X = U @ (W / (lam + mu)[:, None])
+    return X * np.sqrt(target) / np.linalg.norm(X)
+
+
+def test_tradeoff_matches_per_call_reference_bitwise(rng):
+    """Designs from the cached factorization and the buffered secular solve
+    have the bits of the per-call computation, in the generic case and in the
+    hard case (weight 1 with K < M)."""
+    for M, K, tau in ((16, 4, 32), (8, 3, 10), (4, 4, 4)):
+        for _ in range(3):
+            s = make_dataset(1, M, K, tau, rng)[0]
+            Hm, X0 = np.array(s.H.entries), s.X0.X
+            for w in (0.0, 0.1, 0.5, 1.0 - 2.0 ** -40, 1.0):
+                ours = tradeoff_design(s.H, s.D, s.X0, w, 1.0).X
+                assert np.array_equal(ours, _ref_tradeoff(Hm, s.D, X0, w, 1.0))
+    for lam, rho, target in _secular_spectra(rng):
+        assert _secular_solve(lam, rho, target) == _ref_secular_solve(lam, rho, target)

@@ -89,6 +89,18 @@ def test_sinr_matches_scalar_oracle(rng):
         assert np.isclose(gam[k], sig / (res + 0.7))
 
 
+def test_sinr_matches_mean_formula_bitwise(rng):
+    # row sums divided by tau are what np.mean computes, so the rates of
+    # every design keep their bits
+    for K, M, tau in ((3, 5, 6), (4, 16, 32), (1, 2, 7)):
+        H = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+        X = rng.standard_normal((M, tau)) + 1j * rng.standard_normal((M, tau))
+        D = rng.standard_normal((K, tau)) + 1j * rng.standard_normal((K, tau))
+        ref = (np.mean(np.abs(D) ** 2, axis=1)
+               / (np.mean(np.abs(H @ X - D) ** 2, axis=1) + 0.7))
+        assert np.array_equal(per_user_sinr(H, X, D, noise_var=0.7), ref)
+
+
 def test_sinr_noise_validation(rng):
     with pytest.raises(ValueError):
         per_user_sinr(np.eye(2), np.zeros((2, 2)), np.ones((2, 2)), noise_var=0.0)

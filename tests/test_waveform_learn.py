@@ -280,6 +280,10 @@ def test_make_dataset_contents(rng):
     again = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     redo = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     assert all(np.array_equal(a.D, b.D) for a, b in zip(again, redo))
+    # a template passed in serves like the one named by "omni"
+    given = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0,
+                         reference=reference_covariance_omni(2.0, 3))
+    assert all(np.array_equal(a.X0.X, b.X0.X) for a, b in zip(again, given))
 
 
 def test_make_dataset_validation(rng):
@@ -287,8 +291,12 @@ def test_make_dataset_validation(rng):
         make_dataset(2, 4, 2, 3, rng)
     with pytest.raises(ValueError, match="reference"):
         make_dataset(2, 2, 2, 3, rng, reference="mystery")
-    with pytest.raises(ValueError, match="target_angles"):
-        make_dataset(2, 2, 2, 3, rng, reference="directional")
+    with pytest.raises(ValueError, match="reference"):
+        make_dataset(2, 2, 2, 3, rng, reference=np.eye(2))
+    with pytest.raises(ValueError, match="reference template"):
+        make_dataset(2, 2, 2, 3, rng, reference=reference_covariance_omni(1.0, 3))
+    with pytest.raises(ValueError, match="reference template"):
+        make_dataset(2, 2, 2, 3, rng, reference=reference_covariance_omni(2.0, 2))
     with pytest.raises(ValueError, match="Rician factor"):
         make_dataset(2, 2, 6, 3, rng)
 
