@@ -125,9 +125,11 @@ def steering_grid(angles, geom: ArrayGeometry) -> np.ndarray:
     return np.exp(1j * 2 * np.pi * geom.spacing * np.outer(m, np.sin(angles)))
 
 
-def _scatter_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
-    # unit circularly-symmetric complex Gaussian entries
-    return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """CN(0, 1) entries: real parts drawn first, then imaginary parts."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z /= np.sqrt(2.0)
+    return z
 
 
 def sample_user_channel(params: RicianParams, geom: ArrayGeometry,
@@ -135,7 +137,7 @@ def sample_user_channel(params: RicianParams, geom: ArrayGeometry,
     """One Rician channel draw: LoS steering plus scattered component,
     weighted by sqrt(K_h*eta/(K_h+1)) and sqrt(eta/(K_h+1))."""
     hbar = steering_vector(params.departure_angle, geom)
-    htilde = _scatter_draw(geom.num_antennas, rng)
+    htilde = complex_normal(geom.num_antennas, rng)
     return params.los_weight * hbar + params.scatter_weight * htilde
 
 
@@ -180,6 +182,6 @@ def age_channel(prev: np.ndarray, params: RicianParams, geom: ArrayGeometry,
         htilde = (prev - a * hbar) / b
     else:
         htilde = np.zeros_like(prev)
-    innovation = _scatter_draw(prev.shape[0], rng)
+    innovation = complex_normal(prev.shape[0], rng)
     htilde_new = chi * htilde + np.sqrt(1.0 - chi**2) * innovation
     return a * np.exp(1j * phase) * hbar + b * htilde_new

@@ -9,6 +9,10 @@ Configs are JSON objects: {"experiment": <kind>, "seed": <int>,
 The full parameter tables live in docs/config_schema.md. Every CSV value is
 printed with 9 significant digits, and a (config, seed) pair reproduces its
 CSVs byte for byte on one platform.
+
+Runners compute their CSV tables and write nothing; run_experiment then
+writes each CSV, and the manifest last, through a temporary file renamed into
+place, so a failed run writes no CSV and leaves none half-written.
 """
 
 from __future__ import annotations
@@ -95,13 +99,6 @@ def _fmt(x) -> str:
     return "{:.9g}".format(float(x))
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _noise_from_snr_db(power: float, snr_db: float) -> float:
     return power / (10.0 ** (snr_db / 10.0))
 
@@ -149,9 +146,16 @@ def _angle_list(v) -> bool:
     return _num_list(v) and all(-90.0 <= x <= 90.0 for x in v)
 
 
+def _snr_db(v) -> bool:
+    # the QPSK mutual information loses digits above 60 dB (0.11 nats at
+    # 150 dB), and 10^(snr/10) overflows or reaches 0 near ±3080 dB
+    return _is_num(v) and -60.0 <= v <= 60.0
+
+
 _CHECKS = {
-    "snr_db": (_num_list, "must be a nonempty list of finite numbers"),
-    "snr_db_point": (_is_num, "must be a finite number"),
+    "snr_db": (lambda v: _num_list(v) and all(map(_snr_db, v)),
+               "must be a nonempty list of numbers in [-60, 60] dB"),
+    "snr_db_point": (_snr_db, "must be a number in [-60, 60] dB"),
     "quad_order": (_pos_int, "must be a positive integer"),
     "num_antennas": (_pos_int, "must be a positive integer"),
     "num_users": (_pos_int, "must be a positive integer"),
@@ -308,14 +312,29 @@ def _case3_cross_checks(p) -> list:
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # -------------------------------------------------------------- experiments
+# Each runner maps (params, rng) to (tables, summary): tables maps a CSV name
+# to its (header, rows), each row a tuple of strings.
 
 
-def _run_mi_mmse(p, rng, out_dir, files):
+def _rate_table(snr_grid, rates, key="{}_at_{:g}dB"):
+    """rate.csv and its summary from rates(snr_db) -> ({method: rate}, extra),
+    called once per SNR in grid order: one row and one summary entry
+    key.format(method, snr_db) per rate, then the SNR's extra entries."""
+    rows, summary = [], {}
+    for snr_db in snr_grid:
+        by_method, extra = rates(snr_db)
+        for method, rate in by_method.items():
+            rows.append((_fmt(snr_db), method, _fmt(rate)))
+            summary[key.format(method, snr_db)] = rate
+        summary.update(extra)
+    return {"rate.csv": ("snr_db,method,sum_rate_bits", rows)}, summary
+
+
+def _run_mi_mmse(p, rng):
     qpsk = baseline_constellation("PSK", 4).points
     bpsk = np.array([-1.0 + 0j, 1.0 + 0j])
     rows = []
@@ -328,38 +347,30 @@ def _run_mi_mmse(p, rng, out_dir, files):
         ):
             rows.append((_fmt(snr_db), name, _fmt(point.mutual_info),
                          _fmt(point.mmse)))
-    path = out_dir / "mi_mmse.csv"
-    _write_csv(path, "snr_db,input,mi_nats,mmse", rows)
-    files.append(path.name)
-    return {"grid_points": len(p["snr_db"]), "inputs": 3}
+    tables = {"mi_mmse.csv": ("snr_db,input,mi_nats,mmse", rows)}
+    return tables, {"grid_points": len(p["snr_db"]), "inputs": 3}
 
 
-def _run_case1_rate(p, rng, out_dir, files):
+def _run_case1_rate(p, rng):
     samples = make_dataset(p["num_channels"], p["num_antennas"],
                            p["num_users"], p["frame_length"], rng,
                            total_power=p["total_power"])
     designs = [tradeoff_design(s.H, s.D, s.X0, p["weight"], p["total_power"])
                for s in samples]
-    rows = []
-    summary = {}
-    for snr_db in p["snr_db"]:
+
+    def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        means = {"reference": 0.0, "tradeoff": 0.0, "genie": 0.0}
+        sums = {"reference": 0.0, "tradeoff": 0.0, "genie": 0.0}
         for s, d in zip(samples, designs):
-            means["reference"] += rate_report(s.H, s.X0.X, s.D, noise).sum_rate
-            means["tradeoff"] += rate_report(s.H, d.X, s.D, noise).sum_rate
-            means["genie"] += genie_rate(s.D, noise).sum_rate
-        for method in ("reference", "tradeoff", "genie"):
-            mean = means[method] / len(samples)
-            rows.append((_fmt(snr_db), method, _fmt(mean)))
-            summary[f"{method}_at_{snr_db:g}dB"] = mean
-    path = out_dir / "rate.csv"
-    _write_csv(path, "snr_db,method,sum_rate_bits", rows)
-    files.append(path.name)
-    return summary
+            sums["reference"] += rate_report(s.H, s.X0.X, s.D, noise).sum_rate
+            sums["tradeoff"] += rate_report(s.H, d.X, s.D, noise).sum_rate
+            sums["genie"] += genie_rate(s.D, noise).sum_rate
+        return {m: total / len(samples) for m, total in sums.items()}, {}
+
+    return _rate_table(p["snr_db"], rates)
 
 
-def _run_case1_roc(p, rng, out_dir, files):
+def _run_case1_roc(p, rng):
     sample = make_dataset(1, p["num_antennas"], p["num_users"],
                           p["frame_length"], rng,
                           total_power=p["total_power"])[0]
@@ -381,13 +392,10 @@ def _run_case1_roc(p, rng, out_dir, files):
         for t, pfa, pd in zip(curve.thresholds, curve.pfa, curve.pd):
             rows.append((_fmt(t), _fmt(pfa), _fmt(pd), method))
         summary[f"pd_at_pfa_0.2_{method}"] = detection_at_false_alarm(curve, 0.2)
-    path = out_dir / "roc.csv"
-    _write_csv(path, "threshold,pfa,pd,method", rows)
-    files.append(path.name)
-    return summary
+    return {"roc.csv": ("threshold,pfa,pd,method", rows)}, summary
 
 
-def _run_case1_beampattern(p, rng, out_dir, files):
+def _run_case1_beampattern(p, rng):
     geom = ArrayGeometry(p["num_antennas"])
     targets = np.deg2rad(np.asarray(p["target_angles_deg"], dtype=float))
     template = directional_covariance(targets, p["total_power"], geom)
@@ -409,14 +417,12 @@ def _run_case1_beampattern(p, rng, out_dir, files):
     for method, curve in curves:
         for a, g in zip(curve.angles, curve.gains):
             rows.append((_fmt(a), method, _fmt(g)))
-    path = out_dir / "beampattern.csv"
-    _write_csv(path, "angle_rad,method,gain", rows)
-    files.append(path.name)
     peak = angles[int(np.argmax(curves[1][1].gains))]
-    return {"reference_peak_deg": float(np.rad2deg(peak))}
+    return ({"beampattern.csv": ("angle_rad,method,gain", rows)},
+            {"reference_peak_deg": float(np.rad2deg(peak))})
 
 
-def _run_case1_aging(p, rng, out_dir, files):
+def _run_case1_aging(p, rng):
     M, K, tau = p["num_antennas"], p["num_users"], p["frame_length"]
     geom = ArrayGeometry(M)
     users = scenario_users(K, DEFAULT_RICIAN_FACTORS)
@@ -441,28 +447,20 @@ def _run_case1_aging(p, rng, out_dir, files):
         D = QPSK[rng.integers(0, 4, size=(K, tau))]
         triples.append((design(H_new, D), design(H_old.entries, D),
                         design(H_alt.entries, D), H_new, D))
-    rows = []
-    summary = {}
-    for snr_db in p["snr_db"]:
+
+    def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        means = {"matched": 0.0, "aged": 0.0, "topology": 0.0}
+        sums = {"matched": 0.0, "aged": 0.0, "topology": 0.0}
         for Xm, Xa, Xt, H_new, D in triples:
-            means["matched"] += rate_report(H_new, Xm, D, noise).sum_rate
-            means["aged"] += rate_report(H_new, Xa, D, noise).sum_rate
-            means["topology"] += rate_report(H_new, Xt, D, noise).sum_rate
-        for method in ("matched", "aged", "topology"):
-            mean = means[method] / len(triples)
-            rows.append((_fmt(snr_db), method, _fmt(mean)))
-            summary[f"{method}_at_{snr_db:g}dB"] = mean
-        base = means["matched"]
-        summary[f"aged_loss_pct_at_{snr_db:g}dB"] = \
-            100.0 * (1.0 - means["aged"] / base)
-        summary[f"topology_loss_pct_at_{snr_db:g}dB"] = \
-            100.0 * (1.0 - means["topology"] / base)
-    path = out_dir / "rate.csv"
-    _write_csv(path, "snr_db,method,sum_rate_bits", rows)
-    files.append(path.name)
-    return summary
+            sums["matched"] += rate_report(H_new, Xm, D, noise).sum_rate
+            sums["aged"] += rate_report(H_new, Xa, D, noise).sum_rate
+            sums["topology"] += rate_report(H_new, Xt, D, noise).sum_rate
+        losses = {f"{m}_loss_pct_at_{snr_db:g}dB":
+                  100.0 * (1.0 - sums[m] / sums["matched"])
+                  for m in ("aged", "topology")}
+        return {m: total / len(triples) for m, total in sums.items()}, losses
+
+    return _rate_table(p["snr_db"], rates)
 
 
 def _convergence_curves(p, noise_var, rng):
@@ -487,56 +485,46 @@ def _convergence_curves(p, noise_var, rng):
     return curves
 
 
-def _run_case2_convergence(p, rng, out_dir, files):
+def _run_case2_convergence(p, rng):
     curves = _convergence_curves(p, p["noise_var"], rng)
     rows = []
     for method in ("pga", "unrolled_pga"):
         mean_by_layer = curves[method].mean(axis=0)
         for i, rate in enumerate(mean_by_layer, start=1):
             rows.append(("{:d}".format(i), method, _fmt(rate)))
-    path = out_dir / "convergence.csv"
-    _write_csv(path, "layer,method,rate_nats", rows)
-    files.append(path.name)
     final_f = curves["pga"][:, -1]
     final_l = curves["unrolled_pga"][:, -1]
-    return {
+    return {"convergence.csv": ("layer,method,rate_nats", rows)}, {
         "fixed_final_rate_nats": float(final_f.mean()),
         "learned_final_rate_nats": float(final_l.mean()),
         "learned_wins_fraction": float(np.mean(final_l >= final_f)),
     }
 
 
-def _run_case2_snr(p, rng, out_dir, files):
-    rows = []
-    summary = {}
-    for snr_db in p["snr_db"]:
+def _run_case2_snr(p, rng):
+    def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
         curves = _convergence_curves(p, noise, rng)
-        for method in ("pga", "unrolled_pga"):
-            bits = float(curves[method][:, -1].mean()) / np.log(2.0)
-            rows.append((_fmt(snr_db), method, _fmt(bits)))
-            summary[f"{method}_bits_at_{snr_db:g}dB"] = bits
-    path = out_dir / "rate.csv"
-    _write_csv(path, "snr_db,method,sum_rate_bits", rows)
-    files.append(path.name)
-    return summary
+        return {m: float(c[:, -1].mean()) / np.log(2.0)
+                for m, c in curves.items()}, {}
+
+    return _rate_table(p["snr_db"], rates, key="{}_bits_at_{:g}dB")
 
 
-def _run_case3_sweep(p, rng, out_dir, files):
+def _run_case3_sweep(p, rng):
     M = 2 ** p["num_bits"]
     psk = baseline_constellation("PSK", M)
     comm_var = calibrate_comm_noise(psk, p["target_ser"], p["trials"], rng)
     radar_var, threshold = calibrate_radar_noise(
         psk, p["target_pd"], p["target_pfa"], p["trials"], rng)
+    tables = {}
     summary = {"comm_noise_var": comm_var, "radar_noise_var": radar_var,
                "threshold": threshold}
 
     def record(tag, const):
-        path = out_dir / f"constellation_{tag}.csv"
-        _write_csv(path, "label,re,im",
-                   ((str(m), _fmt(z.real), _fmt(z.imag))
-                    for m, z in enumerate(const.points)))
-        files.append(path.name)
+        tables[f"constellation_{tag}.csv"] = (
+            "label,re,im", [(str(m), _fmt(z.real), _fmt(z.imag))
+                            for m, z in enumerate(const.points)])
         ser, pd, pfa = evaluate_isac(const, comm_var, radar_var, threshold,
                                      p["trials"],
                                      np.random.default_rng(_child_seed(rng)))
@@ -555,7 +543,7 @@ def _run_case3_sweep(p, rng, out_dir, files):
         model = train_isac_ae(eta, p["num_bits"], comm_var, radar_var, cfg,
                               samples_per_epoch=p["samples_per_epoch"])
         record("eta_{:g}".format(eta), extract_constellation(model))
-    return summary
+    return tables, summary
 
 
 _RUNNERS = {
@@ -571,42 +559,51 @@ _RUNNERS = {
 _EXPERIMENTS = tuple(_RUNNERS)
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Fill a temporary file beside path with write(fh) and rename it into
+    place, so that path holds the whole file or is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run_experiment(cfg: dict, out_dir) -> RunRecord:
-    """Execute a validated config and write artifacts plus the manifest."""
+    """Execute a validated config, then write its CSVs and the manifest:
+    a runner that raises leaves out_dir as it was."""
     kind = cfg["experiment"]
-    params = dict(_DEFAULTS[kind])
-    params.update(cfg.get("params", {}))
+    params = {**_DEFAULTS[kind], **cfg.get("params", {})}
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "run_record.json"
-    # a manifest left by an earlier run must not vouch for this one
-    manifest.unlink(missing_ok=True)
     rng = np.random.default_rng(cfg["seed"])
-    files: list = []
     start = time.perf_counter()
-    summary = _RUNNERS[kind](params, rng, out_dir, files)
+    tables, summary = _RUNNERS[kind](params, rng)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest must not vouch for the CSVs about to change
+    manifest = out_dir / "run_record.json"
+    manifest.unlink(missing_ok=True)
+    for name, (header, rows) in tables.items():
+        lines = [header, *(",".join(row) for row in rows)]
+        _write_atomic(out_dir / name, lambda fh: fh.write("\n".join(lines) + "\n"))
     record = RunRecord(
         experiment=kind,
         seed=cfg["seed"],
         version=__version__,
         wall_time_s=time.perf_counter() - start,
-        files=files,
-        summary={k: (float(v) if isinstance(v, (int, float, np.floating))
-                     else v) for k, v in summary.items()},
+        files=list(tables),
+        summary={k: float(v) for k, v in summary.items()},
         config={"experiment": kind, "seed": cfg["seed"],
                 "out": str(out_dir), "params": params},
         environment=_environment(),
     )
-    # the manifest is the atomicity marker: written after every artifact,
-    # and moved into place whole so that a failed write leaves none
-    tmp = out_dir / "run_record.json.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(record), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, manifest)
-    finally:
-        tmp.unlink(missing_ok=True)
+
+    def write_manifest(fh):
+        json.dump(dataclasses.asdict(record), fh, indent=2)
+        fh.write("\n")
+
+    _write_atomic(manifest, write_manifest)
     return record
 
 

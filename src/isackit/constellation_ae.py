@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import complex_normal
 from .neural import (
     MlpModel,
     TrainConfig,
@@ -333,8 +334,7 @@ def calibrate_comm_noise(reference: Constellation, target_ser: float,
         raise ValueError("target_ser must lie strictly inside (0, 1)")
     pts = reference.points
     idx = rng.integers(0, pts.size, size=trials)
-    unit = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    unit /= np.sqrt(2.0)
+    unit = complex_normal(trials, rng)
     crit = np.empty(trials)
     for start in range(0, trials, _DETECT_BLOCK):
         stop = start + _DETECT_BLOCK
@@ -423,10 +423,8 @@ def calibrate_radar_noise(reference: Constellation, target_pd: float,
     returns (noise_var, threshold), the threshold found at that variance."""
     pts = reference.points
     idx = rng.integers(0, pts.size, size=trials)
-    u1 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    u0 = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    u1 /= np.sqrt(2.0)
-    u0 /= np.sqrt(2.0)
+    u1 = complex_normal(trials, rng)
+    u0 = complex_normal(trials, rng)
     thresholds = {}
 
     def pd_miss(var):

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import complex_normal
+
 _LN2 = float(np.log(2.0))
 _INV_LN2 = 1.0 / _LN2
 # Below the smallest normal modulus, 1/|F| can overflow.
@@ -277,8 +279,7 @@ def make_pga_dataset(num: int, num_antennas: int, num_chains: int,
     if num < 1:
         raise ValueError("num must be positive")
     B, N, L, K = num, num_antennas, num_chains, num_users
-    h = (rng.standard_normal((B, K, N)) + 1j * rng.standard_normal((B, K, N)))
-    h /= np.sqrt(2.0)
+    h = complex_normal((B, K, N), rng)
     F0 = np.exp(2j * np.pi * rng.random((B, N, L)))
     W0 = (rng.standard_normal((B, L, K)) + 1j * rng.standard_normal((B, L, K)))
     W0 = normalize_power(F0, W0, power)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelMatrix, steering_grid, steering_vector
+from .channel import ArrayGeometry, ChannelMatrix, complex_normal, steering_grid, steering_vector
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
     elif method == "mc":
         if rng is None:
             rng = np.random.default_rng(0)
-        noise = (rng.standard_normal(mc_samples) + 1j * rng.standard_normal(mc_samples)) / np.sqrt(2.0)
+        noise = complex_normal(mc_samples, rng)
         weights = np.full(mc_samples, 1.0 / mc_samples)
     else:
         raise ValueError(f"unknown method {method!r}")

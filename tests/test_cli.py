@@ -119,6 +119,16 @@ def test_validate_config_diagnostics_direct():
     ("case3_sweep", {"target_ser": 0.95}, "target_ser"),
     ("case3_sweep", {"target_pd": 0.005}, "target_pd"),
     ("case3_sweep", {"target_pd": 0.2, "target_pfa": 0.2}, "target_pd"),
+    ("mi_mmse", {"snr_db": [0.0, 60.5]}, "snr_db"),
+    ("mi_mmse", {"snr_db": [-60.5]}, "snr_db"),
+    ("case1_rate", {"snr_db": [60.5]}, "snr_db"),
+    ("case1_rate", {"snr_db": [-60.5, 0.0]}, "snr_db"),
+    ("case1_aging", {"snr_db": [60.5]}, "snr_db"),
+    ("case1_aging", {"snr_db": [-60.5]}, "snr_db"),
+    ("case2_snr", {"snr_db": [60.5]}, "snr_db"),
+    ("case2_snr", {"snr_db": [-60.5]}, "snr_db"),
+    ("case1_roc", {"snr_db_point": 60.5}, "snr_db_point"),
+    ("case1_roc", {"snr_db_point": -60.5}, "snr_db_point"),
 ])
 def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
                                                     params, field):
@@ -222,6 +232,19 @@ def test_mi_mmse_run_and_gaussian_identity(tmp_path, capsys, monkeypatch):
     assert set(env["blas_thread_vars"]) == {"OPENBLAS_NUM_THREADS",
                                             "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert capsys.readouterr().out.startswith("wrote 1 artifact")
+
+
+def test_mi_mmse_finite_at_snr_limits(tmp_path):
+    run_experiment({"experiment": "mi_mmse", "seed": 1,
+                    "params": {"snr_db": [-60.0, 60.0]}}, tmp_path)
+    _, rows = read_csv(tmp_path / "mi_mmse.csv")
+    assert len(rows) == 6
+    assert all(np.isfinite(float(r[2])) and np.isfinite(float(r[3])) for r in rows)
+    mi = {(r[0], r[1]): float(r[2]) for r in rows}
+    for name in ("gaussian", "qpsk", "bpsk"):
+        assert mi["-60", name] == pytest.approx(1e-6, rel=1e-5)
+    assert mi["60", "qpsk"] == pytest.approx(np.log(4.0), abs=1e-8)
+    assert mi["60", "bpsk"] == pytest.approx(np.log(2.0), abs=1e-8)
 
 
 # ----------------------------------------------------------- reproducibility
@@ -374,3 +397,53 @@ def test_record_lists_every_emitted_file(tmp_path):
                              "params": {"grid_points": 31}}, tmp_path)
     emitted = {p.name for p in tmp_path.iterdir()}
     assert emitted == set(record.files) | {"run_record.json"}
+
+
+# ---------------------------------------------------------- artifact contract
+
+_SMALL = {
+    "mi_mmse": {"snr_db": [0.0]},
+    "case1_rate": {"num_channels": 2, "snr_db": [2.0, 6.0]},
+    "case1_roc": {"trials": 500, "weights": [0.2]},
+    "case1_beampattern": {"grid_points": 31},
+    "case1_aging": {"num_channels": 2, "snr_db": [2.0, 6.0]},
+    "case2_convergence": {"num_train": 12, "num_test": 5, "num_layers": 3,
+                          "epochs": 1},
+    "case2_snr": {"num_train": 12, "num_test": 5, "num_layers": 3,
+                  "epochs": 1, "snr_db": [0.0]},
+    "case3_sweep": {"num_bits": 2, "etas": [0.5], "epochs": 1,
+                    "batch_size": 100, "samples_per_epoch": 200,
+                    "trials": 10000},
+}
+
+
+@pytest.mark.parametrize("kind", list(_SMALL))
+def test_runner_returns_tables_and_writes_nothing(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    params = {**cli._DEFAULTS[kind], **_SMALL[kind]}
+    tables, summary = cli._RUNNERS[kind](params, np.random.default_rng(1))
+    assert list(tmp_path.iterdir()) == []
+    assert tables and summary
+    for name, (header, rows) in tables.items():
+        assert name.endswith(".csv") and rows
+        width = len(header.split(","))
+        assert all(len(row) == width and all(isinstance(c, str) for c in row)
+                   for row in rows), name
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind, module, name", [
+    ("case3_sweep", cli, "train_isac_ae"),  # the runner raises
+    ("mi_mmse", cli.os, "replace"),         # renaming the CSV into place fails
+])
+def test_failed_run_leaves_empty_output_dir_empty(tmp_path, monkeypatch, kind,
+                                                  module, name):
+    monkeypatch.setattr(module, name, _disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment({"experiment": kind, "seed": 1, "params": _SMALL[kind]},
+                       tmp_path)
+    # no CSV, whole or partial, no temporary file and no manifest
+    assert list(tmp_path.iterdir()) == []
