@@ -152,6 +152,14 @@ def _snr_db(v) -> bool:
     return _is_num(v) and -60.0 <= v <= 60.0
 
 
+def _step_num(v) -> bool:
+    # A PGA step size (init_step, or one that Adam moves by about lr per
+    # minibatch) near 1e200 overflows ||F W||^2 in the first W step, and the
+    # run stops with a degenerate beamformer; case3_sweep's lr shares the
+    # limit
+    return _pos_num(v) and v <= 1e6
+
+
 _CHECKS = {
     "snr_db": (lambda v: _num_list(v) and all(map(_snr_db, v)),
                "must be a nonempty list of numbers in [-60, 60] dB"),
@@ -180,10 +188,10 @@ _CHECKS = {
     "num_train": (_pos_int, "must be a positive integer"),
     "num_test": (_pos_int, "must be a positive integer"),
     "noise_var": (_pos_num, "must be a positive number"),
-    "lr": (_pos_num, "must be a positive number"),
+    "lr": (_step_num, "must be a positive number at most 1e6"),
     "epochs": (_pos_int, "must be a positive integer"),
     "batch_size": (_pos_int, "must be a positive integer"),
-    "init_step": (_pos_num, "must be a positive number"),
+    "init_step": (_step_num, "must be a positive number at most 1e6"),
     "num_bits": (lambda v: _is_int(v) and 1 <= v <= 8,
                  "must be an integer in [1, 8]"),
     "etas": (_unit_list, "must be a nonempty list of values in [0, 1]"),

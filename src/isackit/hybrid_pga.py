@@ -7,17 +7,25 @@ entries, and a digital stage W (B, L, K) under the power budget
 gradient step on F, re-imposes the unit modulus by `project_unit_modulus`,
 then a step on W at the updated F, re-imposing the budget by
 `normalize_power`. The unrolled variant treats the per-layer step sizes as
-2I learnable parameters trained by SGD on a rate-weighted loss over
-intermediate layers. Its gradient is exact: `unrolled_loss_grad` tapes one
-forward pass over the minibatch and runs one hand-written reverse pass
-through every layer (rate term, power renormalization, W step, unit-modulus
-projection, F step), so a minibatch costs O(I) layer evaluations. The
-evaluation path `pga_run_batch` runs the same layer code and keeps no tape:
-it forms conj(h) once, writes each layer's F gradient, F step and projection
-into one of two F-sized buffers that alternate, and F' W into a third.
+2I learnable parameters trained by Adam (Kingma and Ba, ICLR 2015) on a
+rate-weighted loss over intermediate layers; Adam moves each step size by
+about the learning rate per minibatch whatever the loss curvature, so the
+learned steps do not amplify last-bit changes of the data. The gradient is
+exact: `unrolled_loss_grad` tapes one forward pass over the minibatch and
+runs one hand-written reverse pass through every layer (rate term, power
+renormalization, W step, unit-modulus projection, F step), so a minibatch
+costs O(I) layer evaluations. The evaluation path `pga_run_batch` runs the
+same layer code and keeps no tape. It runs the batch in blocks that fit in
+a core's cache, each through every layer; per block it forms conj(h) once,
+writes each layer's F gradient, F step and projection into one of two
+F-sized buffers that alternate, and F' W into a third.
 
+Every contraction is a stacked matmul: the two rate gradients share the
+(B, K, K) factor M = S/total - offdiag(S)/inter of the cross-gains S, and
+the squared norm of F W is a real dot of its float view with itself.
 Internal rates are in nats; the closed-form gradients keep the 1/ln 2 factor
-of the log2 formulation, so they are exact gradients of the rate in bits.
+of the log2 formulation, folded into M, so they are exact gradients of the
+rate in bits.
 A complex array is divided by a real value as numpy's complex division
 computes it, x * (1/c) with the reciprocal in real arithmetic, but without
 that division's generic path: the bits are the same, up to the sign of zero.
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_normal
+from .neural import adam_state, adam_update
 
 _LN2 = float(np.log(2.0))
 _INV_LN2 = 1.0 / _LN2
@@ -92,20 +101,33 @@ def normalize_power(F, W, power: float, *, prod=None) -> np.ndarray:
     `prod` when given."""
     F = np.asarray(F, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    nrm = np.linalg.norm(np.matmul(F, W, out=prod), axis=(-2, -1),
-                         keepdims=True)
-    if not np.all(nrm > 0):
+    prod = np.matmul(F, W, out=prod)
+    sq = _re_inner(prod, prod)  # ||F W||^2
+    if not np.all(sq > 0):
         raise ValueError("degenerate beamformer")
-    return np.sqrt(power) / nrm * W
+    return np.sqrt(power / sq) * W
+
+
+def _real_view(X) -> np.ndarray:
+    """Float view (..., 2mn) of each matrix of a complex (..., m, n) stack
+    (of a contiguous copy when X is not contiguous)."""
+    X = np.ascontiguousarray(X)
+    return X.reshape(X.shape[:-2] + (-1,)).view(float)
+
+
+def _re_inner(X, Y) -> np.ndarray:
+    """Re <X, Y> of each pair of matrices in two complex (..., m, n) stacks,
+    shaped (..., 1, 1): a real dot of their float views."""
+    return np.vecdot(_real_view(X), _real_view(Y))[..., None, None]
 
 
 def _batch_stats(hF, W, noise_var):
     """Cross-gains and per-user totals for a batch, from hF = h^H F (B,K,L)
     and W (B,L,K) -> (hF, hFW (B,K,K), total (B,K), inter (B,K))."""
-    hFW = np.einsum("bkl,blj->bkj", hF, W)
+    hFW = hF @ W
     p = np.abs(hFW) ** 2
     total = p.sum(axis=2) + noise_var
-    inter = total - np.einsum("bkk->bk", p)
+    inter = total - np.diagonal(p, axis1=1, axis2=2)
     return hF, hFW, total, inter
 
 
@@ -125,44 +147,41 @@ def _herm(X) -> np.ndarray:
     return np.swapaxes(X.conj(), -2, -1)
 
 
-def _recip(x) -> np.ndarray:
-    """1/x of a real (B, K) stack, shaped to scale the rows of (B, K, .)."""
-    return (1.0 / x)[:, :, None]
+def _recip(x, scale=1.0) -> np.ndarray:
+    """scale/x of a real (B, K) stack, shaped to scale the rows of (B, K, .)."""
+    return (scale / x)[:, :, None]
+
+
+def _rate_m(stats, scale=1.0) -> np.ndarray:
+    """scale * (S/total - offdiag(S)/inter), row by row, from the
+    `_batch_stats` (hF, S, total, inter)."""
+    _, S, total, inter = stats
+    M = S * _recip(total, scale)
+    M -= _offdiag(S) * _recip(inter, scale)
+    return M
 
 
 def grad_F_batch(h, F, W, noise_var: float, *, stats=None,
                  out=None) -> np.ndarray:
-    """Closed-form gradient of the sum rate (bits) wrt conj(F), using the
-    rank-1 structure of h_k h_k^H. `stats` is `_batch_stats` at (F, W) when
-    the caller already has it; the gradient is written into `out` when
-    given."""
+    """Closed-form gradient of the sum rate (bits) wrt conj(F),
+    h^T M W^H with M = `_rate_m` (the rank-1 structure of h_k h_k^H).
+    `stats` is `_batch_stats` at (F, W) when the caller already has it; the
+    gradient is written into `out` when given."""
     _check_noise(noise_var)
     if stats is None:
         stats = _batch_stats(h.conj() @ F, W, noise_var)
-    hF, hFW, total, inter = stats
-    V = np.einsum("blj,bmj->blm", W, W.conj())
-    a = np.einsum("bkl,blm->bkm", hF, V)  # h_k^H F V
-    diag = np.einsum("bkk->bk", hFW)
-    # h_k^H F Vbar_k = h_k^H F V - (h_k^H F w_k) w_k^H
-    b = a - diag[:, :, None] * np.swapaxes(W.conj(), 1, 2)
-    out = np.matmul(np.swapaxes(h, 1, 2),
-                    a * _recip(total) - b * _recip(inter), out=out)
-    out *= _INV_LN2
-    return out
+    # 1/ln 2 scales the (B, K, K) factor M, not the (B, N, L) product
+    return np.matmul(np.swapaxes(h, 1, 2),
+                     _rate_m(stats, _INV_LN2) @ _herm(W), out=out)
 
 
 def grad_W_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
-    """Closed-form gradient of the sum rate (bits) wrt conj(W);
-    Hbar_k = (F^H h_k)(h_k^H F) is rank one. `stats` as in `grad_F_batch`."""
+    """Closed-form gradient of the sum rate (bits) wrt conj(W),
+    (h^H F)^H M with M = `_rate_m`. `stats` as in `grad_F_batch`."""
     _check_noise(noise_var)
     if stats is None:
         stats = _batch_stats(h.conj() @ F, W, noise_var)
-    hF, hFW, total, inter = stats
-    hFc = hF.conj()
-    out = np.einsum("bkl,bkj->blj", hFc, hFW * _recip(total))
-    out -= np.einsum("bkl,bkj->blj", hFc, _offdiag(hFW) * _recip(inter))
-    out *= _INV_LN2
-    return out
+    return _herm(stats[0]) @ _rate_m(stats, _INV_LN2)
 
 
 def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var, out=None,
@@ -185,13 +204,37 @@ def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var, out=None,
     return F1, W1, _batch_stats(mid[0], W1, noise_var), (mid, gW, Wt)
 
 
+# Bytes of h and F per block of pga_run_batch, so that a block's arrays stay
+# in cache through all of its layers. On a 2-core AMD EPYC VM with 1 MiB of
+# L2 per core, the evaluation at B=1000, N=64, L=K=4, I=8 took 18 ms in
+# 1 MiB blocks, 21 ms in 512 KiB or 4 MiB blocks, and 32 ms as one block.
+_BLOCK_BYTES = 1 << 20
+
+
 def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
                   noise_var: float = 1.0):
     """Alternating projected ascent; F moves first, W sees the updated F.
-    Returns the final (F, W) and the per-layer rates (nats) shaped (B, I)."""
+    Returns the final (F, W) and the per-layer rates (nats) shaped (B, I).
+
+    Instances are independent, so the batch runs in blocks of about
+    _BLOCK_BYTES of h and F, each block through every layer; the results
+    are bit for bit those of one block."""
     _check_noise(noise_var)
-    F = np.asarray(F0, dtype=complex)
-    W = np.asarray(W0, dtype=complex)
+    F0 = np.asarray(F0, dtype=complex)
+    W0 = np.asarray(W0, dtype=complex)
+    B = F0.shape[0]
+    F, W = np.empty_like(F0), np.empty_like(W0)
+    rates = np.empty((B, schedule.num_layers))
+    size = max(1, _BLOCK_BYTES * B // max(1, h.nbytes + F0.nbytes))
+    for start in range(0, B, size):
+        blk = slice(start, start + size)
+        F[blk], W[blk], rates[blk] = _run_block(h[blk], F0[blk], W0[blk],
+                                                schedule, power, noise_var)
+    return F, W, rates
+
+
+def _run_block(h, F, W, schedule, power, noise_var):
+    """`pga_run_batch` on one block of instances."""
     hc = h.conj()
     # Layer i writes F' into the buffer that does not hold its input F.
     bufs = (np.empty_like(F), np.empty_like(F))
@@ -217,9 +260,7 @@ def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
 
 
 def _rate_z(h, stats) -> np.ndarray:
-    _, S, total, inter = stats
-    M = S * _recip(total) - _offdiag(S) * _recip(inter)
-    return np.swapaxes(h, 1, 2) @ M
+    return np.swapaxes(h, 1, 2) @ _rate_m(stats)
 
 
 def _grad_jvp(h, hc, F, W, stats, Z, dF=None, dW=None):
@@ -340,11 +381,11 @@ def unrolled_loss_grad(schedule: StepSchedule,
         Wb = Wb + rate_bar[i] * (_herm(F1) @ Z1)
         # W1 = sqrt(P) Wt / ||F1 Wt||
         Y = F1 @ Wt
-        nrm = np.linalg.norm(Y, axis=(1, 2), keepdims=True)
-        alpha = np.sum((Wb.conj() * Wt).real, axis=(1, 2), keepdims=True)
-        scale = np.sqrt(power) / nrm
-        Wtb = scale * (Wb - alpha / nrm ** 2 * (_herm(F1) @ Y))
-        Fb = Fb - scale * alpha / nrm ** 2 * (Y @ _herm(Wt))
+        sq = _re_inner(Y, Y)
+        alpha = _re_inner(Wb, Wt)
+        scale = np.sqrt(power / sq)
+        Wtb = scale * (Wb - alpha / sq * (_herm(F1) @ Y))
+        Fb = Fb - scale * alpha / sq * (Y @ _herm(Wt))
         # Wt = W + mu_w grad_W(F1, W)
         grad[i, 1] = np.vdot(Wtb, gW).real
         dgF, dgW = _grad_jvp(h, hc, F1, W, mid, _rate_z(h, mid), dW=Wtb)
@@ -373,8 +414,10 @@ _VAL_FRACTION = 0.1
 def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
                      epochs: int = 30, init_step: float = 0.05, *,
                      batch_size: int = 100, seed: int = 0) -> StepSchedule:
-    """SGD on the 2I step sizes with the exact reverse-mode gradient of
-    `unrolled_loss` on each minibatch (`unrolled_loss_grad`).
+    """Adam with learning rate `lr` on the 2I step sizes, with the exact
+    reverse-mode gradient of `unrolled_loss` on each minibatch
+    (`unrolled_loss_grad`); the update is `neural.adam_update`, the one
+    that trains the dense networks.
 
     A seeded _VAL_FRACTION slice of the dataset is held out for validation
     and the best schedule on it is returned (training loss when the slice
@@ -391,13 +434,15 @@ def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
     tr = dataset.subset(order[n_val:])
 
     steps = np.full((num_layers, 2), float(init_step))
+    adam = adam_state(steps.size, lr)
     best = np.inf
     best_steps = steps.copy()
     for _ in range(epochs):
         idx = rng.permutation(len(tr))
         for start in range(0, len(tr), batch_size):
             batch = tr.subset(idx[start:start + batch_size])
-            steps -= lr * unrolled_loss_grad(StepSchedule(steps), batch)[1]
+            grad = unrolled_loss_grad(StepSchedule(steps), batch)[1]
+            adam_update(adam, steps.reshape(-1), grad.reshape(-1))
         current = unrolled_loss(StepSchedule(steps),
                                 val if val is not None else tr)
         if current < best:

@@ -13,8 +13,9 @@ to either side are seen by the other, and they are updated in place.
 `backward_pass` writes the gradients into one fresh vector of the same
 layout per call and returns (dW, db) views of it; a view keeps its vector
 alive for as long as the view lives, and two calls never share memory.
-`adam_step` keeps its moments as two flat vectors and updates the model's
-`params` block by block in place, with no parameter-sized temporaries. Its
+`adam_update` keeps its moments as two flat vectors and updates any flat
+parameter vector block by block in place, with no parameter-sized
+temporaries; `adam_step` applies it to a model's `params`. Its
 decay rates and epsilon are the constants of Kingma and Ba (ICLR 2015);
 only the learning rate is set per run.
 """
@@ -176,7 +177,7 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
 # two scratch blocks) take 1.5 MiB and stay in a 2 MiB per-core L2 cache.
 _ADAM_BLOCK = 1 << 15
 
-# b1, b2 and eps of adam_step
+# b1, b2 and eps of adam_update
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -185,10 +186,10 @@ _ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Learning rate, step count and flat moment vectors laid out like the
-    model's params; the decay rates and epsilon are the module's _ADAM_*
-    constants. `scratch` holds two blocks of work space; `grad_copy` receives
-    gradients that are not views of one flat vector (allocated on first
-    use)."""
+    vector that Adam updates (for `adam_step`, the model's params); the
+    decay rates and epsilon are the module's _ADAM_* constants. `scratch`
+    holds two blocks of work space; `grad_copy` receives gradients that are
+    not views of one flat vector (allocated on first use)."""
 
     lr: float = 1e-3
     step_count: int = 0
@@ -198,10 +199,15 @@ class AdamState:
     grad_copy: Optional[np.ndarray] = None
 
 
+def adam_state(size: int, lr: float = 1e-3) -> AdamState:
+    """Zero moments and scratch space for Adam on a flat vector of `size`
+    elements."""
+    return AdamState(lr=lr, first_moment=np.zeros(size), second_moment=np.zeros(size),
+                     scratch=np.empty((2, min(size, _ADAM_BLOCK))))
+
+
 def init_adam(model: MlpModel, lr: float = 1e-3) -> AdamState:
-    n = model.params.size
-    return AdamState(lr=lr, first_moment=np.zeros(n), second_moment=np.zeros(n),
-                     scratch=np.empty((2, min(n, _ADAM_BLOCK))))
+    return adam_state(model.params.size, lr)
 
 
 def _tiles(flat, param_grads, model: MlpModel) -> bool:
@@ -239,20 +245,20 @@ def _flat_grad(state: AdamState, model: MlpModel, param_grads) -> np.ndarray:
     return state.grad_copy
 
 
-def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
-    """Standard bias-corrected Adam update, applied in place to model.params.
+def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """Standard bias-corrected Adam update of the flat float64 vector
+    `params` by the flat gradient `grad`, in place.
 
-    param_grads is a list of (dW, db) pairs, one per layer. Each block of
-    _ADAM_BLOCK elements runs m += (1-b1)(g-m); v += (1-b2)(g^2-v);
-    p -= lr (m/c1) / (sqrt(v/c2) + eps) in that operation order, so the
-    result is bit for bit that of the same expressions on whole arrays.
+    Each block of _ADAM_BLOCK elements runs m += (1-b1)(g-m);
+    v += (1-b2)(g^2-v); p -= lr (m/c1) / (sqrt(v/c2) + eps) in that
+    operation order, so the result is bit for bit that of the same
+    expressions on whole arrays.
     """
-    grad = _flat_grad(state, model, param_grads)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - _ADAM_BETA1**t
     c2 = 1.0 - _ADAM_BETA2**t
-    params, first, second = model.params, state.first_moment, state.second_moment
+    first, second = state.first_moment, state.second_moment
     for start in range(0, params.size, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, params.size)
         g, m, v, p = grad[start:stop], first[start:stop], second[start:stop], params[start:stop]
@@ -271,6 +277,12 @@ def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
         np.add(denom, _ADAM_EPS, out=denom)
         np.divide(step, denom, out=step)
         p -= step
+
+
+def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
+    """`adam_update` of model.params, in place. param_grads is a list of
+    (dW, db) pairs, one per layer."""
+    adam_update(state, model.params, _flat_grad(state, model, param_grads))
     return model
 
 

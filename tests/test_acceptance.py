@@ -12,6 +12,7 @@ from helpers import run_python
 from isackit.classical_design import epsilon_design, tradeoff_design
 from isackit.cli import run_experiment
 from isackit.hybrid_pga import (
+    PgaDataset,
     StepSchedule,
     make_pga_dataset,
     pga_run_batch,
@@ -102,27 +103,37 @@ _N, _L, _K, _I = 8, 3, 2, 8
 _STEP = 0.05
 
 
-def _final_rate(ds, schedule):
+def _layer_rates(ds, schedule):
+    """Per-layer mean rate (nats) of schedule on the instances of ds."""
     _, _, rates = pga_run_batch(ds.channels, ds.F0, ds.W0, schedule,
                                 ds.power, ds.noise_var)
-    return rates[:, -1].mean()
+    return rates.mean(axis=0)
+
+
+def _learned_curve(train, test, seed):
+    """Per-layer mean rate on test of the I-layer schedule learned on train
+    at the case2_convergence defaults."""
+    learned = train_step_sizes(train, _I, lr=0.005, epochs=6,
+                               init_step=_STEP, batch_size=50, seed=seed)
+    return _layer_rates(test, learned)
 
 
 @pytest.fixture(scope="module")
 def case2_runs():
-    """Per seed: final-layer mean rate (nats) on 100 held-out instances of
-    the learned I-layer schedule and of the fixed schedule at I and 4I
+    """Per seed: the training and 100 held-out instances, the learned
+    I-layer schedule's per-layer mean rate (nats) on the held-out ones, and
+    the fixed schedule's final-layer mean rate there at I, 2I and 4I
     layers."""
     out = []
     for seed in _SEEDS:
         rng = np.random.default_rng(seed)
         train = make_pga_dataset(100, _N, _L, _K, rng)
         test = make_pga_dataset(100, _N, _L, _K, rng)
-        learned = train_step_sizes(train, _I, lr=0.005, epochs=6,
-                                   init_step=_STEP, batch_size=50, seed=seed)
-        fixed = {m: _final_rate(test, StepSchedule.fixed(_STEP, m * _I))
-                 for m in (1, 4)}
-        out.append((_final_rate(test, learned), fixed))
+        fixed = {m: _layer_rates(test, StepSchedule.fixed(_STEP, m * _I))[-1]
+                 for m in (1, 2, 4)}
+        out.append({"seed": seed, "train": train, "test": test,
+                    "learned": _learned_curve(train, test, seed),
+                    "fixed": fixed})
     return out
 
 
@@ -131,20 +142,37 @@ def test_learned_schedule_beats_fixed_at_equal_depth(case2_runs):
     held-out channels. Pass rule: on every one of the ten seeds, the learned
     schedule's final-layer mean rate is at least the fixed schedule's at the
     same number of layers."""
-    for learned, fixed in case2_runs:
-        assert learned >= fixed[1]
+    for run in case2_runs:
+        assert run["learned"][-1] >= run["fixed"][1]
 
 
 def test_learned_schedule_rapid_claim(case2_runs):
     """Claim ("rapid"): the learned schedule with I layers reaches what the
     fixed schedule reaches with 2I. At desk scale neither ordering of learned
-    I against fixed 2I holds on every seed (the learned schedule won on 6 of
-    the 10 when this test was written). Pass rule, the ordering that does
-    hold on every seed: the learned I-layer rate lies between the fixed
-    schedule's at I layers (strictly above) and at 4I layers (strictly
-    below)."""
-    for learned, fixed in case2_runs:
-        assert fixed[1] < learned < fixed[4]
+    I against fixed 2I holds on every seed: the learned schedule won on 3 of
+    the 10 when last measured, with Adam training the steps (6 of 10 under
+    the plain SGD it replaced). Pass rule, the ordering that does hold on
+    every seed: the learned I-layer rate lies between the fixed schedule's
+    at I layers (strictly above) and at 4I layers (strictly below)."""
+    for run in case2_runs:
+        assert run["fixed"][1] < run["learned"][-1] < run["fixed"][4]
+
+
+def test_learned_schedule_survives_roundoff(case2_runs):
+    """Claim behind every learned row: the learned schedule depends on the
+    training channels, not on their last bits. Pass rule: on every one of
+    the ten seeds, training on the same channels scaled by 1 + 1e-14 moves
+    each per-layer mean rate of the learned schedule on the held-out
+    instances by at most 1e-8 relative. Measured with Adam on the step
+    sizes: at most 1.9e-10. Plain SGD at the same lr moved them by up to
+    13.5%."""
+    for run in case2_runs:
+        train = run["train"]
+        scaled = PgaDataset(train.channels * (1.0 + 1e-14), train.F0,
+                            train.W0, train.power, train.noise_var)
+        curve = _learned_curve(scaled, run["test"], run["seed"])
+        assert np.all(np.abs(curve - run["learned"])
+                      <= 1e-8 * np.abs(run["learned"]))
 
 
 # --------------------------------------------------------------- Case III
@@ -245,6 +273,34 @@ model, history, _ = train_waveform_net(
 print(hashlib.sha256(model.params.tobytes()).hexdigest())
 print(np.array(history["train"] + history["val"]).tobytes().hex())
 """
+
+
+_PGA_DIGEST = """
+import hashlib
+import numpy as np
+from isackit.hybrid_pga import make_pga_dataset, pga_run_batch, train_step_sizes
+rng = np.random.default_rng(7)
+train = make_pga_dataset(50, 64, 4, 4, rng)
+test = make_pga_dataset(200, 64, 4, 4, rng)
+schedule = train_step_sizes(train, 8, epochs=2, batch_size=25, seed=7)
+F, W, rates = pga_run_batch(test.channels, test.F0, test.W0, schedule,
+                            test.power)
+for x in (schedule.steps, F, W, rates):
+    print(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_hybrid_pga_identical_across_blas_threads():
+    """Reruns are byte-identical across BLAS thread counts, also through the
+    stacked matmuls of the PGA layer at the benchmark's Case II size. Pass
+    rule: training the step sizes (N=64, L=K=4, I=8, 50 instances, batch
+    25, 2 epochs, seed 7) and running them on 200 held-out instances, in
+    fresh processes with OPENBLAS_NUM_THREADS=1 and =2, gives the same
+    steps, F, W and rates, byte for byte."""
+    one = run_python(["-c", _PGA_DIGEST], OPENBLAS_NUM_THREADS="1")
+    two = run_python(["-c", _PGA_DIGEST], OPENBLAS_NUM_THREADS="2")
+    assert len(one.split()) == 4
+    assert one == two
 
 
 def test_waveform_net_training_identical_across_blas_threads():

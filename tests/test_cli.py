@@ -129,6 +129,10 @@ def test_validate_config_diagnostics_direct():
     ("case2_snr", {"snr_db": [-60.5]}, "snr_db"),
     ("case1_roc", {"snr_db_point": 60.5}, "snr_db_point"),
     ("case1_roc", {"snr_db_point": -60.5}, "snr_db_point"),
+    ("case2_convergence", {"lr": 1e200}, "lr"),
+    ("case2_convergence", {"init_step": 1.5e6}, "init_step"),
+    ("case2_snr", {"init_step": 1e200}, "init_step"),
+    ("case2_snr", {"lr": 1.5e6}, "lr"),
 ])
 def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
                                                     params, field):
@@ -140,6 +144,38 @@ def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"params.{field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# Small Case II runs, and each field whose validate check has a finite
+# bound, at that bound: the positive integers at 1, the SNR limits and the
+# step-size limits.
+_CASE2_SMALL = {"num_antennas": 4, "num_chains": 2, "num_users": 2,
+                "num_layers": 3, "num_train": 10, "num_test": 5, "epochs": 2,
+                "batch_size": 5}
+_CASE2_BOUNDS = [(kind, field, value)
+                 for kind in ("case2_convergence", "case2_snr")
+                 for field, value in [(name, 1) for name in _CASE2_SMALL]
+                 + [("lr", 1e6), ("init_step", 1e6)]] + [
+    ("case2_snr", "snr_db", [-60.0, 60.0])]
+
+
+@pytest.mark.parametrize("kind, field, value", _CASE2_BOUNDS)
+def test_case2_runs_at_every_validate_bound(tmp_path, kind, field, value):
+    # on seeds 0-9, validate rejects the config, or run exits 0 with finite
+    # CSVs
+    params = {**_CASE2_SMALL, field: value}
+    if kind == "case2_snr":
+        params.setdefault("snr_db", [0.0])
+    for seed in range(10):
+        cfg = write_config(tmp_path / f"{seed}.json",
+                           {"experiment": kind, "seed": seed, "params": params})
+        if validate_config(cli.load_config(cfg)):
+            continue
+        out = tmp_path / str(seed)
+        assert main(["run", cfg, "--out", str(out)]) == 0, seed
+        for path in out.glob("*.csv"):
+            _, rows = read_csv(path)
+            assert rows and all(np.isfinite(float(row[-1])) for row in rows)
 
 
 def test_case3_sweep_bpsk_validates_and_runs(tmp_path):

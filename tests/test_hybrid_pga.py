@@ -3,8 +3,8 @@
 The references are independent of the code under test: central finite
 differences and per-instance evaluations of the rate formula in `helpers`,
 B=1 slices of the same batch, and a frozen copy of the layer code as it
-stood before its reciprocal and buffer rewrite, which the rewrite must match
-bit for bit.
+stood before its reciprocal, buffer and stacked-matmul rewrites, which the
+code must match within roundoff.
 """
 
 import numpy as np
@@ -65,10 +65,21 @@ def old_project_unit_modulus(F):
 # ------------------------------------------------- frozen reference layer
 #
 # The layer, evaluation loop and reverse pass as they stood before the
-# reciprocal and buffer rewrite, kept as a bitwise oracle that shares no
-# kernel with the code under test: it divides by ln 2, |F| and the per-user
-# totals through numpy's complex division, forms h.conj() in every
-# statistics call and allocates fresh temporaries throughout.
+# reciprocal, buffer and stacked-matmul rewrites, kept as an oracle that
+# shares no kernel with the code under test: it contracts the L and K axes
+# with einsum, divides by ln 2, |F| and the per-user totals through numpy's
+# complex division, takes norms with np.linalg.norm, forms h.conj() in every
+# statistics call and allocates fresh temporaries throughout. The code under
+# test rounds differently, so outputs are compared within _ROUNDOFF of their
+# largest entry; the measured gap is at most 6.7e-13.
+
+_ROUNDOFF = 1e-11
+
+
+def assert_within_roundoff(new, ref, tol=_ROUNDOFF):
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= tol * np.max(np.abs(ref))
+
 
 _LN2 = float(np.log(2.0))
 
@@ -517,7 +528,21 @@ def test_batched_run_matches_single():
         assert np.allclose(rates[b], r1[0], rtol=0, atol=1e-12)
 
 
-def test_run_matches_three_stats_loop_bitwise():
+def test_blocked_run_matches_one_block_bitwise(monkeypatch):
+    # Blocks of three instances, the last one shorter, give the bits of one
+    # block of all eight.
+    rng = np.random.default_rng(41)
+    ds = make_pga_dataset(8, 6, 3, 2, rng, noise_var=0.7)
+    sched = StepSchedule(0.02 + 0.06 * rng.random((5, 2)))
+    one = run(ds, sched)
+    per_instance = ds.channels[0].nbytes + ds.F0[0].nbytes
+    monkeypatch.setattr(hybrid_pga, "_BLOCK_BYTES", 3 * per_instance)
+    blocked = run(ds, sched)
+    for a, b in zip(blocked, one):
+        assert np.array_equal(a, b)
+
+
+def test_run_matches_three_stats_loop_within_roundoff():
     rng = np.random.default_rng(34)
     for N, L, K in ((6, 3, 2), (4, 1, 1), (5, 2, 3)):
         ds = make_pga_dataset(7, N, L, K, rng, noise_var=0.7)
@@ -526,7 +551,7 @@ def test_run_matches_three_stats_loop_bitwise():
         old = old_pga_run_batch(ds.channels, ds.F0, ds.W0, sched, ds.power,
                                 ds.noise_var)
         for a, b in zip(new, old):
-            assert np.array_equal(a, b)
+            assert_within_roundoff(a, b)
 
 
 # (B, N, L, K, I), the last at the perfbench size of Case II.
@@ -535,7 +560,8 @@ _REF_SHAPES = [(7, 6, 3, 2, 9), (5, 4, 1, 1, 3), (9, 5, 2, 3, 4),
 
 
 @pytest.mark.parametrize("B,N,L,K,I", _REF_SHAPES)
-def test_layer_matches_frozen_reference_bitwise(B, N, L, K, I, monkeypatch):
+def test_layer_matches_frozen_reference_within_roundoff(B, N, L, K, I,
+                                                       monkeypatch):
     rng = np.random.default_rng(39 + N)
     ds = make_pga_dataset(B, N, L, K, rng, noise_var=0.7)
     sched = StepSchedule(0.02 + 0.06 * rng.random((I, 2)))
@@ -543,20 +569,24 @@ def test_layer_matches_frozen_reference_bitwise(B, N, L, K, I, monkeypatch):
     ref = ref_pga_run_batch(ds.channels, ds.F0, ds.W0, sched, ds.power,
                             ds.noise_var)
     for a, b in zip(new, ref):
-        assert np.array_equal(a, b)
+        assert_within_roundoff(a, b)
     loss, g = unrolled_loss_grad(sched, ds)
     ref_loss, ref_g = ref_unrolled_loss_grad(sched, ds)
-    assert loss == ref_loss and np.array_equal(g, ref_g)
+    assert abs(loss - ref_loss) <= _ROUNDOFF * abs(ref_loss)
+    assert_within_roundoff(g, ref_g)
 
     def train():
         return train_step_sizes(ds, I, epochs=2, batch_size=max(B // 3, 2),
                                 seed=B).steps
 
+    # Adam does not amplify the kernels' roundoff: training through either
+    # gives the same steps within 1e-7 of the largest (measured at most
+    # 1.6e-9, on the L = K = 1 shape)
     steps = train()
     monkeypatch.setattr(hybrid_pga, "pga_run_batch", ref_pga_run_batch)
     monkeypatch.setattr(hybrid_pga, "unrolled_loss_grad",
                         ref_unrolled_loss_grad)
-    assert np.array_equal(steps, train())
+    assert_within_roundoff(steps, train(), tol=1e-7)
 
 
 def test_inputs_unchanged_and_outputs_fresh():
@@ -670,6 +700,23 @@ def test_training_descends():
     sched0 = StepSchedule.fixed(0.05, 4)
     sched = train_step_sizes(ds, 4, lr=0.005, epochs=5, batch_size=20)
     assert unrolled_loss(sched, ds) <= unrolled_loss(sched0, ds)
+
+
+def test_training_takes_adam_steps():
+    # One epoch of one minibatch is one Adam update from the initial steps:
+    # with bias correction it moves each step size by lr (less lr*eps/|g|,
+    # below 1e-9 here) against the sign of its gradient on that minibatch,
+    # whatever the gradient's magnitude; SGD would move it by lr * g.
+    rng = np.random.default_rng(40)
+    ds = make_pga_dataset(20, 5, 2, 2, rng)
+    learned = train_step_sizes(ds, 4, lr=0.01, epochs=1, batch_size=20,
+                               init_step=0.05, seed=3)
+    order = np.random.default_rng(3).permutation(20)
+    _, g = unrolled_loss_grad(StepSchedule.fixed(0.05, 4),
+                              ds.subset(order[2:]))
+    assert np.min(np.abs(g)) > 0.1 and np.ptp(np.abs(g)) > 1.0
+    assert np.allclose(learned.steps, 0.05 - 0.01 * np.sign(g), rtol=0,
+                       atol=1e-9)
 
 
 def test_training_validation_errors():
