@@ -60,7 +60,7 @@ class RicianParams:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Stack of user channels, one row per user (K x M).
+    """User channels, one row per user: K x M, or a stack B x K x M.
 
     An immutable value: `entries` is a read-only copy of the input, so a
     factorization computed from it stays valid for the object's lifetime.
@@ -72,17 +72,17 @@ class ChannelMatrix:
         ent = np.array(self.entries, dtype=complex)
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
-        if ent.ndim != 2:
-            raise ValueError("channel matrix must be K x M")
+        if ent.ndim not in (2, 3):
+            raise ValueError("channel matrix must be K x M or B x K x M")
         if not np.all(np.isfinite(ent)):
             raise ValueError("channel entries must be finite")
 
     @cached_property
     def gram_eigh(self):
-        """(g, U) with H^H H = U diag(g) U^H, g ascending; computed on first
-        use and read-only."""
-        G = self.entries.conj().T @ self.entries
-        g, U = np.linalg.eigh((G + G.conj().T) / 2)
+        """(g, U) with H^H H = U diag(g) U^H per channel, g ascending;
+        computed on first use and read-only."""
+        G = np.swapaxes(self.entries.conj(), -1, -2) @ self.entries
+        g, U = np.linalg.eigh((G + np.swapaxes(G.conj(), -1, -2)) / 2)
         g.flags.writeable = False
         U.flags.writeable = False
         return g, U
@@ -132,21 +132,23 @@ def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def sample_user_channel(params: RicianParams, geom: ArrayGeometry,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One Rician channel draw: LoS steering plus scattered component,
-    weighted by sqrt(K_h*eta/(K_h+1)) and sqrt(eta/(K_h+1))."""
-    hbar = steering_vector(params.departure_angle, geom)
-    htilde = complex_normal(geom.num_antennas, rng)
-    return params.los_weight * hbar + params.scatter_weight * htilde
+def _user_terms(users: Sequence[RicianParams], geom: ArrayGeometry):
+    """LoS steering rows (K, M), LoS and scatter weights (K, 1) of the users."""
+    if len(users) == 0:
+        raise ValueError("no users")
+    hbar = steering_grid([u.departure_angle for u in users], geom).T
+    los = np.array([[u.los_weight] for u in users])
+    scatter = np.array([[u.scatter_weight] for u in users])
+    return hbar, los, scatter
 
 
 def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
-                          rng: np.random.Generator) -> ChannelMatrix:
-    if len(users) == 0:
-        raise ValueError("no users")
-    rows = np.stack([sample_user_channel(u, geom, rng) for u in users])
-    return ChannelMatrix(entries=rows)
+                          num: int, rng: np.random.Generator) -> ChannelMatrix:
+    """`num` Rician draws of the user channels, stacked (num, K, M): row k is
+    LoS steering plus a scattered CN(0, I) part, weighted by
+    sqrt(K_h*eta/(K_h+1)) and sqrt(eta/(K_h+1)) of user k."""
+    hbar, los, scatter = _user_terms(users, geom)
+    return ChannelMatrix(los * hbar + scatter * complex_normal((num,) + hbar.shape, rng))
 
 
 def jakes_correlation(aging: AgingParams) -> float:
@@ -161,27 +163,25 @@ def jakes_correlation(aging: AgingParams) -> float:
     return float(j0(2 * np.pi * f_d * aging.sample_period))
 
 
-def age_channel(prev: np.ndarray, params: RicianParams, geom: ArrayGeometry,
+def age_channel(prev: np.ndarray, users: Sequence[RicianParams], geom: ArrayGeometry,
                 aging: AgingParams, rng: np.random.Generator) -> np.ndarray:
-    """One aging step: rotate the LoS part by exp(j*theta') and evolve the
-    scattered part as chi*old + sqrt(1-chi^2)*innovation.
+    """One aging step of a (..., K, M) channel stack: rotate each row's LoS
+    part by exp(j*theta') and evolve its scattered part as
+    chi*old + sqrt(1-chi^2)*innovation.
 
-    `prev` must be an (unrotated) draw from `params`; the LoS/scatter split is
-    recovered from the known weights, which is exact under that precondition.
+    Row k of `prev` must be an (unrotated) draw of `users[k]`; the LoS/scatter
+    split is recovered from the known weights, which is exact under that
+    precondition. Without a fixed mobility phase, each row draws its own.
     """
     prev = np.asarray(prev, dtype=complex)
-    chi = jakes_correlation(aging)
-    if abs(chi) > 1:
-        raise ValueError("invalid correlation")
+    hbar, los, scatter = _user_terms(users, geom)
+    if prev.shape[-2:] != hbar.shape:
+        raise ValueError("prev must be (..., K, M) for K users and M antennas")
+    chi = jakes_correlation(aging)  # |J0| <= 1 on the real line
     phase = aging.mobility_phase
     if phase is None:
-        phase = rng.uniform(-np.pi, np.pi)
-    hbar = steering_vector(params.departure_angle, geom)
-    a, b = params.los_weight, params.scatter_weight
-    if b > 0:
-        htilde = (prev - a * hbar) / b
-    else:
-        htilde = np.zeros_like(prev)
-    innovation = complex_normal(prev.shape[0], rng)
-    htilde_new = chi * htilde + np.sqrt(1.0 - chi**2) * innovation
-    return a * np.exp(1j * phase) * hbar + b * htilde_new
+        phase = rng.uniform(-np.pi, np.pi, size=prev.shape[:-1] + (1,))
+    # a scatter weight that underflows to 0 leaves no scattered part to age
+    htilde = np.divide(prev - los * hbar, scatter, out=np.zeros_like(prev), where=scatter > 0)
+    htilde = chi * htilde + np.sqrt(1.0 - chi**2) * complex_normal(prev.shape, rng)
+    return los * np.exp(1j * phase) * hbar + scatter * htilde

@@ -73,12 +73,12 @@ class CovarianceTemplate:
 
 @dataclass(frozen=True)
 class WaveformDesign:
-    """A space-time transmit frame X (M x tau_d) together with its power
-    budget P.
+    """A space-time transmit frame X (M x tau_d), or a stack of them
+    (B x M x tau_d), together with its power budget P.
 
-    Solver frames meet the budget exactly, ||X||_F^2 = tau_d * P. A learned
-    frame is built with exact_power=False: its projection only promises
-    ||X||_F^2 <= tau_d * P and may leave it inside the ball.
+    Solver frames meet the budget exactly, ||X||_F^2 = tau_d * P per frame. A
+    learned frame is built with exact_power=False: its projection only
+    promises ||X||_F^2 <= tau_d * P and may leave it inside the ball.
     """
 
     X: np.ndarray
@@ -87,26 +87,20 @@ class WaveformDesign:
 
     def __post_init__(self, exact_power):
         X = np.asarray(self.X, dtype=complex)
-        if X.ndim != 2:
-            raise ValueError("waveform must be a matrix")
-        avg = np.linalg.norm(X) ** 2 / X.shape[1]
+        if X.ndim not in (2, 3):
+            raise ValueError("waveform must be a matrix or a stack of matrices")
+        avg = np.linalg.norm(X, axis=(-2, -1)) ** 2 / X.shape[-1]
         if exact_power:
-            violated = abs(avg - self.power) > 1e-6 * self.power
+            violated = np.abs(avg - self.power) > 1e-6 * self.power
         else:
             violated = avg > (1 + 1e-6) * self.power
-        if violated:
+        if np.any(violated):
             raise ValueError("waveform violates the power budget")
         object.__setattr__(self, "X", X)
 
     @property
     def frame_length(self) -> int:
-        return self.X.shape[1]
-
-
-def _as_waveform(X) -> np.ndarray:
-    if isinstance(X, WaveformDesign):
-        return X.X
-    return np.asarray(X, dtype=complex)
+        return self.X.shape[-1]
 
 
 # ------------------------------------------------------------- sensing-centric
@@ -194,7 +188,8 @@ def directional_covariance(target_angles, total_power: float,
 
 
 def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> WaveformDesign:
-    """MUI-optimal waveform under an exact covariance constraint.
+    """MUI-optimal waveform under an exact covariance constraint, for one
+    channel (H K x M, D K x tau_d) or a stack of them in one stacked SVD.
 
     Minimizes ||H X - D||_F over all X with (1/tau_d) X X^H equal to the
     template; the optimum is the polar factor of F H^H D scaled back through
@@ -205,11 +200,11 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> Wavef
     M = template.num_antennas
     if tau_d < M:
         raise ValueError("frame length must be at least the antenna count")
-    if D.shape != (Hm.shape[0], tau_d):
-        raise ValueError("D must be K x tau_d")
+    if D.shape != Hm.shape[:-1] + (tau_d,):
+        raise ValueError("D must be K x tau_d, with H's leading axes")
     F = template.sqrt
-    U, _, Vh = np.linalg.svd(F @ Hm.conj().T @ D)
-    X = np.sqrt(tau_d) * F @ U @ Vh[:M, :]
+    U, _, Vh = np.linalg.svd(F @ np.swapaxes(Hm.conj(), -1, -2) @ D, full_matrices=False)
+    X = np.sqrt(tau_d) * F @ U @ Vh
     return WaveformDesign(X, template.power)
 
 
@@ -279,12 +274,14 @@ class _GramFactor(NamedTuple):
     UX0: np.ndarray  # U^H X0
 
 
-def _factor(H, D, X0) -> _GramFactor:
+def _factor(H, D, X0, caller: str) -> _GramFactor:
     if not isinstance(H, ChannelMatrix):
         H = ChannelMatrix(H)
     Hm = H.entries
+    if Hm.ndim != 2:
+        raise ValueError(f"{caller} designs for one channel; index the stack")
     D = np.asarray(D, dtype=complex)
-    X0m = _as_waveform(X0)
+    X0m = X0.X if isinstance(X0, WaveformDesign) else np.asarray(X0, dtype=complex)
     if Hm.shape[1] != X0m.shape[0] or D.shape != (Hm.shape[0], X0m.shape[1]):
         raise ValueError("dimension mismatch between H, D, X0")
     g, U = H.gram_eigh
@@ -341,7 +338,7 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    X = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
+    X = _tradeoff_solve(_factor(H, D, X0, "tradeoff_design"), weight, total_power)
     return WaveformDesign(X, total_power)
 
 
@@ -372,7 +369,7 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         raise ValueError("bound must be positive")
     if mode not in ("comm_priority", "sens_priority"):
         raise ValueError("mode must be comm_priority or sens_priority")
-    f = _factor(H, D, X0)
+    f = _factor(H, D, X0, "epsilon_design")
 
     def solve(j):
         X = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)

@@ -359,29 +359,30 @@ def _run_mi_mmse(p, rng):
     return tables, {"grid_points": len(p["snr_db"]), "inputs": 3}
 
 
+def _mean_sum_rate(H, frames, D, noise):
+    """Sum rate of each channel of a stack under its frame, averaged."""
+    return sum(rate_report(h, x, d, noise).sum_rate for h, x, d in zip(H, frames, D)) / len(D)
+
+
 def _run_case1_rate(p, rng):
-    samples = make_dataset(p["num_channels"], p["num_antennas"],
-                           p["num_users"], p["frame_length"], rng,
-                           total_power=p["total_power"])
-    designs = [tradeoff_design(s.H, s.D, s.X0, p["weight"], p["total_power"])
-               for s in samples]
+    ds = make_dataset(p["num_channels"], p["num_antennas"], p["num_users"],
+                      p["frame_length"], rng, total_power=p["total_power"])
+    frames = {"reference": ds.X0.X,
+              "tradeoff": [tradeoff_design(s.H, s.D, s.X0, p["weight"], p["total_power"]).X
+                           for s in ds]}
 
     def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        sums = {"reference": 0.0, "tradeoff": 0.0, "genie": 0.0}
-        for s, d in zip(samples, designs):
-            sums["reference"] += rate_report(s.H, s.X0.X, s.D, noise).sum_rate
-            sums["tradeoff"] += rate_report(s.H, d.X, s.D, noise).sum_rate
-            sums["genie"] += genie_rate(s.D, noise).sum_rate
-        return {m: total / len(samples) for m, total in sums.items()}, {}
+        means = {m: _mean_sum_rate(ds.H.entries, X, ds.D, noise) for m, X in frames.items()}
+        means["genie"] = sum(genie_rate(d, noise).sum_rate for d in ds.D) / len(ds)
+        return means, {}
 
     return _rate_table(p["snr_db"], rates)
 
 
 def _run_case1_roc(p, rng):
-    sample = make_dataset(1, p["num_antennas"], p["num_users"],
-                          p["frame_length"], rng,
-                          total_power=p["total_power"])[0]
+    sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"],
+                          rng, total_power=p["total_power"])[0]
     geom = ArrayGeometry(p["num_antennas"])
     angle = np.deg2rad(p["target_angle_deg"])
     noise = _noise_from_snr_db(p["total_power"], p["snr_db_point"])
@@ -407,10 +408,8 @@ def _run_case1_beampattern(p, rng):
     geom = ArrayGeometry(p["num_antennas"])
     targets = np.deg2rad(np.asarray(p["target_angles_deg"], dtype=float))
     template = directional_covariance(targets, p["total_power"], geom)
-    sample = make_dataset(1, p["num_antennas"], p["num_users"],
-                          p["frame_length"], rng,
-                          total_power=p["total_power"],
-                          reference=template)[0]
+    sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"],
+                          rng, total_power=p["total_power"], reference=template)[0]
     trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"],
                             p["total_power"])
     angles = np.linspace(-np.pi / 2, np.pi / 2, p["grid_points"])
@@ -442,31 +441,27 @@ def _run_case1_aging(p, rng):
                         sample_period=p["sample_period"])
     template = reference_covariance_omni(p["total_power"], M)
 
-    def design(H, D):
-        X0 = procrustes_waveform(template, H, D, tau)
-        return tradeoff_design(H, D, X0, p["weight"], p["total_power"]).X
+    n = p["num_channels"]
+    H_old = sample_channel_matrix(users, geom, n, rng).entries
+    H_new = age_channel(H_old, users, geom, aging, rng)
+    H_alt = sample_channel_matrix(alt_users, geom, n, rng).entries
+    D = QPSK[rng.integers(0, 4, size=(n, K, tau))]
 
-    triples = []
-    for _ in range(p["num_channels"]):
-        H_old = sample_channel_matrix(users, geom, rng)
-        H_new = np.stack([age_channel(H_old.entries[k], users[k], geom,
-                                      aging, rng) for k in range(K)])
-        H_alt = sample_channel_matrix(alt_users, geom, rng)
-        D = QPSK[rng.integers(0, 4, size=(K, tau))]
-        triples.append((design(H_new, D), design(H_old.entries, D),
-                        design(H_alt.entries, D), H_new, D))
+    def designs(H):
+        X0 = procrustes_waveform(template, H, D, tau).X
+        return [tradeoff_design(h, d, x0, p["weight"], p["total_power"]).X
+                for h, d, x0 in zip(H, D, X0)]
+
+    frames = {"matched": designs(H_new), "aged": designs(H_old),
+              "topology": designs(H_alt)}
 
     def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        sums = {"matched": 0.0, "aged": 0.0, "topology": 0.0}
-        for Xm, Xa, Xt, H_new, D in triples:
-            sums["matched"] += rate_report(H_new, Xm, D, noise).sum_rate
-            sums["aged"] += rate_report(H_new, Xa, D, noise).sum_rate
-            sums["topology"] += rate_report(H_new, Xt, D, noise).sum_rate
+        means = {m: _mean_sum_rate(H_new, X, D, noise) for m, X in frames.items()}
         losses = {f"{m}_loss_pct_at_{snr_db:g}dB":
-                  100.0 * (1.0 - sums[m] / sums["matched"])
+                  100.0 * (1.0 - means[m] / means["matched"])
                   for m in ("aged", "topology")}
-        return {m: total / len(triples) for m, total in sums.items()}, losses
+        return means, losses
 
     return _rate_table(p["snr_db"], rates)
 

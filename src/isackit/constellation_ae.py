@@ -96,10 +96,13 @@ class IsacAutoencoder:
 
 
 def message_bits(labels, num_bits: int) -> np.ndarray:
-    """Little-endian bit expansion of message labels, shape (B, num_bits)."""
+    """Little-endian bit expansion of message labels as +-1 inputs (2b - 1),
+    shape (B, num_bits). No message maps to the zero vector, so the encoder
+    output of every message moves with its first-layer weights even while
+    the biases are zero."""
     labels = np.asarray(labels, dtype=int)
     j = np.arange(num_bits)
-    return ((labels[:, None] >> j) & 1).astype(float)
+    return 2.0 * ((labels[:, None] >> j) & 1) - 1.0
 
 
 def build_isac_ae(num_bits: int, weight: float,

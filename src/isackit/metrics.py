@@ -54,14 +54,19 @@ def _as_matrix(H) -> np.ndarray:
 # --------------------------------------------------------------- MUI / rates
 
 
-def mui_power(H, X, D) -> float:
-    """Total multi-user interference power ||H X - D||_F^2."""
+def _interference(H, X, D):
+    """(H X - D, D) as complex arrays, once their dimensions agree."""
     Hm = _as_matrix(H)
     X = np.asarray(X, dtype=complex)
     D = np.asarray(D, dtype=complex)
     if Hm.shape[1] != X.shape[0] or Hm.shape[0] != D.shape[0] or X.shape[1] != D.shape[1]:
         raise ValueError("dimension mismatch between H, X, D")
-    return float(np.linalg.norm(Hm @ X - D) ** 2)
+    return Hm @ X - D, D
+
+
+def mui_power(H, X, D) -> float:
+    """Total multi-user interference power ||H X - D||_F^2."""
+    return float(np.linalg.norm(_interference(H, X, D)[0]) ** 2)
 
 
 def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
@@ -69,15 +74,11 @@ def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
     columns; assumes D carries a unit-energy constellation."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    Hm = _as_matrix(H)
-    X = np.asarray(X, dtype=complex)
-    D = np.asarray(D, dtype=complex)
-    if Hm.shape[1] != X.shape[0] or Hm.shape[0] != D.shape[0] or X.shape[1] != D.shape[1]:
-        raise ValueError("dimension mismatch between H, X, D")
+    mui, D = _interference(H, X, D)
     # the row sums over tau: np.mean's own reduction and division, bit for bit
     tau = D.shape[1]
     signal = np.add.reduce(np.abs(D) ** 2, axis=1) / tau
-    residual = np.add.reduce(np.abs(Hm @ X - D) ** 2, axis=1) / tau
+    residual = np.add.reduce(np.abs(mui) ** 2, axis=1) / tau
     return signal / (residual + noise_var)
 
 
@@ -87,6 +88,8 @@ def sum_rate(sinrs: np.ndarray) -> float:
 
 
 def rate_report(H, X, D, noise_var: float) -> RateReport:
+    if _as_matrix(H).ndim != 2:
+        raise ValueError("rate_report rates one channel; index the stack")
     gam = per_user_sinr(H, X, D, noise_var)
     return RateReport(per_user_sinr=gam, sum_rate=sum_rate(gam))
 

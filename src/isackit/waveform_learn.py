@@ -5,11 +5,10 @@ transmit frame, with a projection output layer enforcing the total power
 budget and an unsupervised trade-off loss eta*MUI + (1-eta)*similarity. The
 trained network replaces the per-frame optimization at prediction time.
 
-`make_dataset` draws a list of `WaveformSample`s; `stack_samples` turns such
-a list into the batch arrays H (B, K, M), D (B, K, tau) and X0 (B, M, tau)
-plus the common power budget. Every training-path function (features,
-projection and its VJP, loss, augmentation) works on these stacks with a
-leading batch axis.
+`make_dataset` draws one `WaveformSample` stack: H (B, K, M), D (B, K, tau)
+and X0 (B, M, tau) under one power budget. Every training-path function
+(features, projection and its VJP, loss, augmentation) works on these stacks
+with a leading batch axis.
 """
 
 from __future__ import annotations
@@ -34,10 +33,12 @@ QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))  # unit-power symbols
 
 @dataclass(frozen=True)
 class WaveformSample:
-    """One instance: channel, desired symbols, sensing reference.
+    """Channel, desired symbols and sensing reference: one instance (H K x M,
+    D K x tau, X0 M x tau) or a stack of them with a leading batch axis.
 
     D is expected to hold unit-power symbols (QPSK in the experiments); shape
-    agreement is enforced here, the power convention by the dataset maker.
+    agreement is enforced here, the power convention by the dataset maker. A
+    stack has a length, and `stack[i]` is instance i.
     """
 
     H: ChannelMatrix
@@ -45,21 +46,25 @@ class WaveformSample:
     X0: WaveformDesign
 
     def __post_init__(self):
-        K, M = self.H.entries.shape
-        if np.shape(self.D) != (K, self.X0.frame_length) or self.X0.X.shape[0] != M:
+        object.__setattr__(self, "D", np.asarray(self.D, dtype=complex))
+        H, D, X = self.H.entries, self.D, self.X0.X
+        if (D.shape != H.shape[:-1] + X.shape[-1:]
+                or X.shape[:-1] != H.shape[:-2] + H.shape[-1:]):
             raise ValueError("H, D, X0 shapes disagree")
 
+    def __len__(self) -> int:
+        if self.D.ndim != 3:
+            raise TypeError("a single instance has no length")
+        return len(self.D)
 
-def stack_samples(samples):
-    """(H (B,K,M), D (B,K,tau), X0 (B,M,tau), power) from a list of samples
-    sharing one shape and one power budget."""
-    powers = {s.X0.power for s in samples}
-    if len(powers) != 1:
-        raise ValueError("dataset must carry one common power budget")
-    H = np.stack([s.H.entries for s in samples])
-    D = np.stack([np.asarray(s.D, dtype=complex) for s in samples])
-    X0 = np.stack([s.X0.X for s in samples])
-    return H, D, X0, powers.pop()
+    def __getitem__(self, i) -> "WaveformSample":
+        if self.D.ndim != 3:
+            raise TypeError("a single instance cannot be indexed")
+        # the stack's power check covered this frame; the weaker per-frame
+        # check holds for both exact and learned stacks
+        return WaveformSample(H=ChannelMatrix(self.H.entries[i]), D=self.D[i],
+                              X0=WaveformDesign(self.X0.X[i], self.X0.power,
+                                                exact_power=False))
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,13 @@ def make_dataset(num_samples: int, num_antennas: int, num_users: int,
                  frame_length: int, rng: np.random.Generator,
                  total_power: float = 1.0, reference="omni",
                  rician_factors=DEFAULT_RICIAN_FACTORS):
-    """Draw (H, D, X0) triples: the `scenario_users` channels, QPSK symbols,
-    and a covariance-constrained reference waveform.
+    """Draw a stack of `num_samples` (H, D, X0) triples: the `scenario_users`
+    channels, QPSK symbols, and a covariance-constrained reference waveform.
 
     `reference` is "omni" for the isotropic template (P/M) I, or a
     `CovarianceTemplate` of M antennas and power `total_power`; its square
     root is taken once for the whole dataset.
     """
-    if frame_length < num_antennas:
-        raise ValueError("frame length must be at least the antenna count")
     geom = ArrayGeometry(num_antennas)
     users = scenario_users(num_users, rician_factors)
 
@@ -201,13 +204,9 @@ def make_dataset(num_samples: int, num_antennas: int, num_users: int,
     else:
         raise ValueError("reference must be 'omni' or a CovarianceTemplate")
 
-    samples = []
-    for _ in range(num_samples):
-        H = sample_channel_matrix(users, geom, rng)
-        D = QPSK[rng.integers(0, 4, size=(num_users, frame_length))]
-        X0 = procrustes_waveform(template, H, D, frame_length)
-        samples.append(WaveformSample(H=H, D=D, X0=X0))
-    return samples
+    H = sample_channel_matrix(users, geom, num_samples, rng)
+    D = QPSK[rng.integers(0, 4, size=(num_samples, num_users, frame_length))]
+    return WaveformSample(H=H, D=D, X0=procrustes_waveform(template, H, D, frame_length))
 
 
 def split_dataset(num_samples: int, rng: np.random.Generator):
@@ -242,7 +241,8 @@ def symmetry_augment(D: np.ndarray, X0: np.ndarray, rng: np.random.Generator):
 
 def train_waveform_net(dataset, weight: float, config: TrainConfig,
                        augment: bool = False):
-    """Unsupervised training of the waveform net on a 60/20/20 split.
+    """Unsupervised training of the waveform net on a 60/20/20 split of a
+    `WaveformSample` stack.
 
     Returns (model, history, (train_idx, val_idx, test_idx)). config.seed
     draws the initial weights and then the split. Early stopping defaults to
@@ -257,9 +257,8 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     if config.early_stop_patience is None:
         config = dataclasses.replace(config, early_stop_patience=20)
     rng = np.random.default_rng(config.seed)
-    H, D, X0, total_power = stack_samples(dataset)
-    _, K, M = H.shape
-    tau = D.shape[2]
+    H, D, X0, total_power = dataset.H.entries, dataset.D, dataset.X0.X, dataset.X0.power
+    (_, K, M), tau = H.shape, D.shape[2]
 
     model = WaveformNetSpec(M, K, tau).build(rng)
     features = build_features(H, D, X0)
@@ -285,9 +284,10 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
 
 
 def predict_waveform(model: MlpModel, sample: WaveformSample) -> WaveformDesign:
-    """Forward pass plus projection at the sample's power budget; the power
-    inequality always holds."""
-    H, D, X0, total_power = stack_samples([sample])
+    """Forward pass plus projection at the sample's power budget, for one
+    instance or a stack; the power inequality always holds."""
+    # one instance runs as a stack of one
+    H, D, X0 = (a.reshape((-1,) + a.shape[-2:]) for a in (sample.H.entries, sample.D, sample.X0.X))
     raw = predict(model, build_features(H, D, X0))
-    X = power_projection(raw, total_power, D.shape[2])[0]
-    return WaveformDesign(X, total_power, exact_power=False)
+    X = power_projection(raw, sample.X0.power, D.shape[-1]).reshape(sample.X0.X.shape)
+    return WaveformDesign(X, sample.X0.power, exact_power=False)

@@ -12,8 +12,8 @@ from isackit.channel import (
     RicianParams,
     age_channel,
     jakes_correlation,
+    complex_normal,
     sample_channel_matrix,
-    sample_user_channel,
     steering_vector,
 )
 
@@ -67,21 +67,24 @@ def test_rician_params_validation():
         RicianParams(rician_factor=1.0, departure_angle=2.0)
 
 
+def _user_draws(params, geom, n, rng):
+    """n draws of one user's channel row, (n, M), from one batched draw."""
+    return sample_channel_matrix([params], geom, n, rng).entries[:, 0, :]
+
+
 def test_los_dominant_limit(rng):
     geom = ArrayGeometry(8)
     params = RicianParams(rician_factor=1e12, large_scale_gain=1.0, departure_angle=0.3)
-    h = sample_user_channel(params, geom, rng)
+    draws = _user_draws(params, geom, 1000, rng)
     hbar = steering_vector(0.3, geom)
-    assert np.max(np.abs(h - hbar)) < 1e-5
+    assert np.max(np.abs(draws - hbar)) < 1e-5
 
 
 def test_pure_rayleigh_second_moment(rng):
     # K_h = 0, eta = 4: per-element E|h|^2 = 4; var of |h|^2 is eta^2
     geom = ArrayGeometry(4)
     params = RicianParams(rician_factor=0.0, large_scale_gain=4.0)
-    n = 100_000
-    draws = np.stack([sample_user_channel(params, geom, rng) for _ in range(n)])
-    pooled = np.abs(draws) ** 2
+    pooled = np.abs(_user_draws(params, geom, 100_000, rng)) ** 2
     three_sigma = 3 * 4.0 / np.sqrt(pooled.size)
     assert abs(pooled.mean() - 4.0) < three_sigma
 
@@ -90,7 +93,7 @@ def test_rician_mean_is_weighted_los(rng):
     geom = ArrayGeometry(4)
     params = RicianParams(rician_factor=1.0, large_scale_gain=1.0, departure_angle=-0.4)
     n = 100_000
-    draws = np.stack([sample_user_channel(params, geom, rng) for _ in range(n)])
+    draws = _user_draws(params, geom, n, rng)
     target = np.sqrt(0.5) * steering_vector(-0.4, geom)
     # scatter part has per-element complex variance 1/2
     three_sigma = 3 * np.sqrt(0.5 / n)
@@ -99,25 +102,38 @@ def test_rician_mean_is_weighted_los(rng):
 
 
 def test_channel_matrix_single_user_matches_user_draw():
+    # oracle: the Rician formula for one user, written out on its own draw
     geom = ArrayGeometry(6)
-    params = [RicianParams(rician_factor=2.0, departure_angle=0.1)]
-    cm = sample_channel_matrix(params, geom, np.random.default_rng(7))
-    direct = sample_user_channel(params[0], geom, np.random.default_rng(7))
-    assert cm.entries.shape == (1, 6)
-    assert np.array_equal(cm.entries[0], direct)
+    params = RicianParams(rician_factor=2.0, departure_angle=0.1)
+    cm = sample_channel_matrix([params], geom, 3, np.random.default_rng(7))
+    scatter = complex_normal((3, 1, 6), np.random.default_rng(7))[:, 0, :]
+    direct = params.los_weight * steering_vector(0.1, geom) + params.scatter_weight * scatter
+    assert cm.entries.shape == (3, 1, 6)
+    assert np.max(np.abs(cm.entries[:, 0, :] - direct)) <= 1e-14
 
 
 def test_channel_matrix_paper_shape(rng):
     users = [RicianParams(rician_factor=k + 1.0) for k in range(4)]
-    cm = sample_channel_matrix(users, ArrayGeometry(16), rng)
-    assert cm.entries.shape == (4, 16)
+    cm = sample_channel_matrix(users, ArrayGeometry(16), 5, rng)
+    assert cm.entries.shape == (5, 4, 16)
+
+
+def test_channel_matrix_rows_follow_their_users(rng):
+    # each row of the (num, K, M) stack is drawn with its own user's weights
+    geom = ArrayGeometry(4)
+    users = [RicianParams(rician_factor=1e12, departure_angle=0.5),
+             RicianParams(rician_factor=0.0, large_scale_gain=9.0)]
+    H = sample_channel_matrix(users, geom, 50_000, rng).entries
+    assert np.max(np.abs(H[:, 0, :] - steering_vector(0.5, geom))) < 1e-5
+    pooled = np.abs(H[:, 1, :]) ** 2
+    assert abs(pooled.mean() - 9.0) < 3 * 9.0 / np.sqrt(pooled.size)
 
 
 def test_channel_matrix_determinism():
     users = [RicianParams(rician_factor=1.5), RicianParams(rician_factor=2.7)]
     geom = ArrayGeometry(8)
-    a = sample_channel_matrix(users, geom, np.random.default_rng(99))
-    b = sample_channel_matrix(users, geom, np.random.default_rng(99))
+    a = sample_channel_matrix(users, geom, 4, np.random.default_rng(99))
+    b = sample_channel_matrix(users, geom, 4, np.random.default_rng(99))
     assert np.array_equal(a.entries, b.entries)
 
 
@@ -145,9 +161,26 @@ def test_channel_matrix_carries_its_gram_factorization(rng):
             stored[0] = 0.0
 
 
+def test_stacked_gram_factorization_is_per_channel(rng):
+    H = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
+    g, U = ChannelMatrix(H).gram_eigh
+    assert g.shape == (3, 5) and U.shape == (3, 5, 5)
+    for b in range(3):
+        gb, Ub = ChannelMatrix(H[b]).gram_eigh
+        assert np.allclose(g[b], gb, atol=1e-12)
+        assert np.allclose((U[b] * g[b]) @ U[b].conj().T, H[b].conj().T @ H[b], atol=1e-12)
+
+
+def test_channel_matrix_rank_checked():
+    with pytest.raises(ValueError, match="K x M"):
+        ChannelMatrix(np.zeros(3))
+    with pytest.raises(ValueError, match="K x M"):
+        ChannelMatrix(np.zeros((2, 2, 2, 2)))
+
+
 def test_channel_matrix_empty_users_rejected(rng):
     with pytest.raises(ValueError, match="no users"):
-        sample_channel_matrix([], ArrayGeometry(4), rng)
+        sample_channel_matrix([], ArrayGeometry(4), 1, rng)
 
 
 def _aging_for_argument(argument, speed=2.0, carrier=3.2e9):
@@ -186,21 +219,21 @@ def test_jakes_small_argument_series():
 
 def test_age_channel_identity_when_static(rng):
     geom = ArrayGeometry(8)
-    params = RicianParams(rician_factor=2.0, departure_angle=0.2)
-    prev = sample_user_channel(params, geom, rng)
+    users = [RicianParams(rician_factor=2.0, departure_angle=0.2),
+             RicianParams(rician_factor=0.5, departure_angle=-0.7)]
+    prev = sample_channel_matrix(users, geom, 3, rng).entries
     aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3, mobility_phase=0.0)
-    out = age_channel(prev, params, geom, aging, rng)
+    out = age_channel(prev, users, geom, aging, rng)
     assert np.allclose(out, prev, atol=1e-12)
 
 
 def test_age_channel_decorrelates_at_bessel_zero(rng):
     # chi ~ 0: aged scatter component must be nearly independent of the input
     geom = ArrayGeometry(4)
-    params = RicianParams(rician_factor=0.0)  # pure scatter channel
+    users = [RicianParams(rician_factor=0.0)]  # pure scatter channel
     aging = _aging_for_argument(2.404826)
-    n = 100_000
-    prev = np.stack([sample_user_channel(params, geom, rng) for _ in range(n)])
-    aged = np.stack([age_channel(prev[i], params, geom, aging, rng) for i in range(n)])
+    prev = sample_channel_matrix(users, geom, 100_000, rng).entries
+    aged = age_channel(prev, users, geom, aging, rng)
     num = np.abs(np.vdot(prev.ravel(), aged.ravel()))
     den = np.linalg.norm(prev) * np.linalg.norm(aged)
     assert num / den < 0.02
@@ -208,24 +241,53 @@ def test_age_channel_decorrelates_at_bessel_zero(rng):
 
 def test_age_channel_preserves_scatter_power(rng):
     geom = ArrayGeometry(4)
-    params = RicianParams(rician_factor=0.0, large_scale_gain=2.0)
+    users = [RicianParams(rician_factor=0.0, large_scale_gain=2.0)]
     aging = _aging_for_argument(1.0)  # chi ~ 0.7652
-    n = 50_000
-    prev = np.stack([sample_user_channel(params, geom, rng) for _ in range(n)])
-    aged = np.stack([age_channel(prev[i], params, geom, aging, rng) for i in range(n)])
-    pooled = np.abs(aged) ** 2
+    prev = sample_channel_matrix(users, geom, 50_000, rng).entries
+    pooled = np.abs(age_channel(prev, users, geom, aging, rng)) ** 2
     three_sigma = 3 * 2.0 / np.sqrt(pooled.size)
     assert abs(pooled.mean() - 2.0) < three_sigma
 
 
 def test_age_channel_paper_speed_runs(rng):
     geom = ArrayGeometry(8)
-    params = RicianParams(rician_factor=1.5, departure_angle=0.1)
-    prev = sample_user_channel(params, geom, rng)
+    users = [RicianParams(rician_factor=1.5, departure_angle=0.1)]
+    prev = sample_channel_matrix(users, geom, 2, rng).entries
     aging = AgingParams(user_speed=2.0, carrier_freq=3.2e9, sample_period=1e-3)
-    out = age_channel(prev, params, geom, aging, rng)
+    out = age_channel(prev, users, geom, aging, rng)
     assert out.shape == prev.shape
     assert np.all(np.isfinite(out))
+
+
+def test_age_channel_matches_per_row_oracle(rng):
+    # per-row formula with the phase and innovation drawn as the batch draws
+    # them: one phase per row, then the CN innovations of the whole stack
+    geom = ArrayGeometry(4)
+    users = [RicianParams(rician_factor=1.5, departure_angle=0.4),
+             RicianParams(rician_factor=2.7, large_scale_gain=0.5, departure_angle=-0.2)]
+    aging = _aging_for_argument(1.0)
+    aging = AgingParams(aging.user_speed, aging.carrier_freq, aging.sample_period)
+    prev = sample_channel_matrix(users, geom, 3, rng).entries
+    out = age_channel(prev, users, geom, aging, np.random.default_rng(5))
+    draw = np.random.default_rng(5)
+    phases = draw.uniform(-np.pi, np.pi, size=(3, 2))
+    innovation = complex_normal((3, 2, 4), draw)
+    chi = jakes_correlation(aging)
+    for b in range(3):
+        for k, u in enumerate(users):
+            hbar = steering_vector(u.departure_angle, geom)
+            scatter = (prev[b, k] - u.los_weight * hbar) / u.scatter_weight
+            row = (u.los_weight * np.exp(1j * phases[b, k]) * hbar
+                   + u.scatter_weight * (chi * scatter + np.sqrt(1 - chi**2) * innovation[b, k]))
+            assert np.max(np.abs(out[b, k] - row)) <= 1e-14
+
+
+def test_age_channel_rejects_a_stack_of_other_users(rng):
+    geom = ArrayGeometry(4)
+    users = [RicianParams(rician_factor=1.0)] * 2
+    aging = AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=1e-3)
+    with pytest.raises(ValueError, match="K users"):
+        age_channel(np.zeros((5, 3, 4)), users, geom, aging, rng)
 
 
 def test_aging_params_validation():

@@ -19,6 +19,7 @@ from isackit.classical_design import (
 from isackit.metrics import (
     mui_power,
     per_user_sinr,
+    rate_report,
     transmit_beampattern,
     waveform_covariance,
 )
@@ -735,6 +736,48 @@ def test_waveform_design_validation():
         WaveformDesign(inside, 4.0)
     assert WaveformDesign(inside, 4.0, exact_power=False).frame_length == 4
     assert WaveformDesign(inside, 1.0).frame_length == 4
+
+
+def test_waveform_design_stack_checks_power_per_frame():
+    inside = np.eye(2, 4) * np.sqrt(2.0)  # ||X||^2 / tau = 1
+    stack = np.stack([inside, inside])
+    assert WaveformDesign(stack, 1.0).frame_length == 4
+    stack[1] *= 0.5  # one frame inside the ball
+    with pytest.raises(ValueError, match="power"):
+        WaveformDesign(stack, 1.0)
+    WaveformDesign(stack, 1.0, exact_power=False)
+    stack[0] *= 3.0  # one frame outside it
+    with pytest.raises(ValueError, match="power"):
+        WaveformDesign(stack, 1.0, exact_power=False)
+    with pytest.raises(ValueError, match="matrix"):
+        WaveformDesign(np.ones(4), 1.0)
+
+
+def test_per_channel_solvers_reject_a_stack():
+    ds = make_dataset(3, 4, 2, 4, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="tradeoff_design"):
+        tradeoff_design(ds.H, ds.D, ds.X0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="epsilon_design"):
+        epsilon_design(ds.H, ds.D, ds.X0, 1.0, "comm_priority", 1.0)
+    with pytest.raises(ValueError, match="rate_report"):
+        rate_report(ds.H, ds.X0.X, ds.D, 1.0)
+    # one item of the stack is one channel
+    tradeoff_design(ds[0].H, ds[0].D, ds[0].X0, 0.5, 1.0)
+
+
+def test_procrustes_stack_meets_the_template_per_item(rng):
+    M, K, tau, B = 3, 2, 5, 4
+    G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    C = G @ G.conj().T
+    tpl = CovarianceTemplate(C * 2.0 / np.trace(C).real, 2.0)
+    H = rng.standard_normal((B, K, M)) + 1j * rng.standard_normal((B, K, M))
+    D = rng.standard_normal((B, K, tau)) + 1j * rng.standard_normal((B, K, tau))
+    X = procrustes_waveform(tpl, H, D, tau).X
+    assert X.shape == (B, M, tau)
+    for x in X:
+        assert np.allclose(x @ x.conj().T / tau, tpl.matrix, atol=1e-12)
+    with pytest.raises(ValueError, match="D must be"):
+        procrustes_waveform(tpl, H, D[:3], tau)
 
 
 # ------------------------------------------- immutable inputs, one factorization

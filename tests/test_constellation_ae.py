@@ -38,16 +38,24 @@ def qfunc(x):
 
 
 def test_message_bits_little_endian():
+    # bits enter as +-1 (2b - 1): 6 = 0b110, least significant bit first
     bits = message_bits([6], 3)
-    assert np.array_equal(bits, [[0.0, 1.0, 1.0]])
+    assert np.array_equal(bits, [[-1.0, 1.0, 1.0]])
 
 
 def test_message_bits_round_trip():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 32, size=50)
     bits = message_bits(labels, 5)
-    back = bits @ (2 ** np.arange(5))
+    back = ((bits + 1) / 2) @ (2 ** np.arange(5))
     assert np.array_equal(back.astype(int), labels)
+
+
+def test_no_message_encodes_to_the_zero_input():
+    # with 0/1 bits message 0 fed the zero vector, which a zero-bias encoder
+    # maps to the zero symbol whatever its weights
+    bits = message_bits(np.arange(2 ** 4), 4)
+    assert np.all(np.abs(bits) == 1.0)
 
 
 # ------------------------------------------------------------- loss oracles

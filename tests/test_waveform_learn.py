@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from isackit.waveform_learn import (
     power_projection,
     predict_waveform,
     split_dataset,
-    stack_samples,
     symmetry_augment,
     train_waveform_net,
     unstack_waveform,
@@ -131,16 +132,36 @@ def test_sample_shape_mismatch(rng):
         WaveformSample(H=H, D=np.zeros((3, 5)), X0=X0)
 
 
-def test_stack_samples_shapes_and_power(rng):
-    samples = make_dataset(5, 3, 2, 4, rng, total_power=2.0)
-    H, D, X0, power = stack_samples(samples)
-    assert H.shape == (5, 2, 3) and D.shape == (5, 2, 4) and X0.shape == (5, 3, 4)
-    assert power == 2.0
-    assert np.array_equal(H[3], samples[3].H.entries)
-    assert np.array_equal(X0[3], samples[3].X0.X)
-    other = make_dataset(1, 3, 2, 4, rng, total_power=1.0)
-    with pytest.raises(ValueError, match="power"):
-        stack_samples(samples + other)
+def test_dataset_is_one_stack_of_instances(rng):
+    ds = make_dataset(5, 3, 2, 4, rng, total_power=2.0)
+    assert isinstance(ds.H, ChannelMatrix) and isinstance(ds.X0, WaveformDesign)
+    assert ds.H.entries.shape == (5, 2, 3) and ds.D.shape == (5, 2, 4)
+    assert ds.X0.X.shape == (5, 3, 4) and ds.X0.power == 2.0
+    assert len(ds) == 5
+    item = ds[3]
+    assert item.H.entries.shape == (2, 3) and item.D.shape == (2, 4)
+    assert item.X0.X.shape == (3, 4) and item.X0.power == 2.0
+    assert np.array_equal(item.H.entries, ds.H.entries[3])
+    assert np.array_equal(item.D, ds.D[3])
+    assert np.array_equal(item.X0.X, ds.X0.X[3])
+    assert np.array_equal(ds[-1].D, ds.D[4])
+    items = list(ds)  # iteration stops at the end of the stack
+    assert len(items) == 5 and np.array_equal(items[2].X0.X, ds.X0.X[2])
+    with pytest.raises(IndexError):
+        ds[5]
+    for unbatched in (lambda: len(item), lambda: item[0]):
+        with pytest.raises(TypeError, match="single instance"):
+            unbatched()
+
+
+def test_stacked_sample_shape_mismatch(rng):
+    H = ChannelMatrix(_complex(rng, 4, 2, 3))
+    X0 = WaveformDesign(np.tile(np.eye(3, 5), (4, 1, 1)) * np.sqrt(5 / 3), 1.0)
+    WaveformSample(H=H, D=np.zeros((4, 2, 5)), X0=X0)
+    with pytest.raises(ValueError, match="shapes"):
+        WaveformSample(H=H, D=np.zeros((3, 2, 5)), X0=X0)
+    with pytest.raises(ValueError, match="shapes"):
+        WaveformSample(H=ChannelMatrix(_complex(rng, 2, 3)), D=np.zeros((2, 5)), X0=X0)
 
 
 # ---------------------------------------------------------------- projection
@@ -270,7 +291,7 @@ def test_projection_vjp_matches_fd(rng):
 def test_make_dataset_contents(rng):
     samples = make_dataset(5, 3, 2, 4, rng, total_power=2.0)
     assert len(samples) == 5
-    H, D, X0, _ = stack_samples(samples)
+    H, D, X0 = samples.H.entries, samples.D, samples.X0.X
     assert H.shape == (5, 2, 3) and D.shape == (5, 2, 4) and X0.shape == (5, 3, 4)
     assert np.allclose(np.abs(D), 1.0)  # unit-power symbols
     # the omnidirectional reference: (1/tau) X0 X0^H = (P/M) I
@@ -279,11 +300,21 @@ def test_make_dataset_contents(rng):
     assert np.allclose(np.linalg.norm(X0, axis=(1, 2)) ** 2 / 4, 2.0)
     again = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     redo = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
-    assert all(np.array_equal(a.D, b.D) for a, b in zip(again, redo))
+    assert np.array_equal(again.D, redo.D)
     # a template passed in serves like the one named by "omni"
     given = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0,
                          reference=reference_covariance_omni(2.0, 3))
-    assert all(np.array_equal(a.X0.X, b.X0.X) for a, b in zip(again, given))
+    assert np.array_equal(again.X0.X, given.X0.X)
+
+
+@pytest.mark.parametrize("num, M, K, tau", [(1000, 8, 2, 8), (50, 16, 4, 32), (1, 3, 1, 5)])
+def test_dataset_reference_matches_per_item_procrustes_bitwise(num, M, K, tau):
+    # oracle: the stacked SVD against procrustes_waveform on each item alone
+    ds = make_dataset(num, M, K, tau, np.random.default_rng(num + M), total_power=1.5)
+    template = reference_covariance_omni(1.5, M)
+    for i in range(num):
+        X0 = procrustes_waveform(template, ds.H.entries[i], ds.D[i], tau).X
+        assert X0.tobytes() == ds.X0.X[i].tobytes(), i
 
 
 def test_make_dataset_validation(rng):
@@ -348,7 +379,8 @@ def test_training_rejects_small_dataset(rng):
 def test_symmetry_augment_is_loss_invariant(rng):
     # column phases/permutations act on (D, X0) together, so the loss at the
     # mapped reference equals the loss at the original reference exactly
-    H, D, X0, _ = stack_samples(make_dataset(5, 4, 2, 5, rng))
+    ds = make_dataset(5, 4, 2, 5, rng)
+    H, D, X0 = ds.H.entries, ds.D, ds.X0.X
     Dt, X0t = symmetry_augment(D, X0, rng)
     for n in range(5):
         for weight in (0.0, 0.3, 1.0):
@@ -365,17 +397,20 @@ def test_symmetry_augment_is_loss_invariant(rng):
 
 def test_symmetry_augment_maps_columns_consistently(rng):
     # every transformed column must be (phase * original column) for both D
-    # and X0, with a common phase and a common source column, per instance
-    _, D, X0, _ = stack_samples(make_dataset(3, 3, 2, 4, rng))
+    # and X0, with a common phase and a common source column, per instance,
+    # and the source columns must form a permutation. An instance may repeat
+    # a column (its QPSK symbols and so its reference column coincide), so a
+    # target column may have several candidate sources.
+    ds = make_dataset(3, 3, 2, 4, rng)
+    D, X0 = ds.D, ds.X0.X
     Dt, X0t = symmetry_augment(D, X0, np.random.default_rng(77))
     for n in range(3):
-        used = set()
-        for j in range(4):
-            matches = [k for k in range(4) for phase in (1, 1j, -1, -1j)
-                       if np.allclose(Dt[n, :, j], phase * D[n, :, k])
-                       and np.allclose(X0t[n, :, j], phase * X0[n, :, k])]
-            assert len(matches) == 1 and matches[0] not in used
-            used.add(matches[0])
+        sources = [{k for k in range(4) for phase in (1, 1j, -1, -1j)
+                    if np.allclose(Dt[n, :, j], phase * D[n, :, k])
+                    and np.allclose(X0t[n, :, j], phase * X0[n, :, k])}
+                   for j in range(4)]
+        assert any(all(perm[j] in sources[j] for j in range(4))
+                   for perm in itertools.permutations(range(4)))
 
 
 def test_pareto_over_weight(rng):
@@ -413,3 +448,13 @@ def test_prediction_power_and_determinism(rng):
         assert np.linalg.norm(design.X) ** 2 / 3 <= 1.0 + 1e-9
         repeat = predict_waveform(model, s)
         assert np.array_equal(design.X, repeat.X)
+
+
+def test_prediction_of_a_stack_matches_per_item(rng):
+    samples = make_dataset(6, 2, 2, 3, rng, total_power=2.0)
+    model = WaveformNetSpec(2, 2, 3).build(rng)
+    stacked = predict_waveform(model, samples)
+    assert stacked.X.shape == (6, 2, 3) and stacked.power == 2.0
+    for i in range(6):
+        single = predict_waveform(model, samples[i]).X
+        assert np.allclose(stacked.X[i], single, rtol=0, atol=1e-12)
