@@ -41,6 +41,9 @@ class RicianParams:
     departure_angle: float = 0.0
 
     def __post_init__(self):
+        for name in ("rician_factor", "large_scale_gain", "departure_angle"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rician_factor < 0:
             raise ValueError("rician_factor must be nonnegative")
         if self.large_scale_gain <= 0:

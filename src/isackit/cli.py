@@ -147,8 +147,8 @@ def _angle_list(v) -> bool:
 
 
 def _snr_db(v) -> bool:
-    # the QPSK mutual information loses digits above 60 dB (0.11 nats at
-    # 150 dB), and 10^(snr/10) overflows or reaches 0 near ±3080 dB
+    # the range every experiment is run at in the tests; 10^(snr/10)
+    # overflows or reaches 0 near ±3080 dB
     return _is_num(v) and -60.0 <= v <= 60.0
 
 
@@ -305,17 +305,44 @@ def _case1_cross_checks(p) -> list:
     return out
 
 
+# standard errors between a case3 calibration target and its limit: with
+# the skew and count terms of _calibration_margin, no draw misses a target
+# inside the margin but by a chance of about 1e-9
+_CALIBRATION_SIGMAS = 6.0
+
+
+def _calibration_margin(trials: int, share: float, spread: float) -> float:
+    """Rate by which a Monte-Carlo count over `trials` draws, of mean
+    share * trials and variance spread * trials * share * (1 - share), may
+    exceed its mean: _CALIBRATION_SIGMAS standard errors, a skew term that
+    covers the heavier upper tail of a count with a small mean (as in
+    Poisson quantile bounds), and one count."""
+    z = _CALIBRATION_SIGMAS
+    sd = np.sqrt(spread * trials * share * (1.0 - share))
+    return (z * sd + spread * (z * z + 2.0) / 3.0 + 1.0) / trials
+
+
 def _case3_cross_checks(p) -> list:
-    """Operating points the calibration can reach: as the noise grows, SER
-    tends to (M-1)/M and Pd tends to Pfa without passing them."""
+    """Operating points the calibration reaches on any draw. As the noise
+    grows, the reference PSK errs on a binomial share of the trials around
+    1 - 2^-num_bits (a trial whose noise points into its own Voronoi cone
+    never errs), and its Pd, at the threshold drawn for target_pfa, tends
+    to a share around target_pfa whose variance the drawn threshold
+    doubles. Each target must stay a _calibration_margin inside its limit."""
     out = []
+    n = p["trials"]
     ceiling = 1.0 - 2.0 ** -p["num_bits"]
-    if p["target_ser"] >= ceiling:
-        out.append(f"params.target_ser: must be below 1 - 2^-num_bits "
-                   f"({ceiling:g})")
-    if p["target_pd"] <= p["target_pfa"]:
-        out.append(f"params.target_pd: must exceed target_pfa "
-                   f"({p['target_pfa']:g})")
+    ser_limit = ceiling - _calibration_margin(n, ceiling, 1.0)
+    if p["target_ser"] >= ser_limit:
+        hint = "; no target is, so raise trials" if ser_limit <= 0 else ""
+        out.append(f"params.target_ser: must be below {ser_limit:g}, 1 - 2^-num_bits "
+                   f"({ceiling:g}) less the Monte-Carlo margin at {n} trials{hint}")
+    pfa = p["target_pfa"]
+    pd_floor = pfa + _calibration_margin(n, pfa, 2.0)
+    if p["target_pd"] <= pd_floor:
+        hint = "; no target is, so raise trials or lower target_pfa" if pd_floor >= 1 else ""
+        out.append(f"params.target_pd: must exceed {pd_floor:g}, target_pfa "
+                   f"({pfa:g}) plus the Monte-Carlo margin at {n} trials{hint}")
     return out
 
 

@@ -44,9 +44,10 @@ from .neural import (
 
 _HIDDEN = (16, 32, 16)
 _CLAMP = 1e-12
-# trials per block of the (trials, M) matrices of detection_statistic and
-# calibrate_comm_noise
-_DETECT_BLOCK = 16384
+# entries per block of the points x trials arrays of detection_statistic,
+# ml_decode and calibrate_comm_noise: 512 KiB of float64, so a block and its
+# temporaries stay near L2
+_DETECT_BLOCK = 2 ** 16
 # starting noise-variance bracket of the radar calibration, and the number
 # of times each end may be halved (lo) or doubled (hi) to hold the target
 _RADAR_BRACKET = (0.01, 4.0)
@@ -239,32 +240,46 @@ def extract_constellation(ae: IsacAutoencoder) -> Constellation:
 # ------------------------------------------------------------------ receivers
 
 
+def _trial_blocks(trials: int, points: int):
+    """Slices of the trials, each a block of about _DETECT_BLOCK entries of a
+    (points, trials) array."""
+    step = max(1, _DETECT_BLOCK // points)
+    return [slice(start, start + step) for start in range(0, trials, step)]
+
+
 def detection_statistic(z, points, noise_var: float) -> np.ndarray:
     """Exact log likelihood ratio of target presence for a known symbol set,
     logmeanexp_i(-|z - p_i|^2 / sigma^2) + |z|^2 / sigma^2. The |z|^2 terms
-    cancel, leaving logmeanexp_i((2 Re(z conj p_i) - |p_i|^2) / sigma^2): one
-    real (trials, 2) @ (2, M) product per block of _DETECT_BLOCK trials."""
+    cancel, leaving logmeanexp_i((2 Re(z conj p_i) - |p_i|^2) / sigma^2).
+    Point-major: each block of trials is one real (M, 2) @ (2, trials)
+    product, so the max and the sum of the log-sum-exp reduce across M
+    contiguous rows."""
     z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
     pts = np.asarray(points, dtype=complex).reshape(-1)
     zr = z.view(np.float64).reshape(-1, 2)
-    gain = np.stack([pts.real, pts.imag]) * (2.0 / noise_var)
-    bias = -(pts.real ** 2 + pts.imag ** 2) / noise_var
+    gain = np.stack([pts.real, pts.imag], axis=1) * (2.0 / noise_var)
+    bias = (-(pts.real ** 2 + pts.imag ** 2) / noise_var)[:, None]
     out = np.empty(z.size)
-    for start in range(0, z.size, _DETECT_BLOCK):
-        e = zr[start:start + _DETECT_BLOCK] @ gain
+    for block in _trial_blocks(z.size, pts.size):
+        e = gain @ zr[block].T  # (M, trials)
         e += bias
-        peak = e.max(axis=1)
-        e -= peak[:, None]
+        peak = e.max(axis=0)
+        e -= peak
         np.exp(e, out=e)
-        out[start:start + _DETECT_BLOCK] = peak + np.log(e.sum(axis=1))
+        out[block] = peak + np.log(e.sum(axis=0))
     return out - np.log(pts.size)
 
 
 def ml_decode(y, points) -> np.ndarray:
-    """Minimum-distance decision indices into the constellation array."""
+    """Minimum-distance decision indices into the constellation array: the
+    argmin of |y - p|^2 over a (trials, M) block of about _DETECT_BLOCK
+    entries at a time."""
     y = np.asarray(y, dtype=complex).reshape(-1)
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    return np.argmin(np.abs(y[:, None] - pts[None, :]) ** 2, axis=1)
+    out = np.empty(y.size, dtype=np.intp)
+    for block in _trial_blocks(y.size, pts.size):
+        out[block] = np.argmin(np.abs(y[block, None] - pts[None, :]) ** 2, axis=1)
+    return out
 
 
 def evaluate_isac(const: Constellation, comm_noise_var: float,
@@ -339,15 +354,16 @@ def calibrate_comm_noise(reference: Constellation, target_ser: float,
     idx = rng.integers(0, pts.size, size=trials)
     unit = complex_normal(trials, rng)
     crit = np.empty(trials)
-    for start in range(0, trials, _DETECT_BLOCK):
-        stop = start + _DETECT_BLOCK
-        diff = pts[None, :] - pts[idx[start:stop], None]
-        u = unit[start:stop, None]
-        toward = 2.0 * (diff.real * u.real + diff.imag * u.imag)
-        dist2 = diff.real ** 2 + diff.imag ** 2
+    u_re, u_im = unit.real.copy(), unit.imag.copy()
+    for block in _trial_blocks(trials, pts.size):
+        # q - p, point-major: (M, trials)
+        d_re = pts.real[:, None] - pts.real[idx[block]]
+        d_im = pts.imag[:, None] - pts.imag[idx[block]]
+        toward = 2.0 * (d_re * u_re[block] + d_im * u_im[block])
+        dist2 = d_re ** 2 + d_im ** 2
         t = np.divide(dist2, toward, out=np.full(toward.shape, np.inf),
                       where=toward > 0)
-        crit[start:stop] = t.min(axis=1) ** 2
+        crit[block] = t.min(axis=0) ** 2
     k = int(np.ceil(target_ser * trials))
     var = float(np.partition(crit, k - 1)[k - 1])
     if not np.isfinite(var):

@@ -16,6 +16,12 @@ import numpy as np
 from .channel import ArrayGeometry, ChannelMatrix, complex_normal, steering_grid, steering_vector
 
 
+# entries per block of simulate_target_echoes' noise draw, and per (q, M, M)
+# chunk of the MI/MMSE kernel
+_ECHO_BLOCK = 2 ** 16
+_MI_BLOCK = 2 ** 18
+
+
 @dataclass(frozen=True)
 class RateReport:
     per_user_sinr: np.ndarray  # linear
@@ -144,13 +150,20 @@ def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: fl
                            geom: ArrayGeometry, trials: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Monostatic echoes Z = alpha * v v^T X + N, stacked over trials.
-    alpha = 0 gives pure-noise (H0) echoes."""
+    alpha = 0 gives pure-noise (H0) echoes.
+
+    The noise draws the real parts of every trial, then the imaginary parts,
+    each straight into the output in blocks of about _ECHO_BLOCK entries:
+    the same stream as two whole-array draws, without their temporaries."""
     X = np.asarray(X, dtype=complex)
     v = steering_vector(target_angle, geom)
     mean = alpha * np.outer(v, v @ X)
     echoes = np.empty((trials,) + mean.shape, dtype=complex)
-    echoes.real = rng.standard_normal(echoes.shape)
-    echoes.imag = rng.standard_normal(echoes.shape)
+    step = max(1, _ECHO_BLOCK // mean.size)
+    for part in (echoes.real, echoes.imag):
+        for start in range(0, trials, step):
+            block = part[start:start + step]
+            block[...] = rng.standard_normal(block.shape)
     echoes *= np.sqrt(noise_var / 2.0)
     echoes += mean
     return echoes
@@ -191,36 +204,47 @@ def gaussian_mi_mmse(snr: float) -> MiMmsePoint:
 
 
 def _mi_mmse_on_noise(points, probs, snr, noise, weights):
-    # noise: complex offsets whose expectation is realized by `weights`;
-    # processed in chunks so the (M, chunk, M) tensors stay small. With
-    # y = a x_i + n, log p_j - |y - a x_j|^2 + |y|^2 is the real product
-    # [Re y, Im y] @ 2a [Re x_j; Im x_j] plus log p_j - a^2 |x_j|^2, so one
-    # matmul and one exp pass give both log p(y) and the posterior mean.
+    # noise: complex offsets n_q whose expectation is realized by `weights`.
+    # Points of zero probability never occur and weigh nothing in p(y), so
+    # the sums run over the support. With y = a x_i + n, the log posterior
+    # weight of x_j, up to a term common to all j, is
+    #     d_iqj = (t_qj - t_qi) + C_ij,
+    #     t_qj = 2a Re(x_j conj n_q),  C_ij = log p_j - a^2 |x_i - x_j|^2,
+    # and -log p(y) - log(pi) = |n_q|^2 - log S_iq with S_iq = sum_j e^d_iqj.
+    # Nothing of order SNR cancels: the t terms are subtracted first, so
+    # d_iqi is exactly log p_i, S_iq >= p_i > 0 needs no max pass, and
+    # d_iqj <= |n_q|^2 + log p_j stays far from overflow. The (q, M, M)
+    # tensors run in chunks of about _MI_BLOCK entries; one matmul against
+    # [1, Re x, Im x] gives S and the posterior-mean numerators together.
+    keep = probs > 0
+    points, probs = points[keep], probs[keep]
     M = points.size
     a = np.sqrt(snr)
     xr = np.stack([points.real, points.imag])  # (2, M)
+    diff = points[:, None] - points[None, :]
+    C = np.log(probs) - a * a * (diff.real ** 2 + diff.imag ** 2)
+    moments = np.vstack([np.ones(M), xr]).T  # (M, 3)
     gain = 2.0 * a * xr
-    bias = np.log(probs) - a * a * (points.real ** 2 + points.imag ** 2)
-    chunk = max(1, int(4_000_000 // (M * M)))
-    neg_logpy_acc = 0.0
+    nz = np.ascontiguousarray(noise).view(np.float64).reshape(-1, 2)
+    chunk = max(1, _MI_BLOCK // (M * M))
+    mi_acc = 0.0
     mmse_acc = 0.0
-    for start in range(0, noise.size, chunk):
-        nz = noise[start:start + chunk]
+    for start in range(0, nz.shape[0], chunk):
+        n = nz[start:start + chunk]
+        t = n @ gain  # (q, M)
+        d = t[:, None, :] - t[:, :, None]  # (q, i, j)
+        d += C
+        np.exp(d, out=d)
+        sums = (d.reshape(-1, M) @ moments).reshape(-1, M, 3)
+        total = sums[:, :, 0]
+        err_re = xr[0] - sums[:, :, 1] / total
+        err_im = xr[1] - sums[:, :, 2] / total
         wz = weights[start:start + chunk]
-        y = a * points[:, None] + nz[None, :]  # (M, Q)
-        e = y.view(np.float64).reshape(M, -1, 2) @ gain  # (M, Q, M)
-        e += bias
-        peak = e.max(axis=-1)
-        e -= peak[:, :, None]
-        np.exp(e, out=e)
-        total = e.sum(axis=-1)
-        log_norm = peak + np.log(total) - (y.real ** 2 + y.imag ** 2)
-        neg_logpy_acc += -np.sum(probs[:, None] * wz[None, :] * (log_norm - np.log(np.pi)))
-        xhat = (e @ xr.T) / total[:, :, None]  # (M, Q, 2)
-        se = (points.real[:, None] - xhat[:, :, 0]) ** 2 + (points.imag[:, None] - xhat[:, :, 1]) ** 2
-        mmse_acc += np.sum(probs[:, None] * wz[None, :] * se)
-    mi = neg_logpy_acc - (1.0 + np.log(np.pi))
-    return float(max(mi, 0.0)), float(np.clip(mmse_acc, 0.0, 1.0))
+        mi_acc += wz @ ((n[:, 0] ** 2 + n[:, 1] ** 2)[:, None] - np.log(total)) @ probs
+        mmse_acc += wz @ (err_re ** 2 + err_im ** 2) @ probs
+    # I = h(Y) - h(N) with h(N) = 1 + log(pi); the weights sum to one, so the
+    # log(pi) of -log p(y) cancels that of h(N)
+    return float(max(mi_acc - 1.0, 0.0)), float(np.clip(mmse_acc, 0.0, 1.0))
 
 
 def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,

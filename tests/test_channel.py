@@ -67,6 +67,16 @@ def test_rician_params_validation():
         RicianParams(rician_factor=1.0, departure_angle=2.0)
 
 
+@pytest.mark.parametrize("field", ["rician_factor", "large_scale_gain",
+                                   "departure_angle"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_rician_params_reject_non_finite_naming_the_field(field, value):
+    # inf and nan pass the sign checks; drawing from them failed later with
+    # a message that named no parameter
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        RicianParams(**{"rician_factor": 1.0, field: value})
+
+
 def _user_draws(params, geom, n, rng):
     """n draws of one user's channel row, (n, M), from one batched draw."""
     return sample_channel_matrix([params], geom, n, rng).entries[:, 0, :]

@@ -133,6 +133,9 @@ def test_validate_config_diagnostics_direct():
     ("case2_convergence", {"init_step": 1.5e6}, "init_step"),
     ("case2_snr", {"init_step": 1e200}, "init_step"),
     ("case2_snr", {"lr": 1.5e6}, "lr"),
+    ("case3_sweep", {"trials": 2000, "target_ser": 0.92}, "target_ser"),
+    ("case3_sweep", {"trials": 1, "target_ser": 1e-9}, "target_ser"),
+    ("case3_sweep", {"trials": 2000, "target_pd": 0.03}, "target_pd"),
 ])
 def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
                                                     params, field):
@@ -231,6 +234,52 @@ def test_case1_runs_at_every_validate_bound(tmp_path, kind, field, value):
     # 36 cases on seeds 0-9: about 1.7 s on a 2-core VM
     _runs_or_is_rejected(tmp_path, kind, {**_CASE1_SMALL[kind], field: value},
                          range(10))
+
+
+# Small mi_mmse and case3_sweep runs, and each field whose validate check has
+# a finite bound, at that bound: the SNR limits, one quadrature node, one
+# and eight bits, the weights at 0 and 1, the positive integers at 1, the
+# largest lr, and the calibration targets at and around their limits (near
+# 0 and 1, SER toward 1 - 2^-num_bits, Pd toward Pfa from either side). At
+# num_bits 2 and 2000 trials the SER limit is 0.75, less a Monte-Carlo
+# margin of 0.06, and Pd must exceed Pfa by 0.03 at Pfa 0.0085.
+_CASE3_SMALL = {"num_bits": 2, "etas": [0.5], "epochs": 1, "batch_size": 50,
+                "samples_per_epoch": 100, "trials": 2000}
+_MI_CASE3_BOUNDS = [
+    ("mi_mmse", {"snr_db": [-60.0, 60.0]}),
+    ("mi_mmse", {"quad_order": 1}),
+    ("mi_mmse", {"quad_order": 1, "snr_db": [-60.0, 60.0]}),
+    ("case3_sweep", {"num_bits": 1}),
+    ("case3_sweep", {"num_bits": 8}),
+    ("case3_sweep", {"etas": [0.0, 1.0]}),
+    ("case3_sweep", {"batch_size": 1}),
+    ("case3_sweep", {"samples_per_epoch": 1}),
+    ("case3_sweep", {"trials": 1}),
+    ("case3_sweep", {"lr": 1e6}),
+    ("case3_sweep", {"target_ser": 1e-9}),
+    ("case3_sweep", {"target_ser": 0.68}),
+    ("case3_sweep", {"target_ser": 0.7}),
+    ("case3_sweep", {"target_ser": 0.749}),
+    ("case3_sweep", {"num_bits": 1, "target_ser": 0.499}),
+    ("case3_sweep", {"num_bits": 8, "target_ser": 0.996}),
+    ("case3_sweep", {"target_pd": 0.9999}),
+    ("case3_sweep", {"target_pd": 0.0086}),
+    ("case3_sweep", {"target_pd": 0.04}),
+    ("case3_sweep", {"target_pfa": 1e-9}),
+    ("case3_sweep", {"target_pfa": 0.934}),
+    ("case3_sweep", {"target_pd": 2e-9, "target_pfa": 1e-9}),
+    ("case3_sweep", {"target_pd": 0.999999, "target_pfa": 0.999998}),
+]
+
+
+@pytest.mark.parametrize("kind, params", _MI_CASE3_BOUNDS)
+def test_mi_and_case3_run_at_every_validate_bound(tmp_path, kind, params):
+    # 23 cases on seeds 0-9: about 3 s on a 2-core VM. Before the Monte-Carlo
+    # margin of the case3 cross-checks, the SER and Pd targets near their
+    # limits, Pfa just below Pd and one trial each failed in run on some
+    # seeds, with validate passing them
+    small = _CASE3_SMALL if kind == "case3_sweep" else {}
+    _runs_or_is_rejected(tmp_path, kind, {**small, **params}, range(10))
 
 
 def test_case3_sweep_runs_on_single_message_batches(tmp_path):

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from isackit import constellation_ae
+from isackit.channel import complex_normal
 from isackit.constellation_ae import (
     Constellation,
     IsacAutoencoder,
@@ -257,6 +258,23 @@ def test_ml_decode_noiseless_is_exact():
     assert np.array_equal(ml_decode(pts[idx], pts), idx)
 
 
+def _ml_decode_oracle(y, pts):
+    # the unblocked body: one (trials, M) matrix of squared distances
+    return np.argmin(np.abs(y[:, None] - pts[None, :]) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("kind, size", [("PSK", 16), ("QAM", 64)])
+def test_ml_decode_blocks_match_unblocked_argmin(kind, size):
+    pts = baseline_constellation(kind, size).points
+    block = constellation_ae._DETECT_BLOCK // size
+    rng = np.random.default_rng(43)
+    for n in (100_000, block - 1, block, block + 1):
+        y = pts[rng.integers(0, size, n)] + 0.4 * complex_normal(n, rng)
+        # 0 ties every PSK point and the four central QAM points
+        y[::97] = 0.0
+        assert np.array_equal(ml_decode(y, pts), _ml_decode_oracle(y, pts))
+
+
 def test_qpsk_ser_matches_closed_form():
     const = baseline_constellation("PSK", 4)
     var = 0.5
@@ -325,11 +343,12 @@ def _detection_statistic_oracle(z, pts, noise_var):
 
 @pytest.mark.parametrize("kind, size", [("PSK", 2), ("PSK", 16), ("QAM", 16),
                                         ("QAM", 64), ("QAM", 256)])
-@pytest.mark.parametrize("var", [0.01, 0.3, 10.0])
+@pytest.mark.parametrize("var", [1e-3, 0.01, 0.3, 10.0])
 def test_detection_statistic_matches_complex_logsumexp(kind, size, var):
     # relative agreement, with an absolute floor of 1e-12 where the
     # statistic crosses zero (there the old form's cancellation of the
-    # |z|^2 / sigma^2 terms, not the new form, sets the error)
+    # |z|^2 / sigma^2 terms, not the new form, sets the error). At var 1e-3
+    # every exponent but the peak's underflows without the max pass.
     pts = baseline_constellation(kind, size).points
     rng = np.random.default_rng(40)
     n = 3000
@@ -413,6 +432,36 @@ def test_comm_calibration_matches_bisection_oracle(kind, size, target):
 
     oracle = _bisect_noise_oracle(ser_at, target, (1e-4, 4.0))
     assert abs(var - oracle) <= 1e-9 * oracle
+
+
+def _calibrate_comm_noise_oracle(reference, target_ser, trials, rng):
+    # the trial-major body: one (trials, M) matrix, minimum along its rows
+    pts = reference.points
+    idx = rng.integers(0, pts.size, size=trials)
+    unit = complex_normal(trials, rng)
+    diff = pts[None, :] - pts[idx, None]
+    u = unit[:, None]
+    toward = 2.0 * (diff.real * u.real + diff.imag * u.imag)
+    dist2 = diff.real ** 2 + diff.imag ** 2
+    t = np.divide(dist2, toward, out=np.full(toward.shape, np.inf),
+                  where=toward > 0)
+    crit = t.min(axis=1) ** 2
+    k = int(np.ceil(target_ser * trials))
+    return float(np.partition(crit, k - 1)[k - 1])
+
+
+@pytest.mark.parametrize("kind, size, target, trials", [
+    ("PSK", 2, 0.05, 50_000), ("PSK", 16, 10 ** -0.49, 50_000),
+    ("QAM", 64, 0.05, 50_000), ("QAM", 256, 0.3, 1025)])
+def test_comm_calibration_matches_trial_major_oracle(kind, size, target,
+                                                     trials):
+    # point-major blocks change where the minimum is taken, not its value
+    const = baseline_constellation(kind, size)
+    var = calibrate_comm_noise(const, target, trials,
+                               np.random.default_rng(44))
+    oracle = _calibrate_comm_noise_oracle(const, target, trials,
+                                          np.random.default_rng(44))
+    assert var == oracle
 
 
 @pytest.mark.parametrize("size, pd, pfa, trials", [

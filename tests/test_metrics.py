@@ -257,19 +257,28 @@ def test_glrt_null_distribution_unit_mean(rng):
 
 
 def test_echoes_match_out_of_place_formula_bitwise(rng):
-    # alpha * v v^T X plus sqrt(var/2) (N_re + 1j N_im), N_re drawn first
+    # alpha * v v^T X plus sqrt(var/2) (N_re + 1j N_im), each part one
+    # whole-array draw, N_re first: the blocked draw gives the same bits and
+    # leaves the generator where the two draws leave it, for alpha 0 and not,
+    # at one trial, within a block, at a block's edges and across blocks
     geom = ArrayGeometry(4)
     X = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    alpha, var, angle = 0.3 - 0.2j, 1.7, 0.4
-    echoes = simulate_target_echoes(X, angle, alpha, var, geom, 500,
-                                    np.random.default_rng(9))
-    r = np.random.default_rng(9)
+    var, angle = 1.7, 0.4
     v = steering_vector(angle, geom)
-    shape = (500, 4, 8)
-    noise = np.sqrt(var / 2.0) * (r.standard_normal(shape)
-                                  + 1j * r.standard_normal(shape))
-    oracle = alpha * np.outer(v, v @ X)[None, :, :] + noise
-    assert np.array_equal(echoes.view(np.uint64), oracle.view(np.uint64))
+    block = metrics._ECHO_BLOCK // X.size
+    for alpha in (0.0, 0.3 - 0.2j):
+        for trials in (1, 500, block - 1, block, block + 1, 2 * block + 7):
+            mine = np.random.default_rng(9)
+            echoes = simulate_target_echoes(X, angle, alpha, var, geom, trials,
+                                            mine)
+            r = np.random.default_rng(9)
+            shape = (trials, 4, 8)
+            noise = np.sqrt(var / 2.0) * (r.standard_normal(shape)
+                                          + 1j * r.standard_normal(shape))
+            oracle = alpha * np.outer(v, v @ X)[None, :, :] + noise
+            assert np.array_equal(echoes.view(np.uint64),
+                                  oracle.view(np.uint64))
+            assert mine.standard_normal() == r.standard_normal()
 
 
 def test_glrt_zero_energy_waveform_rejected():
@@ -392,6 +401,17 @@ def _mi_mmse_oracle(points, probs, snr, noise, weights):
     return mi, np.sum(w * np.abs(points[:, None] - xhat) ** 2)
 
 
+def _kernel_noise(kind):
+    # 12^2 Gauss-Hermite nodes, or 120 seeded normal draws
+    if kind == "quadrature":
+        t, w = np.polynomial.hermite.hermgauss(12)
+        return ((t[:, None] + 1j * t[None, :]).ravel(),
+                ((w[:, None] * w[None, :]) / np.pi).ravel())
+    r = np.random.default_rng(8)
+    noise = (r.standard_normal(120) + 1j * r.standard_normal(120)) / np.sqrt(2)
+    return noise, np.full(120, 1.0 / 120)
+
+
 def _maxwell_boltzmann_qam16():
     pts = QAM16 * np.sqrt(10)
     probs = np.exp(-0.1 * np.abs(pts) ** 2)
@@ -411,18 +431,45 @@ def test_mi_mmse_kernel_matches_complex_logsumexp(noise_kind, case, snr):
         pts = (lv[:, None] + 1j * lv[None, :]).ravel()
         pts /= np.sqrt(np.mean(np.abs(pts) ** 2))
         probs = np.full(pts.size, 1.0 / pts.size)
-    if noise_kind == "quadrature":
-        t, w = np.polynomial.hermite.hermgauss(12)
-        noise = (t[:, None] + 1j * t[None, :]).ravel()
-        weights = ((w[:, None] * w[None, :]) / np.pi).ravel()
-    else:
-        r = np.random.default_rng(8)
-        noise = (r.standard_normal(120) + 1j * r.standard_normal(120)) / np.sqrt(2)
-        weights = np.full(120, 1.0 / 120)
+    noise, weights = _kernel_noise(noise_kind)
     mi, mmse = metrics._mi_mmse_on_noise(pts, probs, snr, noise, weights)
     mi_o, mmse_o = _mi_mmse_oracle(pts, probs, snr, noise, weights)
     assert abs(mi - mi_o) <= 1e-12 * abs(mi_o)
     assert abs(mmse - mmse_o) <= 1e-12 * abs(mmse_o)
+
+
+@pytest.mark.parametrize("points", [QPSK, QAM16], ids=["qpsk", "qam16"])
+@pytest.mark.parametrize("snr_db", [100.0, 150.0, 200.0])
+def test_mi_reaches_the_input_entropy_at_high_snr(points, snr_db):
+    # I -> ln M and MMSE -> 0 as the SNR grows; the exponents are built from
+    # symbol differences, so no term of order SNR cancels on the way
+    pt = awgn_mi_mmse(points, 10.0 ** (snr_db / 10.0), method="quadrature")
+    assert abs(pt.mutual_info - np.log(points.size)) <= 1e-9
+    assert 0.0 <= pt.mmse <= 1e-9
+
+
+@pytest.mark.parametrize("noise_kind", ["quadrature", "mc"])
+@pytest.mark.parametrize("snr", [0.5, 3.0, 10.0, 1e4])
+def test_mi_mmse_kernel_on_a_zero_probability_point(noise_kind, snr):
+    # a corner of Maxwell-Boltzmann 16-QAM never sent: the kernel stays
+    # finite, raises no floating-point error, and equals the oracle on the
+    # support
+    pts, probs = _maxwell_boltzmann_qam16()
+    probs = probs.copy()
+    probs[0] = 0.0
+    probs /= probs.sum()
+    pts = pts / np.sqrt(np.sum(probs * np.abs(pts) ** 2))
+    noise, weights = _kernel_noise(noise_kind)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        mi, mmse = metrics._mi_mmse_on_noise(pts, probs, snr, noise, weights)
+    support = probs > 0
+    mi_o, mmse_o = _mi_mmse_oracle(pts[support], probs[support], snr, noise,
+                                   weights)
+    assert np.isfinite(mi) and np.isfinite(mmse)
+    assert abs(mi - mi_o) <= 1e-12 * abs(mi_o)
+    assert abs(mmse - mmse_o) <= 1e-12 * abs(mmse_o) + 1e-15
+    point = awgn_mi_mmse(pts, snr, probs=probs)
+    assert np.isfinite(point.mutual_info) and np.isfinite(point.mmse)
 
 
 def test_gaussian_dominates_discrete_mmse():
