@@ -4,6 +4,7 @@ Submodules
 ----------
 channel           steering vectors, Rician channels, channel aging
 metrics           MUI, SINR/sum rate, beampatterns, GLRT/ROC, MI/MMSE
+roots             safeguarded Illinois search for a falling miss's zero
 classical_design  closed-form and exact-solver waveform baselines
 neural            minimal dense-network engine (forward/backward/Adam/train)
 waveform_learn    unsupervised waveform network (features, projection, loss)
@@ -23,6 +24,7 @@ __version__ = "0.1.0"
 _SUBMODULES = (
     "channel",
     "metrics",
+    "roots",
     "classical_design",
     "neural",
     "waveform_learn",

@@ -6,8 +6,8 @@ beampattern-matched directional template, the covariance-constrained MUI
 minimizer (an orthogonal-Procrustes problem solved by one SVD), the weighted
 radar/communication trade-off under a total power constraint (a trust-region
 subproblem solved exactly through the secular equation), the epsilon-constraint
-variants (a root search on the trade-off weight that returns the feasible
-weight on a 2^-40 grid nearest the priority extreme, in Illinois steps), and
+variants (`roots.falling_root` on the trade-off weight, returning the
+feasible weight on a 2^-40 grid nearest the priority extreme), and
 the zero-interference genie rate bound.
 
 `ChannelMatrix` and `CovarianceTemplate` are immutable values that carry
@@ -29,6 +29,7 @@ import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, steering_grid
 from .metrics import RateReport, _as_matrix, sum_rate
+from .roots import falling_root
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
@@ -355,13 +356,9 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     j / _WEIGHT_CELLS nearest that extreme that still meets the bound: what a
     bisection of [0, 1] down to _WEIGHT_TOL returns, bit for bit.
 
-    The search runs on that grid and keeps a bracket of a feasible and an
-    infeasible weight. Illinois steps (regula falsi that halves the kept
-    end's miss when the same end is kept twice; Dowell and Jarratt 1971)
-    shrink it superlinearly. A step is kept two cells inside the bracket, and
-    a bisection step follows a step that had to be moved so, or a pair of
-    steps that did not halve the bracket. From four cells on, the search
-    bisects. The design returned is the one solved at the last feasible
+    The search is `roots.falling_root` on x, the grid index counted from the
+    priority extreme, where the miss (constrained metric minus bound) falls
+    as x grows. The design returned is the one solved at the last feasible
     weight, so no weight is solved twice, and every weight reuses one
     factorization of H^H H.
     """
@@ -370,57 +367,32 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     if mode not in ("comm_priority", "sens_priority"):
         raise ValueError("mode must be comm_priority or sens_priority")
     f = _factor(H, D, X0, "epsilon_design")
+    comm = mode == "comm_priority"
 
-    def solve(j):
+    def solve(x):
+        j = _WEIGHT_CELLS - x if comm else x
         X = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
-        if mode == "comm_priority":
-            return X, float(np.linalg.norm(X - f.X0) ** 2)
-        return X, float(np.linalg.norm(f.H @ X - f.D) ** 2)
+        return X, float(np.linalg.norm(X - f.X0 if comm else f.H @ X - f.D) ** 2)
 
-    # grid indices of the weight extremes: the constrained metric is at its
-    # best at `infeas` and at its worst at `feas`
-    if mode == "comm_priority":
-        feas, infeas = 0, _WEIGHT_CELLS
-    else:
-        feas, infeas = _WEIGHT_CELLS, 0
-
-    X, value = solve(infeas)
+    # x = 0 is the priority extreme, where the constrained metric is at its
+    # worst, and x = _WEIGHT_CELLS the other extreme, where it is at its best
+    X, value = solve(0)
     if value <= bound:
         return WaveformDesign(X, total_power), bound - value
-    X_feas, achieved = solve(feas)
+    X_feas, achieved = solve(_WEIGHT_CELLS)
     if achieved > bound:
         raise ValueError(
             f"epsilon infeasible: minimal achievable constraint is {achieved:.6e}")
 
-    # the bound holds at `feas` and fails at `infeas`; the misses straddle 0
-    miss_feas, miss_infeas = achieved - bound, value - bound
-    mark, steps, bisect = abs(infeas - feas), 0, False
-    kept = 0  # +1 after feas moved last, -1 after infeas did
-    while abs(infeas - feas) > 1:
-        lo, hi = min(feas, infeas), max(feas, infeas)
-        if bisect or hi - lo <= 4:
-            j, clamped = (lo + hi) // 2, False
-        else:
-            j = feas + round((infeas - feas) * (miss_feas / (miss_feas - miss_infeas)))
-            # stay two cells inside the bracket, so that a root next to one
-            # end puts the step past it and the far end moves too
-            clamped = not lo + 2 <= j <= hi - 2
-            j = min(max(j, lo + 2), hi - 2)
-        X, value = solve(j)
+    def miss(x):
+        nonlocal X_feas, achieved
+        X, value = solve(x)
         if value <= bound:
-            feas, miss_feas, X_feas, achieved = j, value - bound, X, value
-            if kept > 0:
-                miss_infeas *= 0.5
-            kept = 1
-        else:
-            infeas, miss_infeas = j, value - bound
-            if kept < 0:
-                miss_feas *= 0.5
-            kept = -1
-        steps, bisect = steps + 1, clamped
-        if steps == 2:
-            bisect = bisect or abs(infeas - feas) > 0.5 * mark
-            mark, steps = abs(infeas - feas), 0
+            X_feas, achieved = X, value
+        return value - bound
+
+    falling_root(miss, 0, _WEIGHT_CELLS, value - bound, achieved - bound,
+                 floor=1, tol=-1.0, snap=round)
     return WaveformDesign(X_feas, total_power), bound - achieved
 
 

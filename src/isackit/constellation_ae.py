@@ -14,9 +14,9 @@ the resolution of their Monte-Carlo draws. The comm variance is an order
 statistic: the noise draw is shared across candidate variances, so each
 trial's error starts at one critical variance, and the target SER is reached
 at the ceil(target * trials)-th smallest of them. The radar variance is found
-by safeguarded Illinois steps inside a bracket that widens as far as the
-target needs, and the search stops once Pd is within one count (1/trials) of
-the target. Each raises a ValueError naming its target when no variance
+by `roots.falling_root` inside a bracket that widens as far as the target
+needs, and the search stops once Pd is within one count (1/trials) of the
+target. Each raises a ValueError naming its target when no variance
 reaches it.
 
 A constellation is its points alone: message m is point m, and the bits of m
@@ -41,6 +41,7 @@ from .neural import (
     init_mlp,
     predict,
 )
+from .roots import falling_root
 
 _HIDDEN = (16, 32, 16)
 _CLAMP = 1e-12
@@ -375,16 +376,10 @@ def calibrate_comm_noise(reference: Constellation, target_ser: float,
 
 def _falling_root(miss, bracket, tol: float, field: str) -> float:
     """Noise variance at which miss(var), a Monte-Carlo estimate minus its
-    target that falls as the variance grows, is within tol of zero.
-
-    The bracket's lo is halved and its hi doubled, each at most
-    _BRACKET_GROWTH times, until miss(lo) >= 0 >= miss(hi). Inside it,
-    safeguarded Illinois steps run: regula falsi that halves the kept end's
-    miss when the same end is kept twice (Dowell and Jarratt 1971), and a
-    bisection step after each pair of steps that did not halve the bracket.
-    The first evaluated variance with |miss| <= tol is returned; should the
-    bracket first shrink to 2^-40 of its grown width, the last evaluated
-    variance, an end of that bracket, is."""
+    target that falls as the variance grows, is within tol of zero: the
+    bracket's lo is halved and its hi doubled, each at most _BRACKET_GROWTH
+    times, until miss(lo) > 0 > miss(hi), and `roots.falling_root` searches
+    it down to 2^-40 of its grown width."""
     lo, hi = bracket
     for _ in range(_BRACKET_GROWTH):
         f_lo = miss(lo)
@@ -406,32 +401,7 @@ def _falling_root(miss, bracket, tol: float, field: str) -> float:
     else:
         raise ValueError(f"{field} is out of reach: the reference misses it "
                          f"up to noise variance {hi / 2.0:g}")
-    floor = (hi - lo) * 2.0 ** -40
-    mark, steps, bisect = hi - lo, 0, False
-    kept = 0  # +1 after lo moved last, -1 after hi did
-    while hi - lo > floor:
-        if bisect:
-            var = 0.5 * (lo + hi)
-        else:
-            var = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        f = miss(var)
-        if abs(f) <= tol:
-            return var
-        if f > 0:
-            lo, f_lo = var, f
-            if kept > 0:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = var, f
-            if kept < 0:
-                f_lo *= 0.5
-            kept = -1
-        steps, bisect = steps + 1, False
-        if steps == 2:
-            bisect = hi - lo > 0.5 * mark
-            mark, steps = hi - lo, 0
-    return var
+    return falling_root(miss, lo, hi, f_lo, f_hi, (hi - lo) * 2.0 ** -40, tol)
 
 
 def calibrate_radar_noise(reference: Constellation, target_pd: float,

@@ -107,7 +107,8 @@ def _activate(z: np.ndarray, act: str) -> np.ndarray:
     if act == "tanh":
         return np.tanh(z)
     if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) = inf below z = -709: 0
+            return 1.0 / (1.0 + np.exp(-z))
     if act == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)

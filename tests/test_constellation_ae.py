@@ -499,41 +499,87 @@ def test_radar_calibration_stops_at_one_count(monkeypatch, size, pd, pfa,
     assert abs(np.mean(s1 > thr) - pd) <= 1.0 / trials
 
 
-@pytest.mark.parametrize("below, above", [(0.5, -0.5), (1e-12, -1.0)])
-def test_falling_root_ends_at_a_jump_it_cannot_resolve(below, above):
-    # a miss that jumps over the tolerance band at var = 1: the bracket
-    # shrinks to 2^-40 of its width around the jump. The lopsided jump
-    # stalls regula falsi at the low end; the safeguard bisects at least
-    # once in every four steps.
-    seen = []
+def _falling_root_oracle(miss, bracket, tol, field):
+    """The radar calibration's root search before it moved to
+    roots.falling_root: bracket growth, then Illinois steps with a
+    bisection after each pair of steps that did not halve the bracket."""
+    lo, hi = bracket
+    for _ in range(constellation_ae._BRACKET_GROWTH):
+        f_lo = miss(lo)
+        if abs(f_lo) <= tol:
+            return lo
+        if f_lo > 0:
+            break
+        lo /= 2.0
+    else:
+        raise ValueError(f"{field} is out of reach")
+    for _ in range(constellation_ae._BRACKET_GROWTH):
+        f_hi = miss(hi)
+        if abs(f_hi) <= tol:
+            return hi
+        if f_hi < 0:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError(f"{field} is out of reach")
+    floor = (hi - lo) * 2.0 ** -40
+    mark, steps, bisect = hi - lo, 0, False
+    kept = 0
+    while hi - lo > floor:
+        if bisect:
+            var = 0.5 * (lo + hi)
+        else:
+            var = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        f = miss(var)
+        if abs(f) <= tol:
+            return var
+        if f > 0:
+            lo, f_lo = var, f
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = var, f
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        steps, bisect = steps + 1, False
+        if steps == 2:
+            bisect = hi - lo > 0.5 * mark
+            mark, steps = hi - lo, 0
+    return var
 
-    def miss(var):
-        seen.append(var)
-        return below if var < 1.0 else above
 
-    var = constellation_ae._falling_root(miss, (0.01, 4.0), 1e-13, "x")
-    assert var == seen[-1]
-    assert abs(var - 1.0) <= 3.99 * 2.0 ** -40
-    assert len(seen) <= 2 + 4 * 40
+@pytest.mark.parametrize("size, pd, pfa, trials, seeds", [
+    (16, 0.935, 0.0085, 50_000, range(1821, 1826)),
+    (4, 0.13, 0.1, 30_000, range(38, 43)),  # the bracket grows past var 4
+    (2, 0.9, 0.01, 2_000, range(5))])
+def test_radar_calibration_matches_oracle_search(monkeypatch, size, pd, pfa,
+                                                 trials, seeds):
+    # the calibrated variance feeds every Case III constellation, which
+    # follows its last digits: the shared search must not move it at all
+    const = baseline_constellation("PSK", size)
+    real = constellation_ae.detection_statistic
+    searches = (constellation_ae._falling_root, _falling_root_oracle)
+    for seed in seeds:
+        results = []
+        for search in searches:
+            calls = []
 
+            def counting(z, points, noise_var):
+                calls.append(noise_var)
+                return real(z, points, noise_var)
 
-@pytest.mark.parametrize("miss, root", [
-    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, 0.37),
-    (lambda v: 1.0 / (1.0 + np.exp((v - 0.1) / 0.01)) - 0.935,
-     0.1 + 0.01 * np.log(1.0 / 0.935 - 1.0))])
-def test_falling_root_is_superlinear_on_a_smooth_miss(miss, root):
-    # plain regula falsi under the same safeguard needs 25 and 34
-    # evaluations here; the Illinois step needs 14
-    seen = []
-
-    def counted(var):
-        seen.append(var)
-        return miss(var)
-
-    var = constellation_ae._falling_root(counted, (0.01, 4.0), 1e-12, "x")
-    assert abs(miss(var)) <= 1e-12
-    assert abs(var - root) <= 1e-9
-    assert len(seen) <= 16
+            monkeypatch.setattr(constellation_ae, "detection_statistic", counting)
+            monkeypatch.setattr(constellation_ae, "_falling_root", search)
+            var, thr = calibrate_radar_noise(const, pd, pfa, trials,
+                                             np.random.default_rng(seed))
+            results.append((var, thr, calls))
+        (var, thr, calls), (var_o, thr_o, calls_o) = results
+        assert var == var_o and thr == thr_o
+        assert calls == calls_o
+    if size == 4:
+        assert var > constellation_ae._RADAR_BRACKET[1]
 
 
 def test_calibration_grows_bracket_for_bpsk_ser():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_backward_matches_finite_differences(acts, rng):
         for a, f in ((analytic[i][0], fd_w[i]), (analytic[i][1], fd_b[i])):
             denom = max(np.linalg.norm(f), 1e-12)
             assert np.linalg.norm(a - f) / denom < 1e-5
+
+
+def test_sigmoid_saturates_without_floating_point_warnings():
+    # exp(-z) overflows to inf below z = -709; the sigmoid is then exactly 0
+    model = MlpModel([np.ones((1, 1))], [np.zeros(1)], ["sigmoid"])
+    batch = np.array([[-800.0], [0.0], [800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cache = forward_pass(model, batch)
+        grads, _ = backward_pass(model, cache, np.ones_like(out))
+    assert out.ravel().tolist() == [0.0, 0.5, 1.0]
+    assert grads[0][1].tolist() == [0.25]
 
 
 def test_backward_input_gradient_matches_fd(rng):
