@@ -200,9 +200,13 @@ def train_isac_ae(weight: float, num_bits: int, comm_noise_var: float,
                   samples_per_epoch: int = 100_000) -> IsacAutoencoder:
     """Joint end-to-end training of the triple. Every step draws fresh
     messages, presence flags T ~ Bernoulli(1/2) and channel noise, so the
-    decoder sees y = x + n_comm and the detector z = T*x + n_radar."""
+    decoder sees y = x + n_comm and the detector z = T*x + n_radar. With no
+    dataset there is no validation score, so no early stopping."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
+    if config.early_stop_patience is not None:
+        raise ValueError("train_isac_ae has no validation set: "
+                         "early_stop_patience must be None")
     rng = np.random.default_rng(config.seed)
     ae = build_isac_ae(num_bits, weight, rng)
     states = {name: init_adam(net, lr=config.lr) for name, net in

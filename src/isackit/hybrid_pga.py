@@ -8,9 +8,11 @@ gradient step on F, re-imposes the unit modulus by `project_unit_modulus`,
 then a step on W at the updated F, re-imposing the budget by
 `normalize_power`. The unrolled variant treats the per-layer step sizes as
 2I learnable parameters trained by Adam (Kingma and Ba, ICLR 2015) on a
-rate-weighted loss over intermediate layers; Adam moves each step size by
-about the learning rate per minibatch whatever the loss curvature, so the
-learned steps do not amplify last-bit changes of the data. The gradient is
+rate-weighted loss over intermediate layers, in `neural.minibatch_adam`,
+the one minibatch loop and Adam update that also train the dense networks.
+Adam moves each step size by about the learning rate per minibatch whatever
+the loss curvature, so the learned steps do not amplify last-bit changes of
+the data. The gradient is
 exact: `unrolled_loss_grad` tapes one forward pass over the minibatch and
 runs one hand-written reverse pass through every layer (rate term, power
 renormalization, W step, unit-modulus projection, F step), so a minibatch
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_normal
-from .neural import adam_state, adam_update
+from .neural import TrainConfig, adam_update, minibatch_adam
 
 _LN2 = float(np.log(2.0))
 _INV_LN2 = 1.0 / _LN2
@@ -414,15 +416,16 @@ _VAL_FRACTION = 0.1
 def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
                      epochs: int = 30, init_step: float = 0.05, *,
                      batch_size: int = 100, seed: int = 0) -> StepSchedule:
-    """Adam with learning rate `lr` on the 2I step sizes, with the exact
+    """`neural.minibatch_adam` with learning rate `lr` on the 2I step sizes,
+    the loop and Adam update that train the dense networks, with the exact
     reverse-mode gradient of `unrolled_loss` on each minibatch
-    (`unrolled_loss_grad`); the update is `neural.adam_update`, the one
-    that trains the dense networks.
+    (`unrolled_loss_grad`).
 
     A seeded _VAL_FRACTION slice of the dataset is held out for validation
     and the best schedule on it is returned (training loss when the slice
     rounds to empty).
     """
+    config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
     if num_layers < 1:
         raise ValueError("num_layers must be at least 1")
     if len(dataset) == 0:
@@ -430,22 +433,15 @@ def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
     n_val = int(round(_VAL_FRACTION * len(dataset)))
-    val = dataset.subset(order[:n_val]) if n_val else None
     tr = dataset.subset(order[n_val:])
-
+    val = dataset.subset(order[:n_val]) if n_val else tr
     steps = np.full((num_layers, 2), float(init_step))
-    adam = adam_state(steps.size, lr)
-    best = np.inf
-    best_steps = steps.copy()
-    for _ in range(epochs):
-        idx = rng.permutation(len(tr))
-        for start in range(0, len(tr), batch_size):
-            batch = tr.subset(idx[start:start + batch_size])
-            grad = unrolled_loss_grad(StepSchedule(steps), batch)[1]
-            adam_update(adam, steps.reshape(-1), grad.reshape(-1))
-        current = unrolled_loss(StepSchedule(steps),
-                                val if val is not None else tr)
-        if current < best:
-            best = current
-            best_steps = steps.copy()
-    return StepSchedule(best_steps)
+
+    def step(idx, state):
+        loss, grad = unrolled_loss_grad(StepSchedule(steps), tr.subset(idx))
+        adam_update(state, steps.reshape(-1), grad.reshape(-1))
+        return loss
+
+    minibatch_adam(steps.reshape(-1), len(tr), step, config, rng,
+                   lambda: unrolled_loss(StepSchedule(steps), val))
+    return StepSchedule(steps)

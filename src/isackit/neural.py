@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward pass, exact reverse-mode gradients,
-Adam, and seeded mini-batch training with early stopping.
+one Adam update, and one seeded minibatch loop with early stopping.
 
 The engine is real-valued float64 throughout; callers that work with complex
 quantities stack real and imaginary parts into the feature vector. Losses are
@@ -18,6 +18,12 @@ parameter vector block by block in place, with no parameter-sized
 temporaries; `adam_step` applies it to a model's `params`. Its
 decay rates and epsilon are the constants of Kingma and Ba (ICLR 2015);
 only the learning rate is set per run.
+
+`minibatch_adam` is the one loop over a finite training set: it shuffles,
+batches, keeps the best-scoring snapshot, stops early and records the
+history, and leaves each batch's gradient and Adam update to a closure of
+its caller. `train` runs it on a model's params; `hybrid_pga` runs it on
+the unrolled PGA step sizes.
 """
 
 from __future__ import annotations
@@ -299,8 +305,54 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs/batch_size must be >= 1 and lr > 0")
+        for name in ("epochs", "batch_size", "early_stop_patience"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+
+
+def minibatch_adam(params: np.ndarray, n: int, step: Callable,
+                   config: TrainConfig, rng: np.random.Generator,
+                   score: Optional[Callable] = None) -> dict:
+    """Seeded shuffled minibatch Adam on the flat vector `params`, in place.
+
+    Each epoch draws rng.permutation(n) and passes its consecutive runs of
+    config.batch_size row indices, one at a time, to step(idx, state),
+    which applies one Adam update (`adam_update` or `adam_step` under
+    `state`, made here with config.lr) and returns the batch's mean loss.
+    An epoch scores score() when given, else its mean training loss. A
+    strictly lower score than all before it snapshots `params`; training
+    stops after config.early_stop_patience epochs without one. The best
+    snapshot is restored before returning: the initial `params` when no
+    epoch scores below inf.
+
+    Returns the history {"train": epoch-mean losses, "val": scores}, with
+    "val" empty when no score() is given.
+    """
+    state = adam_state(params.size, config.lr)
+    history = {"train": [], "val": []}
+    best, best_score, stale = params.copy(), np.inf, 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            total += step(idx, state) * len(idx)
+        history["train"].append(total / n)
+        if score is not None:
+            history["val"].append(score())
+        current = history["val" if score is not None else "train"][-1]
+        if current < best_score:
+            best_score, stale = current, 0
+            np.copyto(best, params)
+        else:
+            stale += 1
+            if config.early_stop_patience is not None and stale >= config.early_stop_patience:
+                break
+    params[...] = best
+    return history
 
 
 def _index_aux(aux, idx):
@@ -313,14 +365,12 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
           loss_fn: Callable, config: TrainConfig,
           val_inputs: Optional[np.ndarray] = None, val_aux=None,
           batch_transform: Optional[Callable] = None):
-    """Seeded shuffled mini-batch training with Adam.
+    """`minibatch_adam` on model.params, scored by the validation loss when
+    a validation set is given (else by the training loss).
 
     aux is None, an array, or a tuple of arrays, each indexed along its
     leading axis like `inputs`; loss_fn(outputs, aux_batch) -> (loss, grad
-    wrt outputs) receives the rows of the batch. When a validation
-    set and early_stop_patience are given, training stops after `patience`
-    epochs without improvement; the best-scoring snapshot (validation when
-    available, else training loss) is restored before returning.
+    wrt outputs) receives the rows of the batch.
 
     batch_transform(inputs_batch, aux_batch, rng) -> (inputs, aux), when
     given, rewrites each training batch before the forward pass (on-the-fly
@@ -331,45 +381,20 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError("empty dataset")
-    n = inputs.shape[0]
     rng = np.random.default_rng(config.seed)
-    state = init_adam(model, lr=config.lr)
-    history = {"train": [], "val": []}
-    best_score = np.inf
-    best = np.empty_like(model.params)
-    stale = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch_in, batch_aux = inputs[idx], _index_aux(aux, idx)
-            if batch_transform is not None:
-                batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
-            out, cache = forward_pass(model, batch_in)
-            loss, grad_out = loss_fn(out, batch_aux)
-            grads, _ = backward_pass(model, cache, grad_out)
-            adam_step(state, model, grads)
-            # free this step's gradient vector before the next one is allocated
-            del grads, cache
-            epoch_loss += loss * len(idx)
-        train_loss = epoch_loss / n
-        history["train"].append(train_loss)
-        if val_inputs is not None:
-            val_out = predict(model, val_inputs)
-            val_loss, _ = loss_fn(val_out, val_aux)
-            history["val"].append(val_loss)
-            score = val_loss
-        else:
-            score = train_loss
-        if score < best_score - 1e-15:
-            best_score = score
-            np.copyto(best, model.params)
-            stale = 0
-        else:
-            stale += 1
-            if config.early_stop_patience is not None and stale >= config.early_stop_patience:
-                break
-    if best_score < np.inf:
-        model.params[...] = best
+
+    def step(idx, state):
+        batch_in, batch_aux = inputs[idx], _index_aux(aux, idx)
+        if batch_transform is not None:
+            batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
+        out, cache = forward_pass(model, batch_in)
+        loss, grad_out = loss_fn(out, batch_aux)
+        adam_step(state, model, backward_pass(model, cache, grad_out)[0])
+        return loss
+
+    def val_loss():
+        return loss_fn(predict(model, val_inputs), val_aux)[0]
+
+    history = minibatch_adam(model.params, len(inputs), step, config, rng,
+                             None if val_inputs is None else val_loss)
     return model, history

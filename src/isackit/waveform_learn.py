@@ -209,6 +209,10 @@ def make_dataset(num_samples: int, num_antennas: int, num_users: int,
     return WaveformSample(H=H, D=D, X0=procrustes_waveform(template, H, D, frame_length))
 
 
+# the fewest samples whose 20% validation share rounds to at least one
+_MIN_SAMPLES = 3
+
+
 def split_dataset(num_samples: int, rng: np.random.Generator):
     """Seeded 60/20/20 train/validation/test index split."""
     perm = rng.permutation(num_samples)
@@ -254,6 +258,9 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
         raise ValueError("weight must lie in [0, 1]")
     if len(dataset) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
+    if len(dataset) < _MIN_SAMPLES:
+        raise ValueError(f"dataset needs at least {_MIN_SAMPLES} samples, "
+                         "so that its 20% validation split is not empty")
     if config.early_stop_patience is None:
         config = dataclasses.replace(config, early_stop_patience=20)
     rng = np.random.default_rng(config.seed)

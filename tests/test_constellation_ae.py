@@ -628,6 +628,13 @@ def test_train_rejects_bad_weight():
         train_isac_ae(-0.1, 2, 0.1, 0.1, cfg, samples_per_epoch=20)
 
 
+def test_train_rejects_early_stopping():
+    # training draws fresh data every step: there is no validation score
+    cfg = TrainConfig(epochs=1, batch_size=8, early_stop_patience=2)
+    with pytest.raises(ValueError, match="early_stop_patience"):
+        train_isac_ae(0.5, 2, 0.3, 0.5, cfg, samples_per_epoch=16)
+
+
 @pytest.fixture(scope="module")
 def tiny_trained():
     cfg = TrainConfig(epochs=8, batch_size=100, lr=1e-3, seed=28)

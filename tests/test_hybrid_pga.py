@@ -2,9 +2,11 @@
 
 The references are independent of the code under test: central finite
 differences and per-instance evaluations of the rate formula in `helpers`,
-B=1 slices of the same batch, and a frozen copy of the layer code as it
+B=1 slices of the same batch, a frozen copy of the layer code as it
 stood before its reciprocal, buffer and stacked-matmul rewrites, which the
-code must match within roundoff.
+code must match within roundoff, and a frozen copy of the step-size
+training loop as it stood before it moved into `neural.minibatch_adam`,
+which training must match bit for bit.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from isackit.hybrid_pga import (
     unrolled_loss_grad,
 )
 from isackit import hybrid_pga
+from isackit.neural import adam_state, adam_update
 
 
 # ------------------------------------------------------------------ oracles
@@ -719,11 +722,65 @@ def test_training_takes_adam_steps():
                        atol=1e-9)
 
 
+def frozen_train_step_sizes(dataset, num_layers, lr, epochs, init_step,
+                            batch_size, seed):
+    """`train_step_sizes` with its own minibatch loop, as it stood before the
+    loop moved into `neural.minibatch_adam`. Returns the best and the last
+    steps."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(dataset))
+    n_val = int(round(0.1 * len(dataset)))
+    val = dataset.subset(order[:n_val]) if n_val else None
+    tr = dataset.subset(order[n_val:])
+    steps = np.full((num_layers, 2), float(init_step))
+    adam = adam_state(steps.size, lr)
+    best = np.inf
+    best_steps = steps.copy()
+    for _ in range(epochs):
+        idx = rng.permutation(len(tr))
+        for start in range(0, len(tr), batch_size):
+            batch = tr.subset(idx[start:start + batch_size])
+            grad = unrolled_loss_grad(StepSchedule(steps), batch)[1]
+            adam_update(adam, steps.reshape(-1), grad.reshape(-1))
+        current = unrolled_loss(StepSchedule(steps),
+                                val if val is not None else tr)
+        if current < best:
+            best = current
+            best_steps = steps.copy()
+    return best_steps, steps
+
+
+# (instances, batch_size, epochs, lr, seed, best epoch before the last).
+# 4 instances hold out no validation slice; the batch sizes 3, 7, 8, 5 and
+# 4 do not divide the training slices of 4, 18, 27, 11 and 23.
+_FROZEN_RUNS = [(4, 2, 3, 0.02, 0, False), (4, 3, 6, 0.05, 1, False),
+                (20, 7, 3, 0.02, 2, False), (30, 8, 5, 0.05, 3, True),
+                (12, 5, 6, 0.1, 4, True), (25, 4, 4, 0.05, 5, True)]
+
+
+@pytest.mark.parametrize("B,batch_size,epochs,lr,seed,restores",
+                         _FROZEN_RUNS)
+def test_training_matches_frozen_loop_bitwise(B, batch_size, epochs, lr, seed,
+                                              restores):
+    ds = make_pga_dataset(B, 6, 3, 2, np.random.default_rng(50 + seed))
+    best, last = frozen_train_step_sizes(ds, 4, lr, epochs, 0.05, batch_size,
+                                         seed)
+    learned = train_step_sizes(ds, 4, lr=lr, epochs=epochs, init_step=0.05,
+                               batch_size=batch_size, seed=seed)
+    assert learned.steps.tobytes() == best.tobytes()
+    assert restores == (best.tobytes() != last.tobytes())
+
+
 def test_training_validation_errors():
     rng = np.random.default_rng(31)
     ds = make_pga_dataset(4, 4, 2, 2, rng)
     with pytest.raises(ValueError, match="at least 1"):
         train_step_sizes(ds, 0)
+    for kwargs, field in (({"batch_size": 0}, "batch_size"),
+                          ({"epochs": 0}, "epochs"), ({"lr": 0.0}, "lr"),
+                          ({"lr": float("nan")}, "lr")):
+        with pytest.raises(ValueError, match=field):
+            train_step_sizes(ds, 2, **kwargs)
 
 
 def test_learned_schedule_beats_fixed_small_scale():

@@ -89,6 +89,53 @@ def _oracle_adam_step(state, model, param_grads):
     return model
 
 
+def _oracle_train(model, inputs, aux, loss_fn, config, val_inputs=None,
+                  val_aux=None, batch_transform=None):
+    """`train` as it stood with its own minibatch loop, before the loop moved
+    into `minibatch_adam`. Its snapshot rule asked for an improvement of
+    more than 1e-15, and a run with no finite score kept its last params."""
+    inputs = np.asarray(inputs, dtype=float)
+    n = inputs.shape[0]
+    rng = np.random.default_rng(config.seed)
+    state = init_adam(model, lr=config.lr)
+    history = {"train": [], "val": []}
+    best_score = np.inf
+    best = np.empty_like(model.params)
+    stale = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            batch_in, batch_aux = inputs[idx], neural._index_aux(aux, idx)
+            if batch_transform is not None:
+                batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
+            out, cache = forward_pass(model, batch_in)
+            loss, grad_out = loss_fn(out, batch_aux)
+            grads, _ = backward_pass(model, cache, grad_out)
+            adam_step(state, model, grads)
+            epoch_loss += loss * len(idx)
+        train_loss = epoch_loss / n
+        history["train"].append(train_loss)
+        if val_inputs is not None:
+            val_loss, _ = loss_fn(predict(model, val_inputs), val_aux)
+            history["val"].append(val_loss)
+            score = val_loss
+        else:
+            score = train_loss
+        if score < best_score - 1e-15:
+            best_score = score
+            np.copyto(best, model.params)
+            stale = 0
+        else:
+            stale += 1
+            if config.early_stop_patience is not None and stale >= config.early_stop_patience:
+                break
+    if best_score < np.inf:
+        model.params[...] = best
+    return model, history
+
+
 def _use_oracle_engine(monkeypatch):
     """Routes training through the per-layer oracles, also where
     constellation_ae imported the engine's names."""
@@ -411,6 +458,89 @@ def test_early_stopping_restores_best_snapshot(rng):
     assert np.isclose(final_val, np.min(history["val"]), atol=1e-12)
     assert len(history["val"]) < 200
     _assert_tiles_params(model)
+
+
+def _mean_squared_loss(out, target):
+    diff = out - target
+    return float(np.mean(diff**2)), 2 * diff / diff.size
+
+
+def _jitter(batch_in, batch_aux, t_rng):
+    return batch_in + 0.01 * t_rng.standard_normal(batch_in.shape), batch_aux
+
+
+# (epochs, batch_size, lr, patience, validation set, batch transform); 6 and
+# 13 do not divide the 40 training rows
+_ORACLE_RUNS = [(6, 6, 0.01, None, False, None),
+                (6, 13, 0.01, None, True, None),
+                (200, 8, 0.05, 5, True, None),
+                (40, 8, 0.05, 3, False, _jitter),
+                (5, 40, 0.02, None, True, _jitter)]
+
+
+@pytest.mark.parametrize("epochs,batch_size,lr,patience,with_val,transform",
+                         _ORACLE_RUNS)
+def test_train_matches_frozen_loop_bitwise(epochs, batch_size, lr, patience,
+                                           with_val, transform):
+    data = np.random.default_rng(batch_size)
+    X = data.standard_normal((40, 3))
+    Y = np.tanh(X @ data.standard_normal((3, 2)))
+    val = (X[:10] + 0.1, Y[:10]) if with_val else (None, None)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
+                      early_stop_patience=patience, seed=epochs)
+    runs = []
+    for trainer in (train, _oracle_train):
+        model = init_mlp([3, 6, 2], ["tanh", "linear"], np.random.default_rng(5))
+        model, history = trainer(model, X, Y, _mean_squared_loss, cfg, *val,
+                                 batch_transform=transform)
+        runs.append((model.params.tobytes(), history))
+    assert runs[0] == runs[1]
+    if patience is not None:  # the early stop and the restore both happen
+        scores = runs[0][1]["val" if with_val else "train"]
+        assert len(scores) < epochs and np.argmin(scores) < len(scores) - 1
+
+
+def test_train_without_a_finite_score_returns_the_initial_params(rng):
+    model = init_mlp([3, 2], ["linear"], rng)
+    before = model.params.copy()
+
+    def nan_loss(out, aux):
+        return np.nan, out
+
+    _, history = train(model, rng.standard_normal((8, 3)), None, nan_loss,
+                       TrainConfig(epochs=3, batch_size=4, lr=0.1))
+    assert np.isnan(history["train"]).all() and len(history["train"]) == 3
+    assert np.array_equal(model.params, before)
+
+
+def test_train_counts_a_tied_score_as_no_improvement(rng):
+    # the loss reads 1 whatever the outputs, yet its gradient moves the
+    # params: epoch 1 is the best, epochs 2 and 3 tie it and stop the run
+    X = rng.standard_normal((8, 3))
+    runs = []
+    for epochs, patience in ((10, 2), (1, None)):
+        model = init_mlp([3, 2], ["linear"], np.random.default_rng(3))
+        cfg = TrainConfig(epochs=epochs, batch_size=4, lr=0.1,
+                          early_stop_patience=patience)
+        _, history = train(model, X, None, lambda out, aux: (1.0, out), cfg)
+        runs.append((model.params.tobytes(), history["train"]))
+    assert runs[0][1] == [1.0] * 3
+    assert runs[0][0] == runs[1][0]
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"epochs": 0}, "epochs"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"lr": 0.0}, "lr"),
+    ({"lr": -1e-3}, "lr"),
+    ({"lr": float("nan")}, "lr"),
+    ({"lr": float("inf")}, "lr"),
+    ({"early_stop_patience": 0}, "early_stop_patience"),
+    ({"early_stop_patience": -2}, "early_stop_patience"),
+])
+def test_train_config_rejects_bad_fields(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{"epochs": 1, "batch_size": 1, **kwargs})
 
 
 # ------------------------------------------------------------ flat buffers

@@ -376,6 +376,16 @@ def test_training_rejects_small_dataset(rng):
         train_waveform_net(samples, 0.5, TrainConfig(epochs=1, batch_size=16))
 
 
+def test_training_rejects_an_empty_validation_split(rng):
+    # 20% of 2 samples rounds to none; 3 is the least that leaves one
+    samples = make_dataset(2, 2, 1, 2, rng)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        train_waveform_net(samples, 0.5, TrainConfig(epochs=1, batch_size=1))
+    _, history, (_, val_idx, _) = train_waveform_net(
+        make_dataset(3, 2, 1, 2, rng), 0.5, TrainConfig(epochs=1, batch_size=1))
+    assert len(val_idx) == 1 and np.isfinite(history["val"]).all()
+
+
 def test_symmetry_augment_is_loss_invariant(rng):
     # column phases/permutations act on (D, X0) together, so the loss at the
     # mapped reference equals the loss at the original reference exactly
