@@ -10,15 +10,21 @@ variants (`roots.falling_root` on the trade-off weight, returning the
 feasible weight on a 2^-40 grid nearest the priority extreme), and
 the zero-interference genie rate bound.
 
+The Procrustes and trade-off designs and the genie bound take one channel
+(H K x M) or a stack (B x K x M, and B on D and X0) through one code path;
+`epsilon_design` takes one channel, as its weight search is sequential.
+
 `ChannelMatrix` and `CovarianceTemplate` are immutable values that carry
 their factorizations: the eigendecomposition of H^H H is computed once per
-ChannelMatrix and shared by every trade-off and epsilon design on it (a
-plain-array H is wrapped in one per call), and the Hermitian square root of a
-template once per template, shared by every Procrustes design scaled by it.
+ChannelMatrix, one batched eigh for a stack, and shared by every trade-off
+and epsilon design on it (a plain-array H is wrapped in one per call), and
+the Hermitian square root of a template once per template, shared by every
+Procrustes design scaled by it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import InitVar, dataclass
@@ -28,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, steering_grid
-from .metrics import RateReport, _as_matrix, sum_rate
+from .metrics import RateReport, _as_matrix, _check_dims, sum_rate
 from .roots import falling_root
 
 @dataclass(frozen=True)
@@ -90,12 +96,13 @@ class WaveformDesign:
         X = np.asarray(self.X, dtype=complex)
         if X.ndim not in (2, 3):
             raise ValueError("waveform must be a matrix or a stack of matrices")
-        avg = np.linalg.norm(X, axis=(-2, -1)) ** 2 / X.shape[-1]
+        flat = X.reshape(X.shape[:-2] + (-1,))
+        avg = np.vecdot(flat, flat).real / X.shape[-1]
         if exact_power:
             violated = np.abs(avg - self.power) > 1e-6 * self.power
         else:
             violated = avg > (1 + 1e-6) * self.power
-        if np.any(violated):
+        if violated.any():
             raise ValueError("waveform violates the power budget")
         object.__setattr__(self, "X", X)
 
@@ -256,7 +263,8 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
 
 
 class _GramFactor(NamedTuple):
-    """Validated trade-off inputs and the eigendecomposition H^H H = U g U^H.
+    """Validated trade-off inputs and the eigendecomposition H^H H = U g U^H,
+    of one channel or of each channel of a stack (leading axes on every field).
 
     For every weight eta, A(eta) = eta H^H H + (1-eta) I has the eigenvectors
     U and the eigenvalues eta g + (1-eta), and U^H B(eta) is the same mix of
@@ -275,62 +283,77 @@ class _GramFactor(NamedTuple):
     UX0: np.ndarray  # U^H X0
 
 
-def _factor(H, D, X0, caller: str) -> _GramFactor:
+def _factor(H, D, X0) -> _GramFactor:
     if not isinstance(H, ChannelMatrix):
         H = ChannelMatrix(H)
     Hm = H.entries
-    if Hm.ndim != 2:
-        raise ValueError(f"{caller} designs for one channel; index the stack")
     D = np.asarray(D, dtype=complex)
     X0m = X0.X if isinstance(X0, WaveformDesign) else np.asarray(X0, dtype=complex)
-    if Hm.shape[1] != X0m.shape[0] or D.shape != (Hm.shape[0], X0m.shape[1]):
-        raise ValueError("dimension mismatch between H, D, X0")
+    _check_dims(Hm, X0m, D, "X0")
     g, U = H.gram_eigh
-    return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().T @ D, U.conj().T @ X0m)
+    return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().mT @ D, U.conj().mT @ X0m)
 
 
-def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.ndarray:
-    """Trade-off minimizer at one weight, from the shared factorization."""
-    M, tau_d = f.X0.shape
-    target = tau_d * total_power
-    W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
-    rho = np.linalg.norm(W, axis=1) ** 2
+def _coefficients(out, W, rho, lam, UX0, target) -> bool:
+    """One channel's U^H X into `out`; False, `out` zeroed, if W == 0 (degenerate)."""
     rho_sum = rho.sum()
-    if rho_sum == 0.0:  # W == 0
-        warnings.warn("degenerate trade-off objective; returning a power-"
-                      "feasible reference", stacklevel=3)
-        X = f.X0 if np.linalg.norm(f.X0) > 0 else np.eye(M, tau_d, dtype=complex)
-        return X * np.sqrt(target) / np.linalg.norm(X)
-
-    lam = weight * f.g + (1.0 - weight)
-
+    if rho_sum == 0.0:
+        out[...] = 0.0
+        return False
     # hard case: no weight on the minimal eigenspace and the boundary value
     # already undershoots the budget; fill the gap inside that eigenspace,
     # along X0's part there (the limit as the weight goes to 1), or along its
     # first eigenvector when X0 has no part there
     lam_min = lam.min()
     min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
-    pos = ~min_space
-    hard = rho[min_space].sum() < 1e-20 * max(1.0, rho_sum)
-    if hard:  # the boundary sum matters only then
+    if rho[min_space].sum() < 1e-20 * max(1.0, rho_sum):
+        pos = ~min_space
         boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
-        hard = boundary <= target
-    if hard:
-        coeff = np.zeros_like(W)
-        coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
-        fill = np.where(min_space[:, None], f.UX0, 0.0)
-        if not fill.any():
-            fill[np.argmax(min_space)] = 1.0
-        X = f.U @ (coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2))
-    else:
-        mu = _secular_solve(lam, rho, target)
-        X = f.U @ (W / (lam + mu)[:, None])
-    return X * np.sqrt(target) / np.linalg.norm(X)  # kill the solver's roundoff
+        if boundary <= target:
+            coeff = np.zeros_like(W)
+            coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
+            fill = np.where(min_space[:, None], UX0, 0.0)
+            if not fill.any():
+                fill[np.argmax(min_space)] = 1.0
+            out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
+            return True
+    mu = _secular_solve(lam, rho, target)
+    np.divide(W, (lam + mu)[:, None], out=out)
+    return True
+
+
+def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.ndarray:
+    """Trade-off minimizer at one weight for every channel of the shared
+    factorization: a frame (M x tau_d) per channel, stacked like f.X0."""
+    tau_d = f.X0.shape[-1]
+    target = tau_d * total_power
+    W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
+    rho = np.linalg.norm(W, axis=-1) ** 2
+    lam = weight * f.g + (1.0 - weight)
+    coeff = np.empty_like(W)
+    degenerate = []
+    # one scalar Newton solve per channel (itertools.product costs less than np.ndindex)
+    for i in itertools.product(*map(range, rho.shape[:-1])):
+        if not _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target):
+            degenerate.append(i)
+    X = f.U @ coeff
+    if degenerate:
+        warnings.warn("degenerate trade-off objective; returning a power-"
+                      "feasible reference", stacklevel=3)
+        for i in degenerate:
+            X[i] = f.X0[i] if np.linalg.norm(f.X0[i]) > 0 else np.eye(*f.X0.shape[-2:])
+    # divide by np.linalg.norm of each frame, bit for bit: the rescale kills
+    # the solver's roundoff
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    X *= np.sqrt(target)
+    X /= norm[..., None, None]
+    return X
 
 
 def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesign:
     """Global minimizer of eta*||HX-D||^2 + (1-eta)*||X-X0||^2 on the power
-    sphere ||X||_F^2 = tau_d * P.
+    sphere ||X||_F^2 = tau_d * P, for one channel or each channel of a stack.
 
     The stationarity system (A + mu I) X = B with A = eta H^H H + (1-eta) I is
     solved exactly: one eigendecomposition of H^H H, which A shares, then a
@@ -339,7 +362,7 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    X = _tradeoff_solve(_factor(H, D, X0, "tradeoff_design"), weight, total_power)
+    X = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
     return WaveformDesign(X, total_power)
 
 
@@ -366,7 +389,9 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         raise ValueError("bound must be positive")
     if mode not in ("comm_priority", "sens_priority"):
         raise ValueError("mode must be comm_priority or sens_priority")
-    f = _factor(H, D, X0, "epsilon_design")
+    if _as_matrix(H).ndim != 2:
+        raise ValueError("epsilon_design designs for one channel; index the stack")
+    f = _factor(H, D, X0)
     comm = mode == "comm_priority"
 
     def solve(x):
@@ -397,9 +422,9 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
 
 
 def genie_rate(D, noise_var: float) -> RateReport:
-    """Interference-free upper bound: SINR_k = E|D_kq|^2 / sigma^2."""
+    """Interference-free upper bound: SINR_k = E|D_kq|^2 / sigma^2 per channel."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     D = np.asarray(D, dtype=complex)
-    gam = np.mean(np.abs(D) ** 2, axis=1) / noise_var
+    gam = np.mean(np.abs(D) ** 2, axis=-1) / noise_var
     return RateReport(per_user_sinr=gam, sum_rate=sum_rate(gam))

@@ -126,24 +126,12 @@ def _pos_num(v) -> bool:
     return _is_num(v) and v > 0
 
 
-def _nonneg_num(v) -> bool:
-    return _is_num(v) and v >= 0
-
-
-def _unit_num(v) -> bool:
-    return _is_num(v) and 0.0 <= v <= 1.0
-
-
 def _num_list(v) -> bool:
     return isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)
 
 
 def _unit_list(v) -> bool:
     return _num_list(v) and all(0.0 <= x <= 1.0 for x in v)
-
-
-def _angle_list(v) -> bool:
-    return _num_list(v) and all(-90.0 <= x <= 90.0 for x in v)
 
 
 def _snr_db(v) -> bool:
@@ -161,47 +149,30 @@ def _step_num(v) -> bool:
 
 
 _CHECKS = {
+    **dict.fromkeys(("quad_order", "num_antennas", "num_users", "frame_length",
+                     "num_channels", "trials", "num_chains", "num_layers", "num_train",
+                     "num_test", "epochs", "batch_size", "samples_per_epoch"),
+                    (_pos_int, "must be a positive integer")),
+    **dict.fromkeys(("total_power", "echo_gain", "carrier_freq", "sample_period", "noise_var"),
+                    (_pos_num, "must be a positive number")),
+    **dict.fromkeys(("lr", "init_step"), (_step_num, "must be a positive number at most 1e6")),
+    **dict.fromkeys(("weights", "etas"),
+                    (_unit_list, "must be a nonempty list of values in [0, 1]")),
+    **dict.fromkeys(("target_ser", "target_pd", "target_pfa"),
+                    (lambda v: _is_num(v) and 0 < v < 1, "must lie strictly inside (0, 1)")),
     "snr_db": (lambda v: _num_list(v) and all(map(_snr_db, v)),
                "must be a nonempty list of numbers in [-60, 60] dB"),
     "snr_db_point": (_snr_db, "must be a number in [-60, 60] dB"),
-    "quad_order": (_pos_int, "must be a positive integer"),
-    "num_antennas": (_pos_int, "must be a positive integer"),
-    "num_users": (_pos_int, "must be a positive integer"),
-    "frame_length": (_pos_int, "must be a positive integer"),
-    "num_channels": (_pos_int, "must be a positive integer"),
-    "weight": (_unit_num, "must lie in [0, 1]"),
-    "weights": (_unit_list, "must be a nonempty list of values in [0, 1]"),
-    "total_power": (_pos_num, "must be a positive number"),
-    "trials": (_pos_int, "must be a positive integer"),
+    "weight": (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "target_angle_deg": (lambda v: _is_num(v) and -90 <= v <= 90,
                          "must be an angle in [-90, 90] degrees"),
-    "target_angles_deg": (_angle_list,
+    "target_angles_deg": (lambda v: _num_list(v) and all(-90.0 <= x <= 90.0 for x in v),
                           "must be a list of angles in [-90, 90] degrees"),
-    "echo_gain": (_pos_num, "must be a positive number"),
     "grid_points": (lambda v: _is_int(v) and v >= 16,
                     "must be an integer of at least 16"),
-    "user_speed": (_nonneg_num, "must be a nonnegative number"),
-    "carrier_freq": (_pos_num, "must be a positive number"),
-    "sample_period": (_pos_num, "must be a positive number"),
-    "num_chains": (_pos_int, "must be a positive integer"),
-    "num_layers": (_pos_int, "must be a positive integer"),
-    "num_train": (_pos_int, "must be a positive integer"),
-    "num_test": (_pos_int, "must be a positive integer"),
-    "noise_var": (_pos_num, "must be a positive number"),
-    "lr": (_step_num, "must be a positive number at most 1e6"),
-    "epochs": (_pos_int, "must be a positive integer"),
-    "batch_size": (_pos_int, "must be a positive integer"),
-    "init_step": (_step_num, "must be a positive number at most 1e6"),
+    "user_speed": (lambda v: _is_num(v) and v >= 0, "must be a nonnegative number"),
     "num_bits": (lambda v: _is_int(v) and 1 <= v <= 8,
                  "must be an integer in [1, 8]"),
-    "etas": (_unit_list, "must be a nonempty list of values in [0, 1]"),
-    "samples_per_epoch": (_pos_int, "must be a positive integer"),
-    "target_ser": (lambda v: _is_num(v) and 0 < v < 1,
-                   "must lie strictly inside (0, 1)"),
-    "target_pd": (lambda v: _is_num(v) and 0 < v < 1,
-                  "must lie strictly inside (0, 1)"),
-    "target_pfa": (lambda v: _is_num(v) and 0 < v < 1,
-                   "must lie strictly inside (0, 1)"),
 }
 
 _DEFAULTS = {
@@ -386,23 +357,18 @@ def _run_mi_mmse(p, rng):
     return tables, {"grid_points": len(p["snr_db"]), "inputs": 3}
 
 
-def _mean_sum_rate(H, frames, D, noise):
-    """Sum rate of each channel of a stack under its frame, averaged."""
-    return sum(rate_report(h, x, d, noise).sum_rate for h, x, d in zip(H, frames, D)) / len(D)
-
-
 def _run_case1_rate(p, rng):
     ds = make_dataset(p["num_channels"], p["num_antennas"], p["num_users"],
                       p["frame_length"], rng, total_power=p["total_power"])
     frames = {"reference": ds.X0.X,
-              "tradeoff": [tradeoff_design(s.H, s.D, s.X0, p["weight"], p["total_power"]).X
-                           for s in ds]}
+              "tradeoff": tradeoff_design(ds.H, ds.D, ds.X0, p["weight"], p["total_power"]).X}
 
     def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        means = {m: _mean_sum_rate(ds.H.entries, X, ds.D, noise) for m, X in frames.items()}
-        means["genie"] = sum(genie_rate(d, noise).sum_rate for d in ds.D) / len(ds)
-        return means, {}
+        reports = {m: rate_report(ds.H, X, ds.D, noise) for m, X in frames.items()}
+        reports["genie"] = genie_rate(ds.D, noise)
+        # the channel mean as a left-to-right sum (np.mean sums pairwise)
+        return {m: sum(r.sum_rate.tolist()) / len(ds) for m, r in reports.items()}, {}
 
     return _rate_table(p["snr_db"], rates)
 
@@ -474,17 +440,18 @@ def _run_case1_aging(p, rng):
     H_alt = sample_channel_matrix(alt_users, geom, n, rng).entries
     D = QPSK[rng.integers(0, 4, size=(n, K, tau))]
 
-    def designs(H):
-        X0 = procrustes_waveform(template, H, D, tau).X
-        return [tradeoff_design(h, d, x0, p["weight"], p["total_power"]).X
-                for h, d, x0 in zip(H, D, X0)]
+    def design(H):
+        X0 = procrustes_waveform(template, H, D, tau)
+        return tradeoff_design(H, D, X0, p["weight"], p["total_power"]).X
 
-    frames = {"matched": designs(H_new), "aged": designs(H_old),
-              "topology": designs(H_alt)}
+    frames = {"matched": design(H_new), "aged": design(H_old),
+              "topology": design(H_alt)}
 
     def rates(snr_db):
         noise = _noise_from_snr_db(p["total_power"], snr_db)
-        means = {m: _mean_sum_rate(H_new, X, D, noise) for m, X in frames.items()}
+        # the channel mean as a left-to-right sum (np.mean sums pairwise)
+        means = {m: sum(rate_report(H_new, X, D, noise).sum_rate.tolist()) / n
+                 for m, X in frames.items()}
         losses = {f"{m}_loss_pct_at_{snr_db:g}dB":
                   100.0 * (1.0 - means[m] / means["matched"])
                   for m in ("aged", "topology")}

@@ -24,8 +24,8 @@ _MI_BLOCK = 2 ** 18
 
 @dataclass(frozen=True)
 class RateReport:
-    per_user_sinr: np.ndarray  # linear
-    sum_rate: float  # bits/symbol
+    per_user_sinr: np.ndarray  # linear, (..., K) for leading (channel) axes
+    sum_rate: float | np.ndarray  # bits/symbol: a float, or one per channel
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,20 @@ def _as_matrix(H) -> np.ndarray:
 # --------------------------------------------------------------- MUI / rates
 
 
+def _check_dims(H, X, D, x_name: str = "X") -> None:
+    """Raise unless H (..., K, M), X (..., M, tau) and D (..., K, tau) agree
+    in K, M, tau and in their leading axes: nothing broadcasts."""
+    if X.shape[:-1] != H.shape[:-2] + H.shape[-1:] or D.shape != H.shape[:-1] + X.shape[-1:]:
+        raise ValueError(f"dimension mismatch between H, D, {x_name}: shapes {H.shape}, "
+                         f"{D.shape}, {X.shape}; K, M, tau and the leading axes must agree")
+
+
 def _interference(H, X, D):
     """(H X - D, D) as complex arrays, once their dimensions agree."""
     Hm = _as_matrix(H)
     X = np.asarray(X, dtype=complex)
     D = np.asarray(D, dtype=complex)
-    if Hm.shape[1] != X.shape[0] or Hm.shape[0] != D.shape[0] or X.shape[1] != D.shape[1]:
-        raise ValueError("dimension mismatch between H, X, D")
+    _check_dims(Hm, X, D)
     return Hm @ X - D, D
 
 
@@ -76,26 +83,26 @@ def mui_power(H, X, D) -> float:
 
 
 def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
-    """Per-user SINR with expectations realized as averages over the frame
-    columns; assumes D carries a unit-energy constellation."""
+    """Per-user SINR, (..., K), with expectations realized as averages over
+    the frame columns; assumes D carries a unit-energy constellation."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     mui, D = _interference(H, X, D)
     # the row sums over tau: np.mean's own reduction and division, bit for bit
-    tau = D.shape[1]
-    signal = np.add.reduce(np.abs(D) ** 2, axis=1) / tau
-    residual = np.add.reduce(np.abs(mui) ** 2, axis=1) / tau
+    tau = D.shape[-1]
+    signal = np.add.reduce(np.abs(D) ** 2, axis=-1) / tau
+    residual = np.add.reduce(np.abs(mui) ** 2, axis=-1) / tau
     return signal / (residual + noise_var)
 
 
-def sum_rate(sinrs: np.ndarray) -> float:
-    """Achievable sum rate sum_k log2(1 + gamma_k) in bits/symbol."""
-    return float(np.sum(np.log2(1.0 + np.asarray(sinrs, dtype=float))))
+def sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
+    """Achievable sum rate sum_k log2(1 + gamma_k) in bits/symbol over the
+    last (users) axis: a float for one channel, an array for a stack."""
+    rates = np.add.reduce(np.log2(1.0 + np.asarray(sinrs, dtype=float)), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def rate_report(H, X, D, noise_var: float) -> RateReport:
-    if _as_matrix(H).ndim != 2:
-        raise ValueError("rate_report rates one channel; index the stack")
     gam = per_user_sinr(H, X, D, noise_var)
     return RateReport(per_user_sinr=gam, sum_rate=sum_rate(gam))
 

@@ -29,6 +29,7 @@ the unrolled PGA step sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -307,8 +308,10 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "early_stop_patience"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if value is None and name == "early_stop_patience":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0 < self.lr < np.inf:
             raise ValueError("lr must be positive and finite")
 

@@ -25,6 +25,7 @@ from .classical_design import (
     procrustes_waveform,
     reference_covariance_omni,
 )
+from .metrics import _check_dims
 from .neural import MlpModel, TrainConfig, init_mlp, predict, train
 
 DEFAULT_RICIAN_FACTORS = (1.5, 2.7, 1.2, 2.5)
@@ -47,10 +48,7 @@ class WaveformSample:
 
     def __post_init__(self):
         object.__setattr__(self, "D", np.asarray(self.D, dtype=complex))
-        H, D, X = self.H.entries, self.D, self.X0.X
-        if (D.shape != H.shape[:-1] + X.shape[-1:]
-                or X.shape[:-1] != H.shape[:-2] + H.shape[-1:]):
-            raise ValueError("H, D, X0 shapes disagree")
+        _check_dims(self.H.entries, self.X0.X, self.D, "X0")
 
     def __len__(self) -> int:
         if self.D.ndim != 3:

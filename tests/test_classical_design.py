@@ -762,14 +762,91 @@ def test_waveform_design_stack_checks_power_per_frame():
 
 def test_per_channel_solvers_reject_a_stack():
     ds = make_dataset(3, 4, 2, 4, np.random.default_rng(5))
-    with pytest.raises(ValueError, match="tradeoff_design"):
-        tradeoff_design(ds.H, ds.D, ds.X0, 0.5, 1.0)
     with pytest.raises(ValueError, match="epsilon_design"):
         epsilon_design(ds.H, ds.D, ds.X0, 1.0, "comm_priority", 1.0)
-    with pytest.raises(ValueError, match="rate_report"):
-        rate_report(ds.H, ds.X0.X, ds.D, 1.0)
     # one item of the stack is one channel
-    tradeoff_design(ds[0].H, ds[0].D, ds[0].X0, 0.5, 1.0)
+    epsilon_design(ds[0].H, ds[0].D, ds[0].X0, 1.0, "comm_priority", 1.0)
+
+
+# ------------------------------------------- stacks against per-channel loops
+
+
+def _edge_case_stack(rng, B=6, M=6, K=2, tau=8):
+    """A (B, K, M) trade-off stack with K < M and, at weight 1: item 0 on a
+    weak channel, whose least-squares frame overshoots the budget (the
+    secular branch); item 1 with small symbols, whose frame undershoots it
+    (the hard case); item 2 with D = X0 = 0, degenerate at every weight;
+    item 3 with D = 0, degenerate at weight 1 only."""
+    H = rng.standard_normal((B, K, M)) + 1j * rng.standard_normal((B, K, M))
+    D = rng.standard_normal((B, K, tau)) + 1j * rng.standard_normal((B, K, tau))
+    X0 = rng.standard_normal((B, M, tau)) + 1j * rng.standard_normal((B, M, tau))
+    H[0] *= 0.05
+    D[1] *= 0.01
+    D[2] = X0[2] = 0.0
+    D[3] = 0.0
+    return H, D, X0
+
+
+def _tradeoff_loop(H, D, X0, weight, power):
+    return np.stack([tradeoff_design(h, d, x0, weight, power).X
+                     for h, d, x0 in zip(H, D, X0)])
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.4, 1.0 - 2.0 ** -40, 1.0])
+def test_tradeoff_stack_is_the_per_channel_loop_bitwise(rng, weight):
+    H, D, X0 = _edge_case_stack(rng)
+    with pytest.warns(UserWarning, match="degenerate"):
+        stacked = tradeoff_design(H, D, X0, weight, 2.0).X
+    with pytest.warns(UserWarning, match="degenerate"):
+        loop = _tradeoff_loop(H, D, X0, weight, 2.0)
+    assert np.array_equal(stacked, loop)
+    # the degenerate items are the scaled references, the rest the minimizers
+    assert np.array_equal(stacked[2], np.eye(6, 8) * np.sqrt(16.0) / np.sqrt(6.0))
+    mui = [mui_power(h, x, d) for h, x, d in zip(H, stacked, D)]
+    if weight == 1.0:
+        assert mui[0] > 1e-6 and mui[1] <= 1e-12  # secular, then hard case
+        assert np.array_equal(stacked[3], X0[3] * np.sqrt(16.0) / np.linalg.norm(X0[3]))
+    # a stack of one is the single channel
+    assert np.array_equal(tradeoff_design(H[1:2], D[1:2], X0[1:2], weight, 2.0).X[0],
+                          tradeoff_design(H[1], D[1], X0[1], weight, 2.0).X)
+
+
+@pytest.mark.parametrize("B, M, K, tau", [(50, 16, 4, 32), (50, 8, 2, 8), (1, 16, 4, 32)])
+def test_tradeoff_dataset_stack_is_the_per_channel_loop_bitwise(B, M, K, tau):
+    ds = make_dataset(B, M, K, tau, np.random.default_rng(B + M))
+    for w in (0.0, 0.2, 0.7, 1.0):
+        stacked = tradeoff_design(ds.H, ds.D, ds.X0, w, 1.0)
+        assert stacked.X.shape == (B, M, tau)
+        loop = np.stack([tradeoff_design(s.H, s.D, s.X0, w, 1.0).X for s in ds])
+        assert np.array_equal(stacked.X, loop)
+
+
+def test_genie_rate_stack_is_the_per_channel_loop_bitwise(rng):
+    D = np.ones((5, 2, 8))
+    report = genie_rate(D, 1.0)
+    assert report.per_user_sinr.shape == (5, 2)
+    assert np.array_equal(report.sum_rate, np.full(5, 2.0))
+    D = rng.standard_normal((7, 3, 6)) + 1j * rng.standard_normal((7, 3, 6))
+    report = genie_rate(D, 0.3)
+    loop = [genie_rate(d, 0.3) for d in D]
+    assert np.array_equal(report.per_user_sinr, np.stack([r.per_user_sinr for r in loop]))
+    assert np.array_equal(report.sum_rate, [r.sum_rate for r in loop])
+    assert isinstance(loop[0].sum_rate, float)
+
+
+def test_stacks_with_mismatched_leading_axes_raise(rng):
+    H, D, X0 = _edge_case_stack(rng)
+    X = np.ones((6, 6, 8))
+    for args in ((H[:2], D, X0), (H, D[:2], X0), (H, D, X0[:2]), (H[0], D, X0),
+                 (H, D[0], X0), (H, D, X0[0]), (H, D, X0[None])):
+        with pytest.raises(ValueError, match="leading axes"):
+            tradeoff_design(*args, 0.5, 1.0)
+    for args in ((H[:2], X, D), (H, X[:2], D), (H, X, D[:2]), (H[0], X, D),
+                 (H, X[0], D), (H, X, D[0])):
+        with pytest.raises(ValueError, match="leading axes"):
+            rate_report(*args, 1.0)
+        with pytest.raises(ValueError, match="leading axes"):
+            mui_power(*args)
 
 
 def test_procrustes_stack_meets_the_template_per_item(rng):

@@ -16,6 +16,7 @@ from isackit.metrics import (
     glrt_statistics,
     mui_power,
     per_user_sinr,
+    rate_report,
     roc_curve,
     simulate_target_echoes,
     sum_rate,
@@ -110,6 +111,24 @@ def test_sum_rate_values():
     assert sum_rate(np.array([1.0, 1.0, 1.0, 1.0])) == 4.0
     assert sum_rate(np.array([0.0])) == 0.0
     assert np.isclose(sum_rate(np.array([3.0, 15.0])), 6.0)
+    # one sum per channel of a stack, over its users
+    assert np.array_equal(sum_rate(np.array([[1.0, 1.0], [3.0, 0.0], [0.0, 0.0]])),
+                          [2.0, 2.0, 0.0])
+
+
+def test_rate_report_stack_is_the_per_channel_loop_bitwise(rng):
+    for B, K, M, tau in ((9, 3, 5, 6), (40, 4, 16, 32), (1, 1, 2, 7)):
+        H = rng.standard_normal((B, K, M)) + 1j * rng.standard_normal((B, K, M))
+        X = rng.standard_normal((B, M, tau)) + 1j * rng.standard_normal((B, M, tau))
+        D = rng.standard_normal((B, K, tau)) + 1j * rng.standard_normal((B, K, tau))
+        report = rate_report(H, X, D, 0.7)
+        loop = [rate_report(h, x, d, 0.7) for h, x, d in zip(H, X, D)]
+        assert isinstance(loop[0].sum_rate, float)
+        assert report.sum_rate.shape == (B,)
+        assert np.array_equal(report.sum_rate, [r.sum_rate for r in loop])
+        assert np.array_equal(report.per_user_sinr, np.stack([r.per_user_sinr for r in loop]))
+        assert mui_power(H, X, D) == pytest.approx(sum(mui_power(h, x, d)
+                                                       for h, x, d in zip(H, X, D)))
 
 
 # ----------------------------------------------------------- hybrid sum rate

@@ -537,10 +537,23 @@ def test_train_counts_a_tied_score_as_no_improvement(rng):
     ({"lr": float("inf")}, "lr"),
     ({"early_stop_patience": 0}, "early_stop_patience"),
     ({"early_stop_patience": -2}, "early_stop_patience"),
+    ({"epochs": 1.5}, "epochs"),
+    ({"epochs": 2.0}, "epochs"),
+    ({"epochs": True}, "epochs"),
+    ({"epochs": None}, "epochs"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"batch_size": True}, "batch_size"),
+    ({"early_stop_patience": 1.5}, "early_stop_patience"),
+    ({"early_stop_patience": True}, "early_stop_patience"),
 ])
 def test_train_config_rejects_bad_fields(kwargs, field):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"epochs": 1, "batch_size": 1, **kwargs})
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3), early_stop_patience=np.int64(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.early_stop_patience) == (2, 3, 1)
 
 
 # ------------------------------------------------------------ flat buffers
