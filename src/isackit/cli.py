@@ -238,8 +238,8 @@ def validate_config(cfg) -> list:
                    .format(kind, ", ".join(_EXPERIMENTS)))
     if "seed" not in cfg:
         out.append("seed: missing required field")
-    elif not _is_int(cfg["seed"]):
-        out.append("seed: must be an integer")
+    elif not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        out.append("seed: must be a non-negative integer")
     if "out" in cfg and not isinstance(cfg["out"], str):
         out.append("out: must be a string path")
     params = cfg.get("params", {})
@@ -425,7 +425,7 @@ def _run_case1_beampattern(p, rng):
 def _run_case1_aging(p, rng):
     M, K, tau = p["num_antennas"], p["num_users"], p["frame_length"]
     geom = ArrayGeometry(M)
-    users = scenario_users(K, DEFAULT_RICIAN_FACTORS)
+    users = scenario_users(K)
     alt_angles = np.linspace(-np.pi / 2.1, -np.pi / 18, K)
     alt_users = [RicianParams(rician_factor=u.rician_factor, departure_angle=a)
                  for u, a in zip(users, alt_angles)]
@@ -633,6 +633,8 @@ def main(argv=None) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
+    if args.command == "run" and args.seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = args.seed
     diagnostics = validate_config(cfg)
     if args.command == "validate":
         for line in diagnostics:
@@ -643,8 +645,6 @@ def main(argv=None) -> int:
         for line in diagnostics:
             print(f"error: {line}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = args.out or cfg.get("out", "results")
     try:
         record = run_experiment(cfg, out_dir)

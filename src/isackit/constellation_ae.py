@@ -1,10 +1,11 @@
 """Autoencoder constellation design with a radar presence detector head.
 
-A shared encoder maps K message bits to one complex symbol; a softmax
-communication decoder over the 2^K messages and a radar presence detector are
-trained jointly through the weighted loss eta*BCE(detector) +
-(1-eta)*CE(decoder). The encoder batch is normalized to unit average symbol
-power every step, so the trade-off shapes geometry rather than transmit power.
+A shared encoder maps K message bits to one complex symbol; a communication
+decoder over the 2^K messages and a radar presence detector both end in a
+linear layer, so they emit logits, and are trained jointly through the
+weighted loss eta*BCE(detector) + (1-eta)*CE(decoder), each taken exactly from
+the logits. The encoder batch is normalized to unit average symbol power
+every step, so the trade-off shapes geometry rather than transmit power.
 
 Evaluation compares constellations (learned or classical) under matched
 receivers: minimum-distance decoding for SER, and the exact likelihood-ratio
@@ -44,7 +45,6 @@ from .neural import (
 from .roots import falling_root
 
 _HIDDEN = (16, 32, 16)
-_CLAMP = 1e-12
 # entries per block of the points x trials arrays of detection_statistic,
 # ml_decode and calibrate_comm_noise: 512 KiB of float64, so a block and its
 # temporaries stay near L2
@@ -109,12 +109,13 @@ def message_bits(labels, num_bits: int) -> np.ndarray:
 
 def build_isac_ae(num_bits: int, weight: float,
                   rng: np.random.Generator) -> IsacAutoencoder:
-    """Fresh triple with the shared (16, 32, 16) hidden trunk."""
-    hidden_acts = ["relu"] * len(_HIDDEN)
-    enc = init_mlp([num_bits, *_HIDDEN, 2], hidden_acts + ["linear"], rng)
-    dec = init_mlp([2, *_HIDDEN, 2 ** num_bits], hidden_acts + ["softmax"],
-                   rng)
-    det = init_mlp([2, *_HIDDEN, 1], hidden_acts + ["sigmoid"], rng)
+    """Fresh triple with the shared (16, 32, 16) relu trunk. Every net ends
+    in a linear layer: the encoder emits the (real, imag) symbol, the decoder
+    2^num_bits message logits and the detector one presence logit."""
+    acts = ["relu"] * len(_HIDDEN) + ["linear"]
+    enc = init_mlp([num_bits, *_HIDDEN, 2], acts, rng)
+    dec = init_mlp([2, *_HIDDEN, 2 ** num_bits], acts, rng)
+    det = init_mlp([2, *_HIDDEN, 1], acts, rng)
     return IsacAutoencoder(enc, dec, det, weight)
 
 
@@ -140,27 +141,31 @@ def normalize_vjp(symbols: np.ndarray, scale: float,
 # ------------------------------------------------------------------- losses
 
 
-def comm_loss(outputs: np.ndarray, labels):
-    """Cross-entropy of the softmax communication head over (B, M) class
-    probabilities and integer message labels; returns (value, gradient)."""
-    out = np.atleast_2d(outputs)
-    B = out.shape[0]
-    p = np.clip(out, _CLAMP, 1.0 - _CLAMP)
-    labels = np.asarray(labels, dtype=int)
-    picked = p[np.arange(B), labels]
-    value = float(-np.mean(np.log(picked)))
-    grad = np.zeros_like(out)
-    grad[np.arange(B), labels] = -1.0 / (B * picked)
-    return value, grad
+def comm_loss(logits: np.ndarray, labels):
+    """Cross-entropy of the communication decoder's (B, M) logits against
+    integer message labels, log-sum-exp minus the label's logit; returns
+    (value, gradient), the gradient (softmax - one-hot) / B."""
+    z = np.atleast_2d(logits)
+    B = z.shape[0]
+    rows, labels = np.arange(B), np.asarray(labels, dtype=int)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    return value, grad / B
 
 
-def radar_loss(outputs: np.ndarray, flags):
-    """Binary cross-entropy of the presence detector; (value, gradient)."""
-    out = np.asarray(outputs, dtype=float).reshape(-1)
-    T = np.asarray(flags, dtype=float).reshape(-1)
-    p = np.clip(out, _CLAMP, 1.0 - _CLAMP)
-    value = float(-np.mean(T * np.log(p) + (1 - T) * np.log(1 - p)))
-    grad = ((-T / p + (1 - T) / (1 - p)) / out.size).reshape(outputs.shape)
+def radar_loss(logits: np.ndarray, flags):
+    """Binary cross-entropy of the presence detector's logits z against the
+    flags T, the mean of logaddexp(0, z) - T z; returns (value, gradient),
+    the gradient (sigmoid(z) - T) / n with sigmoid(z) = exp(-logaddexp(0, -z)),
+    which neither overflows nor warns."""
+    z = np.asarray(logits, dtype=float)
+    T = np.asarray(flags, dtype=float).reshape(z.shape)
+    value = float(np.mean(np.logaddexp(0.0, z) - T * z))
+    grad = (np.exp(-np.logaddexp(0.0, -z)) - T) / z.size
     return value, grad
 
 
@@ -180,10 +185,10 @@ def combined_step(ae: IsacAutoencoder, labels, T, noise_c, noise_r):
     T = np.asarray(T, dtype=float)
     y = x + noise_c
     z = T[:, None] * x + noise_r
-    probs, dec_cache = forward_pass(ae.comm_decoder, y)
-    that, det_cache = forward_pass(ae.radar_detector, z)
-    value_c, grad_c = comm_loss(probs, labels)
-    value_r, grad_r = radar_loss(that, T)
+    comm_logits, dec_cache = forward_pass(ae.comm_decoder, y)
+    radar_logits, det_cache = forward_pass(ae.radar_detector, z)
+    value_c, grad_c = comm_loss(comm_logits, labels)
+    value_r, grad_r = radar_loss(radar_logits, T)
     value = ae.weight * value_r + (1.0 - ae.weight) * value_c
     dec_grads, gy = backward_pass(ae.comm_decoder, dec_cache,
                                   (1.0 - ae.weight) * grad_c)
@@ -232,14 +237,11 @@ def train_isac_ae(weight: float, num_bits: int, comm_noise_var: float,
 
 
 def extract_constellation(ae: IsacAutoencoder) -> Constellation:
-    """Encode every message and renormalize to unit average power."""
-    raw = predict(ae.encoder,
-                  message_bits(np.arange(2 ** ae.num_bits), ae.num_bits))
-    pts = raw[:, 0] + 1j * raw[:, 1]
-    rms = np.sqrt(np.mean(np.abs(pts) ** 2))
-    if rms <= 0:
-        raise ValueError("degenerate all-zero constellation")
-    return Constellation(pts / rms)
+    """Encode every message and scale to unit average power with
+    `normalize_symbols`, as every training batch is."""
+    x, _ = normalize_symbols(predict(
+        ae.encoder, message_bits(np.arange(2 ** ae.num_bits), ae.num_bits)))
+    return Constellation(x[:, 0] + 1j * x[:, 1])
 
 
 # ------------------------------------------------------------------ receivers

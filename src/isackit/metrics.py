@@ -77,9 +77,15 @@ def _interference(H, X, D):
     return Hm @ X - D, D
 
 
-def mui_power(H, X, D) -> float:
-    """Total multi-user interference power ||H X - D||_F^2."""
-    return float(np.linalg.norm(_interference(H, X, D)[0]) ** 2)
+def mui_power(H, X, D) -> float | np.ndarray:
+    """Multi-user interference power ||H X - D||_F^2 over the last two
+    axes: a float for one channel, an array for a stack. Squared from the
+    norm of the real and imaginary dot products, bit for bit
+    np.linalg.norm(H X - D) ** 2 of one frame."""
+    mui = _interference(H, X, D)[0]
+    flat = mui.reshape(*mui.shape[:-2], -1)
+    power = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) ** 2
+    return float(power) if power.ndim == 0 else power
 
 
 def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
@@ -112,10 +118,11 @@ def rate_report(H, X, D, noise_var: float) -> RateReport:
 
 def waveform_covariance(X) -> np.ndarray:
     """Transmit covariance (1/tau_d) X X^H of an M x tau_d frame,
-    Hermitian-symmetrized."""
+    Hermitian-symmetrized; one M x M matrix per frame of a (..., M, tau_d)
+    stack."""
     X = np.asarray(X, dtype=complex)
-    cov = (X @ X.conj().T) / X.shape[1]
-    return 0.5 * (cov + cov.conj().T)
+    cov = (X @ X.conj().swapaxes(-1, -2)) / X.shape[-1]
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def transmit_beampattern(cov, angles, geom: ArrayGeometry) -> BeampatternCurve:

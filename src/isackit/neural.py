@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
+ACTIVATIONS = ("linear", "relu", "tanh")
 
 
 @dataclass
@@ -113,13 +113,6 @@ def _activate(z: np.ndarray, act: str) -> np.ndarray:
         return np.maximum(z, 0.0)
     if act == "tanh":
         return np.tanh(z)
-    if act == "sigmoid":
-        with np.errstate(over="ignore"):  # exp(-z) = inf below z = -709: 0
-            return 1.0 / (1.0 + np.exp(-z))
-    if act == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -130,12 +123,6 @@ def _activation_vjp(grad: np.ndarray, out: np.ndarray, z: np.ndarray, act: str) 
         return grad * (z > 0)
     if act == "tanh":
         return grad * (1.0 - out**2)
-    if act == "sigmoid":
-        return grad * out * (1.0 - out)
-    if act == "softmax":
-        # full softmax Jacobian product, row-wise
-        inner = np.sum(grad * out, axis=1, keepdims=True)
-        return out * (grad - inner)
     raise ValueError(f"unknown activation {act!r}")
 
 

@@ -168,20 +168,20 @@ def isac_waveform_loss(X, H, D, X0, weight: float):
 # ------------------------------------------------------------------- dataset
 
 
-def scenario_users(num_users: int, rician_factors):
-    """The Case I users: the first `num_users` Rician factors on departure
-    angles evenly spaced over [-pi/3, pi/3] (broadside for a single user)."""
-    if len(rician_factors) < num_users:
+def scenario_users(num_users: int):
+    """The Case I users: the first `num_users` of DEFAULT_RICIAN_FACTORS on
+    departure angles evenly spaced over [-pi/3, pi/3] (broadside for a
+    single user)."""
+    if len(DEFAULT_RICIAN_FACTORS) < num_users:
         raise ValueError("need a Rician factor per user")
     angles = np.linspace(-np.pi / 3, np.pi / 3, num_users) if num_users > 1 else [0.0]
-    return [RicianParams(rician_factor=rician_factors[k], departure_angle=angles[k])
-            for k in range(num_users)]
+    return [RicianParams(rician_factor=factor, departure_angle=angle)
+            for factor, angle in zip(DEFAULT_RICIAN_FACTORS, angles)]
 
 
 def make_dataset(num_samples: int, num_antennas: int, num_users: int,
                  frame_length: int, rng: np.random.Generator,
-                 total_power: float = 1.0, reference="omni",
-                 rician_factors=DEFAULT_RICIAN_FACTORS):
+                 total_power: float = 1.0, reference="omni"):
     """Draw a stack of `num_samples` (H, D, X0) triples: the `scenario_users`
     channels, QPSK symbols, and a covariance-constrained reference waveform.
 
@@ -190,7 +190,7 @@ def make_dataset(num_samples: int, num_antennas: int, num_users: int,
     root is taken once for the whole dataset.
     """
     geom = ArrayGeometry(num_antennas)
-    users = scenario_users(num_users, rician_factors)
+    users = scenario_users(num_users)
 
     if isinstance(reference, CovarianceTemplate):
         if reference.num_antennas != num_antennas or reference.power != total_power:

@@ -101,7 +101,7 @@ def test_validate_config_diagnostics_direct():
                              "params": {"nope": 2}})
     text = "\n".join(diags)
     assert "unknown kind" in text
-    assert "seed: must be an integer" in text
+    assert "seed: must be a non-negative integer" in text
     assert "bogus: unknown top-level field" in text
     # params of an unknown experiment cannot be checked further
     assert validate_config({"experiment": "case3_sweep", "seed": 0,
@@ -148,6 +148,32 @@ def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"params.{field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+_SEED_DIAGNOSTIC = "seed: must be a non-negative integer"
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_validate_matches_run_on_seed(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path / "c.json", {"experiment": "mi_mmse", "seed": seed})
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().out == _SEED_DIAGNOSTIC + "\n"
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {_SEED_DIAGNOSTIC}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_override_is_validated_before_the_run(tmp_path, capsys):
+    # --seed replaces the config seed before the checks: a negative override
+    # is refused, and a valid one stands in for an invalid config seed
+    good = write_config(tmp_path / "good.json", {"experiment": "mi_mmse", "seed": 3})
+    assert main(["run", good, "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {_SEED_DIAGNOSTIC}\n"
+    assert not (tmp_path / "o").exists()
+    bad = write_config(tmp_path / "bad.json",
+                       {"experiment": "mi_mmse", "seed": -1, "params": {"snr_db": [0.0]}})
+    assert main(["run", bad, "--seed", "0", "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "run_record.json").read_text())["seed"] == 0
 
 
 # Small Case II runs, and each field whose validate check has a finite

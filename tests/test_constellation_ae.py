@@ -3,7 +3,7 @@ closed forms, calibration round trips, and small training runs."""
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, log_expit, logsumexp, softmax
 from scipy.stats import multivariate_normal, norm
 
 from isackit import constellation_ae
@@ -60,66 +60,108 @@ def test_no_message_encodes_to_the_zero_input():
 
 
 # ------------------------------------------------------------- loss oracles
+# Both heads emit logits: the decoder (B, M) message logits, the detector one
+# presence logit per row. The oracles below are scipy's log-softmax and
+# log-sigmoid, and central differences in the logits.
 
 
 def test_comm_loss_uniform_prediction_is_log_m():
-    probs = np.full((5, 8), 1.0 / 8.0)
-    value, _ = comm_loss(probs, np.arange(5))
+    # equal logits, whatever their level, are the uniform prediction
+    value, _ = comm_loss(np.full((5, 8), 3.7), np.arange(5))
     assert abs(value - np.log(8.0)) < 1e-12
 
 
 def test_comm_loss_perfect_prediction_is_zero():
-    probs = np.eye(4)[[2, 0, 3]]
-    value, _ = comm_loss(probs, [2, 0, 3])
-    assert value < 1e-9
+    logits = 50.0 * np.eye(4)[[2, 0, 3]]
+    value, grad = comm_loss(logits, [2, 0, 3])
+    assert abs(value) <= 1e-15
+    assert np.max(np.abs(grad)) < 1e-20
 
 
 def test_comm_loss_matches_direct_sum():
     rng = np.random.default_rng(1)
-    probs = rng.dirichlet(np.ones(8), size=6)
+    logits = 4.0 * rng.standard_normal((6, 8))
     labels = rng.integers(0, 8, size=6)
-    value, _ = comm_loss(probs, labels)
-    oracle = -sum(np.log(probs[i, labels[i]]) for i in range(6)) / 6.0
+    value, _ = comm_loss(logits, labels)
+    oracle = -sum(logits[i, labels[i]] - logsumexp(logits[i])
+                  for i in range(6)) / 6.0
     assert abs(value - oracle) < 1e-12
 
 
 def test_comm_loss_softmax_gradient_fd():
     rng = np.random.default_rng(2)
-    probs = 0.05 + 0.9 * rng.random((4, 5))
+    logits = 2.0 * rng.standard_normal((4, 5))
     labels = rng.integers(0, 5, size=4)
-    _, grad = comm_loss(probs, labels)
-    h = 1e-7
-    for i, j in [(0, labels[0]), (2, labels[2]), (1, 3)]:
-        pp = probs.copy()
-        pm = probs.copy()
-        pp[i, j] += h
-        pm[i, j] -= h
-        fd = (comm_loss(pp, labels)[0] - comm_loss(pm, labels)[0]) / (2 * h)
-        assert abs(grad[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
+    _, grad = comm_loss(logits, labels)
+    h = 1e-6
+    for index in np.ndindex(logits.shape):
+        up, down = logits.copy(), logits.copy()
+        up[index] += h
+        down[index] -= h
+        fd = (comm_loss(up, labels)[0] - comm_loss(down, labels)[0]) / (2 * h)
+        assert abs(grad[index] - fd) < 1e-8
+
+
+def test_comm_loss_gradient_is_softmax_minus_one_hot():
+    rng = np.random.default_rng(3)
+    logits = 3.0 * rng.standard_normal((7, 6))
+    labels = rng.integers(0, 6, size=7)
+    _, grad = comm_loss(logits, labels)
+    probs = 7 * grad + np.eye(6)[labels]
+    assert np.allclose(probs, softmax(logits, axis=1), rtol=1e-12, atol=1e-15)
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_radar_loss_matched_and_uniform():
-    value, _ = radar_loss(np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1]))
-    assert value < 1e-9
-    value, _ = radar_loss(np.full(9, 0.5), np.arange(9) % 2)
+    # 50-nat margins on the right side, then zero logits
+    value, grad = radar_loss(np.array([50.0, -50.0, 50.0]), np.array([1, 0, 1]))
+    assert abs(value) <= 1e-15 and np.max(np.abs(grad)) < 1e-20
+    value, _ = radar_loss(np.zeros(9), np.arange(9) % 2)
     assert abs(value - np.log(2.0)) < 1e-12
 
 
 def test_radar_loss_matches_direct_sum_and_fd():
     rng = np.random.default_rng(4)
-    outputs = 0.05 + 0.9 * rng.random(11)
+    logits = 3.0 * rng.standard_normal((11, 1))
     flags = rng.integers(0, 2, size=11)
-    value, grad = radar_loss(outputs, flags)
-    oracle = -np.mean([f * np.log(o) + (1 - f) * np.log(1 - o)
-                       for o, f in zip(outputs, flags)])
+    value, grad = radar_loss(logits, flags)
+    assert grad.shape == logits.shape
+    oracle = -np.mean([f * log_expit(z) + (1 - f) * log_expit(-z)
+                       for z, f in zip(logits[:, 0], flags)])
     assert abs(value - oracle) < 1e-12
-    h = 1e-7
-    op = outputs.copy()
-    om = outputs.copy()
-    op[5] += h
-    om[5] -= h
-    fd = (radar_loss(op, flags)[0] - radar_loss(om, flags)[0]) / (2 * h)
-    assert abs(grad[5] - fd) < 1e-6 * max(1.0, abs(fd))
+    assert np.allclose(grad[:, 0], (expit(logits[:, 0]) - flags) / 11,
+                       rtol=1e-12, atol=1e-16)
+    h = 1e-6
+    for index in np.ndindex(logits.shape):
+        up, down = logits.copy(), logits.copy()
+        up[index] += h
+        down[index] -= h
+        fd = (radar_loss(up, flags)[0] - radar_loss(down, flags)[0]) / (2 * h)
+        assert abs(grad[index] - fd) < 1e-8
+
+
+def test_losses_are_exact_at_wrong_margins():
+    # no probability clamp: a 50-nat wrong margin costs 50 nats, and the
+    # gradient keeps its full size
+    value, grad = comm_loss(np.array([[0.0, 50.0, 0.0, 0.0]] * 2), [0, 0])
+    assert abs(value - 50.0) < 1e-12
+    assert np.allclose(grad, [[-0.5, 0.5, 0.0, 0.0]] * 2, rtol=0, atol=1e-20)
+    value, grad = radar_loss(np.array([-50.0, 50.0]), np.array([1, 0]))
+    assert abs(value - 50.0) < 1e-12
+    assert np.allclose(grad, [-0.5, 0.5], rtol=0, atol=1e-20)
+
+
+def test_radar_loss_saturates_without_floating_point_warnings():
+    # exp(800) overflows, so the logistic terms go through logaddexp; the
+    # pytest configuration turns any warning into an error
+    z = np.array([-800.0, 0.0, 800.0, -800.0, 800.0])
+    T = np.array([0, 1, 1, 1, 0])
+    value, grad = radar_loss(z, T)
+    assert abs(value - (np.log(2.0) + 1600.0) / 5) < 1e-12
+    assert grad.tolist() == [0.0, -0.1, 0.0, -0.2, 0.2]
+    value, grad = comm_loss(np.array([[800.0, -800.0, 0.0]]), [1])
+    assert value == 1600.0
+    assert grad.tolist() == [[1.0, -1.0, 0.0]]
 
 
 # ------------------------------------------------------------ normalization
@@ -188,6 +230,27 @@ def test_combined_step_gradients_match_fd():
         index = np.unravel_index(flat, grad.shape)
         fd = _fd_combined(ae, param, index, labels, T, nc, nr)
         assert abs(grad[index] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_combined_step_is_exact_at_wrong_margins():
+    # both heads wrong by 50 nats on every row: the decoder's last bias puts
+    # message 3 50 nats above the sent message 1, the detector's puts the
+    # present target at logit -50; their weights are zero, so the margins
+    # hold whatever the symbols
+    eta, B = 0.5, 8
+    ae = build_isac_ae(2, eta, np.random.default_rng(40))
+    for head, bias in ((ae.comm_decoder, [0.0, 0.0, 0.0, 50.0]),
+                       (ae.radar_detector, [-50.0])):
+        head.weights[-1][...] = 0.0
+        head.biases[-1][...] = bias
+    data = np.random.default_rng(41)
+    noise = 0.1 * data.standard_normal((2, B, 2))
+    value, _, dec_g, det_g = combined_step(ae, np.ones(B, dtype=int),
+                                           np.ones(B), *noise)
+    assert abs(value - 50.0) < 1e-9
+    assert np.allclose(dec_g[-1][1], [0.0, -(1 - eta), 0.0, 1 - eta],
+                       rtol=0, atol=1e-9)
+    assert np.allclose(det_g[-1][1], [-eta], rtol=0, atol=1e-9)
 
 
 def test_encoder_gradient_is_alive():
@@ -660,11 +723,15 @@ def test_training_deterministic_given_seed(tiny_trained):
                           extract_constellation(tiny_trained).points)
 
 
-def test_detector_outputs_strictly_inside_unit_interval(tiny_trained):
+def test_trained_detector_logits_rise_with_target_presence(tiny_trained):
     rng = np.random.default_rng(30)
-    z = 2.0 * rng.standard_normal((400, 2))
-    out = predict(tiny_trained.radar_detector, z)
-    assert np.all(out > 0.0) and np.all(out < 1.0)
+    x = extract_constellation(tiny_trained).points[rng.integers(0, 4, 2000)]
+    noise = np.sqrt(0.4 / 2) * rng.standard_normal((2, 2000, 2))
+    present = predict(tiny_trained.radar_detector,
+                      np.column_stack([x.real, x.imag]) + noise[0])
+    absent = predict(tiny_trained.radar_detector, noise[1])
+    assert np.all(np.isfinite(present)) and np.all(np.isfinite(absent))
+    assert np.mean(present) > np.mean(absent)
 
 
 @pytest.fixture(scope="module")

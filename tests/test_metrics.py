@@ -117,7 +117,8 @@ def test_sum_rate_values():
 
 
 def test_rate_report_stack_is_the_per_channel_loop_bitwise(rng):
-    for B, K, M, tau in ((9, 3, 5, 6), (40, 4, 16, 32), (1, 1, 2, 7)):
+    # (8, 3, 8, 8) has B = M = tau: only the last axes may be reduced
+    for B, K, M, tau in ((9, 3, 5, 6), (40, 4, 16, 32), (1, 1, 2, 7), (8, 3, 8, 8)):
         H = rng.standard_normal((B, K, M)) + 1j * rng.standard_normal((B, K, M))
         X = rng.standard_normal((B, M, tau)) + 1j * rng.standard_normal((B, M, tau))
         D = rng.standard_normal((B, K, tau)) + 1j * rng.standard_normal((B, K, tau))
@@ -127,8 +128,11 @@ def test_rate_report_stack_is_the_per_channel_loop_bitwise(rng):
         assert report.sum_rate.shape == (B,)
         assert np.array_equal(report.sum_rate, [r.sum_rate for r in loop])
         assert np.array_equal(report.per_user_sinr, np.stack([r.per_user_sinr for r in loop]))
-        assert mui_power(H, X, D) == pytest.approx(sum(mui_power(h, x, d)
-                                                       for h, x, d in zip(H, X, D)))
+        mui = [mui_power(h, x, d) for h, x, d in zip(H, X, D)]
+        # one channel keeps the bits of the squared Frobenius norm
+        assert mui == [float(np.linalg.norm(h @ x - d) ** 2) for h, x, d in zip(H, X, D)]
+        assert mui_power(H, X, D).shape == (B,)
+        assert np.allclose(mui_power(H, X, D), mui, rtol=1e-14, atol=0)
 
 
 # ----------------------------------------------------------- hybrid sum rate
@@ -207,6 +211,22 @@ def test_covariance_matches_triple_loop(rng):
             assert abs(cov[a, b] - acc) < 1e-12
     assert np.allclose(cov, cov.conj().T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 6), (8, 8, 8)])
+def test_covariance_stack_is_the_per_frame_loop(rng, shape):
+    # (8, 8, 8) is B = M = tau, where reversing every axis raised no error
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    loop = []
+    for x in X:
+        cov = waveform_covariance(x)
+        # one frame keeps the bits of the symmetrized (1/tau) X X^H
+        ref = (x @ x.conj().T) / x.shape[1]
+        assert cov.tobytes() == (0.5 * (ref + ref.conj().T)).tobytes()
+        loop.append(cov)
+    stacked = waveform_covariance(X)
+    assert stacked.shape == shape[:2] + shape[1:2]
+    assert np.allclose(stacked, loop, rtol=1e-14, atol=0)
 
 
 def test_beampattern_isotropic():

@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -173,14 +172,6 @@ def test_forward_identity_linear_layer():
     assert np.array_equal(predict(model, x), x)
 
 
-def test_forward_softmax_rows_sum_to_one(rng):
-    model = init_mlp([3, 6, 4], ["relu", "softmax"], rng)
-    out = predict(model, rng.standard_normal((7, 3)))
-    assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
-    _, (acts, _) = forward_pass(model, rng.standard_normal((2, 3)))
-    assert len(acts) == 3  # input + two layers
-
-
 def test_backward_linear_closed_form(rng):
     # L = 0.5 ||XW - Y||^2 / 1: dW = X^T (XW - Y)
     model = init_mlp([4, 3], ["linear"], rng)
@@ -197,7 +188,7 @@ def test_backward_linear_closed_form(rng):
 def test_backward_matches_finite_differences(acts, rng):
     model = init_mlp([4, 6, 5], list(acts), rng)
     batch = rng.standard_normal((3, 4))
-    target = rng.uniform(0.1, 0.9, (3, 5))  # keep softmax/sigmoid targets interior
+    target = rng.uniform(0.1, 0.9, (3, 5))
     out, cache = forward_pass(model, batch)
     _, grad_out = _squared_loss(out, target)
     analytic, _ = backward_pass(model, cache, grad_out)
@@ -208,20 +199,8 @@ def test_backward_matches_finite_differences(acts, rng):
             assert np.linalg.norm(a - f) / denom < 1e-5
 
 
-def test_sigmoid_saturates_without_floating_point_warnings():
-    # exp(-z) overflows to inf below z = -709; the sigmoid is then exactly 0
-    model = MlpModel([np.ones((1, 1))], [np.zeros(1)], ["sigmoid"])
-    batch = np.array([[-800.0], [0.0], [800.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out, cache = forward_pass(model, batch)
-        grads, _ = backward_pass(model, cache, np.ones_like(out))
-    assert out.ravel().tolist() == [0.0, 0.5, 1.0]
-    assert grads[0][1].tolist() == [0.25]
-
-
 def test_backward_input_gradient_matches_fd(rng):
-    model = init_mlp([4, 5, 3], ["tanh", "sigmoid"], rng)
+    model = init_mlp([4, 5, 3], ["tanh", "tanh"], rng)
     batch = rng.standard_normal((2, 4))
     target = rng.uniform(0.2, 0.8, (2, 3))
     out, cache = forward_pass(model, batch)
@@ -255,19 +234,6 @@ def test_backward_shape_mismatch(rng):
     _, cache = forward_pass(model, rng.standard_normal((4, 3)))
     with pytest.raises(ValueError):
         backward_pass(model, cache, np.zeros((4, 3)))
-
-
-def test_softmax_cross_entropy_combined_gradient(rng):
-    # upstream dL/dp = -onehot/p for CE; through the softmax VJP this must
-    # collapse to (p - onehot)
-    model = init_mlp([3, 4], ["softmax"], rng)
-    batch = rng.standard_normal((6, 3))
-    out, cache = forward_pass(model, batch)
-    onehot = np.zeros_like(out)
-    onehot[np.arange(6), rng.integers(0, 4, 6)] = 1.0
-    grads, _ = backward_pass(model, cache, -onehot / out)
-    direct = batch.T @ (out - onehot)
-    assert np.allclose(grads[0][0], direct, atol=1e-9)
 
 
 def test_adam_zero_gradient_keeps_parameters(rng):
@@ -332,7 +298,7 @@ def _three_adam_steps(model, x, step, rebuild):
 ], ids=["views", "fresh", "patched", "swapped"])
 def test_adam_step_matches_oracle_bitwise(rebuild, rng):
     # two layers of one shape, so only the data addresses tell them apart
-    model = init_mlp([4, 4, 4], ["tanh", "sigmoid"], rng)
+    model = init_mlp([4, 4, 4], ["tanh", "tanh"], rng)
     x = rng.standard_normal((6, 4))
     assert _three_adam_steps(model, x, adam_step, rebuild) == \
         _three_adam_steps(model, x, _oracle_adam_step, rebuild)
@@ -592,7 +558,7 @@ def test_backward_results_share_no_memory(rng):
 
 
 def test_backward_matches_oracle_bitwise(rng):
-    model = init_mlp([4, 6, 5, 3], ["relu", "softmax", "sigmoid"], rng)
+    model = init_mlp([4, 6, 5, 3], ["relu", "tanh", "linear"], rng)
     out, cache = forward_pass(model, rng.standard_normal((7, 4)))
     upstream = rng.standard_normal(out.shape)
     grads, grad_in = backward_pass(model, cache, upstream)
@@ -628,7 +594,9 @@ def test_model_validation():
     with pytest.raises(ValueError, match="chain"):
         MlpModel([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)],
                  ["relu", "linear"])
-    with pytest.raises(ValueError, match="unknown activation"):
-        MlpModel([np.zeros((3, 4))], [np.zeros(4)], ["swish"])
+    assert ACTIVATIONS == ("linear", "relu", "tanh")
+    for act in ("swish", "sigmoid", "softmax"):
+        with pytest.raises(ValueError, match="unknown activation"):
+            MlpModel([np.zeros((3, 4))], [np.zeros(4)], [act])
     with pytest.raises(ValueError, match="biases"):
         MlpModel([np.zeros((3, 4))], [np.zeros(3)], ["linear"])
