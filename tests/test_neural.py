@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from isackit import constellation_ae, neural
-from isackit.constellation_ae import train_isac_ae
+from isackit.constellation_ae import comm_loss, train_isac_ae
 from isackit.neural import (
     ACTIVATIONS,
     MlpModel,
@@ -172,6 +173,20 @@ def test_forward_identity_linear_layer():
     assert np.array_equal(predict(model, x), x)
 
 
+def test_forward_softmax_rows_sum_to_one(rng):
+    # a linear head emits logits; comm_loss's gradient B*g + one-hot recovers
+    # their softmax, a distribution per row
+    model = init_mlp([3, 6, 4], ["relu", "linear"], rng)
+    logits = predict(model, rng.standard_normal((7, 3)))
+    labels = rng.integers(0, 4, 7)
+    _, grad = comm_loss(logits, labels)
+    probs = 7 * grad + np.eye(4)[labels]
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
+    assert np.all(probs > 0.0)
+    _, (acts, _) = forward_pass(model, rng.standard_normal((2, 3)))
+    assert len(acts) == 3  # input + two layers
+
+
 def test_backward_linear_closed_form(rng):
     # L = 0.5 ||XW - Y||^2 / 1: dW = X^T (XW - Y)
     model = init_mlp([4, 3], ["linear"], rng)
@@ -234,6 +249,19 @@ def test_backward_shape_mismatch(rng):
     _, cache = forward_pass(model, rng.standard_normal((4, 3)))
     with pytest.raises(ValueError):
         backward_pass(model, cache, np.zeros((4, 3)))
+
+
+def test_softmax_cross_entropy_combined_gradient(rng):
+    # comm_loss's logit gradient (p - onehot)/B pulled back through a linear
+    # head must give the closed-form weight gradient X^T (p - onehot)/B
+    model = init_mlp([3, 4], ["linear"], rng)
+    batch = rng.standard_normal((6, 3))
+    out, cache = forward_pass(model, batch)
+    labels = rng.integers(0, 4, 6)
+    _, grad_out = comm_loss(out, labels)
+    grads, _ = backward_pass(model, cache, grad_out)
+    direct = batch.T @ (softmax(out, axis=1) - np.eye(4)[labels]) / 6
+    assert np.allclose(grads[0][0], direct, atol=1e-12)
 
 
 def test_adam_zero_gradient_keeps_parameters(rng):
