@@ -12,31 +12,10 @@ hybrid_pga        projected gradient ascent hybrid beamforming + unrolling
 constellation_ae  autoencoder constellation design with a radar detector head
 cli               seeded experiment runner writing CSV artifacts
 
-Submodules are imported lazily, on first attribute access. Nothing here pins
+Importing the package loads no submodule; import each one by name
+(`import isackit.metrics`, `from isackit.cli import main`). Nothing here pins
 BLAS threads: numpy's BLAS picks its own thread count unless the environment
 (e.g. OPENBLAS_NUM_THREADS) sets one before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "channel",
-    "metrics",
-    "roots",
-    "classical_design",
-    "neural",
-    "waveform_learn",
-    "hybrid_pga",
-    "constellation_ae",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,12 +14,12 @@ The Procrustes and trade-off designs and the genie bound take one channel
 (H K x M) or a stack (B x K x M, and B on D and X0) through one code path;
 `epsilon_design` takes one channel, as its weight search is sequential.
 
-`ChannelMatrix` and `CovarianceTemplate` are immutable values that carry
-their factorizations: the eigendecomposition of H^H H is computed once per
-ChannelMatrix, one batched eigh for a stack, and shared by every trade-off
-and epsilon design on it (a plain-array H is wrapped in one per call), and
-the Hermitian square root of a template once per template, shared by every
-Procrustes design scaled by it.
+`ChannelMatrix` is an immutable value that carries its factorization: the
+eigendecomposition of H^H H is computed once per ChannelMatrix, one batched
+eigh for a stack, and shared by every trade-off and epsilon design on it (a
+plain-array H is wrapped in one per call). `CovarianceTemplate` carries only
+its validated matrix; `procrustes_waveform` takes the template's Hermitian
+square root per call, once for a whole stack of channels.
 """
 
 from __future__ import annotations
@@ -28,22 +28,19 @@ import itertools
 import math
 import warnings
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, steering_grid
-from .metrics import RateReport, _as_matrix, _check_dims, sum_rate
+from .metrics import RateReport, _as_matrix, _check_dims, _pattern_gains, sum_rate
 from .roots import falling_root
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
     """Target transmit covariance: Hermitian PSD with trace equal to power.
 
-    An immutable value: `matrix` is a read-only copy of the input, and the
-    Hermitian square root that `procrustes_waveform` scales by is computed
-    once, on first use.
+    An immutable value: `matrix` is a read-only copy of the input.
     """
 
     matrix: np.ndarray
@@ -67,15 +64,6 @@ class CovarianceTemplate:
     @property
     def num_antennas(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        """Hermitian PSD square root F, F @ F = matrix (read-only)."""
-        C = self.matrix
-        lam, U = np.linalg.eigh((C + C.conj().T) / 2)
-        F = (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T
-        F.flags.writeable = False
-        return F
 
 
 @dataclass(frozen=True)
@@ -162,10 +150,8 @@ def directional_covariance(target_angles, total_power: float,
     dist = np.min(np.abs(_PATTERN_GRID[:, None] - targets[None, :]), axis=1)
     desired = np.where(dist <= _MASK_HALFWIDTH, 4.0 * total_power * M / targets.size, 0.0)
 
-    def f_and_g(Cm):
-        p = np.einsum("ma,mn,na->a", V.conj(), Cm, V).real
-        r = p - desired
-        return float(r @ r), (V * (2.0 * r)) @ V.conj().T
+    def residual(Cm):
+        return _pattern_gains(V, Cm) - desired
 
     C = reference_covariance_omni(total_power, M).matrix
     Z = C
@@ -173,11 +159,13 @@ def directional_covariance(target_angles, total_power: float,
     step = 1.0 / (2.0 * _PATTERN_GRID.size * M)
     prev_obj = np.inf
     for it in range(_FISTA_MAX_ITERS):
-        fz, gz = f_and_g(Z)
+        r = residual(Z)
+        fz, gz = float(r @ r), (V * (2.0 * r)) @ V.conj().T
         while True:  # backtracking on the local quadratic upper bound
             Cn = _project_psd_trace(Z - step * gz, total_power)
             move = Cn - Z
-            obj, _ = f_and_g(Cn)
+            r = residual(Cn)
+            obj = float(r @ r)
             if obj <= fz + np.vdot(gz, move).real + np.linalg.norm(move) ** 2 / (2 * step) + 1e-12:
                 break
             step *= 0.5
@@ -210,7 +198,9 @@ def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> Wavef
         raise ValueError("frame length must be at least the antenna count")
     if D.shape != Hm.shape[:-1] + (tau_d,):
         raise ValueError("D must be K x tau_d, with H's leading axes")
-    F = template.sqrt
+    C = template.matrix
+    lam, Q = np.linalg.eigh((C + C.conj().T) / 2)
+    F = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.conj().T
     U, _, Vh = np.linalg.svd(F @ np.swapaxes(Hm.conj(), -1, -2) @ D, full_matrices=False)
     X = np.sqrt(tau_d) * F @ U @ Vh
     return WaveformDesign(X, template.power)

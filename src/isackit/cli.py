@@ -406,18 +406,13 @@ def _run_case1_beampattern(p, rng):
     trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"],
                             p["total_power"])
     angles = np.linspace(-np.pi / 2, np.pi / 2, p["grid_points"])
-    curves = (
-        ("template", transmit_beampattern(template.matrix, angles, geom)),
-        ("reference", transmit_beampattern(
-            waveform_covariance(sample.X0.X), angles, geom)),
-        ("tradeoff", transmit_beampattern(
-            waveform_covariance(trade.X), angles, geom)),
-    )
-    rows = []
-    for method, curve in curves:
-        for a, g in zip(curve.angles, curve.gains):
-            rows.append((_fmt(a), method, _fmt(g)))
-    peak = angles[int(np.argmax(curves[1][1].gains))]
+    covs = np.concatenate([template.matrix[None],
+                           waveform_covariance(np.stack([sample.X0.X, trade.X]))])
+    curve = transmit_beampattern(covs, angles, geom)
+    rows = [(_fmt(a), method, _fmt(g))
+            for method, gains in zip(("template", "reference", "tradeoff"), curve.gains)
+            for a, g in zip(curve.angles, gains)]
+    peak = angles[int(np.argmax(curve.gains[1]))]
     return ({"beampattern.csv": ("angle_rad,method,gain", rows)},
             {"reference_peak_deg": float(np.rad2deg(peak))})
 

@@ -31,10 +31,10 @@ class RateReport:
 @dataclass(frozen=True)
 class BeampatternCurve:
     angles: np.ndarray  # radians
-    gains: np.ndarray  # linear power
+    gains: np.ndarray  # linear power, (..., A) for leading (covariance) axes
 
     def __post_init__(self):
-        if len(self.angles) != len(self.gains):
+        if len(self.angles) != self.gains.shape[-1]:
             raise ValueError("angles and gains must have equal length")
 
 
@@ -125,14 +125,21 @@ def waveform_covariance(X) -> np.ndarray:
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
+def _pattern_gains(V, C) -> np.ndarray:
+    """Re v_a^H C v_a for each column v_a of V (M x A), one row of A gains per
+    covariance of a (..., M, M) stack."""
+    return np.einsum("ma,...mn,na->...a", V.conj(), C, V).real
+
+
 def transmit_beampattern(cov, angles, geom: ArrayGeometry) -> BeampatternCurve:
-    """P(theta) = v(theta)^H Sigma v(theta) on the given angle grid."""
+    """P(theta) = v(theta)^H Sigma v(theta) on the given angle grid, with
+    Sigma Hermitian-symmetrized; one row of gains per covariance of a
+    (..., M, M) stack."""
     cov = np.asarray(cov, dtype=complex)
-    cov = 0.5 * (cov + cov.conj().T)
+    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     V = steering_grid(angles, geom)  # M x A
-    gains = np.einsum("ma,mn,na->a", V.conj(), cov, V).real
-    return BeampatternCurve(angles=angles, gains=gains)
+    return BeampatternCurve(angles=angles, gains=_pattern_gains(V, cov))
 
 
 # ------------------------------------------------------------ GLRT and ROC

@@ -167,9 +167,11 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
 
 # ------------------------------------------------------------------- Adam
 
-# Elements per block of the in-place Adam update: 2^15 float64 = 256 KiB per
-# operand, so the six operands of a block (gradient, both moments, parameters,
-# two scratch blocks) take 1.5 MiB and stay in a 2 MiB per-core L2 cache.
+# Elements per block of the in-place Adam update, chosen by measurement: on a
+# 2-core VM with a 1 MiB L2 per core (one BLAS thread, best of 7), one update
+# of a 2,337,728-element vector took 7.1 / 6.5 / 6.4 ms at blocks of 2^14 /
+# 2^15 / 2^16 elements, 8.3 ms unblocked and 10.8 ms with whole-array
+# temporaries. Blocks near 2^15 are about equally fast; all beat no blocking.
 _ADAM_BLOCK = 1 << 15
 
 # b1, b2 and eps of adam_update
@@ -183,15 +185,13 @@ class AdamState:
     """Learning rate, step count and flat moment vectors laid out like the
     vector that Adam updates (for `adam_step`, the model's params); the
     decay rates and epsilon are the module's _ADAM_* constants. `scratch`
-    holds two blocks of work space; `grad_copy` receives gradients that are
-    not views of one flat vector (allocated on first use)."""
+    holds two blocks of work space."""
 
     lr: float = 1e-3
     step_count: int = 0
     first_moment: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
     scratch: Optional[np.ndarray] = None
-    grad_copy: Optional[np.ndarray] = None
 
 
 def adam_state(size: int, lr: float = 1e-3) -> AdamState:
@@ -223,21 +223,22 @@ def _tiles(flat, param_grads, model: MlpModel) -> bool:
     return True
 
 
-def _flat_grad(state: AdamState, model: MlpModel, param_grads) -> np.ndarray:
+def _flat_grad(model: MlpModel, param_grads) -> np.ndarray:
     """The flat gradient vector laid out like model.params: the one the pairs
-    are views of when they tile it, else a copy of the pairs in
-    state.grad_copy."""
+    are views of when they tile it (as backward_pass returns them), else a
+    fresh copy of the pairs."""
     if len(param_grads) != len(model.weights):
         raise ValueError("need one (dW, db) pair per layer")
     flat = getattr(param_grads[0][0], "base", None)
     if _tiles(flat, param_grads, model):
         return flat
-    if state.grad_copy is None:
-        state.grad_copy = np.empty_like(model.params)
-    for (dW, db), (W_copy, b_copy) in zip(param_grads, model.layer_views(state.grad_copy)):
+    flat = np.empty_like(model.params)
+    for (dW, db), (W_copy, b_copy) in zip(param_grads, model.layer_views(flat)):
+        if np.shape(dW) != W_copy.shape or np.shape(db) != b_copy.shape:
+            raise ValueError("gradient shapes must match the layers' (W, b) shapes")
         W_copy[...] = dW
         b_copy[...] = db
-    return state.grad_copy
+    return flat
 
 
 def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
@@ -277,7 +278,7 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
 def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
     """`adam_update` of model.params, in place. param_grads is a list of
     (dW, db) pairs, one per layer."""
-    adam_update(state, model.params, _flat_grad(state, model, param_grads))
+    adam_update(state, model.params, _flat_grad(model, param_grads))
     return model
 
 

@@ -247,7 +247,8 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     `WaveformSample` stack.
 
     Returns (model, history, (train_idx, val_idx, test_idx)). config.seed
-    draws the initial weights and then the split. Early stopping defaults to
+    draws the initial weights, then the split, then the seed of the training
+    loop's shuffles and augmentation. Early stopping defaults to
     patience 20 when the config does not set one. With augment, each
     training batch is rewritten through symmetry_augment before the forward
     pass; validation batches are left untouched.
@@ -268,6 +269,8 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     model = WaveformNetSpec(M, K, tau).build(rng)
     features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
+    # train's shuffles and augmentation draw from a child seed of this stream
+    config = dataclasses.replace(config, seed=int(rng.integers(0, 2 ** 31 - 1)))
 
     def loss_fn(out, aux):
         value, grad = isac_waveform_loss(

@@ -873,16 +873,14 @@ def test_covariance_template_copies_and_freezes_its_matrix():
     assert C.flags.writeable  # the caller's array is left as it was
     C[0, 0] = 99.0  # and later writes to it do not reach the template
     assert np.array_equal(tpl.matrix, np.diag([0.75, 0.25]))
-    for stored in (tpl.matrix, tpl.sqrt):
-        with pytest.raises(ValueError, match="read-only"):
-            stored[0, 0] = 0.0
-    assert tpl.sqrt is tpl.sqrt  # computed once
-    assert np.allclose(tpl.sqrt @ tpl.sqrt, tpl.matrix, atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        tpl.matrix[0, 0] = 0.0
 
 
 def test_template_sqrt_matches_per_call_formula_bitwise(rng):
-    """The cached square root has the bits of the per-call formula it
-    replaces, so Procrustes designs keep theirs."""
+    """Procrustes designs, for one channel and for a stack, have the bits of
+    the frozen formula: the Hermitian square root F of the template from one
+    eigh, then sqrt(tau) F U V^H from the SVD of F H^H D."""
     geom = ArrayGeometry(6)
     templates = [reference_covariance_omni(2.0, 6),
                  directional_covariance([-0.5, 0.4], 2.0, geom)]
@@ -890,10 +888,17 @@ def test_template_sqrt_matches_per_call_formula_bitwise(rng):
         G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         C = G @ G.conj().T
         templates.append(CovarianceTemplate(C * (2.0 / np.trace(C).real), 2.0))
+    H = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    D = rng.standard_normal((4, 3, 8)) + 1j * rng.standard_normal((4, 3, 8))
     for tpl in templates:
         C = tpl.matrix
-        lam, U = np.linalg.eigh((C + C.conj().T) / 2)
-        assert np.array_equal(tpl.sqrt, (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T)
+        lam, Q = np.linalg.eigh((C + C.conj().T) / 2)
+        F = (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.conj().T
+        for Hc, Dc in ((H, D), (H[1], D[1])):
+            U, _, Vh = np.linalg.svd(F @ np.swapaxes(Hc.conj(), -1, -2) @ Dc,
+                                     full_matrices=False)
+            expected = np.sqrt(8) * F @ U @ Vh
+            assert np.array_equal(procrustes_waveform(tpl, Hc, Dc, 8).X, expected)
 
 
 def _case1_job(H, D, X0, weights):

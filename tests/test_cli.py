@@ -361,6 +361,12 @@ def test_version_subcommand(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+def test_package_import_exposes_version_and_loads_no_submodule():
+    out = run_python(["-c", "import sys, isackit; print(isackit.__version__); "
+                      "print(sorted(m for m in sys.modules if m.startswith('isackit.')))"])
+    assert out.split("\n")[:2] == [__version__, "[]"]
+
+
 _SCIPY_MODULES_AFTER_RUN = """
 import sys
 def scipy_modules():

@@ -254,6 +254,19 @@ def test_beampattern_matches_quadratic_form(rng):
         assert np.isclose(curve.gains[i], (v.conj() @ cov @ v).real)
 
 
+@pytest.mark.parametrize("shape", [(3, 8, 8), (8, 8, 8)])
+def test_beampattern_stack_is_the_per_slice_loop(rng, shape):
+    # non-Hermitian inputs, so the symmetrization is exercised; (8, 8, 8) is
+    # a stack as deep as M, where reversing every axis raises no error
+    geom = ArrayGeometry(8)
+    covs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    angles = np.linspace(-1.4, 1.4, 37)
+    curve = transmit_beampattern(covs, angles, geom)
+    assert curve.gains.shape == (shape[0], 37)
+    loop = np.stack([transmit_beampattern(c, angles, geom).gains for c in covs])
+    assert curve.gains.tobytes() == loop.tobytes()
+
+
 def test_beampattern_average_equals_trace(rng):
     # uniform grid in sin(theta): off-diagonal terms integrate out for
     # half-wavelength spacing, leaving exactly trace(cov)

@@ -339,6 +339,24 @@ def test_adam_step_rejects_wrong_layer_count(rng):
         adam_step(init_adam(model), model, grads)
 
 
+def test_adam_step_copies_non_tiling_gradients_per_call(rng):
+    model = init_mlp([3, 4, 2], ["relu", "linear"], rng)
+    fresh = [(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
+             for W, b in zip(model.weights, model.biases)]
+    first, second = neural._flat_grad(model, fresh), neural._flat_grad(model, fresh)
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+    for (W, b), (dW, db) in zip(model.layer_views(first), fresh):
+        assert np.array_equal(W, dW) and np.array_equal(b, db)
+    state, before = init_adam(model), model.params.copy()
+    # a transposed weight gradient, and a row that would broadcast
+    for wrong in ([fresh[0], (fresh[1][0].T, fresh[1][1])],
+                  [fresh[0], (fresh[1][0][:1], fresh[1][1])]):
+        with pytest.raises(ValueError, match="gradient shapes"):
+            adam_step(state, model, wrong)
+    assert state.step_count == 0 and np.array_equal(model.params, before)
+
+
 def test_train_at_minimum_keeps_parameters(rng):
     model = init_mlp([2, 2], ["linear"], rng)
     before = MlpModel(model.weights, model.biases, model.activations)

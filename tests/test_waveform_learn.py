@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from isackit import neural
 from isackit.channel import ChannelMatrix
 from isackit.classical_design import WaveformDesign, procrustes_waveform, reference_covariance_omni
 from isackit.metrics import mui_power, waveform_covariance
@@ -353,6 +354,27 @@ def test_training_descends(rng):
     seeded = np.random.default_rng(cfg.seed)
     WaveformNetSpec(2, 2, 3).build(seeded)
     assert all(np.array_equal(a, b) for a, b in zip(split, split_dataset(60, seeded)))
+
+
+def test_training_loop_draws_from_a_child_seed(rng, monkeypatch):
+    # the shuffles and augmentation of `train` draw from a seed taken from the
+    # init stream after the split, not from a second copy of that stream
+    samples = make_dataset(60, 2, 2, 3, rng)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
+    states, loop = [], neural.minibatch_adam
+
+    def spy(params, n, step, config, loop_rng, score=None):
+        states.append(loop_rng.bit_generator.state)
+        return loop(params, n, step, config, loop_rng, score)
+
+    monkeypatch.setattr(neural, "minibatch_adam", spy)
+    train_waveform_net(samples, 0.5, cfg, augment=True)
+    seeded = np.random.default_rng(cfg.seed)
+    WaveformNetSpec(2, 2, 3).build(seeded)
+    split_dataset(60, seeded)
+    child = np.random.default_rng(int(seeded.integers(0, 2 ** 31 - 1)))
+    assert states == [child.bit_generator.state]
+    assert states[0] != np.random.default_rng(cfg.seed).bit_generator.state
 
 
 def test_training_eta_zero_copies_reference(rng):
