@@ -11,13 +11,20 @@ Each `MlpModel` keeps all of its parameters in one contiguous vector
 `weights[i]` and `biases[i]` are reshaped views into that vector, so writes
 to either side are seen by the other, and they are updated in place.
 `backward_pass` writes the gradients into one fresh vector of the same
-layout per call and returns (dW, db) views of it; a view keeps its vector
-alive for as long as the view lives, and two calls never share memory.
+layout per call and returns them as a `ParamGrads`, a tuple of (dW, db)
+views of that vector; a view keeps its vector alive for as long as the view
+lives, and two calls never share memory. Given an `AdamState`,
+`backward_pass` instead spends each layer's dW and db on an Adam update as
+they are produced, in blocks of rows that stay in cache, and forms no
+parameter-sized gradient; `train` takes its steps this way.
 `adam_update` keeps its moments as two flat vectors and updates any flat
 parameter vector block by block in place, with no parameter-sized
-temporaries; `adam_step` applies it to a model's `params`. Its
-decay rates and epsilon are the constants of Kingma and Ba (ICLR 2015);
-only the learning rate is set per run.
+temporaries; `adam_step` applies it to a model's `params`, reading the
+vector of a `ParamGrads` directly and copying any other list of pairs. The
+fused step and `adam_update` run one block kernel, so a fused step has the
+bits of `backward_pass` followed by `adam_step`. Adam's decay rates and
+epsilon are the constants of Kingma and Ba (ICLR 2015); only the learning
+rate is set per run.
 
 `minibatch_adam` is the one loop over a finite training set: it shuffles,
 batches, keeps the best-scoring snapshot, stops early and records the
@@ -116,13 +123,16 @@ def _activate(z: np.ndarray, act: str) -> np.ndarray:
     raise ValueError(f"unknown activation {act!r}")
 
 
-def _activation_vjp(grad: np.ndarray, out: np.ndarray, z: np.ndarray, act: str) -> np.ndarray:
+def _activation_vjp(grad: np.ndarray, out: np.ndarray, z: np.ndarray, act: str,
+                    in_place: bool = False) -> np.ndarray:
+    """The gradient at the pre-activation z; in_place writes it into grad."""
+    into = grad if in_place else None
     if act == "linear":
         return grad
     if act == "relu":
-        return grad * (z > 0)
+        return np.multiply(grad, z > 0, out=into)
     if act == "tanh":
-        return grad * (1.0 - out**2)
+        return np.multiply(grad, 1.0 - out**2, out=into)
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -135,7 +145,8 @@ def forward_pass(model: MlpModel, batch: np.ndarray):
     acts = [a]
     zs = []
     for W, b, act in model.layers:
-        z = a @ W + b
+        z = a @ W
+        z += b
         a = _activate(z, act)
         zs.append(z)
         acts.append(a)
@@ -147,22 +158,56 @@ def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_pass(model: MlpModel, cache, grad_output: np.ndarray):
+class ParamGrads(tuple):
+    """The (dW, db) pairs that backward_pass returns, one per layer: views of
+    the one flat vector `flat`, laid out like the model's params. A tuple,
+    so the pairs keep tiling `flat` for as long as they live."""
+
+    def __new__(cls, model: MlpModel, flat: np.ndarray):
+        self = super().__new__(cls, model.layer_views(flat))
+        self.flat = flat
+        return self
+
+
+def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
+                  adam: Optional[AdamState] = None):
     """Exact reverse-mode gradients. Returns (param_grads, grad_input) where
-    param_grads is a list of (dW, db) matching model.layers: views of one
-    fresh flat vector laid out like model.params."""
+    param_grads is a `ParamGrads` of (dW, db) matching model.layers: views
+    of one fresh flat vector laid out like model.params.
+
+    With `adam`, an AdamState for model.params, the gradients are spent on
+    one `adam_update` of model.params instead, with the same bits, and
+    nothing is returned. From the last layer to the first, the input
+    gradient is formed while W still holds its old values (layer 0 skips
+    it), then dW is produced in blocks of rows of about _ADAM_BLOCK
+    elements in the state's scratch space and each block updates its rows
+    of W and of both moments while it is in cache; db updates the biases
+    the same way. No parameter-sized gradient is formed.
+    """
     acts, zs = cache
     grad = np.asarray(grad_output, dtype=float)
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
-    param_grads = model.layer_views(np.empty(model.params.size))
+    if adam is None:
+        param_grads = ParamGrads(model, np.empty(model.params.size))
+    else:
+        c1, c2 = _adam_begin(adam)
+    start, last = model.params.size, len(model.weights) - 1
     for i in reversed(range(len(model.weights))):
-        grad = _activation_vjp(grad, acts[i + 1], zs[i], model.activations[i])
-        dW, db = param_grads[i]
-        np.matmul(acts[i].T, grad, out=dW)
-        grad.sum(axis=0, out=db)
-        grad = grad @ model.weights[i].T
-    return param_grads, grad
+        start -= model.weights[i].size + model.biases[i].size
+        # below the last layer, grad is the input gradient formed here
+        grad = _activation_vjp(grad, acts[i + 1], zs[i], model.activations[i],
+                               in_place=i < last)
+        grad_in = grad @ model.weights[i].T if adam is None or i > 0 else None
+        if adam is None:
+            dW, db = param_grads[i]
+            np.matmul(acts[i].T, grad, out=dW)
+            grad.sum(axis=0, out=db)
+        else:
+            _adam_layer(adam, c1, c2, model.params, start, acts[i], grad)
+        grad = grad_in
+    if adam is None:
+        return param_grads, grad
 
 
 # ------------------------------------------------------------------- Adam
@@ -185,7 +230,8 @@ class AdamState:
     """Learning rate, step count and flat moment vectors laid out like the
     vector that Adam updates (for `adam_step`, the model's params); the
     decay rates and epsilon are the module's _ADAM_* constants. `scratch`
-    holds two blocks of work space."""
+    holds three blocks of work space: two for the update, one for a block
+    of the gradient that `backward_pass` produces."""
 
     lr: float = 1e-3
     step_count: int = 0
@@ -198,40 +244,22 @@ def adam_state(size: int, lr: float = 1e-3) -> AdamState:
     """Zero moments and scratch space for Adam on a flat vector of `size`
     elements."""
     return AdamState(lr=lr, first_moment=np.zeros(size), second_moment=np.zeros(size),
-                     scratch=np.empty((2, min(size, _ADAM_BLOCK))))
+                     scratch=np.empty((3, min(size, _ADAM_BLOCK))))
 
 
 def init_adam(model: MlpModel, lr: float = 1e-3) -> AdamState:
     return adam_state(model.params.size, lr)
 
 
-def _tiles(flat, param_grads, model: MlpModel) -> bool:
-    """True when the (dW, db) pairs are views that tile `flat` in the layout
-    of model.params, as backward_pass returns them."""
-    if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
-            and flat.shape == model.params.shape and flat.flags.c_contiguous):
-        return False
-    address, start = flat.ctypes.data, 0
-    grads = (g for pair in param_grads for g in pair)
-    refs = (r for layer in zip(model.weights, model.biases) for r in layer)
-    for g, ref in zip(grads, refs):
-        if (getattr(g, "base", None) is not flat or g.shape != ref.shape
-                or not g.flags.c_contiguous
-                or g.ctypes.data != address + start * flat.itemsize):
-            return False
-        start += ref.size
-    return True
-
-
 def _flat_grad(model: MlpModel, param_grads) -> np.ndarray:
-    """The flat gradient vector laid out like model.params: the one the pairs
-    are views of when they tile it (as backward_pass returns them), else a
-    fresh copy of the pairs."""
+    """The flat gradient vector laid out like model.params: the one that a
+    `ParamGrads` of the model's layer shapes views, else a fresh copy of
+    the pairs."""
     if len(param_grads) != len(model.weights):
         raise ValueError("need one (dW, db) pair per layer")
-    flat = getattr(param_grads[0][0], "base", None)
-    if _tiles(flat, param_grads, model):
-        return flat
+    if isinstance(param_grads, ParamGrads) and all(
+            dW.shape == W.shape for (dW, _), W in zip(param_grads, model.weights)):
+        return param_grads.flat
     flat = np.empty_like(model.params)
     for (dW, db), (W_copy, b_copy) in zip(param_grads, model.layer_views(flat)):
         if np.shape(dW) != W_copy.shape or np.shape(db) != b_copy.shape:
@@ -241,6 +269,67 @@ def _flat_grad(model: MlpModel, param_grads) -> np.ndarray:
     return flat
 
 
+def _adam_begin(state: AdamState):
+    """Counts one Adam step; returns its bias corrections (c1, c2)."""
+    state.step_count += 1
+    t = state.step_count
+    return 1.0 - _ADAM_BETA1**t, 1.0 - _ADAM_BETA2**t
+
+
+def _adam_block(state: AdamState, c1: float, c2: float, params: np.ndarray,
+                grad: np.ndarray, start: int) -> None:
+    """One block of `adam_update`: params[start:start + grad.size] and its
+    moments, in place, by the 1-D gradient block `grad`, with the operation
+    order that `adam_update` states."""
+    stop = start + grad.size
+    m, v = state.first_moment[start:stop], state.second_moment[start:stop]
+    step, denom = state.scratch[0, :grad.size], state.scratch[1, :grad.size]
+    np.subtract(grad, m, out=step)
+    np.multiply(step, 1 - _ADAM_BETA1, out=step)
+    m += step
+    np.square(grad, out=step)
+    np.subtract(step, v, out=step)
+    np.multiply(step, 1 - _ADAM_BETA2, out=step)
+    v += step
+    np.divide(m, c1, out=step)
+    np.multiply(step, state.lr, out=step)
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, _ADAM_EPS, out=denom)
+    np.divide(step, denom, out=step)
+    params[start:stop] -= step
+
+
+def _adam_layer(state: AdamState, c1: float, c2: float, params: np.ndarray,
+                start: int, a: np.ndarray, grad: np.ndarray) -> None:
+    """The Adam update of one layer's (W, b), laid out from params[start],
+    by dW = a.T @ grad and db = grad.sum(axis=0), each produced block by
+    block in the state's scratch space."""
+    fan_in, fan_out = a.shape[1], grad.shape[1]
+    # blocks of two rows or more: numpy multiplies one row by a matrix with
+    # another BLAS kernel (a matrix-vector product) whose sums differ in the
+    # last bits from those of the whole product
+    low = min(fan_in, 2)
+    if state.scratch.shape[1] < low * fan_out:
+        state.scratch = np.empty((3, low * fan_out))
+    # whole multiples of 8 rows: on the waveform net at batch 32 (one BLAS
+    # thread, 2-core VM), a fused step took 9.2-9.3 ms in blocks of 16 and
+    # 32 rows and 9.7-10.0 ms in blocks of 17 and 34, whose matmuls end in
+    # a nearly empty panel of rows
+    rows = state.scratch.shape[1] // fan_out
+    if rows > 8:
+        rows -= rows % 8
+    for r in range(0, fan_in, rows):
+        first = min(r, fan_in - low)  # a one-row tail is formed with the row before it
+        block = state.scratch[2, :(min(r + rows, fan_in) - first) * fan_out]
+        np.matmul(a.T[first:r + rows], grad, out=block.reshape(-1, fan_out))
+        _adam_block(state, c1, c2, params, block[(r - first) * fan_out:],
+                    start + r * fan_out)
+    block = state.scratch[2, :fan_out]
+    grad.sum(axis=0, out=block)
+    _adam_block(state, c1, c2, params, block, start + fan_in * fan_out)
+
+
 def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     """Standard bias-corrected Adam update of the flat float64 vector
     `params` by the flat gradient `grad`, in place.
@@ -248,36 +337,17 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     Each block of _ADAM_BLOCK elements runs m += (1-b1)(g-m);
     v += (1-b2)(g^2-v); p -= lr (m/c1) / (sqrt(v/c2) + eps) in that
     operation order, so the result is bit for bit that of the same
-    expressions on whole arrays.
+    expressions on whole arrays, whatever the blocks.
     """
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - _ADAM_BETA1**t
-    c2 = 1.0 - _ADAM_BETA2**t
-    first, second = state.first_moment, state.second_moment
+    c1, c2 = _adam_begin(state)
     for start in range(0, params.size, _ADAM_BLOCK):
-        stop = min(start + _ADAM_BLOCK, params.size)
-        g, m, v, p = grad[start:stop], first[start:stop], second[start:stop], params[start:stop]
-        step, denom = state.scratch[0, :stop - start], state.scratch[1, :stop - start]
-        np.subtract(g, m, out=step)
-        np.multiply(step, 1 - _ADAM_BETA1, out=step)
-        m += step
-        np.square(g, out=step)
-        np.subtract(step, v, out=step)
-        np.multiply(step, 1 - _ADAM_BETA2, out=step)
-        v += step
-        np.divide(m, c1, out=step)
-        np.multiply(step, state.lr, out=step)
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, _ADAM_EPS, out=denom)
-        np.divide(step, denom, out=step)
-        p -= step
+        _adam_block(state, c1, c2, params, grad[start:start + _ADAM_BLOCK], start)
 
 
 def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
-    """`adam_update` of model.params, in place. param_grads is a list of
-    (dW, db) pairs, one per layer."""
+    """`adam_update` of model.params, in place. param_grads holds one
+    (dW, db) pair per layer: a `ParamGrads` from `backward_pass`, whose
+    vector is read directly, or any other sequence, copied per call."""
     adam_update(state, model.params, _flat_grad(model, param_grads))
     return model
 
@@ -311,8 +381,9 @@ def minibatch_adam(params: np.ndarray, n: int, step: Callable,
 
     Each epoch draws rng.permutation(n) and passes its consecutive runs of
     config.batch_size row indices, one at a time, to step(idx, state),
-    which applies one Adam update (`adam_update` or `adam_step` under
-    `state`, made here with config.lr) and returns the batch's mean loss.
+    which applies one Adam update under `state` (made here with
+    config.lr; `adam_update`, or `backward_pass` given the state) and
+    returns the batch's mean loss.
     An epoch scores score() when given, else its mean training loss. A
     strictly lower score than all before it snapshots `params`; training
     stops after config.early_stop_patience epochs without one. The best
@@ -380,7 +451,7 @@ def train(model: MlpModel, inputs: np.ndarray, aux,
             batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
         out, cache = forward_pass(model, batch_in)
         loss, grad_out = loss_fn(out, batch_aux)
-        adam_step(state, model, backward_pass(model, cache, grad_out)[0])
+        backward_pass(model, cache, grad_out, adam=state)
         return loss
 
     def val_loss():

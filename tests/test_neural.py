@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from helpers import run_python
 from isackit import constellation_ae, neural
 from isackit.constellation_ae import comm_loss, train_isac_ae
 from isackit.neural import (
@@ -136,11 +137,21 @@ def _oracle_train(model, inputs, aux, loss_fn, config, val_inputs=None,
     return model, history
 
 
+def _oracle_fused_backward_pass(model, cache, grad_output, adam=None):
+    """`backward_pass` by the per-layer oracles: with `adam`, the oracle
+    gradients spent on one oracle Adam step."""
+    grads, grad_in = _oracle_backward_pass(model, cache, grad_output)
+    if adam is None:
+        return grads, grad_in
+    _oracle_adam_step(adam, model, grads)
+
+
 def _use_oracle_engine(monkeypatch):
     """Routes training through the per-layer oracles, also where
-    constellation_ae imported the engine's names."""
+    constellation_ae imported the engine's names; `train`'s fused step
+    becomes the oracle backward pass followed by the oracle Adam step."""
     for module in (neural, constellation_ae):
-        monkeypatch.setattr(module, "backward_pass", _oracle_backward_pass)
+        monkeypatch.setattr(module, "backward_pass", _oracle_fused_backward_pass)
         monkeypatch.setattr(module, "adam_step", _oracle_adam_step)
 
 
@@ -332,6 +343,87 @@ def test_adam_step_matches_oracle_bitwise(rebuild, rng):
         _three_adam_steps(model, x, _oracle_adam_step, rebuild)
 
 
+def _fused_and_unfused_steps(model, x, target, steps):
+    """(params, both moments, step_count) after `steps` training steps on
+    copies of model: the fused step, and backward_pass then adam_step."""
+    runs = []
+    for fused in (True, False):
+        net = MlpModel(model.weights, model.biases, model.activations)
+        state = init_adam(net, lr=0.05)
+        for _ in range(steps):
+            out, cache = forward_pass(net, x)
+            if fused:
+                assert backward_pass(net, cache, out - target, adam=state) is None
+            else:
+                adam_step(state, net, backward_pass(net, cache, out - target)[0])
+        runs.append(([a.tobytes() for a in (net.params, state.first_moment,
+                                             state.second_moment)], state.step_count))
+    return runs
+
+
+@pytest.mark.parametrize("widths", [[12, 300, 250, 7], [13, 257, 250, 7]],
+                         ids=["ragged_tail", "one_row_tail"])
+@pytest.mark.parametrize("block", [None, 200], ids=["default_block", "row_wider_than_block"])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_fused_step_matches_backward_then_adam_step_bitwise(act, block, widths, rng,
+                                                           monkeypatch):
+    # at blocks of 2^15 elements the 300 x 250 layer is updated in row blocks
+    # of 128, 128 and 44, and the 257 x 250 one in 128, 128 and 1; at blocks
+    # of 200 elements every row of the first two layers is wider than the
+    # scratch space, which then holds two rows, so the 13-257-250-7 net ends
+    # both of those layers in one row
+    if block is not None:
+        monkeypatch.setattr(neural, "_ADAM_BLOCK", block)
+    model = init_mlp(widths, [act] * 3, rng)
+    x = rng.standard_normal((9, widths[0]))
+    target = rng.standard_normal((9, widths[-1]))
+    fused, unfused = _fused_and_unfused_steps(model, x, target, steps=4)
+    assert fused == unfused
+    assert fused[1] == 4
+
+
+def test_fused_step_allocates_no_parameter_sized_temporaries(rng):
+    model = WaveformNetSpec(8, 2, 8).build(rng)
+    out, cache = forward_pass(model, rng.standard_normal((32, model.input_dim)))
+    upstream = rng.standard_normal(out.shape)
+    state = init_adam(model)
+    tracemalloc.start()
+    try:
+        backward_pass(model, cache, upstream, adam=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.step_count == 1
+    assert model.params.nbytes > 15e6  # the gradient vector would be this size
+    assert peak < 1e6
+
+
+_BENCHMARK_SIZE_WAVEFORM_DIGEST = """
+import hashlib
+import numpy as np
+from isackit.neural import TrainConfig
+from isackit.waveform_learn import make_dataset, train_waveform_net
+samples = make_dataset(1000, 8, 2, 8, np.random.default_rng(3))
+model, history, _ = train_waveform_net(
+    samples, 0.2, TrainConfig(epochs=3, batch_size=32, seed=3), augment=True)
+print(hashlib.sha256(model.params.tobytes()).hexdigest())
+print(np.array(history["train"]).tobytes().hex())
+"""
+
+
+def test_fused_training_identical_across_blas_threads():
+    # the waveform net at the sizes of the benchmark's learned_train workload
+    # (1000 samples, batch 32, 3 epochs): its row-block products and updates
+    # give the same weights and training losses at 1 and 2 BLAS threads.
+    # The validation losses are left out: isac_waveform_loss sums 200
+    # validation frames with np.vdot, whose BLAS reduction order follows the
+    # thread count
+    one = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="1")
+    two = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="2")
+    assert len(one.split()) == 2
+    assert one == two
+
+
 def test_adam_step_rejects_wrong_layer_count(rng):
     model = init_mlp([3, 4, 2], ["relu", "linear"], rng)
     grads = [(np.zeros((3, 4)), np.zeros(4))]
@@ -355,6 +447,19 @@ def test_adam_step_copies_non_tiling_gradients_per_call(rng):
         with pytest.raises(ValueError, match="gradient shapes"):
             adam_step(state, model, wrong)
     assert state.step_count == 0 and np.array_equal(model.params, before)
+
+
+def test_adam_step_reads_the_vector_of_param_grads(rng):
+    model = init_mlp([1, 5, 2], ["tanh", "linear"], rng)
+    out, cache = forward_pass(model, rng.standard_normal((4, 1)))
+    grads, _ = backward_pass(model, cache, out)
+    assert isinstance(grads, tuple) and neural._flat_grad(model, grads) is grads.flat
+    # a model of the same size and depth but other layer shapes
+    other = init_mlp([1, 2, 6], ["tanh", "linear"], rng)
+    assert other.params.size == model.params.size
+    out, cache = forward_pass(other, rng.standard_normal((4, 1)))
+    with pytest.raises(ValueError, match="gradient shapes"):
+        adam_step(init_adam(model), model, backward_pass(other, cache, out)[0])
 
 
 def test_train_at_minimum_keeps_parameters(rng):
