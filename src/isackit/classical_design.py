@@ -6,9 +6,10 @@ beampattern-matched directional template, the covariance-constrained MUI
 minimizer (an orthogonal-Procrustes problem solved by one SVD), the weighted
 radar/communication trade-off under a total power constraint (a trust-region
 subproblem solved exactly through the secular equation), the epsilon-constraint
-variants (`roots.falling_root` on the trade-off weight, returning the
-feasible weight on a 2^-40 grid nearest the priority extreme), and
-the zero-interference genie rate bound.
+variants (`roots.falling_root` by Newton steps on the trade-off weight, with
+the closed-form slope of the constrained metric, returning the feasible
+weight on a 2^-40 grid nearest the priority extreme), and the
+zero-interference genie rate bound.
 
 The Procrustes and trade-off designs and the genie bound take one channel
 (H K x M) or a stack (B x K x M, and B on D and X0) through one code path;
@@ -219,7 +220,8 @@ _WEIGHT_CELLS = 2 ** math.ceil(-math.log2(_WEIGHT_TOL))
 
 
 def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
-    """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam_min, inf).
+    """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam[0], inf), for
+    ascending lam.
 
     Newton iteration on psi(mu) = phi(mu)^(-1/2) - target^(-1/2) (More &
     Sorensen 1983). psi is increasing and concave on (-lam_min, inf), since
@@ -230,7 +232,7 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
     within a few ulps, or when a step no longer moves mu to the right, never
     on step size alone.
     """
-    lam_min = lam.min()
+    lam_min = lam[0]
     mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
              float(np.max(np.sqrt(rho / target) - lam)))
     inv, terms = np.empty(lam.shape), np.empty(lam.shape)
@@ -284,48 +286,59 @@ def _factor(H, D, X0) -> _GramFactor:
     return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().mT @ D, U.conj().mT @ X0m)
 
 
-def _coefficients(out, W, rho, lam, UX0, target) -> bool:
-    """One channel's U^H X into `out`; False, `out` zeroed, if W == 0 (degenerate)."""
+def _coefficients(out, W, rho, lam, UX0, target):
+    """One channel's U^H X into `out`, for ascending lam. Returns the
+    multiplier mu that meets the budget; nan in the hard case, where mu is
+    -lam[0], on the pole; None, `out` zeroed, if W == 0 (degenerate)."""
     rho_sum = rho.sum()
     if rho_sum == 0.0:
         out[...] = 0.0
-        return False
+        return None
     # hard case: no weight on the minimal eigenspace and the boundary value
     # already undershoots the budget; fill the gap inside that eigenspace,
     # along X0's part there (the limit as the weight goes to 1), or along its
-    # first eigenvector when X0 has no part there
-    lam_min = lam.min()
-    min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
-    if rho[min_space].sum() < 1e-20 * max(1.0, rho_sum):
-        pos = ~min_space
-        boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
-        if boundary <= target:
-            coeff = np.zeros_like(W)
-            coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
-            fill = np.where(min_space[:, None], UX0, 0.0)
-            if not fill.any():
-                fill[np.argmax(min_space)] = 1.0
-            out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
-            return True
+    # first eigenvector when X0 has no part there. The eigenspace holds
+    # lam[0], and a float sum of its rho is at least rho[0], so a rho[0] at
+    # or above the threshold rules the hard case out without forming it.
+    lam_min = lam[0]
+    if rho[0] < 1e-20 * max(1.0, rho_sum):
+        min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
+        if rho[min_space].sum() < 1e-20 * max(1.0, rho_sum):
+            pos = ~min_space
+            boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
+            if boundary <= target:
+                coeff = np.zeros_like(W)
+                coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
+                fill = np.where(min_space[:, None], UX0, 0.0)
+                if not fill.any():
+                    fill[np.argmax(min_space)] = 1.0
+                out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
+                return math.nan
     mu = _secular_solve(lam, rho, target)
     np.divide(W, (lam + mu)[:, None], out=out)
-    return True
+    return mu
 
 
-def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.ndarray:
+def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     """Trade-off minimizer at one weight for every channel of the shared
-    factorization: a frame (M x tau_d) per channel, stacked like f.X0."""
+    factorization: a frame (M x tau_d) per channel, stacked like f.X0, and
+    each channel's multiplier mu (nan in the hard and degenerate cases)."""
     tau_d = f.X0.shape[-1]
     target = tau_d * total_power
     W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
     rho = np.linalg.norm(W, axis=-1) ** 2
+    # ascending like g, as weight lies in [0, 1]
     lam = weight * f.g + (1.0 - weight)
     coeff = np.empty_like(W)
+    mu = np.empty(rho.shape[:-1])
     degenerate = []
     # one scalar Newton solve per channel (itertools.product costs less than np.ndindex)
     for i in itertools.product(*map(range, rho.shape[:-1])):
-        if not _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target):
+        m = _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target)
+        if m is None:
             degenerate.append(i)
+            m = math.nan
+        mu[i] = m
     X = f.U @ coeff
     if degenerate:
         warnings.warn("degenerate trade-off objective; returning a power-"
@@ -338,7 +351,41 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float) -> np.nda
     norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     X *= np.sqrt(target)
     X /= norm[..., None, None]
-    return X
+    return X, mu
+
+
+def _row_products(f: _GramFactor):
+    """Per row i of P = U^H H^H D and Q = U^H X0 (one channel): ||P_i||^2,
+    Re<P_i, Q_i> and ||Q_i||^2, the inner products `_metric_slope` reads."""
+    P, Q = f.UHD, f.UX0
+    return np.vecdot(P, P).real, np.vecdot(P, Q).real, np.vecdot(Q, Q).real
+
+
+def _metric_slope(f: _GramFactor, rows, weight: float, mu: float, comm: bool) -> float:
+    """d/d(weight) of one channel's constrained metric at its trade-off
+    design: the sensing error ||X - X0||^2 if comm, else the MUI
+    ||HX - D||^2, from the multiplier mu of the solve at that weight.
+
+    In the eigenbasis, with P = U^H H^H D, Q = U^H X0, W = weight P +
+    (1 - weight) Q, s = lam + mu and c = W / s (rows scaled), the budget
+    sum ||c_i||^2 = tau_d P fixes mu' = [sum Re<c_i, W'_i> / s_i - sum rho_i
+    (g_i - 1) / s_i^3] / sum rho_i / s_i^3, so c' = (W' - c (g - 1 + mu')) /
+    s, and the MUI's slope is 2 sum g_i Re<c_i, c'_i> - 2 Re<c', P> and the
+    sensing error's -2 Re<c', Q>. Every inner product above is a mix of
+    the `_row_products` of f, which `rows` holds.
+    """
+    pp, pq, qq = rows
+    v = 1.0 - weight
+    s = weight * f.g + v + mu
+    wp = weight * pp + v * pq  # Re<W_i, P_i>
+    wq = weight * pq + v * qq  # Re<W_i, Q_i>
+    n = (weight * wp + v * wq) / s ** 2  # ||c_i||^2
+    a = (wp - wq) / s  # Re<c_i, W'_i>
+    k = f.g - 1.0  # s' = k + mu'
+    k += ((a / s).sum() - (n * k / s).sum()) / (n / s).sum()
+    if comm:
+        return float(-2.0 * ((pq - qq - k * wq / s) / s).sum())
+    return float(2.0 * ((f.g * (a - k * n) - (pp - pq - k * wp / s)) / s).sum())
 
 
 def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesign:
@@ -352,7 +399,7 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    X = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
+    X, _ = _tradeoff_solve(_factor(H, D, X0), weight, total_power)
     return WaveformDesign(X, total_power)
 
 
@@ -371,9 +418,14 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
 
     The search is `roots.falling_root` on x, the grid index counted from the
     priority extreme, where the miss (constrained metric minus bound) falls
-    as x grows. The design returned is the one solved at the last feasible
-    weight, so no weight is solved twice, and every weight reuses one
-    factorization of H^H H.
+    as x grows. Its steps are Newton's, snapped to the grid, on the
+    closed-form slope of the constrained metric (`_metric_slope`, from the
+    multiplier that each solve finds), starting from weight 0; the Illinois
+    step stands in where no slope exists (the hard and degenerate cases).
+    Any steps that end on a one-cell bracket give the bisection's answer.
+    The design returned is the one solved at the last feasible weight, so
+    no weight is solved twice, and every weight reuses one factorization of
+    H^H H.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -383,10 +435,12 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         raise ValueError("epsilon_design designs for one channel; index the stack")
     f = _factor(H, D, X0)
     comm = mode == "comm_priority"
+    mus = {}  # the multiplier of every weight solved, by grid index x
 
     def solve(x):
         j = _WEIGHT_CELLS - x if comm else x
-        X = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
+        X, mu = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
+        mus[x] = float(mu)
         return X, float(np.linalg.norm(X - f.X0 if comm else f.H @ X - f.D) ** 2)
 
     # x = 0 is the priority extreme, where the constrained metric is at its
@@ -406,8 +460,23 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
             X_feas, achieved = X, value
         return value - bound
 
+    rows = _row_products(f)
+
+    def slope(x):
+        # d miss / dx: the weight is x / _WEIGHT_CELLS, or 1 - that if comm
+        if math.isnan(mus[x]):
+            return None
+        j = _WEIGHT_CELLS - x if comm else x
+        d = _metric_slope(f, rows, j / _WEIGHT_CELLS, mus[x], comm) / _WEIGHT_CELLS
+        return -d if comm else d
+
+    # Newton starts at weight 0, where A = I is well conditioned; at weight 1
+    # H^H H has rank K < M and the slope says little about the root. The
+    # sensing error is flat at weight 0, so comm_priority's first step is the
+    # Illinois one
     falling_root(miss, 0, _WEIGHT_CELLS, value - bound, achieved - bound,
-                 floor=1, tol=-1.0, snap=round)
+                 floor=1, tol=-1.0, snap=round, slope=slope,
+                 start=_WEIGHT_CELLS if comm else 0)
     return WaveformDesign(X_feas, total_power), bound - achieved
 
 

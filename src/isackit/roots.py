@@ -1,23 +1,39 @@
-"""Safeguarded Illinois search for where a falling miss crosses zero, behind
-the epsilon-constraint designs of `classical_design` (a weight on a 2^-40
-grid) and the radar noise calibration of `constellation_ae` (a variance)."""
+"""Safeguarded search for where a falling miss crosses zero, behind the
+epsilon-constraint designs of `classical_design` (a weight on a 2^-40 grid,
+by Newton steps on the closed-form slope of the constrained metric) and the
+radar noise calibration of `constellation_ae` (a variance, by Illinois steps:
+a Monte-Carlo miss has no slope)."""
 
 
 def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
-                 snap=lambda x: x):
+                 snap=lambda x: x, slope=None, start=None):
     """Point in (lo, hi) where miss(x), which falls as x grows, crosses zero;
     f_lo = miss(lo) > 0 >= miss(hi) = f_hi, and hi - lo > floor.
 
-    Each step is regula falsi, lo + (hi - lo) * f_lo / (f_lo - f_hi), with
-    the other end's miss halved when the same end is kept twice (the Illinois
-    step of Dowell and Jarratt, BIT 1971), so the search is superlinear where
-    plain regula falsi stalls at one end. Safeguards keep it no slower than
-    bisection: a step is passed through `snap` (e.g. `round` on an integer
-    grid with floor 1) and clamped two floors inside the bracket, so that a
-    root next to one end puts the step past it and the far end moves too,
-    and a bisection step follows a clamped step; one also follows each pair
-    of steps that did not halve the bracket; and once the bracket is four
-    floors wide or narrower, every step bisects.
+    Without `slope`, each step is regula falsi, lo + (hi - lo) * f_lo /
+    (f_lo - f_hi), with the other end's miss halved when the same end is
+    kept twice (the Illinois step of Dowell and Jarratt, BIT 1971), so the
+    search is superlinear where plain regula falsi stalls at one end.
+
+    With `slope`, a function that returns the slope of miss at a point miss
+    has evaluated (None where it has none), a step is Newton's from the last
+    point evaluated, or at first from `start` (lo or hi; lo by default),
+    when the slope is negative, Newton's point lies inside the bracket and
+    the step is at most half as long as the step before last (the test of
+    `rtsafe` in Press et al., Numerical Recipes: Newton's points may close
+    on the root from one side, so they are judged by their steps, not by the
+    bracket). Otherwise the step is the Illinois one. A Newton step shorter
+    than `floor` goes to the neighbouring point on the root's side, one
+    floor away, which closes the bracket when the root lies within it.
+
+    Safeguards bound the search: a step is passed through `snap` (e.g.
+    `round` on an integer grid with floor 1) and clamped two floors inside
+    the bracket, so that a root next to one end puts the step past it and
+    the far end moves too, and a bisection step follows a clamped step; one
+    also follows each pair of Illinois or bisection steps that did not halve
+    the bracket, Newton steps taken between them included; and once the
+    bracket is four floors wide or narrower, every step bisects. Newton's
+    steps halve every other step, so a run of them ends too.
 
     A point with miss <= 0 becomes hi, any other lo. Returns the first point
     with |miss| <= tol (a negative tol never stops early), or else, once the
@@ -25,13 +41,29 @@ def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
     """
     mark, steps, bisect = hi - lo, 0, False
     kept = 0  # +1 after lo moved last, -1 after hi did
+    x, f = (hi, f_hi) if start == hi else (lo, f_lo)
+    moved = (hi - lo, hi - lo)  # how far the last two steps went
     while hi - lo > floor:
-        if bisect or hi - lo <= 4 * floor:
-            x, bisect = snap(0.5 * (lo + hi)), False
+        newton = False
+        if slope is not None and not bisect and hi - lo > 4 * floor:
+            d = slope(x)
+            if d is not None and d < 0.0:
+                t = x - f / d
+                newton = lo < t < hi and abs(t - x) <= 0.5 * moved[0]
+        if newton:
+            if abs(t - x) < floor:
+                t = x + floor if f > 0 else x - floor
+            else:
+                inner = min(max(t, lo + 2 * floor), hi - 2 * floor)
+                bisect, t = inner != t, inner
+            t = snap(t)
+        elif bisect or hi - lo <= 4 * floor:
+            t, bisect = snap(0.5 * (lo + hi)), False
         else:
-            x = snap(lo + (hi - lo) * (f_lo / (f_lo - f_hi)))
-            bisect = not lo + 2 * floor <= x <= hi - 2 * floor
-            x = min(max(x, lo + 2 * floor), hi - 2 * floor)
+            t = snap(lo + (hi - lo) * (f_lo / (f_lo - f_hi)))
+            bisect = not lo + 2 * floor <= t <= hi - 2 * floor
+            t = min(max(t, lo + 2 * floor), hi - 2 * floor)
+        moved, x = (moved[1], abs(t - x)), t
         f = miss(x)
         if abs(f) <= tol:
             return x
@@ -45,6 +77,8 @@ def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
             if kept < 0:
                 f_lo *= 0.5
             kept = -1
+        if newton:
+            continue
         steps += 1
         if steps == 2:
             bisect = bisect or hi - lo > 0.5 * mark

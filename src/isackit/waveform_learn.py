@@ -146,6 +146,14 @@ def _projection_vjp(raw: np.ndarray, grad_X: np.ndarray, total_power: float,
     return scale[:, None] * (g - raw * radial[:, None])
 
 
+def _sq_norm(z: np.ndarray) -> np.float64:
+    """||z||^2 of a complex array by numpy's pairwise sum of its squared real
+    and imaginary parts: the same bits at any BLAS thread count, which a BLAS
+    dot (np.vdot) does not promise on large arrays."""
+    v = z.reshape(-1).view(np.float64)
+    return np.add.reduce(v * v)
+
+
 def isac_waveform_loss(X, H, D, X0, weight: float):
     """Batch trade-off loss and its gradient with respect to each frame.
 
@@ -160,7 +168,7 @@ def isac_waveform_loss(X, H, D, X0, weight: float):
         raise ValueError("empty batch")
     comm = H @ X - D
     sens = X - X0
-    total = weight * np.vdot(comm, comm).real + (1 - weight) * np.vdot(sens, sens).real
+    total = weight * _sq_norm(comm) + (1 - weight) * _sq_norm(sens)
     grad = (2.0 / batch) * (weight * np.swapaxes(H.conj(), 1, 2) @ comm + (1 - weight) * sens)
     return total / batch, grad
 

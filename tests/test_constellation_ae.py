@@ -613,6 +613,33 @@ def _falling_root_oracle(miss, bracket, tol, field):
     return var
 
 
+# the variances one radar calibration evaluated before the root search took
+# Newton steps for slopes it is given (16-PSK, Pd 0.935, Pfa 0.0085, 5,000
+# trials, seed 1821), each evaluated twice: threshold, then Pd
+_FROZEN_RADAR_VARIANCES = [
+    0.01, 4.0, 0.27561859893486257, 0.04095232866756194, 0.06829780655815808,
+    0.10954628670592888, 0.10168943334444869, 0.10430838446494207,
+    0.10494715303091608, 0.10470761481867581]
+
+
+def test_radar_calibration_evaluates_the_frozen_variances(monkeypatch):
+    # the calibration passes no slope: its Illinois steps, and so every
+    # variance it evaluates, are those of the search before Newton steps
+    calls = []
+    real = constellation_ae.detection_statistic
+
+    def counting(z, points, noise_var):
+        calls.append(noise_var)
+        return real(z, points, noise_var)
+
+    monkeypatch.setattr(constellation_ae, "detection_statistic", counting)
+    var, thr = calibrate_radar_noise(baseline_constellation("PSK", 16), 0.935,
+                                     0.0085, 5_000, np.random.default_rng(1821))
+    assert calls[::2] == _FROZEN_RADAR_VARIANCES
+    assert calls[1::2] == _FROZEN_RADAR_VARIANCES
+    assert (var, thr) == (0.10470761481867581, 1.5575782362814774)
+
+
 @pytest.mark.parametrize("size, pd, pfa, trials, seeds", [
     (16, 0.935, 0.0085, 50_000, range(1821, 1826)),
     (4, 0.13, 0.1, 30_000, range(38, 43)),  # the bracket grows past var 4

@@ -408,19 +408,20 @@ model, history, _ = train_waveform_net(
     samples, 0.2, TrainConfig(epochs=3, batch_size=32, seed=3), augment=True)
 print(hashlib.sha256(model.params.tobytes()).hexdigest())
 print(np.array(history["train"]).tobytes().hex())
+print(np.array(history["val"]).tobytes().hex())
 """
 
 
 def test_fused_training_identical_across_blas_threads():
     # the waveform net at the sizes of the benchmark's learned_train workload
     # (1000 samples, batch 32, 3 epochs): its row-block products and updates
-    # give the same weights and training losses at 1 and 2 BLAS threads.
-    # The validation losses are left out: isac_waveform_loss sums 200
-    # validation frames with np.vdot, whose BLAS reduction order follows the
-    # thread count
+    # give the same weights, training losses and validation losses at 1 and
+    # 2 BLAS threads. The validation loss sums 200 frames (12,800 complex
+    # entries of X - X0), past the size at which a BLAS dot splits its sum
+    # between threads
     one = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="1")
     two = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="2")
-    assert len(one.split()) == 2
+    assert len(one.split()) == 3
     assert one == two
 
 

@@ -1,5 +1,6 @@
-"""The safeguarded Illinois search: jumps it cannot resolve, superlinear
-steps on smooth misses, and first-feasible cells on an integer grid."""
+"""The safeguarded root search: jumps it cannot resolve, superlinear
+steps on smooth misses, fewer evaluations with a slope than without, and
+first-feasible cells on an integer grid, with and without a slope."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from isackit.roots import falling_root
 
 
-def _search(miss, lo, hi, floor, tol, **snap):
+def _search(miss, lo, hi, floor, tol, **options):
     """falling_root on [lo, hi], every evaluation of miss recorded, the two
     at the ends included."""
     seen = []
@@ -17,7 +18,18 @@ def _search(miss, lo, hi, floor, tol, **snap):
         return miss(x)
 
     f_lo, f_hi = counted(lo), counted(hi)
-    return falling_root(counted, lo, hi, f_lo, f_hi, floor, tol, **snap), seen
+    return falling_root(counted, lo, hi, f_lo, f_hi, floor, tol, **options), seen
+
+
+def _logistic(v):
+    return 1.0 / (1.0 + np.exp((v - 0.1) / 0.01))
+
+
+# two smooth misses, their slopes and roots
+_SMOOTH = [
+    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, lambda v: -4.0 * (1.0 + v) ** -5, 0.37),
+    (lambda v: _logistic(v) - 0.935, lambda v: -_logistic(v) * (1.0 - _logistic(v)) / 0.01,
+     0.1 + 0.01 * np.log(1.0 / 0.935 - 1.0))]
 
 
 @pytest.mark.parametrize("below, above", [(0.5, -0.5), (1e-12, -1.0)])
@@ -33,10 +45,7 @@ def test_falling_root_ends_at_a_jump_it_cannot_resolve(below, above):
     assert len(seen) <= 2 + 4 * 40
 
 
-@pytest.mark.parametrize("miss, root", [
-    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, 0.37),
-    (lambda v: 1.0 / (1.0 + np.exp((v - 0.1) / 0.01)) - 0.935,
-     0.1 + 0.01 * np.log(1.0 / 0.935 - 1.0))])
+@pytest.mark.parametrize("miss, root", [(miss, root) for miss, _, root in _SMOOTH])
 def test_falling_root_is_superlinear_on_a_smooth_miss(miss, root):
     # plain regula falsi under the same safeguard needs 25 and 34
     # evaluations here; the Illinois step needs 14
@@ -46,11 +55,35 @@ def test_falling_root_is_superlinear_on_a_smooth_miss(miss, root):
     assert len(seen) <= 16
 
 
+@pytest.mark.parametrize("miss, slope, root", _SMOOTH)
+def test_a_supplied_slope_takes_fewer_evaluations(miss, slope, root):
+    # Newton steps from lo, with the Illinois step where Newton's point
+    # leaves the bracket or its step does not halve: 8 and 12 evaluations
+    # against 14 and 14 without the slope
+    x, seen = _search(miss, 0.01, 4.0, 3.99 * 2.0 ** -40, 1e-12)
+    x_newton, seen_newton = _search(miss, 0.01, 4.0, 3.99 * 2.0 ** -40, 1e-12,
+                                    slope=slope, start=0.01)
+    assert abs(miss(x_newton)) <= 1e-12
+    assert abs(x_newton - root) <= 1e-9
+    assert len(seen_newton) < len(seen)
+
+
 @pytest.mark.parametrize("cells", [7, 1000, 2 ** 40])
 def test_falling_root_finds_the_first_feasible_cell(cells):
     # a step miss on the integer grid 0..cells, feasible (<= 0) from cell c
     # on, with random heights on either side: the search must end where a
     # bisection does, on the bracket (c - 1, c), evaluating each cell once
+    _first_feasible_cells(cells, with_slope=False)
+
+
+@pytest.mark.parametrize("cells", [7, 1000, 2 ** 40])
+def test_falling_root_with_a_slope_finds_the_first_feasible_cell(cells):
+    # the same with Newton steps on the slope of the infeasible side, which
+    # point past the jump at c
+    _first_feasible_cells(cells, with_slope=True)
+
+
+def _first_feasible_cells(cells, with_slope):
     rng = np.random.default_rng(cells)
     jumps = {1, 2, cells - 1, cells} | set(rng.integers(1, cells, 20).tolist())
     for c in sorted(jumps):
@@ -60,7 +93,11 @@ def test_falling_root_finds_the_first_feasible_cell(cells):
         def miss(x):
             return a + steep * (c - x) / cells if x < c else -b
 
-        x, seen = _search(miss, 0, cells, 1, -1.0, snap=round)
+        def slope(x):  # none on the flat feasible side
+            return -steep / cells if x < c else None
+
+        options = {"slope": slope} if with_slope else {}
+        x, seen = _search(miss, 0, cells, 1, -1.0, snap=round, **options)
         inside = seen[2:]
         assert all(isinstance(v, int) and 0 < v < cells for v in inside)
         assert len(set(inside)) == len(inside)
