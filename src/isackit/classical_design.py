@@ -420,8 +420,10 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     priority extreme, where the miss (constrained metric minus bound) falls
     as x grows. Its steps are Newton's, snapped to the grid, on the
     closed-form slope of the constrained metric (`_metric_slope`, from the
-    multiplier that each solve finds), starting from weight 0; the Illinois
-    step stands in where no slope exists (the hard and degenerate cases).
+    multiplier that each solve finds), from the last weight solved; the
+    Illinois step stands in where no slope exists (the hard and degenerate
+    cases) and at weight 1, where H^H H is singular, so sens_priority's
+    Newton steps start at weight 0 and comm_priority's after one Illinois step.
     Any steps that end on a one-cell bracket give the bisection's answer.
     The design returned is the one solved at the last feasible weight, so
     no weight is solved twice, and every weight reuses one factorization of
@@ -463,20 +465,18 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     rows = _row_products(f)
 
     def slope(x):
-        # d miss / dx: the weight is x / _WEIGHT_CELLS, or 1 - that if comm
-        if math.isnan(mus[x]):
+        # d miss / dx: the weight is x / _WEIGHT_CELLS, or 1 - that if comm.
+        # None at weight 1 (comm's x = 0), where H^H H has rank K < M and the
+        # slope says little about the root; at weight 0 A = I is well
+        # conditioned
+        if math.isnan(mus[x]) or (comm and x == 0):
             return None
         j = _WEIGHT_CELLS - x if comm else x
         d = _metric_slope(f, rows, j / _WEIGHT_CELLS, mus[x], comm) / _WEIGHT_CELLS
         return -d if comm else d
 
-    # Newton starts at weight 0, where A = I is well conditioned; at weight 1
-    # H^H H has rank K < M and the slope says little about the root. The
-    # sensing error is flat at weight 0, so comm_priority's first step is the
-    # Illinois one
     falling_root(miss, 0, _WEIGHT_CELLS, value - bound, achieved - bound,
-                 floor=1, tol=-1.0, snap=round, slope=slope,
-                 start=_WEIGHT_CELLS if comm else 0)
+                 floor=1, tol=-1.0, snap=round, slope=slope)
     return WaveformDesign(X_feas, total_power), bound - achieved
 
 

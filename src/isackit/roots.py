@@ -6,7 +6,7 @@ a Monte-Carlo miss has no slope)."""
 
 
 def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
-                 snap=lambda x: x, slope=None, start=None):
+                 snap=lambda x: x, slope=None):
     """Point in (lo, hi) where miss(x), which falls as x grows, crosses zero;
     f_lo = miss(lo) > 0 >= miss(hi) = f_hi, and hi - lo > floor.
 
@@ -17,23 +17,27 @@ def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
 
     With `slope`, a function that returns the slope of miss at a point miss
     has evaluated (None where it has none), a step is Newton's from the last
-    point evaluated, or at first from `start` (lo or hi; lo by default),
-    when the slope is negative, Newton's point lies inside the bracket and
-    the step is at most half as long as the step before last (the test of
-    `rtsafe` in Press et al., Numerical Recipes: Newton's points may close
-    on the root from one side, so they are judged by their steps, not by the
-    bracket). Otherwise the step is the Illinois one. A Newton step shorter
-    than `floor` goes to the neighbouring point on the root's side, one
-    floor away, which closes the bracket when the root lies within it.
+    point evaluated (lo at first) when the slope is negative, Newton's point
+    lies inside the bracket and the step is at most half as long as the
+    step before last (the test of `rtsafe` in Press et al., Numerical
+    Recipes: Newton's points may close on the root from one side, so they
+    are judged by their steps, not by the bracket). Otherwise the step is
+    the Illinois one. A Newton step shorter than `floor` goes to the
+    neighbouring point on the root's side, one floor away, which closes the
+    bracket when the root lies within it.
 
     Safeguards bound the search: a step is passed through `snap` (e.g.
     `round` on an integer grid with floor 1) and clamped two floors inside
     the bracket, so that a root next to one end puts the step past it and
     the far end moves too, and a bisection step follows a clamped step; one
-    also follows each pair of Illinois or bisection steps that did not halve
-    the bracket, Newton steps taken between them included; and once the
-    bracket is four floors wide or narrower, every step bisects. Newton's
-    steps halve every other step, so a run of them ends too.
+    also follows each pair of counted steps that did not halve the bracket
+    (every step counts but a Newton step of a floor or more, whose progress
+    between counted steps is included); and once the bracket is four floors
+    wide or narrower, every step bisects. A run of uncounted Newton steps
+    ends, as each is at most half as long as the step before last; the
+    one-floor steps count, so a slope that keeps pointing within a floor of
+    the last point (a miss that decays like its slope) cannot walk the
+    bracket a floor at a time.
 
     A point with miss <= 0 becomes hi, any other lo. Returns the first point
     with |miss| <= tol (a negative tol never stops early), or else, once the
@@ -41,7 +45,7 @@ def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
     """
     mark, steps, bisect = hi - lo, 0, False
     kept = 0  # +1 after lo moved last, -1 after hi did
-    x, f = (hi, f_hi) if start == hi else (lo, f_lo)
+    x, f = lo, f_lo
     moved = (hi - lo, hi - lo)  # how far the last two steps went
     while hi - lo > floor:
         newton = False
@@ -51,12 +55,11 @@ def falling_root(miss, lo, hi, f_lo: float, f_hi: float, floor, tol: float,
                 t = x - f / d
                 newton = lo < t < hi and abs(t - x) <= 0.5 * moved[0]
         if newton:
-            if abs(t - x) < floor:
-                t = x + floor if f > 0 else x - floor
+            if abs(t - x) < floor:  # a counted step
+                t, newton = snap(x + floor if f > 0 else x - floor), False
             else:
                 inner = min(max(t, lo + 2 * floor), hi - 2 * floor)
-                bisect, t = inner != t, inner
-            t = snap(t)
+                bisect, t = inner != t, snap(inner)
         elif bisect or hi - lo <= 4 * floor:
             t, bisect = snap(0.5 * (lo + hi)), False
         else:

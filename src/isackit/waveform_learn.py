@@ -146,11 +146,13 @@ def _projection_vjp(raw: np.ndarray, grad_X: np.ndarray, total_power: float,
     return scale[:, None] * (g - raw * radial[:, None])
 
 
-def _sq_norm(z: np.ndarray) -> np.float64:
-    """||z||^2 of a complex array by numpy's pairwise sum of its squared real
-    and imaginary parts: the same bits at any BLAS thread count, which a BLAS
-    dot (np.vdot) does not promise on large arrays."""
-    v = z.reshape(-1).view(np.float64)
+def _sq_norm(z: np.ndarray):
+    """||z||^2 of a real or complex array by numpy's pairwise sum of its
+    squared real and imaginary parts: the same bits at any BLAS thread count,
+    which a BLAS dot (np.vdot) does not promise on large arrays."""
+    v = np.ascontiguousarray(z).reshape(-1)
+    if np.iscomplexobj(v):
+        v = v.view(v.real.dtype)
     return np.add.reduce(v * v)
 
 

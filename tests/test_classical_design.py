@@ -662,10 +662,11 @@ def test_epsilon_design_solve_counts(rng, monkeypatch):
     sens_priority mean must stay <= 9 and the max <= 13 (measured: mean
     8.06, max 9), and the comm_priority mean <= 11 and the max <= 15
     (measured: mean 10.10, max 11), where the search runs on the weight grid
-    counted down from 1. Newton's steps start at weight 0 in both modes. On
-    every draw of the bit-for-bit test, at most 18 solves (measured worst 15
-    on these draws and 16 over 4,800 draws of the same kind, seeds
-    1000-1039, where the Illinois steps alone needed up to 18)."""
+    counted down from 1. Newton's steps start at weight 0 for sens_priority
+    and, after one Illinois step from weight 1, inside (0, 1) for
+    comm_priority. On every draw of the bit-for-bit test, at most 18 solves
+    (measured worst 15 on these draws and 16 over 4,800 draws of the same
+    kind, seeds 1000-1039, where the Illinois steps alone needed up to 18)."""
     calls = []  # the weight of every trade-off solve
     solve = classical_design._tradeoff_solve
 

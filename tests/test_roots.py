@@ -1,6 +1,7 @@
 """The safeguarded root search: jumps it cannot resolve, superlinear
-steps on smooth misses, fewer evaluations with a slope than without, and
-first-feasible cells on an integer grid, with and without a slope."""
+steps on smooth misses, fewer evaluations with a slope than without, no
+walk of one-cell Newton steps, and first-feasible cells on an integer grid,
+with and without a slope."""
 
 import numpy as np
 import pytest
@@ -62,10 +63,27 @@ def test_a_supplied_slope_takes_fewer_evaluations(miss, slope, root):
     # against 14 and 14 without the slope
     x, seen = _search(miss, 0.01, 4.0, 3.99 * 2.0 ** -40, 1e-12)
     x_newton, seen_newton = _search(miss, 0.01, 4.0, 3.99 * 2.0 ** -40, 1e-12,
-                                    slope=slope, start=0.01)
+                                    slope=slope)
     assert abs(miss(x_newton)) <= 1e-12
     assert abs(x_newton - root) <= 1e-9
     assert len(seen_newton) < len(seen)
+
+
+def test_a_slope_within_a_floor_does_not_walk_the_grid():
+    # exp(-2x) - 1e-300 on the integer grid 0..2^40: from the infeasible
+    # side, Newton's step is half a cell at every point, so steps of one
+    # cell, were they not counted toward the bisection safeguard, would walk
+    # the 345 cells up to the root
+    def miss(x):
+        return np.exp(-2.0 * x) - 1e-300
+
+    def slope(x):
+        return -2.0 * np.exp(-2.0 * x)
+
+    x, seen = _search(miss, 0, 2 ** 40, 1, -1.0, snap=round, slope=slope)
+    assert min(v for v in seen if miss(v) <= 0) == 346 and 345 in seen
+    assert x in (345, 346) and x == seen[-1]
+    assert len(seen) <= 2 + 4 * 40
 
 
 @pytest.mark.parametrize("cells", [7, 1000, 2 ** 40])

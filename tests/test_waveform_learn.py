@@ -236,6 +236,24 @@ def test_loss_matches_per_instance_oracle(rng):
         assert _rel(grad, ref_grad) <= 1e-12
 
 
+def test_loss_sums_real_and_single_precision_inputs(rng):
+    # the squared norms reinterpret complex entries as their real and
+    # imaginary parts of the entries' own precision; real entries are summed
+    # as they are (3 x 3 x 3 real floats: an odd count)
+    H, D, X0 = _random_batch(rng, B=3, M=3, K=2, tau=3)
+    X = _complex(rng, 3, 3, 3)
+    for weight in (0.0, 0.37, 1.0):
+        ref_value, _ = _loss_oracle(X, H, D, X0, weight)
+        value, _ = isac_waveform_loss(*(a.astype(np.complex64) for a in (X, H, D, X0)),
+                                      weight)
+        assert abs(value - ref_value) <= 1e-5 * ref_value
+        real = [a.real.copy() for a in (X, H, D, X0)]
+        ref_value, _ = _loss_oracle(*real, weight)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            value, _ = isac_waveform_loss(*(a.astype(dtype) for a in real), weight)
+            assert abs(value - ref_value) <= rtol * ref_value
+
+
 def test_loss_gradient_matches_fd(rng):
     H, D, X0 = _random_batch(rng, B=3)
     X = _complex(rng, 3, 2, 3)
