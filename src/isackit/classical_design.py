@@ -58,7 +58,7 @@ class CovarianceTemplate:
             raise ValueError("covariance template must be Hermitian")
         if abs(np.trace(C).real - self.power) > 1e-8 * max(1.0, self.power):
             raise ValueError("trace must equal the power budget")
-        if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < -1e-8:
+        if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < -1e-8 * max(1.0, self.power):
             raise ValueError("covariance template must be PSD")
         object.__setattr__(self, "matrix", C)
 
@@ -140,7 +140,9 @@ def directional_covariance(target_angles, total_power: float,
     target by accelerated projected gradient descent (monotone-restart FISTA
     with backtracking). The mask height 4*M*P/n (n targets) sits well above
     the attainable gain, which makes the fit concentrate one dominant lobe
-    per target instead of splitting into in-mask ripple.
+    per target instead of splitting into in-mask ripple. The fit is
+    homogeneous in P, so it runs at unit power and the template is scaled by
+    P: its objective stays finite however large P is.
     """
     targets = np.atleast_1d(np.asarray(target_angles, dtype=float))
     if targets.size == 0:
@@ -149,12 +151,12 @@ def directional_covariance(target_angles, total_power: float,
 
     V = steering_grid(_PATTERN_GRID, geom)  # M x A
     dist = np.min(np.abs(_PATTERN_GRID[:, None] - targets[None, :]), axis=1)
-    desired = np.where(dist <= _MASK_HALFWIDTH, 4.0 * total_power * M / targets.size, 0.0)
+    desired = np.where(dist <= _MASK_HALFWIDTH, 4.0 * M / targets.size, 0.0)
 
     def residual(Cm):
         return _pattern_gains(V, Cm) - desired
 
-    C = reference_covariance_omni(total_power, M).matrix
+    C = reference_covariance_omni(1.0, M).matrix
     Z = C
     t = 1.0
     step = 1.0 / (2.0 * _PATTERN_GRID.size * M)
@@ -163,7 +165,7 @@ def directional_covariance(target_angles, total_power: float,
         r = residual(Z)
         fz, gz = float(r @ r), (V * (2.0 * r)) @ V.conj().T
         while True:  # backtracking on the local quadratic upper bound
-            Cn = _project_psd_trace(Z - step * gz, total_power)
+            Cn = _project_psd_trace(Z - step * gz, 1.0)
             move = Cn - Z
             r = residual(Cn)
             obj = float(r @ r)
@@ -177,7 +179,7 @@ def directional_covariance(target_angles, total_power: float,
         else:
             Z, t = Cn + ((t - 1.0) / t_next) * (Cn - C), t_next
         if it >= 50 and abs(prev_obj - obj) <= _FISTA_TOL * max(1.0, obj):
-            return CovarianceTemplate(Cn, total_power)
+            return CovarianceTemplate(total_power * Cn, total_power)
         C, prev_obj = Cn, obj
     raise RuntimeError(
         f"beampattern matching did not converge in {_FISTA_MAX_ITERS} iterations "

@@ -10,6 +10,11 @@ The full parameter tables live in docs/config_schema.md. Every CSV value is
 printed with 9 significant digits, and a (config, seed) pair reproduces its
 CSVs byte for byte on one platform.
 
+Each kind is one _Experiment record (runner, defaults, cross-field checks),
+and each parameter name one _Rule (a closed range and its message) shared by
+every kind that has it. validate_config and run_experiment read only these:
+an experiment is a record, a runner, a docs/config_schema.md table and a config.
+
 Runners compute their CSV tables and write nothing; run_experiment then
 writes each CSV, and the manifest last, through a temporary file renamed into
 place, so a failed run writes no CSV and leaves none half-written.
@@ -19,11 +24,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import platform
 import sys
 import time
+import typing
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +88,11 @@ class RunRecord:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _environment() -> dict:
-    """Python, numpy, scipy and BLAS versions, and the BLAS thread variables
-    (None where unset). The scipy version comes from the package metadata, so
-    that writing a record imports no scipy."""
+@functools.cache
+def _versions() -> dict:
+    """Python, numpy, scipy and BLAS versions, looked up once per process.
+    The scipy version comes from the package metadata, so that writing a
+    record imports no scipy."""
     import importlib.metadata  # about 20 ms to import; only a finished run needs it
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -91,7 +101,6 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": importlib.metadata.version("scipy"),
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_thread_vars": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
     }
 
 
@@ -109,116 +118,63 @@ def _child_seed(rng: np.random.Generator) -> int:
 
 # ------------------------------------------------------------------ schema
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and np.isfinite(v)
+# open ends as closed bounds: the float next to 0 or 1 for "above 0" or
+# "below 1", the largest float for "no limit" (refusing inf and larger ints)
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+_HUGE = sys.float_info.max
 
 
-def _pos_int(v) -> bool:
-    return _is_int(v) and v > 0
+class _Rule(typing.NamedTuple):
+    """A field check as data: a finite number (an integer if `integer`) in
+    [lo, hi], or with `many` a nonempty list of them, and its diagnostic."""
+
+    message: str
+    lo: float = _ABOVE_0
+    hi: float = _HUGE
+    integer: bool = False
+    many: bool = False
+
+    def accepts(self, value) -> bool:
+        if self.many != isinstance(value, list) or value == []:
+            return False
+        kinds = int if self.integer else (int, float)
+        # bool is an int, and nan fails both comparisons
+        return all(isinstance(v, kinds) and not isinstance(v, bool) and self.lo <= v <= self.hi
+                   for v in (value if self.many else [value]))
 
 
-def _pos_num(v) -> bool:
-    return _is_num(v) and v > 0
+_SEED = _Rule("must be a non-negative integer", 0, math.inf, integer=True)
 
-
-def _num_list(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)
-
-
-def _unit_list(v) -> bool:
-    return _num_list(v) and all(0.0 <= x <= 1.0 for x in v)
-
-
-def _snr_db(v) -> bool:
-    # the range every experiment is run at in the tests; 10^(snr/10)
-    # overflows or reaches 0 near ±3080 dB
-    return _is_num(v) and -60.0 <= v <= 60.0
-
-
-def _step_num(v) -> bool:
-    # A PGA step size (init_step, or one that Adam moves by about lr per
-    # minibatch) near 1e200 overflows ||F W||^2 in the first W step, and the
-    # run stops with a degenerate beamformer; case3_sweep's lr shares the
-    # limit
-    return _pos_num(v) and v <= 1e6
-
-
-_CHECKS = {
+# one rule per parameter name, shared by every experiment that has it
+_RULES = {
     **dict.fromkeys(("quad_order", "num_antennas", "num_users", "frame_length",
                      "num_channels", "trials", "num_chains", "num_layers", "num_train",
                      "num_test", "epochs", "batch_size", "samples_per_epoch"),
-                    (_pos_int, "must be a positive integer")),
+                    _Rule("must be a positive integer", 1, integer=True)),
     **dict.fromkeys(("total_power", "echo_gain", "carrier_freq", "sample_period", "noise_var"),
-                    (_pos_num, "must be a positive number")),
-    **dict.fromkeys(("lr", "init_step"), (_step_num, "must be a positive number at most 1e6")),
+                    _Rule("must be a positive number")),
+    # a PGA step size (init_step, or one that Adam moves by about lr per
+    # minibatch) near 1e200 overflows ||F W||^2 in the first W step: the run
+    # stops with a degenerate beamformer. case3_sweep's lr shares the limit
+    **dict.fromkeys(("lr", "init_step"),
+                    _Rule("must be a positive number at most 1e6", hi=1e6)),
     **dict.fromkeys(("weights", "etas"),
-                    (_unit_list, "must be a nonempty list of values in [0, 1]")),
+                    _Rule("must be a nonempty list of values in [0, 1]", 0.0, 1.0, many=True)),
     **dict.fromkeys(("target_ser", "target_pd", "target_pfa"),
-                    (lambda v: _is_num(v) and 0 < v < 1, "must lie strictly inside (0, 1)")),
-    "snr_db": (lambda v: _num_list(v) and all(map(_snr_db, v)),
-               "must be a nonempty list of numbers in [-60, 60] dB"),
-    "snr_db_point": (_snr_db, "must be a number in [-60, 60] dB"),
-    "weight": (lambda v: _is_num(v) and 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "target_angle_deg": (lambda v: _is_num(v) and -90 <= v <= 90,
-                         "must be an angle in [-90, 90] degrees"),
-    "target_angles_deg": (lambda v: _num_list(v) and all(-90.0 <= x <= 90.0 for x in v),
-                          "must be a list of angles in [-90, 90] degrees"),
-    "grid_points": (lambda v: _is_int(v) and v >= 16,
-                    "must be an integer of at least 16"),
-    "user_speed": (lambda v: _is_num(v) and v >= 0, "must be a nonnegative number"),
-    "num_bits": (lambda v: _is_int(v) and 1 <= v <= 8,
-                 "must be an integer in [1, 8]"),
-}
-
-_DEFAULTS = {
-    "mi_mmse": {
-        "snr_db": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
-        "quad_order": 20,
-    },
-    "case1_rate": {
-        "num_antennas": 8, "num_users": 2, "frame_length": 8,
-        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
-        "snr_db": [-2.0, 2.0, 6.0, 10.0],
-    },
-    "case1_roc": {
-        "num_antennas": 8, "num_users": 2, "frame_length": 8,
-        "weights": [0.2, 0.5], "snr_db_point": 0.0, "trials": 20000,
-        "target_angle_deg": 0.0, "echo_gain": 0.3, "total_power": 1.0,
-    },
-    "case1_beampattern": {
-        "num_antennas": 10, "num_users": 2, "frame_length": 16,
-        "weight": 0.2, "total_power": 1.0,
-        "target_angles_deg": [-60.0, 0.0, 60.0], "grid_points": 361,
-    },
-    "case1_aging": {
-        "num_antennas": 8, "num_users": 2, "frame_length": 8,
-        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
-        "snr_db": [6.0], "user_speed": 2.0, "carrier_freq": 3.2e9,
-        "sample_period": 1e-3,
-    },
-    "case2_convergence": {
-        "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
-        "num_train": 100, "num_test": 30, "total_power": 10.0,
-        "noise_var": 1.0, "lr": 0.005, "epochs": 6, "batch_size": 50,
-        "init_step": 0.05,
-    },
-    "case2_snr": {
-        "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
-        "num_train": 100, "num_test": 30, "total_power": 10.0,
-        "lr": 0.005, "epochs": 6, "batch_size": 50, "init_step": 0.05,
-        "snr_db": [-5.0, 0.0, 5.0, 10.0],
-    },
-    "case3_sweep": {
-        "num_bits": 4, "etas": [0.05, 0.7, 0.9], "epochs": 6,
-        "batch_size": 200, "samples_per_epoch": 4000, "lr": 1e-3,
-        "trials": 20000, "target_ser": 10 ** -0.49, "target_pd": 0.935,
-        "target_pfa": 0.0085,
-    },
+                    _Rule("must lie strictly inside (0, 1)", hi=_BELOW_1)),
+    # the SNR range every experiment is run at in the tests; 10^(snr/10)
+    # overflows or reaches 0 near ±3080 dB
+    "snr_db": _Rule("must be a nonempty list of numbers in [-60, 60] dB", -60.0, 60.0,
+                    many=True),
+    "snr_db_point": _Rule("must be a number in [-60, 60] dB", -60.0, 60.0),
+    "weight": _Rule("must lie in [0, 1]", 0.0, 1.0),
+    "target_angle_deg": _Rule("must be an angle in [-90, 90] degrees", -90.0, 90.0),
+    "target_angles_deg": _Rule("must be a list of angles in [-90, 90] degrees", -90.0, 90.0,
+                               many=True),
+    "grid_points": _Rule("must be an integer of at least 16", 16, integer=True),
+    "user_speed": _Rule("must be a nonnegative number", 0.0),
+    "num_bits": _Rule("must be an integer in [1, 8]", 1, 8, integer=True),
 }
 
 
@@ -226,40 +182,34 @@ def validate_config(cfg) -> list:
     """Schema diagnostics without execution; empty list means valid."""
     if not isinstance(cfg, dict):
         return ["config root must be a JSON object"]
-    out = []
-    for key in cfg:
-        if key not in ("experiment", "seed", "out", "params"):
-            out.append(f"{key}: unknown top-level field")
+    out = [f"{key}: unknown top-level field" for key in cfg
+           if key not in ("experiment", "seed", "out", "params")]
     kind = cfg.get("experiment")
+    spec = _EXPERIMENTS.get(kind) if isinstance(kind, str) else None
     if kind is None:
         out.append("experiment: missing required field")
-    elif kind not in _EXPERIMENTS:
+    elif spec is None:
         out.append("experiment: unknown kind {!r} (expected one of: {})"
                    .format(kind, ", ".join(_EXPERIMENTS)))
     if "seed" not in cfg:
         out.append("seed: missing required field")
-    elif not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        out.append("seed: must be a non-negative integer")
+    elif not _SEED.accepts(cfg["seed"]):
+        out.append(f"seed: {_SEED.message}")
     if "out" in cfg and not isinstance(cfg["out"], str):
         out.append("out: must be a string path")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         out.append("params: must be an object")
-    elif kind in _DEFAULTS:
-        table = _DEFAULTS[kind]
+    elif spec is not None:
         invalid = False
         for name, value in params.items():
-            if name not in table:
+            if name not in spec.defaults:
                 out.append(f"params.{name}: unknown parameter for {kind}")
-                continue
-            check, message = _CHECKS[name]
-            if not check(value):
-                out.append(f"params.{name}: {message}")
+            elif not _RULES[name].accepts(value):
+                out.append(f"params.{name}: {_RULES[name].message}")
                 invalid = True
-        if kind.startswith("case1_") and not invalid:
-            out.extend(_case1_cross_checks({**table, **params}))
-        if kind == "case3_sweep" and not invalid:
-            out.extend(_case3_cross_checks({**table, **params}))
+        if spec.cross_checks and not invalid:
+            out.extend(spec.cross_checks({**spec.defaults, **params}))
     return out
 
 
@@ -447,8 +397,9 @@ def _run_case1_aging(p, rng):
         # the channel mean as a left-to-right sum (np.mean sums pairwise)
         means = {m: sum(rate_report(H_new, X, D, noise).sum_rate.tolist()) / n
                  for m, X in frames.items()}
+        # nan against a matched rate of exactly 0 (log2(1 + SINR) rounded to 0)
         losses = {f"{m}_loss_pct_at_{snr_db:g}dB":
-                  100.0 * (1.0 - means[m] / means["matched"])
+                  100.0 * (1.0 - means[m] / means["matched"]) if means["matched"] else math.nan
                   for m in ("aged", "topology")}
         return means, losses
 
@@ -538,17 +489,60 @@ def _run_case3_sweep(p, rng):
     return tables, summary
 
 
-_RUNNERS = {
-    "mi_mmse": _run_mi_mmse,
-    "case1_rate": _run_case1_rate,
-    "case1_roc": _run_case1_roc,
-    "case1_beampattern": _run_case1_beampattern,
-    "case1_aging": _run_case1_aging,
-    "case2_convergence": _run_case2_convergence,
-    "case2_snr": _run_case2_snr,
-    "case3_sweep": _run_case3_sweep,
+class _Experiment(typing.NamedTuple):
+    """An `isackit run` kind: its runner, parameter defaults and the checks
+    between parameters, which run once each passes its _RULES entry."""
+
+    run: Callable
+    defaults: dict
+    cross_checks: Callable | None = None
+
+
+_EXPERIMENTS = {
+    "mi_mmse": _Experiment(_run_mi_mmse, {
+        "snr_db": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
+        "quad_order": 20,
+    }),
+    "case1_rate": _Experiment(_run_case1_rate, {
+        "num_antennas": 8, "num_users": 2, "frame_length": 8,
+        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
+        "snr_db": [-2.0, 2.0, 6.0, 10.0],
+    }, _case1_cross_checks),
+    "case1_roc": _Experiment(_run_case1_roc, {
+        "num_antennas": 8, "num_users": 2, "frame_length": 8,
+        "weights": [0.2, 0.5], "snr_db_point": 0.0, "trials": 20000,
+        "target_angle_deg": 0.0, "echo_gain": 0.3, "total_power": 1.0,
+    }, _case1_cross_checks),
+    "case1_beampattern": _Experiment(_run_case1_beampattern, {
+        "num_antennas": 10, "num_users": 2, "frame_length": 16,
+        "weight": 0.2, "total_power": 1.0,
+        "target_angles_deg": [-60.0, 0.0, 60.0], "grid_points": 361,
+    }, _case1_cross_checks),
+    "case1_aging": _Experiment(_run_case1_aging, {
+        "num_antennas": 8, "num_users": 2, "frame_length": 8,
+        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
+        "snr_db": [6.0], "user_speed": 2.0, "carrier_freq": 3.2e9,
+        "sample_period": 1e-3,
+    }, _case1_cross_checks),
+    "case2_convergence": _Experiment(_run_case2_convergence, {
+        "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
+        "num_train": 100, "num_test": 30, "total_power": 10.0,
+        "noise_var": 1.0, "lr": 0.005, "epochs": 6, "batch_size": 50,
+        "init_step": 0.05,
+    }),
+    "case2_snr": _Experiment(_run_case2_snr, {
+        "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
+        "num_train": 100, "num_test": 30, "total_power": 10.0,
+        "lr": 0.005, "epochs": 6, "batch_size": 50, "init_step": 0.05,
+        "snr_db": [-5.0, 0.0, 5.0, 10.0],
+    }),
+    "case3_sweep": _Experiment(_run_case3_sweep, {
+        "num_bits": 4, "etas": [0.05, 0.7, 0.9], "epochs": 6,
+        "batch_size": 200, "samples_per_epoch": 4000, "lr": 1e-3,
+        "trials": 20000, "target_ser": 10 ** -0.49, "target_pd": 0.935,
+        "target_pfa": 0.0085,
+    }, _case3_cross_checks),
 }
-_EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -567,11 +561,12 @@ def run_experiment(cfg: dict, out_dir) -> RunRecord:
     """Execute a validated config, then write its CSVs and the manifest:
     a runner that raises leaves out_dir as it was."""
     kind = cfg["experiment"]
-    params = {**_DEFAULTS[kind], **cfg.get("params", {})}
+    spec = _EXPERIMENTS[kind]
+    params = {**spec.defaults, **cfg.get("params", {})}
     out_dir = Path(out_dir)
     rng = np.random.default_rng(cfg["seed"])
     start = time.perf_counter()
-    tables, summary = _RUNNERS[kind](params, rng)
+    tables, summary = spec.run(params, rng)
     out_dir.mkdir(parents=True, exist_ok=True)
     # an earlier run's manifest must not vouch for the CSVs about to change
     manifest = out_dir / "run_record.json"
@@ -588,7 +583,9 @@ def run_experiment(cfg: dict, out_dir) -> RunRecord:
         summary={k: float(v) for k, v in summary.items()},
         config={"experiment": kind, "seed": cfg["seed"],
                 "out": str(out_dir), "params": params},
-        environment=_environment(),
+        # the BLAS thread variables as this run sees them, None where unset
+        environment={**_versions(), "blas_thread_vars": {
+            name: os.environ.get(name) for name in _BLAS_THREAD_VARS}},
     )
 
     def write_manifest(fh):

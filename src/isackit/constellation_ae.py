@@ -53,6 +53,8 @@ _DETECT_BLOCK = 2 ** 16
 # of times each end may be halved (lo) or doubled (hi) to hold the target
 _RADAR_BRACKET = (0.01, 4.0)
 _BRACKET_GROWTH = 30
+# evaluate_isac warns below this many trials
+TRIAL_FLOOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,7 @@ def evaluate_isac(const: Constellation, comm_noise_var: float,
                   radar_noise_var: float, threshold: float, trials: int,
                   rng: np.random.Generator):
     """Monte-Carlo (SER, Pd, Pfa) under matched receivers."""
-    if trials < 10_000:
+    if trials < TRIAL_FLOOR:
         warnings.warn("trial count below the statistical floor",
                       stacklevel=2)
     pts = const.points

@@ -222,6 +222,10 @@ def test_template_validation():
         CovarianceTemplate(np.eye(2), 3.0)
     with pytest.raises(ValueError, match="PSD"):
         CovarianceTemplate(np.diag([3.0, -1.0]), 2.0)
+    # the PSD tolerance is relative to the power, like the trace tolerance
+    with pytest.raises(ValueError, match="PSD"):
+        CovarianceTemplate(np.diag([1.0 + 1e-7, -1e-7]), 1.0)
+    CovarianceTemplate(np.diag([1e8 + 0.5, -0.5]), 1e8)
 
 
 # ------------------------------------------------------- directional matching
@@ -268,6 +272,18 @@ def test_directional_requires_targets_and_converges(monkeypatch):
     monkeypatch.setattr(classical_design, "_FISTA_MAX_ITERS", 2)
     with pytest.raises(RuntimeError, match="converge in 2 iterations"):
         directional_covariance([0.3], 1.0, ArrayGeometry(8))
+
+
+def test_directional_template_is_the_unit_power_fit_scaled():
+    # the fit runs at unit power, so its objective stays finite at 1e300
+    # (where the backtracking once never ended) and 1e8 passes the PSD test.
+    # At 1e300 the Frobenius norm in the template's Hermitian check overflows.
+    geom = ArrayGeometry(8)
+    unit = directional_covariance([0.5, -0.5], 1.0, geom).matrix
+    for power in (3.0, 1e8, 1e300):
+        with np.errstate(over="ignore" if power > 1e150 else "raise"):
+            tpl = directional_covariance([0.5, -0.5], power, geom)
+        assert np.array_equal(tpl.matrix, power * unit) and tpl.power == power
 
 
 def test_directional_output_is_valid_template():

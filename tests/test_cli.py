@@ -2,17 +2,21 @@
 
 import contextlib
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_python
 from isackit import __version__
 from isackit import cli
 from isackit.cli import main, run_experiment, validate_config
+from isackit.constellation_ae import TRIAL_FLOOR
 
 
 def write_config(path, payload):
@@ -49,16 +53,16 @@ def _doc_value(cell):
 
 def test_config_schema_doc_matches_defaults():
     tables = _schema_tables()
-    assert list(cli._DEFAULTS) == list(cli._RUNNERS)
     assert list(tables) == list(cli._EXPERIMENTS)
     for kind, table in tables.items():
-        defaults = cli._DEFAULTS[kind]
+        defaults = cli._EXPERIMENTS[kind].defaults
         assert list(table) == list(defaults), kind
         for name, (default, constraint) in table.items():
             assert _doc_value(default) == defaults[name], f"{kind}.{name}"
+            assert cli._RULES[name].accepts(defaults[name]), f"{kind}.{name}"
             # the constraint restates the validate message, optionally
             # followed by ", <cross-field limit or unit>"
-            message = re.sub(r"^must (be an? |lie )", "", cli._CHECKS[name][1])
+            message = re.sub(r"^must (be an? |lie )", "", cli._RULES[name].message)
             assert constraint == message or constraint.startswith(message + ", "), \
                 f"{kind}.{name}: {constraint!r} does not start with {message!r}"
 
@@ -96,14 +100,13 @@ def test_validate_valid_file_prints_nothing(tmp_path, capsys):
 
 def test_validate_config_diagnostics_direct():
     assert validate_config([]) == ["config root must be a JSON object"]
-    diags = validate_config({"experiment": "warp", "seed": 1.5,
-                             "bogus": 1,
-                             "params": {"nope": 2}})
-    text = "\n".join(diags)
-    assert "unknown kind" in text
-    assert "seed: must be a non-negative integer" in text
-    assert "bogus: unknown top-level field" in text
     # params of an unknown experiment cannot be checked further
+    assert validate_config({"experiment": "warp", "seed": 1.5, "bogus": 1,
+                            "params": {"nope": 2}}) == [
+        "bogus: unknown top-level field",
+        "experiment: unknown kind 'warp' (expected one of: {})".format(
+            ", ".join(cli._EXPERIMENTS)),
+        "seed: must be a non-negative integer"]
     assert validate_config({"experiment": "case3_sweep", "seed": 0,
                             "params": {"etas": [0.2, 1.5]}}) \
         == ["params.etas: must be a nonempty list of values in [0, 1]"]
@@ -120,20 +123,6 @@ def test_validate_config_diagnostics_direct():
     ("case3_sweep", {"target_ser": 0.95}, "target_ser"),
     ("case3_sweep", {"target_pd": 0.005}, "target_pd"),
     ("case3_sweep", {"target_pd": 0.2, "target_pfa": 0.2}, "target_pd"),
-    ("mi_mmse", {"snr_db": [0.0, 60.5]}, "snr_db"),
-    ("mi_mmse", {"snr_db": [-60.5]}, "snr_db"),
-    ("case1_rate", {"snr_db": [60.5]}, "snr_db"),
-    ("case1_rate", {"snr_db": [-60.5, 0.0]}, "snr_db"),
-    ("case1_aging", {"snr_db": [60.5]}, "snr_db"),
-    ("case1_aging", {"snr_db": [-60.5]}, "snr_db"),
-    ("case2_snr", {"snr_db": [60.5]}, "snr_db"),
-    ("case2_snr", {"snr_db": [-60.5]}, "snr_db"),
-    ("case1_roc", {"snr_db_point": 60.5}, "snr_db_point"),
-    ("case1_roc", {"snr_db_point": -60.5}, "snr_db_point"),
-    ("case2_convergence", {"lr": 1e200}, "lr"),
-    ("case2_convergence", {"init_step": 1.5e6}, "init_step"),
-    ("case2_snr", {"init_step": 1e200}, "init_step"),
-    ("case2_snr", {"lr": 1.5e6}, "lr"),
     ("case3_sweep", {"trials": 2000, "target_ser": 0.92}, "target_ser"),
     ("case3_sweep", {"trials": 1, "target_ser": 1e-9}, "target_ser"),
     ("case3_sweep", {"trials": 2000, "target_pd": 0.03}, "target_pd"),
@@ -141,13 +130,61 @@ def test_validate_config_diagnostics_direct():
 def test_validate_matches_run_on_cross_field_limits(tmp_path, capsys, kind,
                                                     params, field):
     # configs that the runners cannot execute fail validation too
+    assert f"params.{field}:" in _refused(tmp_path, capsys, kind, params)
+
+
+def _refused(tmp_path, capsys, kind, params, seed=1):
+    # validate's output on a config that run refuses with the same lines
     cfg = write_config(tmp_path / "c.json",
-                       {"experiment": kind, "seed": 1, "params": params})
+                       {"experiment": kind, "seed": seed, "params": params})
     assert main(["validate", cfg]) == 2
-    assert f"params.{field}:" in capsys.readouterr().out
+    out = capsys.readouterr().out
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"params.{field}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in out.splitlines())
     assert not (tmp_path / "o").exists()
+    return out
+
+
+def _fields(*prefixes):
+    # (kind, field, rule) for each experiment whose name has one of prefixes
+    return [(kind, field, cli._RULES[field]) for kind, spec in cli._EXPERIMENTS.items()
+            if kind.startswith(prefixes) for field in spec.defaults]
+
+
+def _past_bounds():
+    """(kind, field, value) one step past each bound of a field's rule: ±1
+    for an integer, the next float otherwise, in a one-item list if many."""
+    out = []
+    for kind, field, rule in _fields(""):
+        steps = ((rule.lo - 1, int(rule.hi) + 1) if rule.integer else
+                 (math.nextafter(rule.lo, -math.inf), math.nextafter(rule.hi, math.inf)))
+        out += [pytest.param(kind, field, [v] if rule.many else v, id=f"{kind}-{field}-past_{end}")
+                for end, v in zip(("lo", "hi"), steps)]
+    return out
+
+
+@pytest.mark.parametrize("kind, field, value", _past_bounds() + [
+    # JSON integers beyond float range: validate raised a TypeError on the
+    # first, and passed the second, which run then failed to allocate
+    pytest.param("case1_rate", "total_power", 10 ** 400, id="case1_rate-total_power-1e400"),
+    pytest.param("case1_roc", "trials", 10 ** 400, id="case1_roc-trials-1e400")])
+def test_validate_matches_run_one_step_past_each_bound(tmp_path, capsys, kind, field, value):
+    assert _refused(tmp_path, capsys, kind, {field: value}) \
+        == f"params.{field}: {cli._RULES[field].message}\n"
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+                     | st.sampled_from([2 ** 64, 10 ** 400]),
+                     lambda inner: st.lists(inner, max_size=2)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=4)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(cli._EXPERIMENTS)) | _JSON, _JSON,
+       st.dictionaries(st.sampled_from(sorted(cli._RULES)), _JSON, max_size=3) | _JSON, _JSON)
+def test_validate_config_never_raises(kind, seed, params, root):
+    for cfg in ({"experiment": kind, "seed": seed, "params": params}, root):
+        assert all(isinstance(line, str) for line in validate_config(cfg))
 
 
 _SEED_DIAGNOSTIC = "seed: must be a non-negative integer"
@@ -155,12 +192,7 @@ _SEED_DIAGNOSTIC = "seed: must be a non-negative integer"
 
 @pytest.mark.parametrize("seed", [-1, True])
 def test_validate_matches_run_on_seed(tmp_path, capsys, seed):
-    cfg = write_config(tmp_path / "c.json", {"experiment": "mi_mmse", "seed": seed})
-    assert main(["validate", cfg]) == 2
-    assert capsys.readouterr().out == _SEED_DIAGNOSTIC + "\n"
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {_SEED_DIAGNOSTIC}\n"
-    assert not (tmp_path / "o").exists()
+    assert _refused(tmp_path, capsys, "mi_mmse", {}, seed) == _SEED_DIAGNOSTIC + "\n"
 
 
 def test_seed_override_is_validated_before_the_run(tmp_path, capsys):
@@ -176,23 +208,56 @@ def test_seed_override_is_validated_before_the_run(tmp_path, capsys):
     assert json.loads((tmp_path / "o" / "run_record.json").read_text())["seed"] == 0
 
 
-# Small Case II runs, and each field whose validate check has a finite
-# bound, at that bound: the positive integers at 1, the SNR limits and the
-# step-size limits.
-_CASE2_SMALL = {"num_antennas": 4, "num_chains": 2, "num_users": 2,
-                "num_layers": 3, "num_train": 10, "num_test": 5, "epochs": 2,
-                "batch_size": 5}
-_CASE2_BOUNDS = [(kind, field, value)
-                 for kind in ("case2_convergence", "case2_snr")
-                 for field, value in [(name, 1) for name in _CASE2_SMALL]
-                 + [("lr", 1e6), ("init_step", 1e6)]] + [
-    ("case2_snr", "snr_db", [-60.0, 60.0])]
+# One small parameter set per experiment, the base of every corner below. At
+# case3's 2 bits and 2,000 trials the SER limit is 0.75, less a Monte-Carlo
+# margin of 0.06, and Pd must exceed Pfa by 0.03 at Pfa 0.0085.
+_SMALL = {
+    "mi_mmse": {"snr_db": [0.0]},
+    "case1_rate": {"num_antennas": 4, "frame_length": 6, "num_channels": 3,
+                   "snr_db": [0.0]},
+    "case1_roc": {"num_antennas": 4, "frame_length": 6, "trials": 50,
+                  "weights": [0.5]},
+    "case1_beampattern": {"num_antennas": 4, "frame_length": 6, "grid_points": 31},
+    "case1_aging": {"num_antennas": 4, "frame_length": 6, "num_channels": 3},
+    "case2_convergence": {"num_antennas": 4, "num_chains": 2, "num_users": 2,
+                          "num_layers": 3, "num_train": 10, "num_test": 5,
+                          "epochs": 2, "batch_size": 5},
+    "case3_sweep": {"num_bits": 2, "etas": [0.5], "epochs": 1, "batch_size": 50,
+                    "samples_per_epoch": 100, "trials": 2000},
+}
+_SMALL["case2_snr"] = {**_SMALL["case2_convergence"], "snr_db": [0.0]}
+
+# bounds that stand for an open end ("positive", "below 1", no upper limit):
+# no run corner sits there
+_OPEN_ENDS = (cli._ABOVE_0, cli._BELOW_1, cli._HUGE)
+
+
+def _corners(*prefixes):
+    """(kind, field, value): each field at each finite bound of its rule, a
+    list field at [lo], [hi] and [lo, hi]."""
+    out = []
+    for kind, field, rule in _fields(*prefixes):
+        ends = [b for b in (rule.lo, rule.hi) if b not in _OPEN_ENDS]
+        values = [[b] for b in ends] + [ends] * (len(ends) == 2) if rule.many else ends
+        out += [(kind, field, v) for v in values]
+    return out
+
+
+def test_generated_corners_pass_the_field_rules():
+    # every corner passes its field's rule, and every experiment has corners
+    # that validate accepts in full, so that the tests below run each kind
+    corners = _corners("")
+    assert all(cli._RULES[field].accepts(value) for _, field, value in corners)
+    assert {kind for kind, field, value in corners
+            if not validate_config({"experiment": kind, "seed": 0,
+                                    "params": {**_SMALL[kind], field: value}})} \
+        == set(cli._EXPERIMENTS)
 
 
 def _floor_warning(kind, params):
-    # a case3_sweep evaluated on fewer than 10,000 trials warns that it is
-    # below the statistical floor
-    if kind == "case3_sweep" and params.get("trials", cli._DEFAULTS[kind]["trials"]) < 10_000:
+    # a case3_sweep evaluated on fewer than TRIAL_FLOOR trials (its default
+    # has more) warns that it is below the statistical floor
+    if kind == "case3_sweep" and params.get("trials", TRIAL_FLOOR) < TRIAL_FLOOR:
         return pytest.warns(UserWarning, match="statistical floor")
     return contextlib.nullcontext()
 
@@ -220,102 +285,51 @@ def _is_label(cell):
         and cell.lower() not in ("nan", "inf", "infinity")
 
 
-@pytest.mark.parametrize("kind, field, value", _CASE2_BOUNDS)
-def test_case2_runs_at_every_validate_bound(tmp_path, kind, field, value):
-    params = {**_CASE2_SMALL, field: value}
-    if kind == "case2_snr":
-        params.setdefault("snr_db", [0.0])
-    _runs_or_is_rejected(tmp_path, kind, params, range(10))
+# The generated corners on seeds 0-9, then the hand-listed ones that pair
+# fields: the case1 frame as short as the array and four users (one per
+# default Rician factor), and the case3 targets at and around their limits
+# (near 0 and 1, SER toward 1 - 2^-num_bits, Pd toward Pfa from either side),
+# which run failed on some seeds before the Monte-Carlo margin.
+_CASE1_PAIRED = [(kind, field, value) for kind in _SMALL if kind.startswith("case1_")
+                 for field, value in (("frame_length", _SMALL[kind]["num_antennas"]),
+                                      ("num_users", len(cli.DEFAULT_RICIAN_FACTORS)))]
+_CASE3_PAIRED = [("case3_sweep", params) for params in (
+    {"target_ser": 1e-9}, {"target_ser": 0.68}, {"target_ser": 0.7},
+    {"target_ser": 0.749}, {"num_bits": 1, "target_ser": 0.499},
+    {"num_bits": 8, "target_ser": 0.996}, {"target_pd": 0.9999},
+    {"target_pd": 0.0086}, {"target_pd": 0.04}, {"target_pfa": 1e-9},
+    {"target_pfa": 0.934}, {"target_pd": 2e-9, "target_pfa": 1e-9},
+    {"target_pd": 0.999999, "target_pfa": 0.999998})]
 
 
-# Small Case I runs, and each field whose validate check has a finite bound,
-# at that bound: one antenna, the frame as short as the array, one and four
-# users (four is the cross-field limit), the
-# weights at 0 and 1, the SNR limits, the angles at endfire, and the smallest
-# grid, speed, channel count and trial count.
-_CASE1_SMALL = {
-    "case1_rate": {"num_antennas": 4, "frame_length": 6, "num_channels": 3,
-                   "snr_db": [0.0]},
-    "case1_roc": {"num_antennas": 4, "frame_length": 6, "trials": 50,
-                  "weights": [0.5]},
-    "case1_beampattern": {"num_antennas": 4, "frame_length": 6,
-                          "grid_points": 31},
-    "case1_aging": {"num_antennas": 4, "frame_length": 6, "num_channels": 3},
-}
-_CASE1_BOUNDS = [(kind, field, value)
-                 for kind in _CASE1_SMALL
-                 for field, value in [("num_antennas", 1), ("frame_length", 4),
-                                      ("num_users", 1), ("num_users", 4)]] + [
-    (kind, "weight", w) for kind in ("case1_rate", "case1_beampattern", "case1_aging")
-    for w in (0.0, 1.0)] + [
-    ("case1_roc", "weights", [0.0, 1.0]),
-    ("case1_rate", "snr_db", [-60.0, 60.0]),
-    ("case1_aging", "snr_db", [-60.0, 60.0]),
-    ("case1_roc", "snr_db_point", -60.0),
-    ("case1_roc", "snr_db_point", 60.0),
-    ("case1_roc", "target_angle_deg", -90.0),
-    ("case1_roc", "target_angle_deg", 90.0),
-    ("case1_beampattern", "target_angles_deg", [-90.0]),
-    ("case1_beampattern", "target_angles_deg", [-90.0, 90.0]),
-    ("case1_beampattern", "grid_points", 16),
-    ("case1_aging", "user_speed", 0.0),
-    ("case1_rate", "num_channels", 1),
-    ("case1_aging", "num_channels", 1),
-    ("case1_roc", "trials", 1),
-]
-
-
-@pytest.mark.parametrize("kind, field, value", _CASE1_BOUNDS)
+@pytest.mark.parametrize("kind, field, value", _corners("case1_") + _CASE1_PAIRED)
 def test_case1_runs_at_every_validate_bound(tmp_path, kind, field, value):
-    # 36 cases on seeds 0-9: about 1.7 s on a 2-core VM
-    _runs_or_is_rejected(tmp_path, kind, {**_CASE1_SMALL[kind], field: value},
-                         range(10))
+    _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], field: value}, range(10))
 
 
-# Small mi_mmse and case3_sweep runs, and each field whose validate check has
-# a finite bound, at that bound: the SNR limits, one quadrature node, one
-# and eight bits, the weights at 0 and 1, the positive integers at 1, the
-# largest lr, and the calibration targets at and around their limits (near
-# 0 and 1, SER toward 1 - 2^-num_bits, Pd toward Pfa from either side). At
-# num_bits 2 and 2000 trials the SER limit is 0.75, less a Monte-Carlo
-# margin of 0.06, and Pd must exceed Pfa by 0.03 at Pfa 0.0085.
-_CASE3_SMALL = {"num_bits": 2, "etas": [0.5], "epochs": 1, "batch_size": 50,
-                "samples_per_epoch": 100, "trials": 2000}
-_MI_CASE3_BOUNDS = [
-    ("mi_mmse", {"snr_db": [-60.0, 60.0]}),
-    ("mi_mmse", {"quad_order": 1}),
-    ("mi_mmse", {"quad_order": 1, "snr_db": [-60.0, 60.0]}),
-    ("case3_sweep", {"num_bits": 1}),
-    ("case3_sweep", {"num_bits": 8}),
-    ("case3_sweep", {"etas": [0.0, 1.0]}),
-    ("case3_sweep", {"batch_size": 1}),
-    ("case3_sweep", {"samples_per_epoch": 1}),
-    ("case3_sweep", {"trials": 1}),
-    ("case3_sweep", {"lr": 1e6}),
-    ("case3_sweep", {"target_ser": 1e-9}),
-    ("case3_sweep", {"target_ser": 0.68}),
-    ("case3_sweep", {"target_ser": 0.7}),
-    ("case3_sweep", {"target_ser": 0.749}),
-    ("case3_sweep", {"num_bits": 1, "target_ser": 0.499}),
-    ("case3_sweep", {"num_bits": 8, "target_ser": 0.996}),
-    ("case3_sweep", {"target_pd": 0.9999}),
-    ("case3_sweep", {"target_pd": 0.0086}),
-    ("case3_sweep", {"target_pd": 0.04}),
-    ("case3_sweep", {"target_pfa": 1e-9}),
-    ("case3_sweep", {"target_pfa": 0.934}),
-    ("case3_sweep", {"target_pd": 2e-9, "target_pfa": 1e-9}),
-    ("case3_sweep", {"target_pd": 0.999999, "target_pfa": 0.999998}),
-]
+@pytest.mark.parametrize("kind, field, value", _corners("case2_"))
+def test_case2_runs_at_every_validate_bound(tmp_path, kind, field, value):
+    _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], field: value}, range(10))
 
 
-@pytest.mark.parametrize("kind, params", _MI_CASE3_BOUNDS)
+# case3's paired corners override two fields, so these corners are params
+@pytest.mark.parametrize("kind, params", [(kind, {field: value}) for kind, field, value
+                                          in _corners("mi_", "case3_")] + _CASE3_PAIRED)
 def test_mi_and_case3_run_at_every_validate_bound(tmp_path, kind, params):
-    # 23 cases on seeds 0-9: about 3 s on a 2-core VM. Before the Monte-Carlo
-    # margin of the case3 cross-checks, the SER and Pd targets near their
-    # limits, Pfa just below Pd and one trial each failed in run on some
-    # seeds, with validate passing them
-    small = _CASE3_SMALL if kind == "case3_sweep" else {}
-    _runs_or_is_rejected(tmp_path, kind, {**small, **params}, range(10))
+    _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], **params}, range(10))
+
+
+@pytest.mark.parametrize("kind, params", [
+    # the template's PSD test had an absolute tolerance
+    ("case1_beampattern", {"total_power": 1e8}),
+    # every rate is exactly 0, and the loss percentages divided by it
+    ("case1_aging", {"weight": 0.0, "total_power": 1e20})])
+def test_case1_runs_at_large_power(tmp_path, kind, params):
+    _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], **params}, range(10))
+    # a record exists only if validate passed the config
+    summary = json.loads((tmp_path / "0" / "run_record.json").read_text())["summary"]
+    losses = [v for name, v in summary.items() if "_loss_pct_" in name]
+    assert len(losses) == 2 * (kind == "case1_aging") and all(map(math.isnan, losses))
 
 
 def test_case3_sweep_runs_on_single_message_batches(tmp_path):
@@ -592,27 +606,13 @@ def test_record_lists_every_emitted_file(tmp_path):
 
 # ---------------------------------------------------------- artifact contract
 
-_SMALL = {
-    "mi_mmse": {"snr_db": [0.0]},
-    "case1_rate": {"num_channels": 2, "snr_db": [2.0, 6.0]},
-    "case1_roc": {"trials": 500, "weights": [0.2]},
-    "case1_beampattern": {"grid_points": 31},
-    "case1_aging": {"num_channels": 2, "snr_db": [2.0, 6.0]},
-    "case2_convergence": {"num_train": 12, "num_test": 5, "num_layers": 3,
-                          "epochs": 1},
-    "case2_snr": {"num_train": 12, "num_test": 5, "num_layers": 3,
-                  "epochs": 1, "snr_db": [0.0]},
-    "case3_sweep": {"num_bits": 2, "etas": [0.5], "epochs": 1,
-                    "batch_size": 100, "samples_per_epoch": 200,
-                    "trials": 10000},
-}
-
-
 @pytest.mark.parametrize("kind", list(_SMALL))
 def test_runner_returns_tables_and_writes_nothing(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
-    params = {**cli._DEFAULTS[kind], **_SMALL[kind]}
-    tables, summary = cli._RUNNERS[kind](params, np.random.default_rng(1))
+    spec = cli._EXPERIMENTS[kind]
+    params = {**spec.defaults, **_SMALL[kind]}
+    with _floor_warning(kind, params):
+        tables, summary = spec.run(params, np.random.default_rng(1))
     assert list(tmp_path.iterdir()) == []
     assert tables and summary
     for name, (header, rows) in tables.items():
@@ -633,7 +633,7 @@ def _disk_full(*args, **kwargs):
 def test_failed_run_leaves_empty_output_dir_empty(tmp_path, monkeypatch, kind,
                                                   module, name):
     monkeypatch.setattr(module, name, _disk_full)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(OSError, match="disk full"), _floor_warning(kind, _SMALL[kind]):
         run_experiment({"experiment": kind, "seed": 1, "params": _SMALL[kind]},
                        tmp_path)
     # no CSV, whole or partial, no temporary file and no manifest
