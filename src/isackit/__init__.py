@@ -4,7 +4,6 @@ Submodules
 ----------
 channel           steering vectors, Rician channels, channel aging
 metrics           MUI, SINR/sum rate, beampatterns, GLRT/ROC, MI/MMSE
-roots             safeguarded Newton/Illinois search for a falling miss's zero
 classical_design  closed-form and exact-solver waveform baselines
 neural            minimal dense-network engine (forward/backward/Adam/train)
 waveform_learn    unsupervised waveform network (features, projection, loss)

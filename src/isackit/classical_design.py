@@ -6,10 +6,10 @@ beampattern-matched directional template, the covariance-constrained MUI
 minimizer (an orthogonal-Procrustes problem solved by one SVD), the weighted
 radar/communication trade-off under a total power constraint (a trust-region
 subproblem solved exactly through the secular equation), the epsilon-constraint
-variants (`roots.falling_root` by Newton steps on the trade-off weight, with
-the closed-form slope of the constrained metric, returning the feasible
-weight on a 2^-40 grid nearest the priority extreme), and the
-zero-interference genie rate bound.
+variants (safeguarded Newton steps on a 2^-40 grid of the trade-off weight,
+with the closed-form slope of the constrained metric, returning the feasible
+weight nearest the priority extreme), and the zero-interference genie rate
+bound.
 
 The Procrustes and trade-off designs and the genie bound take one channel
 (H K x M) or a stack (B x K x M, and B on D and X0) through one code path;
@@ -35,7 +35,6 @@ import numpy as np
 
 from .channel import ArrayGeometry, ChannelMatrix, steering_grid
 from .metrics import RateReport, _as_matrix, _check_dims, _pattern_gains, sum_rate
-from .roots import falling_root
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
@@ -54,7 +53,11 @@ class CovarianceTemplate:
             raise ValueError("covariance template must be square")
         if self.power <= 0:
             raise ValueError("power must be positive")
-        if np.linalg.norm(C - C.conj().T) > 1e-8 * max(1.0, np.linalg.norm(C)):
+        # Frobenius norms through hypot: np.linalg.norm squares the entries,
+        # which overflows from about 1e154
+        skew, size = (np.hypot.reduce(np.abs(A).ravel(), initial=0.0)
+                      for A in (C - C.conj().T, C))
+        if skew > 1e-8 * max(1.0, size):
             raise ValueError("covariance template must be Hermitian")
         if abs(np.trace(C).real - self.power) > 1e-8 * max(1.0, self.power):
             raise ValueError("trace must equal the power budget")
@@ -418,18 +421,17 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     j / _WEIGHT_CELLS nearest that extreme that still meets the bound: what a
     bisection of [0, 1] down to _WEIGHT_TOL returns, bit for bit.
 
-    The search is `roots.falling_root` on x, the grid index counted from the
-    priority extreme, where the miss (constrained metric minus bound) falls
-    as x grows. Its steps are Newton's, snapped to the grid, on the
+    The search is `_first_feasible_cell` on x, the grid index counted from
+    the priority extreme, where the miss (constrained metric minus bound)
+    falls as x grows. Its steps are Newton's, rounded to the grid, on the
     closed-form slope of the constrained metric (`_metric_slope`, from the
-    multiplier that each solve finds), from the last weight solved; the
-    Illinois step stands in where no slope exists (the hard and degenerate
+    multiplier that each solve finds), from the last weight solved; a
+    bisection stands in where no slope exists (the hard and degenerate
     cases) and at weight 1, where H^H H is singular, so sens_priority's
-    Newton steps start at weight 0 and comm_priority's after one Illinois step.
-    Any steps that end on a one-cell bracket give the bisection's answer.
-    The design returned is the one solved at the last feasible weight, so
-    no weight is solved twice, and every weight reuses one factorization of
-    H^H H.
+    Newton steps start at weight 0 and comm_priority's after a first
+    bisection to weight 0.5. The design returned is the one solved at the
+    last feasible weight, so no weight is solved twice, and every weight
+    reuses one factorization of H^H H.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -477,9 +479,41 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         d = _metric_slope(f, rows, j / _WEIGHT_CELLS, mus[x], comm) / _WEIGHT_CELLS
         return -d if comm else d
 
-    falling_root(miss, 0, _WEIGHT_CELLS, value - bound, achieved - bound,
-                 floor=1, tol=-1.0, snap=round, slope=slope)
+    _first_feasible_cell(miss, _WEIGHT_CELLS, value - bound, slope)
     return WaveformDesign(X_feas, total_power), bound - achieved
+
+
+def _first_feasible_cell(miss, cells: int, f_lo: float, slope) -> int:
+    """Least x in 1..cells with miss(x) <= 0, where miss falls as the
+    integer x grows, f_lo = miss(0) > 0 >= miss(cells), and slope(x) is the
+    slope of miss at a point it has evaluated (None where it has none).
+
+    Each step is Newton's from the last point evaluated, rounded to the grid;
+    a step shorter than half a cell moves one cell toward the root's side.
+    Where the slope does not fall, or the rounded step leaves the open
+    bracket or is longer than half the step before last, the step bisects
+    instead (the safeguard of `rtsafe` in Press et al., Numerical Recipes).
+    Every step is a cell or longer, so the second step after a one-cell
+    step bisects, and no run of one-cell steps walks the grid.
+    """
+    lo, hi, x, f = 0, cells, 0, f_lo
+    moved = (cells, cells)  # how far the last two steps went
+    while hi - lo > 1:
+        d = slope(x)
+        t = x - f / d if d is not None and d < 0.0 else math.nan
+        if lo <= t <= hi:
+            t = round(t)
+            if t == x:
+                t = x + 1 if f > 0 else x - 1
+        if not lo < t < hi or abs(t - x) > 0.5 * moved[0]:
+            t = (lo + hi) // 2
+        moved, x = (moved[1], abs(t - x)), t
+        f = miss(x)
+        if f > 0:
+            lo = x
+        else:
+            hi = x
+    return hi
 
 
 def genie_rate(D, noise_var: float) -> RateReport:

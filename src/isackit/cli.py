@@ -143,6 +143,14 @@ class _Rule(typing.NamedTuple):
         return all(isinstance(v, kinds) and not isinstance(v, bool) and self.lo <= v <= self.hi
                    for v in (value if self.many else [value]))
 
+    def coerce(self, value):
+        """An accepted value as the runners take it: floats unless `integer`.
+        An int power of 2^62 times the frame length leaves int64, and numpy
+        then builds an object array it cannot take the square root of."""
+        if self.integer:
+            return value
+        return [float(v) for v in value] if self.many else float(value)
+
 
 _SEED = _Rule("must be a non-negative integer", 0, math.inf, integer=True)
 
@@ -562,7 +570,8 @@ def run_experiment(cfg: dict, out_dir) -> RunRecord:
     a runner that raises leaves out_dir as it was."""
     kind = cfg["experiment"]
     spec = _EXPERIMENTS[kind]
-    params = {**spec.defaults, **cfg.get("params", {})}
+    params = {name: _RULES[name].coerce(value)
+              for name, value in {**spec.defaults, **cfg.get("params", {})}.items()}
     out_dir = Path(out_dir)
     rng = np.random.default_rng(cfg["seed"])
     start = time.perf_counter()

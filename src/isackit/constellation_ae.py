@@ -15,9 +15,9 @@ the resolution of their Monte-Carlo draws. The comm variance is an order
 statistic: the noise draw is shared across candidate variances, so each
 trial's error starts at one critical variance, and the target SER is reached
 at the ceil(target * trials)-th smallest of them. The radar variance is found
-by `roots.falling_root` inside a bracket that widens as far as the target
-needs, and the search stops once Pd is within one count (1/trials) of the
-target. Each raises a ValueError naming its target when no variance
+by safeguarded Illinois steps inside a bracket that widens as far as the
+target needs, and the search stops once Pd is within one count (1/trials) of
+the target. Each raises a ValueError naming its target when no variance
 reaches it.
 
 A constellation is its points alone: message m is point m, and the bits of m
@@ -42,7 +42,6 @@ from .neural import (
     init_mlp,
     predict,
 )
-from .roots import falling_root
 
 _HIDDEN = (16, 32, 16)
 # entries per block of the points x trials arrays of detection_statistic,
@@ -386,8 +385,20 @@ def _falling_root(miss, bracket, tol: float, field: str) -> float:
     """Noise variance at which miss(var), a Monte-Carlo estimate minus its
     target that falls as the variance grows, is within tol of zero: the
     bracket's lo is halved and its hi doubled, each at most _BRACKET_GROWTH
-    times, until miss(lo) > 0 > miss(hi), and `roots.falling_root` searches
-    it down to 2^-40 of its grown width."""
+    times, until miss(lo) > 0 > miss(hi), and the bracket is then searched
+    down to a floor of 2^-40 of its grown width.
+
+    Each step is regula falsi, lo + (hi - lo) * f_lo / (f_lo - f_hi), with
+    the other end's miss halved when the same end is kept twice (the
+    Illinois step of Dowell and Jarratt, BIT 1971), so the search is
+    superlinear where plain regula falsi stalls at one end. A step is
+    clamped two floors inside the bracket, so that a root next to one end
+    puts the step past it and the far end moves too, and a bisection follows
+    a clamped step, each pair of steps that did not halve the bracket, and
+    every step once the bracket is four floors wide or narrower. Returns the
+    first variance with |miss| <= tol, or else, once the bracket is a floor
+    wide, the last variance evaluated, an end of it.
+    """
     lo, hi = bracket
     for _ in range(_BRACKET_GROWTH):
         f_lo = miss(lo)
@@ -409,7 +420,34 @@ def _falling_root(miss, bracket, tol: float, field: str) -> float:
     else:
         raise ValueError(f"{field} is out of reach: the reference misses it "
                          f"up to noise variance {hi / 2.0:g}")
-    return falling_root(miss, lo, hi, f_lo, f_hi, (hi - lo) * 2.0 ** -40, tol)
+    floor = (hi - lo) * 2.0 ** -40
+    mark, steps, bisect = hi - lo, 0, False
+    kept = 0  # +1 after lo moved last, -1 after hi did
+    while hi - lo > floor:
+        if bisect or hi - lo <= 4 * floor:
+            var, bisect = 0.5 * (lo + hi), False
+        else:
+            var = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            bisect = not lo + 2 * floor <= var <= hi - 2 * floor
+            var = min(max(var, lo + 2 * floor), hi - 2 * floor)
+        f = miss(var)
+        if abs(f) <= tol:
+            return var
+        if f > 0:
+            lo, f_lo = var, f
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = var, f
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        steps += 1
+        if steps == 2:
+            bisect = bisect or hi - lo > 0.5 * mark
+            mark, steps = hi - lo, 0
+    return var
 
 
 def calibrate_radar_noise(reference: Constellation, target_pd: float,

@@ -12,14 +12,15 @@ import isackit
 
 
 def run_python(args, **env):
-    """Runs `python args...` in a fresh process that imports this checkout's
-    isackit (its `src` first on PYTHONPATH) with `env` added to the
-    environment; asserts that it exits 0 and returns its stdout."""
+    """Runs `python -W error args...` in a fresh process that imports this
+    checkout's isackit (its `src` first on PYTHONPATH) with `env` added to
+    the environment, so that a warning fails it as one fails the tests run
+    in process; asserts that it exits 0 and returns its stdout."""
     src = str(pathlib.Path(isackit.__file__).resolve().parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

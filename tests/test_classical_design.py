@@ -226,6 +226,10 @@ def test_template_validation():
     with pytest.raises(ValueError, match="PSD"):
         CovarianceTemplate(np.diag([1.0 + 1e-7, -1e-7]), 1.0)
     CovarianceTemplate(np.diag([1e8 + 0.5, -0.5]), 1e8)
+    # the Hermitian test takes its norms through hypot: np.linalg.norm of C
+    # overflowed at 1e300
+    with pytest.raises(ValueError, match="Hermitian"):
+        CovarianceTemplate(np.array([[1.0, 1e-6], [0.0, 1.0]]) * 5e299, 1e300)
 
 
 # ------------------------------------------------------- directional matching
@@ -276,13 +280,11 @@ def test_directional_requires_targets_and_converges(monkeypatch):
 
 def test_directional_template_is_the_unit_power_fit_scaled():
     # the fit runs at unit power, so its objective stays finite at 1e300
-    # (where the backtracking once never ended) and 1e8 passes the PSD test.
-    # At 1e300 the Frobenius norm in the template's Hermitian check overflows.
+    # (where the backtracking once never ended) and 1e8 passes the PSD test
     geom = ArrayGeometry(8)
     unit = directional_covariance([0.5, -0.5], 1.0, geom).matrix
-    for power in (3.0, 1e8, 1e300):
-        with np.errstate(over="ignore" if power > 1e150 else "raise"):
-            tpl = directional_covariance([0.5, -0.5], power, geom)
+    for power in (1e-300, 3.0, 1e8, 1e300):
+        tpl = directional_covariance([0.5, -0.5], power, geom)
         assert np.array_equal(tpl.matrix, power * unit) and tpl.power == power
 
 
@@ -677,12 +679,12 @@ def test_epsilon_design_solve_counts(rng, monkeypatch):
     the bound halfway between the constrained metric at weights 0 and 1, the
     sens_priority mean must stay <= 9 and the max <= 13 (measured: mean
     8.06, max 9), and the comm_priority mean <= 11 and the max <= 15
-    (measured: mean 10.10, max 11), where the search runs on the weight grid
+    (measured: mean 9.62, max 11), where the search runs on the weight grid
     counted down from 1. Newton's steps start at weight 0 for sens_priority
-    and, after one Illinois step from weight 1, inside (0, 1) for
+    and, after a first bisection to weight 0.5, inside (0, 1) for
     comm_priority. On every draw of the bit-for-bit test, at most 18 solves
-    (measured worst 15 on these draws and 16 over 4,800 draws of the same
-    kind, seeds 1000-1039, where the Illinois steps alone needed up to 18)."""
+    (measured worst 16 on these draws and 16 over 4,800 draws of the same
+    kind, seeds 1000-1039)."""
     calls = []  # the weight of every trade-off solve
     solve = classical_design._tradeoff_solve
 
@@ -710,6 +712,94 @@ def test_epsilon_design_solve_counts(rng, monkeypatch):
         epsilon_design(H, D, X0, bound, mode, 1.0)
         assert len(calls) <= 18
         assert len(set(calls)) == len(calls)
+
+
+def _cell_search(miss, cells, slope):
+    """_first_feasible_cell on the grid 0..cells, every evaluation of miss
+    recorded, the two at the ends included."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return miss(x)
+
+    f_lo = counted(0)
+    counted(cells)
+    return classical_design._first_feasible_cell(counted, cells, f_lo, slope), seen
+
+
+def _logistic(v):
+    return 1.0 / (1.0 + np.exp((v - 0.1) / 0.01))
+
+
+@pytest.mark.parametrize("miss, slope", [
+    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, lambda v: -4.0 * (1.0 + v) ** -5),
+    (lambda v: _logistic(v) - 0.935,
+     lambda v: -_logistic(v) * (1.0 - _logistic(v)) / 0.01)])
+def test_a_slope_takes_fewer_evaluations_than_bisection(miss, slope):
+    # two smooth misses on a 2^40-cell grid over [0.01, 4]: Newton's steps
+    # need 9 and 12 evaluations, a bisection 42, to the same cell
+    cells = 2 ** 40
+    width = 3.99 / cells
+    x, seen = _cell_search(lambda x: miss(0.01 + x * width), cells,
+                           lambda x: slope(0.01 + x * width) * width)
+    x_bisect, seen_bisect = _cell_search(lambda x: miss(0.01 + x * width),
+                                         cells, lambda x: None)
+    assert x == x_bisect
+    assert miss(0.01 + x * width) <= 0 < miss(0.01 + (x - 1) * width)
+    assert len(seen) <= 12 < len(seen_bisect) == 42
+
+
+def test_a_slope_within_a_cell_does_not_walk_the_grid():
+    # exp(-2x) - 1e-300 on the integer grid 0..2^40: from the infeasible
+    # side, Newton's step is half a cell at every point, so one-cell steps,
+    # were they not followed by a bisection, would walk the 345 cells up to
+    # the root (50 evaluations measured)
+    def miss(x):
+        return np.exp(-2.0 * x) - 1e-300
+
+    def slope(x):
+        return -2.0 * np.exp(-2.0 * x)
+
+    x, seen = _cell_search(miss, 2 ** 40, slope)
+    assert x == 346 and 345 in seen
+    assert len(seen) <= 2 + 4 * 40
+
+
+def test_a_zero_miss_at_newtons_point_steps_one_cell():
+    # miss(x) = c - x: Newton's first point is c, where the miss is 0.0, so
+    # its next point is c itself, an end of the bracket; the step moves one
+    # cell to c - 1 and closes the bracket, rather than bisecting from c
+    c = 3 * 2 ** 37
+    x, seen = _cell_search(lambda x: float(c - x), 2 ** 40, lambda x: -1.0)
+    assert x == c and seen == [0, 2 ** 40, c, c - 1]
+
+
+@pytest.mark.parametrize("cells", [7, 1000, 2 ** 40])
+@pytest.mark.parametrize("with_slope", [False, True])
+def test_first_feasible_cell_on_a_step_miss(cells, with_slope):
+    # a step miss on the integer grid 0..cells, feasible (<= 0) from cell c
+    # on, with random heights on either side, and Newton's steps on the
+    # slope of the infeasible side, which point past the jump at c: the
+    # search returns c, evaluating each cell once
+    rng = np.random.default_rng(cells)
+    jumps = {1, 2, cells - 1, cells} | set(rng.integers(1, cells, 20).tolist())
+    for c in sorted(jumps):
+        a, b = 10.0 ** rng.uniform(-12, 2, 2)
+        steep = rng.uniform(0, 1)
+
+        def miss(x):
+            return a + steep * (c - x) / cells if x < c else -b
+
+        def slope(x):  # none on the flat feasible side
+            return -steep / cells if with_slope and x < c else None
+
+        x, seen = _cell_search(miss, cells, slope)
+        inside = seen[2:]
+        assert all(isinstance(v, int) and 0 < v < cells for v in inside)
+        assert len(set(inside)) == len(inside)
+        assert x == c and c - 1 in seen
+        assert len(seen) <= 2 + 4 * np.log2(cells)
 
 
 @pytest.mark.parametrize("mode", ["comm_priority", "sens_priority"])

@@ -332,6 +332,16 @@ def test_case1_runs_at_large_power(tmp_path, kind, params):
     assert len(losses) == 2 * (kind == "case1_aging") and all(map(math.isnan, losses))
 
 
+@pytest.mark.parametrize("kind", [kind for kind in _SMALL if kind.startswith("case1_")])
+@pytest.mark.parametrize("power", [2 ** 62, 2 ** 64])
+def test_case1_runs_at_an_integer_power(tmp_path, kind, power):
+    # a JSON integer total_power reached numpy as a Python int, whose square
+    # root it could not take at 2^62
+    params = {**_SMALL[kind], "total_power": power}
+    assert not validate_config({"experiment": kind, "seed": 0, "params": params})
+    _runs_or_is_rejected(tmp_path, kind, params, range(1))
+
+
 def test_case3_sweep_runs_on_single_message_batches(tmp_path):
     # batch size 1 draws message 0 alone on some step; with 0/1 bit inputs
     # and zero initial biases its encoder output was all zero, and the run

@@ -563,9 +563,9 @@ def test_radar_calibration_stops_at_one_count(monkeypatch, size, pd, pfa,
 
 
 def _falling_root_oracle(miss, bracket, tol, field):
-    """The radar calibration's root search before it moved to
-    roots.falling_root: bracket growth, then Illinois steps with a
-    bisection after each pair of steps that did not halve the bracket."""
+    """The radar calibration's first root search: bracket growth, then
+    Illinois steps with a bisection after each pair of steps that did not
+    halve the bracket; the clamps and the four-floor bisection came later."""
     lo, hi = bracket
     for _ in range(constellation_ae._BRACKET_GROWTH):
         f_lo = miss(lo)
@@ -611,6 +611,46 @@ def _falling_root_oracle(miss, bracket, tol, field):
             bisect = hi - lo > 0.5 * mark
             mark, steps = hi - lo, 0
     return var
+
+
+def _radar_search(miss, tol):
+    """constellation_ae._falling_root on the bracket [0.01, 4], every
+    evaluation of miss recorded, the two at the ends included."""
+    seen = []
+
+    def counted(v):
+        seen.append(v)
+        return miss(v)
+
+    return constellation_ae._falling_root(counted, (0.01, 4.0), tol, "x"), seen
+
+
+def _logistic(v):
+    return 1.0 / (1.0 + np.exp((v - 0.1) / 0.01))
+
+
+@pytest.mark.parametrize("below, above", [(0.5, -0.5), (1e-12, -1.0)])
+def test_radar_search_ends_at_a_jump_it_cannot_resolve(below, above):
+    # a miss that jumps over the tolerance band at x = 1: the bracket
+    # shrinks to 2^-40 of its width around the jump. The lopsided jump
+    # stalls regula falsi at the low end; the safeguard bisects at least
+    # once in every four steps.
+    x, seen = _radar_search(lambda v: below if v < 1.0 else above, 1e-13)
+    assert x == seen[-1]
+    assert abs(x - 1.0) <= 3.99 * 2.0 ** -40
+    assert len(seen) <= 2 + 4 * 40
+
+
+@pytest.mark.parametrize("miss, root", [
+    (lambda v: (1.0 + v) ** -4 - 1.37 ** -4, 0.37),
+    (lambda v: _logistic(v) - 0.935, 0.1 + 0.01 * np.log(1.0 / 0.935 - 1.0))])
+def test_radar_search_is_superlinear_on_a_smooth_miss(miss, root):
+    # plain regula falsi under the same safeguard needs 25 and 34
+    # evaluations here; the Illinois step needs 14
+    x, seen = _radar_search(miss, 1e-12)
+    assert abs(miss(x)) <= 1e-12
+    assert abs(x - root) <= 1e-9
+    assert len(seen) <= 16
 
 
 # the variances one radar calibration evaluated before the root search took
