@@ -57,11 +57,11 @@ class CovarianceTemplate:
         # which overflows from about 1e154
         skew, size = (np.hypot.reduce(np.abs(A).ravel(), initial=0.0)
                       for A in (C - C.conj().T, C))
-        if skew > 1e-8 * max(1.0, size):
+        if skew > 1e-8 * size:
             raise ValueError("covariance template must be Hermitian")
-        if abs(np.trace(C).real - self.power) > 1e-8 * max(1.0, self.power):
+        if abs(np.trace(C).real - self.power) > 1e-8 * self.power:
             raise ValueError("trace must equal the power budget")
-        if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < -1e-8 * max(1.0, self.power):
+        if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < -1e-8 * self.power:
             raise ValueError("covariance template must be PSD")
         object.__setattr__(self, "matrix", C)
 
@@ -319,7 +319,9 @@ def _coefficients(out, W, rho, lam, UX0, target):
                     fill[np.argmax(min_space)] = 1.0
                 out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
                 return math.nan
-    mu = _secular_solve(lam, rho, target)
+    # rho / target against 1 has the same root, and phi' does not underflow
+    # at small targets (1e-300)
+    mu = _secular_solve(lam, rho / target, 1.0)
     np.divide(W, (lam + mu)[:, None], out=out)
     return mu
 

@@ -159,12 +159,13 @@ def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
     X = np.asarray(X, dtype=complex)
     v = steering_vector(target_angle, geom)
     s = v @ X  # effective probing sequence v^T X, length tau_d
-    s_energy = float(np.linalg.norm(s) ** 2)
-    if s_energy <= 0:
+    s_norm = float(np.linalg.norm(s))
+    if s_norm <= 0:
         raise ValueError("waveform has no energy toward target")
-    v_energy = float(np.linalg.norm(v) ** 2)
     inner = np.einsum("a,tab,b->t", v.conj(), echoes, s.conj())
-    return np.abs(inner) ** 2 / (noise_var * v_energy * s_energy)
+    scale = np.sqrt(noise_var) * np.linalg.norm(v) * s_norm
+    # scaled before squaring: |inner|^2 overflows from powers near 1e150
+    return (np.abs(inner) / scale) ** 2
 
 
 def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: float,

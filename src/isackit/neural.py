@@ -1,5 +1,6 @@
 """Minimal dense-network engine: forward pass, exact reverse-mode gradients,
-one Adam update, and one seeded minibatch loop with early stopping.
+one Adam update, and one seeded minibatch loop that scores every epoch on
+held-out data and stops early.
 
 The engine is real-valued float64 throughout; callers that work with complex
 quantities stack real and imaginary parts into the feature vector. Losses are
@@ -27,10 +28,12 @@ epsilon are the constants of Kingma and Ba (ICLR 2015); only the learning
 rate is set per run.
 
 `minibatch_adam` is the one loop over a finite training set: it shuffles,
-batches, keeps the best-scoring snapshot, stops early and records the
-history, and leaves each batch's gradient and Adam update to a closure of
-its caller. `train` runs it on a model's params; `hybrid_pga` runs it on
-the unrolled PGA step sizes.
+batches, scores every epoch on held-out data, keeps the best-scoring
+snapshot, stops early and records the history, and leaves each batch's
+gradient and Adam update to a closure of its caller. `train` runs it on a
+model's params, with a `batch(idx, rng)` closure that forms (and may
+augment) the training rows and a required validation set `val`;
+`hybrid_pga` runs it on the unrolled PGA step sizes.
 """
 
 from __future__ import annotations
@@ -233,11 +236,11 @@ class AdamState:
     holds three blocks of work space: two for the update, one for a block
     of the gradient that `backward_pass` produces."""
 
-    lr: float = 1e-3
+    lr: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    scratch: np.ndarray
     step_count: int = 0
-    first_moment: Optional[np.ndarray] = None
-    second_moment: Optional[np.ndarray] = None
-    scratch: Optional[np.ndarray] = None
 
 
 def adam_state(size: int, lr: float = 1e-3) -> AdamState:
@@ -376,7 +379,7 @@ class TrainConfig:
 
 def minibatch_adam(params: np.ndarray, n: int, step: Callable,
                    config: TrainConfig, rng: np.random.Generator,
-                   score: Optional[Callable] = None) -> dict:
+                   score: Callable) -> dict:
     """Seeded shuffled minibatch Adam on the flat vector `params`, in place.
 
     Each epoch draws rng.permutation(n) and passes its consecutive runs of
@@ -384,14 +387,13 @@ def minibatch_adam(params: np.ndarray, n: int, step: Callable,
     which applies one Adam update under `state` (made here with
     config.lr; `adam_update`, or `backward_pass` given the state) and
     returns the batch's mean loss.
-    An epoch scores score() when given, else its mean training loss. A
-    strictly lower score than all before it snapshots `params`; training
-    stops after config.early_stop_patience epochs without one. The best
-    snapshot is restored before returning: the initial `params` when no
-    epoch scores below inf.
+    Each epoch ends by scoring score(), a loss on held-out data. A strictly
+    lower score than all before it snapshots `params`; training stops after
+    config.early_stop_patience epochs without one. The best snapshot is
+    restored before returning: the initial `params` when no epoch scores
+    below inf.
 
-    Returns the history {"train": epoch-mean losses, "val": scores}, with
-    "val" empty when no score() is given.
+    Returns the history {"train": epoch-mean losses, "val": scores}.
     """
     state = adam_state(params.size, config.lr)
     history = {"train": [], "val": []}
@@ -402,10 +404,9 @@ def minibatch_adam(params: np.ndarray, n: int, step: Callable,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             total += step(idx, state) * len(idx)
+        current = score()
         history["train"].append(total / n)
-        if score is not None:
-            history["val"].append(score())
-        current = history["val" if score is not None else "train"][-1]
+        history["val"].append(current)
         if current < best_score:
             best_score, stale = current, 0
             np.copyto(best, params)
@@ -417,46 +418,32 @@ def minibatch_adam(params: np.ndarray, n: int, step: Callable,
     return history
 
 
-def _index_aux(aux, idx):
-    if isinstance(aux, tuple):
-        return tuple(a[idx] for a in aux)
-    return None if aux is None else aux[idx]
+def train(model: MlpModel, n: int, batch: Callable, loss_fn: Callable,
+          config: TrainConfig, val):
+    """`minibatch_adam` on model.params over `n` training rows, scored by
+    the loss on the validation set `val` = (inputs, aux).
 
-
-def train(model: MlpModel, inputs: np.ndarray, aux,
-          loss_fn: Callable, config: TrainConfig,
-          val_inputs: Optional[np.ndarray] = None, val_aux=None,
-          batch_transform: Optional[Callable] = None):
-    """`minibatch_adam` on model.params, scored by the validation loss when
-    a validation set is given (else by the training loss).
-
-    aux is None, an array, or a tuple of arrays, each indexed along its
-    leading axis like `inputs`; loss_fn(outputs, aux_batch) -> (loss, grad
-    wrt outputs) receives the rows of the batch.
-
-    batch_transform(inputs_batch, aux_batch, rng) -> (inputs, aux), when
-    given, rewrites each training batch before the forward pass (on-the-fly
-    augmentation). Validation batches are never transformed.
+    batch(idx, rng) -> (inputs, aux) forms the training rows idx, where any
+    augmentation happens, with the loop's generator (seeded from
+    config.seed); loss_fn(outputs, aux) -> (mean loss, gradient wrt the
+    outputs) receives the outputs and the aux of a batch or of `val`.
 
     Returns (model, history) with history = {"train": [...], "val": [...]}.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
+    if n < 1:
         raise ValueError("empty dataset")
+    val_inputs, val_aux = val
     rng = np.random.default_rng(config.seed)
 
     def step(idx, state):
-        batch_in, batch_aux = inputs[idx], _index_aux(aux, idx)
-        if batch_transform is not None:
-            batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
-        out, cache = forward_pass(model, batch_in)
-        loss, grad_out = loss_fn(out, batch_aux)
+        inputs, aux = batch(idx, rng)
+        out, cache = forward_pass(model, inputs)
+        loss, grad_out = loss_fn(out, aux)
         backward_pass(model, cache, grad_out, adam=state)
         return loss
 
     def val_loss():
         return loss_fn(predict(model, val_inputs), val_aux)[0]
 
-    history = minibatch_adam(model.params, len(inputs), step, config, rng,
-                             None if val_inputs is None else val_loss)
+    history = minibatch_adam(model.params, n, step, config, rng, val_loss)
     return model, history

@@ -65,30 +65,12 @@ class WaveformSample:
                                                 exact_power=False))
 
 
-@dataclass(frozen=True)
-class WaveformNetSpec:
-    """Architecture bound to the problem dims: 2N -> 20N -> 10N -> 2*M*tau."""
-
-    num_antennas: int
-    num_users: int
-    frame_length: int
-
-    @property
-    def feature_size(self) -> int:
-        M, K, tau = self.num_antennas, self.num_users, self.frame_length
-        return self.num_users * (M + tau) + M * tau
-
-    @property
-    def widths(self):
-        n = self.feature_size
-        return [2 * n, 20 * n, 10 * n, 2 * self.num_antennas * self.frame_length]
-
-    @property
-    def activations(self):
-        return ["relu", "relu", "tanh"]
-
-    def build(self, rng: np.random.Generator) -> MlpModel:
-        return init_mlp(self.widths, self.activations, rng)
+def waveform_net_layers(num_antennas: int, num_users: int, frame_length: int):
+    """Widths and activations of the waveform net, 2N -> 20N -> 10N ->
+    2*M*tau with N = K*(M + tau) + M*tau complex features per instance."""
+    M, K, tau = num_antennas, num_users, frame_length
+    n = K * (M + tau) + M * tau
+    return [2 * n, 20 * n, 10 * n, 2 * M * tau], ["relu", "relu", "tanh"]
 
 
 def _stack_complex(A: np.ndarray) -> np.ndarray:
@@ -260,8 +242,8 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     draws the initial weights, then the split, then the seed of the training
     loop's shuffles and augmentation. Early stopping defaults to
     patience 20 when the config does not set one. With augment, each
-    training batch is rewritten through symmetry_augment before the forward
-    pass; validation batches are left untouched.
+    training batch passes through symmetry_augment before its features are
+    formed; the validation set is left untouched.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
@@ -276,28 +258,27 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     H, D, X0, total_power = dataset.H.entries, dataset.D, dataset.X0.X, dataset.X0.power
     (_, K, M), tau = H.shape, D.shape[2]
 
-    model = WaveformNetSpec(M, K, tau).build(rng)
+    model = init_mlp(*waveform_net_layers(M, K, tau), rng)
     features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
     # train's shuffles and augmentation draw from a child seed of this stream
     config = dataclasses.replace(config, seed=int(rng.integers(0, 2 ** 31 - 1)))
+
+    def batch(idx, loop_rng):
+        rows = train_idx[idx]
+        Hb, Db, X0b = H[rows], D[rows], X0[rows]
+        if not augment:
+            return features[rows], (Hb, Db, X0b)
+        Db, X0b = symmetry_augment(Db, X0b, loop_rng)
+        return build_features(Hb, Db, X0b), (Hb, Db, X0b)
 
     def loss_fn(out, aux):
         value, grad = isac_waveform_loss(
             power_projection(out, total_power, tau), *aux, weight)
         return value, _projection_vjp(out, grad, total_power, tau)
 
-    transform = None
-    if augment:
-        def transform(rows, aux, rng_t):
-            Hb, Db, X0b = aux
-            Db, X0b = symmetry_augment(Db, X0b, rng_t)
-            return build_features(Hb, Db, X0b), (Hb, Db, X0b)
-
-    model, history = train(
-        model, features[train_idx], (H[train_idx], D[train_idx], X0[train_idx]),
-        loss_fn, config, val_inputs=features[val_idx],
-        val_aux=(H[val_idx], D[val_idx], X0[val_idx]), batch_transform=transform)
+    model, history = train(model, len(train_idx), batch, loss_fn, config,
+                           (features[val_idx], (H[val_idx], D[val_idx], X0[val_idx])))
     return model, history, (train_idx, val_idx, test_idx)
 
 

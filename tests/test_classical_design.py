@@ -230,6 +230,15 @@ def test_template_validation():
     # overflowed at 1e300
     with pytest.raises(ValueError, match="Hermitian"):
         CovarianceTemplate(np.array([[1.0, 1e-6], [0.0, 1.0]]) * 5e299, 1e300)
+    # every tolerance is relative to the template, also below unit power:
+    # with floors of 1e-8 this matrix (neither Hermitian nor PSD, trace 0)
+    # passed at power 1e-300
+    with pytest.raises(ValueError, match="Hermitian"):
+        CovarianceTemplate(np.array([[1e-9, 1e-9j], [0.0, -1e-9]]), 1e-300)
+    with pytest.raises(ValueError, match="trace"):
+        CovarianceTemplate(np.eye(2) * 1e-9, 1e-300)
+    with pytest.raises(ValueError, match="PSD"):
+        CovarianceTemplate(np.diag([2e-300, -1e-300]), 1e-300)
 
 
 # ------------------------------------------------------- directional matching
@@ -1121,7 +1130,7 @@ def _ref_tradeoff(H, D, X0, weight, power):
             fill[np.argmax(min_space)] = 1.0
         X = U @ (coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2))
     else:
-        mu = _ref_secular_solve(lam, rho, target)
+        mu = _ref_secular_solve(lam, rho / target, 1.0)
         X = U @ (W / (lam + mu)[:, None])
     return X * np.sqrt(target) / np.linalg.norm(X)
 

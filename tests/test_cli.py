@@ -342,6 +342,15 @@ def test_case1_runs_at_an_integer_power(tmp_path, kind, power):
     _runs_or_is_rejected(tmp_path, kind, params, range(1))
 
 
+@pytest.mark.parametrize("kind", [kind for kind in _SMALL if kind.startswith("case1_")])
+def test_case1_runs_at_a_tiny_power(tmp_path, kind):
+    # against the budget frame_length * 1e-300, the secular solve's phi'
+    # underflowed to 0 at its first step; it now solves against 1
+    params = {**_SMALL[kind], "total_power": 1e-300}
+    assert not validate_config({"experiment": kind, "seed": 0, "params": params})
+    _runs_or_is_rejected(tmp_path, kind, params, range(3))
+
+
 def test_case3_sweep_runs_on_single_message_batches(tmp_path):
     # batch size 1 draws message 0 alone on some step; with 0/1 bit inputs
     # and zero initial biases its encoder output was all zero, and the run

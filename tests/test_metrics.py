@@ -333,6 +333,22 @@ def test_echoes_match_out_of_place_formula_bitwise(rng):
             assert mine.standard_normal() == r.standard_normal()
 
 
+@pytest.mark.parametrize("power", [1e200, 1e300])
+def test_glrt_statistic_is_finite_at_large_powers(power, rng):
+    # scaling X and the echoes by c and the noise variance by c^2 leaves the
+    # statistic unchanged; |v^H Z s^H|^2 alone overflowed from powers near
+    # 1e150, and the statistic read nan (inf / inf)
+    geom = ArrayGeometry(4)
+    X = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    echoes = simulate_target_echoes(X, 0.2, alpha=0.5, noise_var=1.0, geom=geom,
+                                    trials=50, rng=rng)
+    c = np.sqrt(power)
+    unit = glrt_statistics(echoes, 0.2, X, 1.0, geom)
+    scaled = glrt_statistics(c * echoes, 0.2, c * X, power, geom)
+    assert np.all(np.isfinite(scaled))
+    assert np.allclose(scaled, unit, rtol=1e-12, atol=0.0)
+
+
 def test_glrt_zero_energy_waveform_rejected():
     geom = ArrayGeometry(3)
     with pytest.raises(ValueError, match="no energy"):

@@ -22,10 +22,10 @@ from isackit.neural import (
     train,
 )
 from isackit.waveform_learn import (
-    WaveformNetSpec,
     make_dataset,
     predict_waveform,
     train_waveform_net,
+    waveform_net_layers,
 )
 
 
@@ -90,13 +90,11 @@ def _oracle_adam_step(state, model, param_grads):
     return model
 
 
-def _oracle_train(model, inputs, aux, loss_fn, config, val_inputs=None,
-                  val_aux=None, batch_transform=None):
+def _oracle_train(model, n, batch, loss_fn, config, val):
     """`train` as it stood with its own minibatch loop, before the loop moved
-    into `minibatch_adam`. Its snapshot rule asked for an improvement of
-    more than 1e-15, and a run with no finite score kept its last params."""
-    inputs = np.asarray(inputs, dtype=float)
-    n = inputs.shape[0]
+    into `minibatch_adam`, on the batch function and validation set of
+    `train`. Its snapshot rule asked for an improvement of more than 1e-15,
+    and a run with no finite score kept its last params."""
     rng = np.random.default_rng(config.seed)
     state = init_adam(model, lr=config.lr)
     history = {"train": [], "val": []}
@@ -108,22 +106,15 @@ def _oracle_train(model, inputs, aux, loss_fn, config, val_inputs=None,
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_in, batch_aux = inputs[idx], neural._index_aux(aux, idx)
-            if batch_transform is not None:
-                batch_in, batch_aux = batch_transform(batch_in, batch_aux, rng)
+            batch_in, batch_aux = batch(idx, rng)
             out, cache = forward_pass(model, batch_in)
             loss, grad_out = loss_fn(out, batch_aux)
             grads, _ = backward_pass(model, cache, grad_out)
             adam_step(state, model, grads)
             epoch_loss += loss * len(idx)
-        train_loss = epoch_loss / n
-        history["train"].append(train_loss)
-        if val_inputs is not None:
-            val_loss, _ = loss_fn(predict(model, val_inputs), val_aux)
-            history["val"].append(val_loss)
-            score = val_loss
-        else:
-            score = train_loss
+        history["train"].append(epoch_loss / n)
+        score, _ = loss_fn(predict(model, val[0]), val[1])
+        history["val"].append(score)
         if score < best_score - 1e-15:
             best_score = score
             np.copyto(best, model.params)
@@ -302,7 +293,7 @@ def test_adam_constant_gradient_step_approaches_lr():
 
 
 def test_adam_step_allocates_no_parameter_sized_temporaries(rng):
-    model = WaveformNetSpec(8, 2, 8).build(rng)
+    model = init_mlp(*waveform_net_layers(8, 2, 8), rng)
     out, cache = forward_pass(model, rng.standard_normal((32, model.input_dim)))
     grads, _ = backward_pass(model, cache, rng.standard_normal(out.shape))
     state = init_adam(model)
@@ -383,7 +374,7 @@ def test_fused_step_matches_backward_then_adam_step_bitwise(act, block, widths, 
 
 
 def test_fused_step_allocates_no_parameter_sized_temporaries(rng):
-    model = WaveformNetSpec(8, 2, 8).build(rng)
+    model = init_mlp(*waveform_net_layers(8, 2, 8), rng)
     out, cache = forward_pass(model, rng.standard_normal((32, model.input_dim)))
     upstream = rng.standard_normal(out.shape)
     state = init_adam(model)
@@ -463,6 +454,16 @@ def test_adam_step_reads_the_vector_of_param_grads(rng):
         adam_step(init_adam(model), model, backward_pass(other, cache, out)[0])
 
 
+def _mean_squared_loss(out, target):
+    diff = out - target
+    return float(np.mean(diff**2)), 2 * diff / diff.size
+
+
+def _rows(X, Y):
+    """The batch function of a fixed dataset: rows idx of X and Y."""
+    return lambda idx, rng: (X[idx], Y[idx])
+
+
 def test_train_at_minimum_keeps_parameters(rng):
     model = init_mlp([2, 2], ["linear"], rng)
     before = MlpModel(model.weights, model.biases, model.activations)
@@ -470,8 +471,9 @@ def test_train_at_minimum_keeps_parameters(rng):
     def flat_loss(out, aux):
         return 0.0, np.zeros_like(out)
 
+    X = rng.standard_normal((8, 2))
     cfg = TrainConfig(epochs=3, batch_size=4, lr=0.1, seed=0)
-    train(model, rng.standard_normal((8, 2)), None, flat_loss, cfg)
+    train(model, 8, _rows(X, X), flat_loss, cfg, (X, X))
     assert np.array_equal(model.weights[0], before.weights[0])
 
 
@@ -481,82 +483,52 @@ def test_train_quadratic_bowl_reaches_optimum(rng):
     X = rng.standard_normal((64, 3))
     Y = X @ A
     model = init_mlp([3, 2], ["linear"], rng)
-
-    def loss(out, target):
-        diff = out - target
-        return float(np.mean(diff**2)), 2 * diff / diff.size
-
     cfg = TrainConfig(epochs=600, batch_size=16, lr=0.02, seed=1)
-    model, history = train(model, X, Y, loss, cfg)
+    model, history = train(model, 64, _rows(X, Y), _mean_squared_loss, cfg, (X, Y))
     assert history["train"][-1] < 1e-6 or np.min(history["train"]) < 1e-6
+    assert np.min(history["val"]) < 1e-6
 
 
 def test_train_same_seed_same_history(rng):
     X = rng.standard_normal((32, 3))
     Y = rng.standard_normal((32, 2))
-
-    def loss(out, target):
-        diff = out - target
-        return float(np.mean(diff**2)), 2 * diff / diff.size
-
     runs = []
     for _ in range(2):
         model = init_mlp([3, 5, 2], ["tanh", "linear"], np.random.default_rng(11))
         cfg = TrainConfig(epochs=5, batch_size=8, lr=0.01, seed=42)
-        _, history = train(model, X, Y, loss, cfg)
-        runs.append(history["train"])
-    assert np.array_equal(runs[0], runs[1])
+        _, history = train(model, 32, _rows(X, Y), _mean_squared_loss, cfg,
+                           (X[:8], Y[:8]))
+        runs.append(history)
+    assert runs[0] == runs[1]
 
 
 def test_train_empty_dataset_rejected(rng):
     model = init_mlp([3, 2], ["linear"], rng)
+    X = np.zeros((0, 3))
     with pytest.raises(ValueError, match="empty"):
-        train(model, np.zeros((0, 3)), None, lambda o, a: (0.0, o), TrainConfig(1, 1))
+        train(model, 0, _rows(X, X), lambda o, a: (0.0, o), TrainConfig(1, 1), (X, X))
 
 
-def test_train_batch_transform_sees_every_training_batch(rng):
+def test_train_batch_forms_each_epoch_from_one_permutation(rng):
+    # batch(idx, rng) gets consecutive runs of one permutation of the rows per
+    # epoch and the loop's own generator; the validation set bypasses it
     X = rng.standard_normal((32, 3))
     Y = rng.standard_normal((32, 2))
-    calls = []
+    calls, generators = [], set()
 
-    def passthrough(batch_in, batch_aux, t_rng):
-        calls.append(batch_in.shape[0])
+    def batch(idx, t_rng):
+        calls.append(idx)
+        generators.add(id(t_rng))
         assert isinstance(t_rng, np.random.Generator)
-        return batch_in, batch_aux
-
-    def loss(out, target):
-        diff = out - target
-        return float(np.mean(diff**2)), 2 * diff / diff.size
+        return X[idx], Y[idx]
 
     model = init_mlp([3, 2], ["linear"], rng)
     cfg = TrainConfig(epochs=3, batch_size=8, lr=0.01, seed=0)
-    train(model, X, Y, loss, cfg, val_inputs=X, val_aux=Y,
-          batch_transform=passthrough)
-    # 4 batches per epoch, 3 epochs; validation passes bypass the transform
-    assert calls == [8] * 12
-
-
-def test_train_indexes_tuple_aux_row_aligned(rng):
-    # each array of a tuple aux is indexed with the same rows as the inputs
-    X = np.column_stack([np.arange(12.0), rng.standard_normal(12)])
-    aux = (np.arange(12), 10j * np.arange(12))
-    seen = []
-
-    def check(batch_in, batch_aux, t_rng):
-        rows, scaled = batch_aux
-        assert np.array_equal(batch_in[:, 0], rows)
-        assert np.array_equal(scaled, 10j * rows)
-        seen.extend(rows)
-        return batch_in, batch_aux
-
-    def loss(out, batch_aux):
-        assert isinstance(batch_aux, tuple) and len(batch_aux) == 2
-        return float(np.mean(out**2)), 2 * out / out.size
-
-    model = init_mlp([2, 1], ["linear"], rng)
-    cfg = TrainConfig(epochs=2, batch_size=5, lr=0.01, seed=0)
-    train(model, X, aux, loss, cfg, val_inputs=X, val_aux=aux, batch_transform=check)
-    assert sorted(seen) == sorted(list(range(12)) * 2)
+    train(model, 32, batch, _mean_squared_loss, cfg, (X, Y))
+    # 4 batches per epoch, 3 epochs
+    assert [len(idx) for idx in calls] == [8] * 12 and len(generators) == 1
+    for epoch in range(3):
+        assert sorted(np.concatenate(calls[4 * epoch:4 * epoch + 4])) == list(range(32))
 
 
 def test_early_stopping_restores_best_snapshot(rng):
@@ -565,56 +537,44 @@ def test_early_stopping_restores_best_snapshot(rng):
     X = rng.standard_normal((16, 2))
     Y = X @ rng.standard_normal((2, 2))
     model = init_mlp([2, 2], ["linear"], rng)
-
-    def loss(out, target):
-        diff = out - target
-        return float(np.mean(diff**2)), 2 * diff / diff.size
-
     cfg = TrainConfig(epochs=200, batch_size=8, lr=0.05, early_stop_patience=5, seed=3)
-    model, history = train(model, X, Y, loss, cfg, val_inputs=X, val_aux=Y)
-    final_val, _ = loss(predict(model, X), Y)
+    model, history = train(model, 16, _rows(X, Y), _mean_squared_loss, cfg, (X, Y))
+    final_val, _ = _mean_squared_loss(predict(model, X), Y)
     assert np.isclose(final_val, np.min(history["val"]), atol=1e-12)
     assert len(history["val"]) < 200
     _assert_tiles_params(model)
 
 
-def _mean_squared_loss(out, target):
-    diff = out - target
-    return float(np.mean(diff**2)), 2 * diff / diff.size
+# (epochs, batch_size, lr, patience, jitter); 6 and 13 do not divide the 40
+# training rows. A jittered batch adds noise drawn from the loop's generator.
+_ORACLE_RUNS = [(6, 6, 0.01, None, False),
+                (6, 13, 0.01, None, False),
+                (200, 8, 0.05, 5, False),
+                (40, 8, 0.05, 3, True),
+                (5, 40, 0.02, None, True)]
 
 
-def _jitter(batch_in, batch_aux, t_rng):
-    return batch_in + 0.01 * t_rng.standard_normal(batch_in.shape), batch_aux
-
-
-# (epochs, batch_size, lr, patience, validation set, batch transform); 6 and
-# 13 do not divide the 40 training rows
-_ORACLE_RUNS = [(6, 6, 0.01, None, False, None),
-                (6, 13, 0.01, None, True, None),
-                (200, 8, 0.05, 5, True, None),
-                (40, 8, 0.05, 3, False, _jitter),
-                (5, 40, 0.02, None, True, _jitter)]
-
-
-@pytest.mark.parametrize("epochs,batch_size,lr,patience,with_val,transform",
-                         _ORACLE_RUNS)
-def test_train_matches_frozen_loop_bitwise(epochs, batch_size, lr, patience,
-                                           with_val, transform):
+@pytest.mark.parametrize("epochs,batch_size,lr,patience,jitter", _ORACLE_RUNS)
+def test_train_matches_frozen_loop_bitwise(epochs, batch_size, lr, patience, jitter):
     data = np.random.default_rng(batch_size)
     X = data.standard_normal((40, 3))
     Y = np.tanh(X @ data.standard_normal((3, 2)))
-    val = (X[:10] + 0.1, Y[:10]) if with_val else (None, None)
+
+    def batch(idx, t_rng):
+        rows = X[idx]
+        return (rows + 0.01 * t_rng.standard_normal(rows.shape) if jitter else rows), Y[idx]
+
     cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                       early_stop_patience=patience, seed=epochs)
     runs = []
     for trainer in (train, _oracle_train):
         model = init_mlp([3, 6, 2], ["tanh", "linear"], np.random.default_rng(5))
-        model, history = trainer(model, X, Y, _mean_squared_loss, cfg, *val,
-                                 batch_transform=transform)
+        model, history = trainer(model, 40, batch, _mean_squared_loss, cfg,
+                                 (X[:10] + 0.1, Y[:10]))
         runs.append((model.params.tobytes(), history))
     assert runs[0] == runs[1]
     if patience is not None:  # the early stop and the restore both happen
-        scores = runs[0][1]["val" if with_val else "train"]
+        scores = runs[0][1]["val"]
         assert len(scores) < epochs and np.argmin(scores) < len(scores) - 1
 
 
@@ -625,9 +585,10 @@ def test_train_without_a_finite_score_returns_the_initial_params(rng):
     def nan_loss(out, aux):
         return np.nan, out
 
-    _, history = train(model, rng.standard_normal((8, 3)), None, nan_loss,
-                       TrainConfig(epochs=3, batch_size=4, lr=0.1))
-    assert np.isnan(history["train"]).all() and len(history["train"]) == 3
+    X = rng.standard_normal((8, 3))
+    _, history = train(model, 8, _rows(X, X), nan_loss,
+                       TrainConfig(epochs=3, batch_size=4, lr=0.1), (X, X))
+    assert np.isnan(history["val"]).all() and len(history["val"]) == 3
     assert np.array_equal(model.params, before)
 
 
@@ -640,8 +601,8 @@ def test_train_counts_a_tied_score_as_no_improvement(rng):
         model = init_mlp([3, 2], ["linear"], np.random.default_rng(3))
         cfg = TrainConfig(epochs=epochs, batch_size=4, lr=0.1,
                           early_stop_patience=patience)
-        _, history = train(model, X, None, lambda out, aux: (1.0, out), cfg)
-        runs.append((model.params.tobytes(), history["train"]))
+        _, history = train(model, 8, _rows(X, X), lambda out, aux: (1.0, out), cfg, (X, X))
+        runs.append((model.params.tobytes(), history["val"]))
     assert runs[0][1] == [1.0] * 3
     assert runs[0][0] == runs[1][0]
 

@@ -7,9 +7,8 @@ from isackit import neural
 from isackit.channel import ChannelMatrix
 from isackit.classical_design import WaveformDesign, procrustes_waveform, reference_covariance_omni
 from isackit.metrics import mui_power, waveform_covariance
-from isackit.neural import TrainConfig
+from isackit.neural import TrainConfig, init_mlp
 from isackit.waveform_learn import (
-    WaveformNetSpec,
     WaveformSample,
     build_features,
     isac_waveform_loss,
@@ -20,6 +19,7 @@ from isackit.waveform_learn import (
     symmetry_augment,
     train_waveform_net,
     unstack_waveform,
+    waveform_net_layers,
     _projection_vjp,
 )
 
@@ -97,10 +97,11 @@ def test_feature_length_paper_dims(rng):
     feats = build_features(_complex(rng, 1, K, M), _complex(rng, 1, K, tau),
                            _complex(rng, 1, M, tau))
     assert feats.shape == (1, 528)
-    spec = WaveformNetSpec(M, K, tau)
-    assert spec.feature_size == K * (M + tau) + M * tau == 264
-    assert spec.widths == [528, 5280, 2640, 320]
-    assert spec.activations == ["relu", "relu", "tanh"]
+    # the widths of the paper's net, not the 140 MB net itself
+    widths, activations = waveform_net_layers(M, K, tau)
+    assert widths[0] == 2 * (K * (M + tau) + M * tau) == feats.shape[1]
+    assert widths == [528, 5280, 2640, 320]
+    assert activations == ["relu", "relu", "tanh"]
 
 
 def test_zero_sample_zero_features():
@@ -370,7 +371,7 @@ def test_training_descends(rng):
     assert len(split[0]) == 36
     # config.seed draws the initial weights, then the split
     seeded = np.random.default_rng(cfg.seed)
-    WaveformNetSpec(2, 2, 3).build(seeded)
+    init_mlp(*waveform_net_layers(2, 2, 3), seeded)
     assert all(np.array_equal(a, b) for a, b in zip(split, split_dataset(60, seeded)))
 
 
@@ -381,14 +382,14 @@ def test_training_loop_draws_from_a_child_seed(rng, monkeypatch):
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
     states, loop = [], neural.minibatch_adam
 
-    def spy(params, n, step, config, loop_rng, score=None):
+    def spy(params, n, step, config, loop_rng, score):
         states.append(loop_rng.bit_generator.state)
         return loop(params, n, step, config, loop_rng, score)
 
     monkeypatch.setattr(neural, "minibatch_adam", spy)
     train_waveform_net(samples, 0.5, cfg, augment=True)
     seeded = np.random.default_rng(cfg.seed)
-    WaveformNetSpec(2, 2, 3).build(seeded)
+    init_mlp(*waveform_net_layers(2, 2, 3), seeded)
     split_dataset(60, seeded)
     child = np.random.default_rng(int(seeded.integers(0, 2 ** 31 - 1)))
     assert states == [child.bit_generator.state]
@@ -492,7 +493,7 @@ def test_pareto_over_weight(rng):
 
 def test_prediction_power_and_determinism(rng):
     samples = make_dataset(3, 2, 2, 3, rng)
-    model = WaveformNetSpec(2, 2, 3).build(rng)
+    model = init_mlp(*waveform_net_layers(2, 2, 3), rng)
     for s in samples:
         design = predict_waveform(model, s)
         assert np.linalg.norm(design.X) ** 2 / 3 <= 1.0 + 1e-9
@@ -502,7 +503,7 @@ def test_prediction_power_and_determinism(rng):
 
 def test_prediction_of_a_stack_matches_per_item(rng):
     samples = make_dataset(6, 2, 2, 3, rng, total_power=2.0)
-    model = WaveformNetSpec(2, 2, 3).build(rng)
+    model = init_mlp(*waveform_net_layers(2, 2, 3), rng)
     stacked = predict_waveform(model, samples)
     assert stacked.X.shape == (6, 2, 3) and stacked.power == 2.0
     for i in range(6):
