@@ -8,6 +8,7 @@ numpy Generator so that experiments replay bit-identically from their seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -162,8 +163,17 @@ def jakes_correlation(aging: AgingParams) -> float:
     # importing scipy.special costs about 0.24 s and 25 MB; only case1_aging needs it
     from scipy.special import j0
 
-    f_d = aging.user_speed * aging.carrier_freq / SPEED_OF_LIGHT
-    return float(j0(2 * np.pi * f_d * aging.sample_period))
+    # 2*pi*v*f_c*T/c in that order on the mantissas, scaled by the exponents:
+    # the bits of the plain product where no intermediate leaves the float
+    # range, and an overflow only when the argument itself does (v*f_c may
+    # overflow at a tiny T). J0 tends to 0 as its argument grows
+    (v, ev), (f, ef), (t, et) = map(math.frexp, (aging.user_speed, aging.carrier_freq,
+                                                 aging.sample_period))
+    try:
+        x = math.ldexp(2 * math.pi * (v * f / SPEED_OF_LIGHT) * t, ev + ef + et)
+    except OverflowError:
+        return 0.0
+    return float(j0(x))
 
 
 def age_channel(prev: np.ndarray, users: Sequence[RicianParams], geom: ArrayGeometry,

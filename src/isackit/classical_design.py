@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -294,17 +293,16 @@ def _factor(H, D, X0) -> _GramFactor:
 def _coefficients(out, W, rho, lam, UX0, target):
     """One channel's U^H X into `out`, for ascending lam. Returns the
     multiplier mu that meets the budget; nan in the hard case, where mu is
-    -lam[0], on the pole; None, `out` zeroed, if W == 0 (degenerate)."""
+    -lam[0], on the pole."""
     rho_sum = rho.sum()
-    if rho_sum == 0.0:
-        out[...] = 0.0
-        return None
     # hard case: no weight on the minimal eigenspace and the boundary value
     # already undershoots the budget; fill the gap inside that eigenspace,
     # along X0's part there (the limit as the weight goes to 1), or along its
-    # first eigenvector when X0 has no part there. The eigenspace holds
-    # lam[0], and a float sum of its rho is at least rho[0], so a rho[0] at
-    # or above the threshold rules the hard case out without forming it.
+    # first eigenvector when X0 has no part there. W == 0 is a hard case
+    # with boundary value 0: the minimizers put the whole budget there. The
+    # eigenspace holds lam[0], and a float sum of its rho is at least rho[0],
+    # so a rho[0] at or above the threshold rules the hard case out without
+    # forming it.
     lam_min = lam[0]
     if rho[0] < 1e-20 * max(1.0, rho_sum):
         min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
@@ -329,7 +327,7 @@ def _coefficients(out, W, rho, lam, UX0, target):
 def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     """Trade-off minimizer at one weight for every channel of the shared
     factorization: a frame (M x tau_d) per channel, stacked like f.X0, and
-    each channel's multiplier mu (nan in the hard and degenerate cases)."""
+    each channel's multiplier mu (nan in the hard case)."""
     tau_d = f.X0.shape[-1]
     target = tau_d * total_power
     W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
@@ -338,20 +336,10 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     lam = weight * f.g + (1.0 - weight)
     coeff = np.empty_like(W)
     mu = np.empty(rho.shape[:-1])
-    degenerate = []
     # one scalar Newton solve per channel (itertools.product costs less than np.ndindex)
     for i in itertools.product(*map(range, rho.shape[:-1])):
-        m = _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target)
-        if m is None:
-            degenerate.append(i)
-            m = math.nan
-        mu[i] = m
+        mu[i] = _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target)
     X = f.U @ coeff
-    if degenerate:
-        warnings.warn("degenerate trade-off objective; returning a power-"
-                      "feasible reference", stacklevel=3)
-        for i in degenerate:
-            X[i] = f.X0[i] if np.linalg.norm(f.X0[i]) > 0 else np.eye(*f.X0.shape[-2:])
     # divide by np.linalg.norm of each frame, bit for bit: the rescale kills
     # the solver's roundoff
     flat = X.reshape(X.shape[:-2] + (-1,))
@@ -428,12 +416,12 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     falls as x grows. Its steps are Newton's, rounded to the grid, on the
     closed-form slope of the constrained metric (`_metric_slope`, from the
     multiplier that each solve finds), from the last weight solved; a
-    bisection stands in where no slope exists (the hard and degenerate
-    cases) and at weight 1, where H^H H is singular, so sens_priority's
-    Newton steps start at weight 0 and comm_priority's after a first
-    bisection to weight 0.5. The design returned is the one solved at the
-    last feasible weight, so no weight is solved twice, and every weight
-    reuses one factorization of H^H H.
+    bisection stands in where no slope exists (the hard case) and at weight
+    1, where H^H H is singular, so sens_priority's Newton steps start at
+    weight 0 and comm_priority's after a first bisection to weight 0.5. The
+    design returned is the one solved at the last feasible weight, so no
+    weight is solved twice, and every weight reuses one factorization of
+    H^H H.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")

@@ -163,8 +163,9 @@ _RULES = {
     **dict.fromkeys(("echo_gain", "carrier_freq", "sample_period", "noise_var"),
                     _Rule("must be a positive number")),
     # float64 sums of frame energies overflow near 1e307 (numpy warns in
-    # the case1 designs and WaveformDesign's power check)
-    "total_power": _Rule("must be a positive number at most 1e300", hi=1e300),
+    # the case1 designs and WaveformDesign's power check); below 1e-300 the
+    # designs overflow in divides and miss the budget (1e-310, 5e-324)
+    "total_power": _Rule("must be a number in [1e-300, 1e300]", 1e-300, 1e300),
     # a PGA step size (init_step, or one that Adam moves by about lr per
     # minibatch) near 1e200 overflows ||F W||^2 in the first W step: the run
     # stops with a degenerate beamformer. case3_sweep's lr shares the limit

@@ -26,7 +26,6 @@ are its little-endian expansion.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,6 @@ _DETECT_BLOCK = 2 ** 16
 # of times each end may be halved (lo) or doubled (hi) to hold the target
 _RADAR_BRACKET = (0.01, 4.0)
 _BRACKET_GROWTH = 30
-# evaluate_isac warns below this many trials
-TRIAL_FLOOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -294,9 +291,6 @@ def evaluate_isac(const: Constellation, comm_noise_var: float,
                   radar_noise_var: float, threshold: float, trials: int,
                   rng: np.random.Generator):
     """Monte-Carlo (SER, Pd, Pfa) under matched receivers."""
-    if trials < TRIAL_FLOOR:
-        warnings.warn("trial count below the statistical floor",
-                      stacklevel=2)
     pts = const.points
     idx = rng.integers(0, pts.size, size=trials)
     noise = np.sqrt(comm_noise_var / 2.0) * (

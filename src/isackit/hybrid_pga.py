@@ -107,7 +107,8 @@ def normalize_power(F, W, power: float, *, prod=None) -> np.ndarray:
     sq = _re_inner(prod, prod)  # ||F W||^2
     if not np.all(sq > 0):
         raise ValueError("degenerate beamformer")
-    return np.sqrt(power / sq) * W
+    # two roots: power / sq underflows to 0 at tiny budgets (1e-200)
+    return np.sqrt(power) / np.sqrt(sq) * W
 
 
 def _real_view(X) -> np.ndarray:
@@ -385,7 +386,7 @@ def unrolled_loss_grad(schedule: StepSchedule,
         Y = F1 @ Wt
         sq = _re_inner(Y, Y)
         alpha = _re_inner(Wb, Wt)
-        scale = np.sqrt(power / sq)
+        scale = np.sqrt(power) / np.sqrt(sq)
         Wtb = scale * (Wb - alpha / sq * (_herm(F1) @ Y))
         Fb = Fb - scale * alpha / sq * (Y @ _herm(Wt))
         # Wt = W + mu_w grad_W(F1, W)

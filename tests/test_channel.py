@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -214,6 +216,17 @@ def test_jakes_is_scipy_j0():
                             sample_period=period)
         f_d = speed * carrier / SPEED_OF_LIGHT
         assert jakes_correlation(aging) == j0(2 * np.pi * f_d * period)
+
+
+def test_jakes_at_float_max_fields():
+    # v*f_c, or 2*pi*v*f_c*T/c itself, overflowed to inf, whose scipy J0 is
+    # nan; J0 tends to 0 as its argument grows
+    big = sys.float_info.max
+    for fields in [(big, 3.2e9, 1e-3), (2.0, big, 1e-3), (2.0, 3.2e9, big)]:
+        assert abs(jakes_correlation(AgingParams(*fields))) < 1e-150
+    # v*f_c overflows, though the argument is about 0.38
+    arg = 2 * np.pi * (big / SPEED_OF_LIGHT) * 10.0 * 1e-302
+    assert jakes_correlation(AgingParams(big, 10.0, 1e-302)) == pytest.approx(j0(arg), rel=1e-14)
 
 
 def test_jakes_first_bessel_zero():

@@ -451,11 +451,15 @@ def test_tradeoff_continuous_at_weight_one():
         assert np.linalg.norm(X[1.0] - X[1.0 - 1e-6]) <= 1e-6 * np.linalg.norm(X[1.0])
 
 
-def test_tradeoff_degenerate_objective_warns():
-    H = np.eye(2)
-    with pytest.warns(UserWarning, match="degenerate"):
-        design = tradeoff_design(H, np.zeros((2, 3)), np.zeros((2, 3)), 1.0, 1.0)
-    assert abs(np.linalg.norm(design.X) ** 2 / 3 - 1.0) <= 1e-9
+def test_tradeoff_zero_objective_is_the_hard_case():
+    """D = X0 = 0 leaves W = 0 at every weight: the hard case with boundary
+    value 0 spends the budget in the null space of H, the minimal
+    eigenspace of A."""
+    H = np.array([[1.0, 0.0]])
+    for weight in (0.0, 0.5, 1.0):
+        design = tradeoff_design(H, np.zeros((1, 3)), np.zeros((2, 3)), weight, 1.0)
+        assert abs(np.linalg.norm(design.X) ** 2 / 3 - 1.0) <= 1e-12
+        assert mui_power(H, design.X, np.zeros((1, 3))) == 0.0
 
 
 def test_tradeoff_scipy_cross_check(rng):
@@ -917,8 +921,8 @@ def _edge_case_stack(rng, B=6, M=6, K=2, tau=8):
     """A (B, K, M) trade-off stack with K < M and, at weight 1: item 0 on a
     weak channel, whose least-squares frame overshoots the budget (the
     secular branch); item 1 with small symbols, whose frame undershoots it
-    (the hard case); item 2 with D = X0 = 0, degenerate at every weight;
-    item 3 with D = 0, degenerate at weight 1 only."""
+    (the hard case); item 2 with D = X0 = 0, so W = 0 at every weight;
+    item 3 with D = 0, so W = 0 at weight 1 only."""
     H = rng.standard_normal((B, K, M)) + 1j * rng.standard_normal((B, K, M))
     D = rng.standard_normal((B, K, tau)) + 1j * rng.standard_normal((B, K, tau))
     X0 = rng.standard_normal((B, M, tau)) + 1j * rng.standard_normal((B, M, tau))
@@ -937,17 +941,17 @@ def _tradeoff_loop(H, D, X0, weight, power):
 @pytest.mark.parametrize("weight", [0.0, 0.4, 1.0 - 2.0 ** -40, 1.0])
 def test_tradeoff_stack_is_the_per_channel_loop_bitwise(rng, weight):
     H, D, X0 = _edge_case_stack(rng)
-    with pytest.warns(UserWarning, match="degenerate"):
-        stacked = tradeoff_design(H, D, X0, weight, 2.0).X
-    with pytest.warns(UserWarning, match="degenerate"):
-        loop = _tradeoff_loop(H, D, X0, weight, 2.0)
-    assert np.array_equal(stacked, loop)
-    # the degenerate items are the scaled references, the rest the minimizers
-    assert np.array_equal(stacked[2], np.eye(6, 8) * np.sqrt(16.0) / np.sqrt(6.0))
+    stacked = tradeoff_design(H, D, X0, weight, 2.0).X
+    assert np.array_equal(stacked, _tradeoff_loop(H, D, X0, weight, 2.0))
+    # every frame spends the budget; where W = 0 the hard case puts it in
+    # the null space of H, so no user sees interference
+    assert np.allclose(np.linalg.norm(stacked, axis=(1, 2)) ** 2 / 8, 2.0,
+                       rtol=1e-12, atol=0.0)
     mui = [mui_power(h, x, d) for h, x, d in zip(H, stacked, D)]
+    assert mui[2] <= 1e-20
     if weight == 1.0:
         assert mui[0] > 1e-6 and mui[1] <= 1e-12  # secular, then hard case
-        assert np.array_equal(stacked[3], X0[3] * np.sqrt(16.0) / np.linalg.norm(X0[3]))
+        assert mui[3] <= 1e-20
     # a stack of one is the single channel
     assert np.array_equal(tradeoff_design(H[1:2], D[1:2], X0[1:2], weight, 2.0).X[0],
                           tradeoff_design(H[1], D[1], X0[1], weight, 2.0).X)
@@ -1108,14 +1112,13 @@ def _ref_secular_solve(lam, rho, target):
 
 def _ref_tradeoff(H, D, X0, weight, power):
     """Frozen reference of the trade-off design as it was computed per call:
-    a fresh eigh of H^H H, the degenerate test on ||W||, and the boundary sum
-    formed before the hard-case test."""
+    a fresh eigh of H^H H, and the boundary sum formed before the hard-case
+    test."""
     G = H.conj().T @ H
     g, U = np.linalg.eigh((G + G.conj().T) / 2)
     UHD, UX0 = (H @ U).conj().T @ D, U.conj().T @ X0
     target = X0.shape[1] * power
     W = weight * UHD + (1.0 - weight) * UX0
-    assert np.linalg.norm(W) > 0.0
     lam = weight * g + (1.0 - weight)
     rho = np.linalg.norm(W, axis=1) ** 2
     lam_min = lam.min()

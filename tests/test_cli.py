@@ -1,9 +1,9 @@
 """CLI: config validation diagnostics, artifact schemas, reproducibility."""
 
-import contextlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from helpers import run_python
 from isackit import __version__
 from isackit import cli
 from isackit.cli import main, run_experiment, validate_config
-from isackit.constellation_ae import TRIAL_FLOOR
 
 
 def write_config(path, payload):
@@ -167,7 +166,10 @@ def _past_bounds():
     # JSON integers beyond float range: validate raised a TypeError on the
     # first, and passed the second, which run then failed to allocate
     pytest.param("case1_rate", "total_power", 10 ** 400, id="case1_rate-total_power-1e400"),
-    pytest.param("case1_roc", "trials", 10 ** 400, id="case1_roc-trials-1e400")])
+    pytest.param("case1_roc", "trials", 10 ** 400, id="case1_roc-trials-1e400"),
+    # the smallest float: every case1 design missed its power budget, and
+    # case2 stopped with a degenerate beamformer
+    pytest.param("case2_snr", "total_power", 5e-324, id="case2_snr-total_power-5e-324")])
 def test_validate_matches_run_one_step_past_each_bound(tmp_path, capsys, kind, field, value):
     assert _refused(tmp_path, capsys, kind, {field: value}) \
         == f"params.{field}: {cli._RULES[field].message}\n"
@@ -254,14 +256,6 @@ def test_generated_corners_pass_the_field_rules():
         == set(cli._EXPERIMENTS)
 
 
-def _floor_warning(kind, params):
-    # a case3_sweep evaluated on fewer than TRIAL_FLOOR trials (its default
-    # has more) warns that it is below the statistical floor
-    if kind == "case3_sweep" and params.get("trials", TRIAL_FLOOR) < TRIAL_FLOOR:
-        return pytest.warns(UserWarning, match="statistical floor")
-    return contextlib.nullcontext()
-
-
 def _runs_or_is_rejected(tmp_path, kind, params, seeds):
     # on each seed, validate rejects the config, or run exits 0 with finite
     # CSVs
@@ -271,8 +265,7 @@ def _runs_or_is_rejected(tmp_path, kind, params, seeds):
         if validate_config(cli.load_config(cfg)):
             continue
         out = tmp_path / str(seed)
-        with _floor_warning(kind, params):
-            assert main(["run", cfg, "--out", str(out)]) == 0, seed
+        assert main(["run", cfg, "--out", str(out)]) == 0, seed
         for path in out.glob("*.csv"):
             _, rows = read_csv(path)
             assert rows and all(np.isfinite(float(cell)) for row in rows
@@ -342,13 +335,22 @@ def test_case1_runs_at_an_integer_power(tmp_path, kind, power):
     _runs_or_is_rejected(tmp_path, kind, params, range(1))
 
 
-@pytest.mark.parametrize("kind", [kind for kind in _SMALL if kind.startswith("case1_")])
-def test_case1_runs_at_a_tiny_power(tmp_path, kind):
-    # against the budget frame_length * 1e-300, the secular solve's phi'
-    # underflowed to 0 at its first step; it now solves against 1
-    params = {**_SMALL[kind], "total_power": 1e-300}
-    assert not validate_config({"experiment": kind, "seed": 0, "params": params})
-    _runs_or_is_rejected(tmp_path, kind, params, range(3))
+@pytest.mark.parametrize("field", ["user_speed", "carrier_freq", "sample_period"])
+def test_case1_aging_runs_at_a_float_max_doppler_field(tmp_path, field):
+    # the Doppler argument 2*pi*v*f_c*T/c overflowed to inf, whose J0 is nan,
+    # and the run ended with "SVD did not converge"
+    params = {**_SMALL["case1_aging"], field: sys.float_info.max}
+    assert not validate_config({"experiment": "case1_aging", "seed": 0, "params": params})
+    _runs_or_is_rejected(tmp_path, "case1_aging", params, range(10))
+
+
+def test_case2_convergence_runs_at_a_tiny_power_and_noise(tmp_path):
+    # power / ||F W||^2 underflowed to 0 in the W renormalization, and the
+    # next layer stopped with a degenerate beamformer
+    params = {**_SMALL["case2_convergence"], "total_power": 1e-300, "noise_var": 1e-300}
+    assert not validate_config({"experiment": "case2_convergence", "seed": 0,
+                                "params": params})
+    _runs_or_is_rejected(tmp_path, "case2_convergence", params, range(10))
 
 
 def test_case3_sweep_runs_on_single_message_batches(tmp_path):
@@ -630,8 +632,7 @@ def test_runner_returns_tables_and_writes_nothing(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
     spec = cli._EXPERIMENTS[kind]
     params = {**spec.defaults, **_SMALL[kind]}
-    with _floor_warning(kind, params):
-        tables, summary = spec.run(params, np.random.default_rng(1))
+    tables, summary = spec.run(params, np.random.default_rng(1))
     assert list(tmp_path.iterdir()) == []
     assert tables and summary
     for name, (header, rows) in tables.items():
@@ -652,7 +653,7 @@ def _disk_full(*args, **kwargs):
 def test_failed_run_leaves_empty_output_dir_empty(tmp_path, monkeypatch, kind,
                                                   module, name):
     monkeypatch.setattr(module, name, _disk_full)
-    with pytest.raises(OSError, match="disk full"), _floor_warning(kind, _SMALL[kind]):
+    with pytest.raises(OSError, match="disk full"):
         run_experiment({"experiment": kind, "seed": 1, "params": _SMALL[kind]},
                        tmp_path)
     # no CSV, whole or partial, no temporary file and no manifest

@@ -396,6 +396,16 @@ def test_power_normalization():
         normalize_power(ds.F0, W, 5.0)
 
 
+@pytest.mark.parametrize("power, size", [(1e-200, 1e100), (1e-300, 1.0), (1e300, 1e-100)])
+def test_power_normalization_at_extreme_ratios(power, size):
+    # power / ||F W||^2 under- or overflowed (to 0 at 1e-200 against the
+    # 2.3e199 that a W step reached in a Case II run), and W with it
+    ds = make_pga_dataset(3, 4, 2, 3, np.random.default_rng(17), power=1.0)
+    Wn = normalize_power(ds.F0, size * ds.W0, power)
+    sq = np.linalg.norm(ds.F0 @ Wn, axis=(1, 2)) ** 2
+    assert np.allclose(sq, power, rtol=1e-12, atol=0.0)
+
+
 def test_dataset_init_is_feasible():
     rng = np.random.default_rng(18)
     ds = make_pga_dataset(6, 5, 3, 2, rng, power=4.0)
