@@ -1,8 +1,8 @@
 """Propagation layer: uniform-linear-array steering, Rician user channels,
 and Jakes-correlated channel aging.
 
-Conventions: angles are radians from broadside, antenna spacing is normalized
-by the carrier wavelength, and every random quantity is drawn from an explicit
+Conventions: angles are radians from broadside, the antennas are half a
+carrier wavelength apart, and every random quantity is drawn from an explicit
 numpy Generator so that experiments replay bit-identically from their seed.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,46 +20,40 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array: `num_antennas` elements, `spacing` wavelengths apart."""
+    """Uniform linear array: `num_antennas` elements, half a wavelength apart."""
 
     num_antennas: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be at least 1")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
 
 
 @dataclass(frozen=True)
 class RicianParams:
-    """Per-user link: Rician factor (LoS/scatter power ratio), linear
-    large-scale gain, and departure angle in [-pi/2, pi/2]."""
+    """Per-user link of unit large-scale gain: Rician factor (LoS/scatter
+    power ratio) and departure angle in [-pi/2, pi/2]."""
 
     rician_factor: float
-    large_scale_gain: float = 1.0
     departure_angle: float = 0.0
 
     def __post_init__(self):
-        for name in ("rician_factor", "large_scale_gain", "departure_angle"):
+        for name in ("rician_factor", "departure_angle"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.rician_factor < 0:
             raise ValueError("rician_factor must be nonnegative")
-        if self.large_scale_gain <= 0:
-            raise ValueError("large_scale_gain must be positive")
         if not -np.pi / 2 <= self.departure_angle <= np.pi / 2:
             raise ValueError("departure_angle must lie in [-pi/2, pi/2]")
 
     @property
     def los_weight(self) -> float:
         k = self.rician_factor
-        return float(np.sqrt(k * self.large_scale_gain / (k + 1.0)))
+        return float(np.sqrt(k / (k + 1.0)))
 
     @property
     def scatter_weight(self) -> float:
-        return float(np.sqrt(self.large_scale_gain / (self.rician_factor + 1.0)))
+        return float(np.sqrt(1.0 / (self.rician_factor + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -94,16 +88,12 @@ class ChannelMatrix:
 
 @dataclass(frozen=True)
 class AgingParams:
-    """Mobility description for one aging step.
-
-    `mobility_phase` is the deterministic LoS rotation; pass None to draw it
-    uniformly on [-pi, pi] at each aging step.
-    """
+    """Mobility description for one aging step: user speed (m/s), carrier
+    frequency (Hz) and the time between the two snapshots (s)."""
 
     user_speed: float
     carrier_freq: float
     sample_period: float
-    mobility_phase: Optional[float] = None
 
     def __post_init__(self):
         if self.user_speed < 0:
@@ -112,21 +102,20 @@ class AgingParams:
             raise ValueError("carrier_freq must be positive")
         if self.sample_period <= 0:
             raise ValueError("sample_period must be positive")
-        if self.mobility_phase is not None and not -np.pi <= self.mobility_phase <= np.pi:
-            raise ValueError("mobility_phase must lie in [-pi, pi]")
 
 
 def steering_vector(theta: float, geom: ArrayGeometry) -> np.ndarray:
-    """Array response at angle theta; element m is exp(j*2*pi*spacing*m*sin(theta))."""
+    """Array response at angle theta; element m is exp(j*pi*m*sin(theta)),
+    the phase 2*pi*m*sin(theta)/2 of half-wavelength spacing."""
     m = np.arange(geom.num_antennas)
-    return np.exp(1j * 2 * np.pi * geom.spacing * m * np.sin(theta))
+    return np.exp(1j * np.pi * m * np.sin(theta))
 
 
 def steering_grid(angles, geom: ArrayGeometry) -> np.ndarray:
     """Steering vectors stacked column-wise over an angle grid (M x A)."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     m = np.arange(geom.num_antennas)
-    return np.exp(1j * 2 * np.pi * geom.spacing * np.outer(m, np.sin(angles)))
+    return np.exp(1j * np.pi * np.outer(m, np.sin(angles)))
 
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +139,7 @@ def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
                           num: int, rng: np.random.Generator) -> ChannelMatrix:
     """`num` Rician draws of the user channels, stacked (num, K, M): row k is
     LoS steering plus a scattered CN(0, I) part, weighted by
-    sqrt(K_h*eta/(K_h+1)) and sqrt(eta/(K_h+1)) of user k."""
+    sqrt(K_h/(K_h+1)) and sqrt(1/(K_h+1)) of user k's Rician factor K_h."""
     hbar, los, scatter = _user_terms(users, geom)
     return ChannelMatrix(los * hbar + scatter * complex_normal((num,) + hbar.shape, rng))
 
@@ -179,21 +168,19 @@ def jakes_correlation(aging: AgingParams) -> float:
 def age_channel(prev: np.ndarray, users: Sequence[RicianParams], geom: ArrayGeometry,
                 aging: AgingParams, rng: np.random.Generator) -> np.ndarray:
     """One aging step of a (..., K, M) channel stack: rotate each row's LoS
-    part by exp(j*theta') and evolve its scattered part as
-    chi*old + sqrt(1-chi^2)*innovation.
+    part by exp(j*theta'), with theta' drawn uniformly on [-pi, pi] per row,
+    and evolve its scattered part as chi*old + sqrt(1-chi^2)*innovation.
 
     Row k of `prev` must be an (unrotated) draw of `users[k]`; the LoS/scatter
     split is recovered from the known weights, which is exact under that
-    precondition. Without a fixed mobility phase, each row draws its own.
+    precondition. The phases are drawn before the innovations.
     """
     prev = np.asarray(prev, dtype=complex)
     hbar, los, scatter = _user_terms(users, geom)
     if prev.shape[-2:] != hbar.shape:
         raise ValueError("prev must be (..., K, M) for K users and M antennas")
     chi = jakes_correlation(aging)  # |J0| <= 1 on the real line
-    phase = aging.mobility_phase
-    if phase is None:
-        phase = rng.uniform(-np.pi, np.pi, size=prev.shape[:-1] + (1,))
+    phase = rng.uniform(-np.pi, np.pi, size=prev.shape[:-1] + (1,))
     # a scatter weight that underflows to 0 leaves no scattered part to age
     htilde = np.divide(prev - los * hbar, scatter, out=np.zeros_like(prev), where=scatter > 0)
     htilde = chi * htilde + np.sqrt(1.0 - chi**2) * complex_normal(prev.shape, rng)

@@ -157,20 +157,24 @@ _SEED = _Rule("must be a non-negative integer", 0, math.inf, integer=True)
 # one rule per parameter name, shared by every experiment that has it
 _RULES = {
     **dict.fromkeys(("quad_order", "num_antennas", "num_users", "frame_length",
-                     "num_channels", "trials", "num_chains", "num_layers", "num_train",
-                     "num_test", "epochs", "batch_size", "samples_per_epoch"),
+                     "num_channels", "trials", "num_chains", "num_layers", "num_test",
+                     "epochs", "batch_size", "samples_per_epoch"),
                     _Rule("must be a positive integer", 1, integer=True)),
-    **dict.fromkeys(("echo_gain", "carrier_freq", "sample_period", "noise_var"),
+    **dict.fromkeys(("carrier_freq", "sample_period", "noise_var"),
                     _Rule("must be a positive number")),
     # float64 sums of frame energies overflow near 1e307 (numpy warns in
     # the case1 designs and WaveformDesign's power check); below 1e-300 the
     # designs overflow in divides and miss the budget (1e-310, 5e-324)
     "total_power": _Rule("must be a number in [1e-300, 1e300]", 1e-300, 1e300),
-    # a PGA step size (init_step, or one that Adam moves by about lr per
-    # minibatch) near 1e200 overflows ||F W||^2 in the first W step: the run
-    # stops with a degenerate beamformer. case3_sweep's lr shares the limit
-    **dict.fromkeys(("lr", "init_step"),
+    # gains that multiply a signal overflow far below the float maximum: a
+    # PGA step size (init_step, or one that Adam moves by about lr per
+    # minibatch) near 1e200 overflows ||F W||^2 in the first W step, and the
+    # echo mean echo_gain * v v^T X overflows at the float maximum even at
+    # unit power. case3_sweep's lr shares the limit
+    **dict.fromkeys(("lr", "init_step", "echo_gain"),
                     _Rule("must be a positive number at most 1e6", hi=1e6)),
+    # step-size training holds out at least one instance and trains on the rest
+    "num_train": _Rule("must be an integer of at least 2", 2, integer=True),
     **dict.fromkeys(("weights", "etas"),
                     _Rule("must be a nonempty list of values in [0, 1]", 0.0, 1.0, many=True)),
     **dict.fromkeys(("target_ser", "target_pd", "target_pfa"),
@@ -364,7 +368,7 @@ def _run_case1_beampattern(p, rng):
     targets = np.deg2rad(np.asarray(p["target_angles_deg"], dtype=float))
     template = directional_covariance(targets, p["total_power"], geom)
     sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"],
-                          rng, total_power=p["total_power"], reference=template)[0]
+                          rng, total_power=p["total_power"], template=template)[0]
     trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"],
                             p["total_power"])
     angles = np.linspace(-np.pi / 2, np.pi / 2, p["grid_points"])

@@ -164,26 +164,20 @@ def _rate_m(stats, scale=1.0) -> np.ndarray:
     return M
 
 
-def grad_F_batch(h, F, W, noise_var: float, *, stats=None,
-                 out=None) -> np.ndarray:
+def grad_F_batch(h, W, stats, out=None) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(F),
-    h^T M W^H with M = `_rate_m` (the rank-1 structure of h_k h_k^H).
-    `stats` is `_batch_stats` at (F, W) when the caller already has it; the
-    gradient is written into `out` when given."""
-    _check_noise(noise_var)
-    if stats is None:
-        stats = _batch_stats(h.conj() @ F, W, noise_var)
+    h^T M W^H with M = `_rate_m` (the rank-1 structure of h_k h_k^H), from
+    the `_batch_stats` `stats` at (F, W). The gradient is written into `out`
+    when given."""
     # 1/ln 2 scales the (B, K, K) factor M, not the (B, N, L) product
     return np.matmul(np.swapaxes(h, 1, 2),
                      _rate_m(stats, _INV_LN2) @ _herm(W), out=out)
 
 
-def grad_W_batch(h, F, W, noise_var: float, *, stats=None) -> np.ndarray:
+def grad_W_batch(stats) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(W),
-    (h^H F)^H M with M = `_rate_m`. `stats` as in `grad_F_batch`."""
-    _check_noise(noise_var)
-    if stats is None:
-        stats = _batch_stats(h.conj() @ F, W, noise_var)
+    (h^H F)^H M with M = `_rate_m`, from the `_batch_stats` `stats` at
+    (F, W)."""
     return _herm(stats[0]) @ _rate_m(stats, _INV_LN2)
 
 
@@ -196,12 +190,12 @@ def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var, out=None,
     None), and the F step and the projection overwrite it, so F' is `out`;
     the reverse pass recomputes grad_F and the F step. F' W goes into `prod`
     (a dropped temporary when None). Statistics at (F', W') reuse h^H F'."""
-    F1 = grad_F_batch(h, F, W, noise_var, stats=stats, out=out)
+    F1 = grad_F_batch(h, W, stats, out=out)
     F1 *= mu_f
     F1 += F
     project_unit_modulus(F1, out=F1)
     mid = _batch_stats(hc @ F1, W, noise_var)
-    gW = grad_W_batch(h, F1, W, noise_var, stats=mid)
+    gW = grad_W_batch(mid)
     Wt = W + mu_w * gW
     W1 = normalize_power(F1, Wt, power, prod=prod)
     return F1, W1, _batch_stats(mid[0], W1, noise_var), (mid, gW, Wt)
@@ -396,7 +390,7 @@ def unrolled_loss_grad(schedule: StepSchedule,
         Wb = Wtb + mu_w * dgW
         # F1 = Ft / |Ft| with Ft = F + mu_f gF, recomputed bit for bit:
         # keep the tangential part of the adjoint, divided by |Ft|
-        gF = grad_F_batch(h, F, W, noise_var, stats=stats)
+        gF = grad_F_batch(h, W, stats)
         inv = np.abs(F + mu_f * gF)
         np.divide(1.0, inv, out=inv, where=inv > 0)  # 0 where Ft = 0
         Ftb = Fb - F1 * (F1.conj() * Fb).real
@@ -422,20 +416,20 @@ def train_step_sizes(dataset: PgaDataset, num_layers: int, lr: float = 0.005,
     reverse-mode gradient of `unrolled_loss` on each minibatch
     (`unrolled_loss_grad`).
 
-    A seeded _VAL_FRACTION slice of the dataset is held out for validation
-    and the best schedule on it is returned (training loss when the slice
-    rounds to empty).
+    A seeded _VAL_FRACTION slice of the dataset, at least one instance, is
+    held out for validation, and the best schedule on it is returned.
     """
     config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
     if num_layers < 1:
         raise ValueError("num_layers must be at least 1")
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
+    if len(dataset) < 2:
+        raise ValueError("dataset needs at least 2 instances, one to train on "
+                         "and one held out")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
-    n_val = int(round(_VAL_FRACTION * len(dataset)))
+    n_val = max(1, int(round(_VAL_FRACTION * len(dataset))))
     tr = dataset.subset(order[n_val:])
-    val = dataset.subset(order[:n_val]) if n_val else tr
+    val = dataset.subset(order[:n_val])
     steps = np.full((num_layers, 2), float(init_step))
 
     def step(idx, state):

@@ -152,7 +152,10 @@ def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
     |v^H Z s^H|^2 / (sigma^2 ||v||^2 ||s||^2), s = v^T X.
 
     Under H0 (echo = noise with per-entry variance sigma^2) the statistic is
-    exponential with unit mean; larger values indicate a target."""
+    exponential with unit mean; larger values indicate a target. The echoes
+    are contracted with the unit-norm weights conj(v)/||v|| and
+    conj(s)/||s||, the second divided by sigma, so the statistic is finite
+    wherever the echo is."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     echoes = np.asarray(echoes, dtype=complex)
@@ -162,10 +165,9 @@ def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
     s_norm = float(np.linalg.norm(s))
     if s_norm <= 0:
         raise ValueError("waveform has no energy toward target")
-    inner = np.einsum("a,tab,b->t", v.conj(), echoes, s.conj())
-    scale = np.sqrt(noise_var) * np.linalg.norm(v) * s_norm
-    # scaled before squaring: |inner|^2 overflows from powers near 1e150
-    return (np.abs(inner) / scale) ** 2
+    inner = np.einsum("a,tab,b->t", v.conj() / np.linalg.norm(v), echoes,
+                      s.conj() / s_norm / np.sqrt(noise_var))
+    return np.abs(inner) ** 2
 
 
 def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: float,
@@ -277,7 +279,8 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
 
     Gauss-Hermite tensor quadrature (`quad_order` nodes per real dimension) is
     used up to 64 points; larger constellations fall back to Monte Carlo with
-    `mc_samples` draws from `rng` (seeded Generator; default seed 0)."""
+    `mc_samples` draws from `rng`, a seeded Generator that Monte Carlo
+    requires."""
     points = np.asarray(points, dtype=complex).ravel()
     if probs is None:
         probs = np.full(points.size, 1.0 / points.size)
@@ -298,7 +301,7 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
         weights = ((w[:, None] * w[None, :]) / np.pi).ravel()
     elif method == "mc":
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ValueError("Monte Carlo MI/MMSE needs a seeded Generator rng")
         noise = complex_normal(mc_samples, rng)
         weights = np.full(mc_samples, 1.0 / mc_samples)
     else:

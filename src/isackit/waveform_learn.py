@@ -173,26 +173,21 @@ def scenario_users(num_users: int):
 
 def make_dataset(num_samples: int, num_antennas: int, num_users: int,
                  frame_length: int, rng: np.random.Generator,
-                 total_power: float = 1.0, reference="omni"):
+                 total_power: float = 1.0, template: CovarianceTemplate | None = None):
     """Draw a stack of `num_samples` (H, D, X0) triples: the `scenario_users`
     channels, QPSK symbols, and a covariance-constrained reference waveform.
 
-    `reference` is "omni" for the isotropic template (P/M) I, or a
-    `CovarianceTemplate` of M antennas and power `total_power`; its square
+    `template` is a `CovarianceTemplate` of M antennas and power
+    `total_power`, or None for the isotropic template (P/M) I; its square
     root is taken once for the whole dataset.
     """
     geom = ArrayGeometry(num_antennas)
     users = scenario_users(num_users)
 
-    if isinstance(reference, CovarianceTemplate):
-        if reference.num_antennas != num_antennas or reference.power != total_power:
-            raise ValueError("reference template must have num_antennas antennas "
-                             "and power total_power")
-        template = reference
-    elif isinstance(reference, str) and reference == "omni":
+    if template is None:
         template = reference_covariance_omni(total_power, num_antennas)
-    else:
-        raise ValueError("reference must be 'omni' or a CovarianceTemplate")
+    elif template.num_antennas != num_antennas or template.power != total_power:
+        raise ValueError("template must have num_antennas antennas and power total_power")
 
     H = sample_channel_matrix(users, geom, num_samples, rng)
     D = QPSK[rng.integers(0, 4, size=(num_samples, num_users, frame_length))]

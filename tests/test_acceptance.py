@@ -227,38 +227,19 @@ def _csvs_at_blas_threads(tmp_path, experiment, threads):
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
-def test_case1_rate_identical_across_blas_threads(tmp_path):
+@pytest.mark.parametrize("experiment, num_csvs", [
+    ("case1_rate", 1), ("case1_roc", 1), ("case1_beampattern", 1),
+    ("case2_convergence", 1), ("case3_sweep", 5)])
+def test_cli_identical_across_blas_threads(tmp_path, experiment, num_csvs):
     """Reruns are byte-identical across BLAS thread counts, also through the
-    Case I solvers (Procrustes SVD, the Gram eigh, the secular solve). Pass
-    rule: `isackit run` of case1_rate at its defaults and seed 7, in fresh
-    processes with OPENBLAS_NUM_THREADS=1 and =2, writes byte-identical
-    rate.csv files."""
-    one = _csvs_at_blas_threads(tmp_path, "case1_rate", "1")
-    two = _csvs_at_blas_threads(tmp_path, "case1_rate", "2")
-    assert "rate.csv" in one
-    assert one == two
-
-
-def test_case2_convergence_identical_across_blas_threads(tmp_path):
-    """Reruns are byte-identical across BLAS thread counts. Pass rule:
-    `isackit run` of case2_convergence at its defaults and seed 7, in fresh
-    processes with OPENBLAS_NUM_THREADS=1 and =2, writes byte-identical
-    convergence.csv files."""
-    one = _csvs_at_blas_threads(tmp_path, "case2_convergence", "1")
-    two = _csvs_at_blas_threads(tmp_path, "case2_convergence", "2")
-    assert "convergence.csv" in one
-    assert one == two
-
-
-def test_case3_sweep_identical_across_blas_threads(tmp_path):
-    """Reruns are byte-identical across BLAS thread counts, also through the
-    matmul likelihood kernels of Case III. Pass rule: `isackit run` of
-    case3_sweep at its defaults and seed 7, in fresh processes with
-    OPENBLAS_NUM_THREADS=1 and =2, writes the same five constellation CSVs,
-    byte for byte."""
-    one = _csvs_at_blas_threads(tmp_path, "case3_sweep", "1")
-    two = _csvs_at_blas_threads(tmp_path, "case3_sweep", "2")
-    assert len(one) == 5
+    Case I solvers (Procrustes SVD, the Gram eigh, the secular solve), the
+    FISTA template fit and the GLRT, the PGA layers of Case II and the
+    matmul likelihood kernels of Case III. Pass rule: `isackit run` of the
+    experiment at its defaults and seed 7, in fresh processes with
+    OPENBLAS_NUM_THREADS=1 and =2, writes the same CSVs, byte for byte."""
+    one = _csvs_at_blas_threads(tmp_path, experiment, "1")
+    two = _csvs_at_blas_threads(tmp_path, experiment, "2")
+    assert len(one) == num_csvs
     assert one == two
 
 

@@ -21,20 +21,20 @@ from isackit.channel import (
 
 
 def test_steering_broadside_is_all_ones():
-    geom = ArrayGeometry(num_antennas=4, spacing=0.5)
+    geom = ArrayGeometry(num_antennas=4)
     v = steering_vector(0.0, geom)
     assert np.allclose(v, np.ones(4))
 
 
 def test_steering_endfire_alternates_sign():
-    geom = ArrayGeometry(num_antennas=4, spacing=0.5)
+    geom = ArrayGeometry(num_antennas=4)
     v = steering_vector(np.pi / 2, geom)
     assert np.allclose(v, [1, -1, 1, -1], atol=1e-12)
 
 
 def test_steering_matches_scalar_oracle():
-    # element-wise oracle: exp(j*2*pi*spacing*m*sin(theta)) evaluated per entry
-    geom = ArrayGeometry(num_antennas=8, spacing=0.5)
+    # element-wise oracle: exp(j*2*pi*0.5*m*sin(theta)) evaluated per entry
+    geom = ArrayGeometry(num_antennas=8)
     theta = np.pi / 6
     v = steering_vector(theta, geom)
     for m in range(8):
@@ -45,32 +45,26 @@ def test_steering_matches_scalar_oracle():
 @given(
     theta=st.floats(-np.pi / 2, np.pi / 2),
     m=st.integers(1, 32),
-    spacing=st.floats(0.05, 4.0),
 )
-def test_steering_entries_unit_magnitude(theta, m, spacing):
-    v = steering_vector(theta, ArrayGeometry(m, spacing))
+def test_steering_entries_unit_magnitude(theta, m):
+    v = steering_vector(theta, ArrayGeometry(m))
     assert v[0] == 1.0 + 0.0j
     assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        ArrayGeometry(0, 0.5)
-    with pytest.raises(ValueError):
-        ArrayGeometry(4, 0.0)
+        ArrayGeometry(0)
 
 
 def test_rician_params_validation():
     with pytest.raises(ValueError):
         RicianParams(rician_factor=-0.1)
     with pytest.raises(ValueError):
-        RicianParams(rician_factor=1.0, large_scale_gain=0.0)
-    with pytest.raises(ValueError):
         RicianParams(rician_factor=1.0, departure_angle=2.0)
 
 
-@pytest.mark.parametrize("field", ["rician_factor", "large_scale_gain",
-                                   "departure_angle"])
+@pytest.mark.parametrize("field", ["rician_factor", "departure_angle"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_rician_params_reject_non_finite_naming_the_field(field, value):
     # inf and nan pass the sign checks; drawing from them failed later with
@@ -86,24 +80,24 @@ def _user_draws(params, geom, n, rng):
 
 def test_los_dominant_limit(rng):
     geom = ArrayGeometry(8)
-    params = RicianParams(rician_factor=1e12, large_scale_gain=1.0, departure_angle=0.3)
+    params = RicianParams(rician_factor=1e12, departure_angle=0.3)
     draws = _user_draws(params, geom, 1000, rng)
     hbar = steering_vector(0.3, geom)
     assert np.max(np.abs(draws - hbar)) < 1e-5
 
 
 def test_pure_rayleigh_second_moment(rng):
-    # K_h = 0, eta = 4: per-element E|h|^2 = 4; var of |h|^2 is eta^2
+    # K_h = 0: per-element E|h|^2 = 1, the unit gain; var of |h|^2 is 1
     geom = ArrayGeometry(4)
-    params = RicianParams(rician_factor=0.0, large_scale_gain=4.0)
+    params = RicianParams(rician_factor=0.0)
     pooled = np.abs(_user_draws(params, geom, 100_000, rng)) ** 2
-    three_sigma = 3 * 4.0 / np.sqrt(pooled.size)
-    assert abs(pooled.mean() - 4.0) < three_sigma
+    three_sigma = 3 * 1.0 / np.sqrt(pooled.size)
+    assert abs(pooled.mean() - 1.0) < three_sigma
 
 
 def test_rician_mean_is_weighted_los(rng):
     geom = ArrayGeometry(4)
-    params = RicianParams(rician_factor=1.0, large_scale_gain=1.0, departure_angle=-0.4)
+    params = RicianParams(rician_factor=1.0, departure_angle=-0.4)
     n = 100_000
     draws = _user_draws(params, geom, n, rng)
     target = np.sqrt(0.5) * steering_vector(-0.4, geom)
@@ -134,11 +128,11 @@ def test_channel_matrix_rows_follow_their_users(rng):
     # each row of the (num, K, M) stack is drawn with its own user's weights
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=1e12, departure_angle=0.5),
-             RicianParams(rician_factor=0.0, large_scale_gain=9.0)]
+             RicianParams(rician_factor=0.0)]
     H = sample_channel_matrix(users, geom, 50_000, rng).entries
     assert np.max(np.abs(H[:, 0, :] - steering_vector(0.5, geom))) < 1e-5
     pooled = np.abs(H[:, 1, :]) ** 2
-    assert abs(pooled.mean() - 9.0) < 3 * 9.0 / np.sqrt(pooled.size)
+    assert abs(pooled.mean() - 1.0) < 3 * 1.0 / np.sqrt(pooled.size)
 
 
 def test_channel_matrix_determinism():
@@ -202,7 +196,6 @@ def _aging_for_argument(argument, speed=2.0, carrier=3.2e9):
         user_speed=speed,
         carrier_freq=carrier,
         sample_period=argument / (2 * np.pi * f_d),
-        mobility_phase=0.0,
     )
 
 
@@ -245,9 +238,16 @@ def test_age_channel_identity_when_static(rng):
     users = [RicianParams(rician_factor=2.0, departure_angle=0.2),
              RicianParams(rician_factor=0.5, departure_angle=-0.7)]
     prev = sample_channel_matrix(users, geom, 3, rng).entries
-    aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3, mobility_phase=0.0)
-    out = age_channel(prev, users, geom, aging, rng)
-    assert np.allclose(out, prev, atol=1e-12)
+    aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3)
+    out = age_channel(prev, users, geom, aging, np.random.default_rng(5))
+    # at zero speed (chi = 1) the scattered part is unchanged, and the LoS
+    # part turns by the phase drawn first from the same generator
+    phases = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, 2, 1))
+    hbar = np.array([steering_vector(u.departure_angle, geom) for u in users])
+    los = np.array([[u.los_weight] for u in users])
+    assert np.allclose(out - los * np.exp(1j * phases) * hbar, prev - los * hbar,
+                       rtol=0, atol=1e-12)
+    assert not np.allclose(out, prev, atol=1e-3)  # the LoS part did turn
 
 
 def test_age_channel_decorrelates_at_bessel_zero(rng):
@@ -264,12 +264,12 @@ def test_age_channel_decorrelates_at_bessel_zero(rng):
 
 def test_age_channel_preserves_scatter_power(rng):
     geom = ArrayGeometry(4)
-    users = [RicianParams(rician_factor=0.0, large_scale_gain=2.0)]
+    users = [RicianParams(rician_factor=0.0)]
     aging = _aging_for_argument(1.0)  # chi ~ 0.7652
     prev = sample_channel_matrix(users, geom, 50_000, rng).entries
     pooled = np.abs(age_channel(prev, users, geom, aging, rng)) ** 2
-    three_sigma = 3 * 2.0 / np.sqrt(pooled.size)
-    assert abs(pooled.mean() - 2.0) < three_sigma
+    three_sigma = 3 * 1.0 / np.sqrt(pooled.size)
+    assert abs(pooled.mean() - 1.0) < three_sigma
 
 
 def test_age_channel_paper_speed_runs(rng):
@@ -287,9 +287,8 @@ def test_age_channel_matches_per_row_oracle(rng):
     # them: one phase per row, then the CN innovations of the whole stack
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=1.5, departure_angle=0.4),
-             RicianParams(rician_factor=2.7, large_scale_gain=0.5, departure_angle=-0.2)]
+             RicianParams(rician_factor=2.7, departure_angle=-0.2)]
     aging = _aging_for_argument(1.0)
-    aging = AgingParams(aging.user_speed, aging.carrier_freq, aging.sample_period)
     prev = sample_channel_matrix(users, geom, 3, rng).entries
     out = age_channel(prev, users, geom, aging, np.random.default_rng(5))
     draw = np.random.default_rng(5)
@@ -320,5 +319,3 @@ def test_aging_params_validation():
         AgingParams(user_speed=1.0, carrier_freq=0.0, sample_period=1e-3)
     with pytest.raises(ValueError):
         AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=0.0)
-    with pytest.raises(ValueError):
-        AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=1e-3, mobility_phase=4.0)

@@ -335,6 +335,16 @@ def test_case1_runs_at_an_integer_power(tmp_path, kind, power):
     _runs_or_is_rejected(tmp_path, kind, params, range(1))
 
 
+@pytest.mark.parametrize("snr_db", [-60.0, 60.0])
+def test_case1_roc_runs_at_the_largest_power_and_gain(tmp_path, snr_db):
+    # v^H Z s^H overflowed on 64 antennas and a 256-symbol frame, and the
+    # statistic read nan ("invalid value encountered in multiply")
+    params = {**_SMALL["case1_roc"], "num_antennas": 64, "frame_length": 256,
+              "total_power": 1e300, "echo_gain": 1e6, "snr_db_point": snr_db}
+    assert not validate_config({"experiment": "case1_roc", "seed": 0, "params": params})
+    _runs_or_is_rejected(tmp_path, "case1_roc", params, [7])
+
+
 @pytest.mark.parametrize("field", ["user_speed", "carrier_freq", "sample_period"])
 def test_case1_aging_runs_at_a_float_max_doppler_field(tmp_path, field):
     # the Doppler argument 2*pi*v*f_c*T/c overflowed to inf, whose J0 is nan,

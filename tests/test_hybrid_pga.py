@@ -15,6 +15,7 @@ import pytest
 from helpers import hybrid_sum_rate
 from isackit.hybrid_pga import (
     PgaDataset,
+    _batch_stats,
     StepSchedule,
     grad_F_batch,
     grad_W_batch,
@@ -266,11 +267,17 @@ _SHAPES = [(4, 1, 1), (5, 1, 3), (3, 2, 1), (6, 3, 2),
            (2, 2, 2), (5, 3, 3), (4, 2, 3), (6, 1, 2)]
 
 
+def _grads(h, F, W, noise_var=1.0):
+    """grad_F_batch and grad_W_batch at (F, W), from their statistics."""
+    stats = _batch_stats(h.conj() @ F, W, noise_var)
+    return grad_F_batch(h, W, stats), grad_W_batch(stats)
+
+
 def test_grad_f_matches_finite_differences():
     rng = np.random.default_rng(11)
     for N, L, K in _SHAPES:
         ds = make_pga_dataset(2, N, L, K, rng)
-        g = grad_F_batch(ds.channels, ds.F0, ds.W0, 1.0)
+        g = _grads(ds.channels, ds.F0, ds.W0)[0]
         for b in range(2):
             h, W = ds.channels[b], ds.W0[b]
             g_fd = fd_gradient(lambda Fp: hybrid_sum_rate(h, Fp, W, 1.0) / np.log(2.0),
@@ -282,7 +289,7 @@ def test_grad_w_matches_finite_differences():
     rng = np.random.default_rng(12)
     for N, L, K in _SHAPES:
         ds = make_pga_dataset(2, N, L, K, rng)
-        g = grad_W_batch(ds.channels, ds.F0, ds.W0, 1.0)
+        g = _grads(ds.channels, ds.F0, ds.W0)[1]
         for b in range(2):
             h, F = ds.channels[b], ds.F0[b]
             g_fd = fd_gradient(lambda Wp: hybrid_sum_rate(h, F, Wp, 1.0) / np.log(2.0),
@@ -294,16 +301,15 @@ def test_gradients_zero_when_digital_stage_zero():
     rng = np.random.default_rng(13)
     ds = make_pga_dataset(3, 4, 2, 2, rng)
     W = np.zeros_like(ds.W0)
-    assert np.all(grad_F_batch(ds.channels, ds.F0, W, 1.0) == 0)
-    assert np.all(grad_W_batch(ds.channels, ds.F0, W, 1.0) == 0)
+    gF, gW = _grads(ds.channels, ds.F0, W)
+    assert np.all(gF == 0) and np.all(gW == 0)
 
 
 def test_single_user_closed_form():
     # K=1: no interference, gradient reduces to one signal term.
     rng = np.random.default_rng(14)
     ds = make_pga_dataset(3, 5, 2, 1, rng)
-    gF = grad_F_batch(ds.channels, ds.F0, ds.W0, 1.0)
-    gW = grad_W_batch(ds.channels, ds.F0, ds.W0, 1.0)
+    gF, gW = _grads(ds.channels, ds.F0, ds.W0)
     for b in range(3):
         hv, F, W = ds.channels[b, 0], ds.F0[b], ds.W0[b]
         V = W @ W.conj().T
@@ -320,10 +326,6 @@ def test_single_user_closed_form():
 def test_noise_validation():
     rng = np.random.default_rng(15)
     ds = make_pga_dataset(2, 3, 2, 2, rng)
-    with pytest.raises(ValueError):
-        grad_F_batch(ds.channels, ds.F0, ds.W0, 0.0)
-    with pytest.raises(ValueError):
-        grad_W_batch(ds.channels, ds.F0, ds.W0, -1.0)
     with pytest.raises(ValueError):
         pga_run_batch(ds.channels, ds.F0, ds.W0, StepSchedule.fixed(0.05, 2),
                       ds.power, 0.0)
@@ -519,14 +521,12 @@ def test_batched_gradients_match_single():
     rng = np.random.default_rng(25)
     B, N, L, K = 7, 5, 3, 3
     ds = make_pga_dataset(B, N, L, K, rng)
-    gF = grad_F_batch(ds.channels, ds.F0, ds.W0, 1.0)
-    gW = grad_W_batch(ds.channels, ds.F0, ds.W0, 1.0)
+    gF, gW = _grads(ds.channels, ds.F0, ds.W0)
     for b in range(B):
         one = ds.subset(slice(b, b + 1))
-        assert np.allclose(gF[b], grad_F_batch(one.channels, one.F0, one.W0,
-                                               1.0)[0], rtol=0, atol=1e-12)
-        assert np.allclose(gW[b], grad_W_batch(one.channels, one.F0, one.W0,
-                                               1.0)[0], rtol=0, atol=1e-12)
+        gF1, gW1 = _grads(one.channels, one.F0, one.W0)
+        assert np.allclose(gF[b], gF1[0], rtol=0, atol=1e-12)
+        assert np.allclose(gW[b], gW1[0], rtol=0, atol=1e-12)
 
 
 def test_batched_run_matches_single():
@@ -739,8 +739,8 @@ def frozen_train_step_sizes(dataset, num_layers, lr, epochs, init_step,
     steps."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
-    n_val = int(round(0.1 * len(dataset)))
-    val = dataset.subset(order[:n_val]) if n_val else None
+    n_val = max(1, int(round(0.1 * len(dataset))))
+    val = dataset.subset(order[:n_val])
     tr = dataset.subset(order[n_val:])
     steps = np.full((num_layers, 2), float(init_step))
     adam = adam_state(steps.size, lr)
@@ -752,8 +752,7 @@ def frozen_train_step_sizes(dataset, num_layers, lr, epochs, init_step,
             batch = tr.subset(idx[start:start + batch_size])
             grad = unrolled_loss_grad(StepSchedule(steps), batch)[1]
             adam_update(adam, steps.reshape(-1), grad.reshape(-1))
-        current = unrolled_loss(StepSchedule(steps),
-                                val if val is not None else tr)
+        current = unrolled_loss(StepSchedule(steps), val)
         if current < best:
             best = current
             best_steps = steps.copy()
@@ -761,9 +760,10 @@ def frozen_train_step_sizes(dataset, num_layers, lr, epochs, init_step,
 
 
 # (instances, batch_size, epochs, lr, seed, best epoch before the last).
-# 4 instances hold out no validation slice; the batch sizes 3, 7, 8, 5 and
-# 4 do not divide the training slices of 4, 18, 27, 11 and 23.
-_FROZEN_RUNS = [(4, 2, 3, 0.02, 0, False), (4, 3, 6, 0.05, 1, False),
+# 4 and 5 instances hold out one, though their tenth rounds to 0; the batch
+# sizes 2, 3, 7, 8, 5 and 4 do not divide the training slices of 3, 4, 18,
+# 27, 11 and 23.
+_FROZEN_RUNS = [(4, 2, 3, 0.02, 0, False), (5, 3, 6, 0.05, 1, True),
                 (20, 7, 3, 0.02, 2, False), (30, 8, 5, 0.05, 3, True),
                 (12, 5, 6, 0.1, 4, True), (25, 4, 4, 0.05, 5, True)]
 
@@ -786,11 +786,36 @@ def test_training_validation_errors():
     ds = make_pga_dataset(4, 4, 2, 2, rng)
     with pytest.raises(ValueError, match="at least 1"):
         train_step_sizes(ds, 0)
+    with pytest.raises(ValueError, match="at least 2 instances"):
+        train_step_sizes(ds.subset([0]), 2)
     for kwargs, field in (({"batch_size": 0}, "batch_size"),
                           ({"epochs": 0}, "epochs"), ({"lr": 0.0}, "lr"),
                           ({"lr": float("nan")}, "lr")):
         with pytest.raises(ValueError, match=field):
             train_step_sizes(ds, 2, **kwargs)
+
+
+@pytest.mark.parametrize("B", [2, 3, 4, 5])
+def test_training_always_scores_held_out_instances(monkeypatch, B):
+    # a tenth of up to 5 instances rounds to 0, and the schedules were then
+    # scored on the instances they were trained on
+    ds = make_pga_dataset(B, 4, 2, 2, np.random.default_rng(60 + B))
+    trained, scored = set(), set()
+    grad, loss = hybrid_pga.unrolled_loss_grad, hybrid_pga.unrolled_loss
+
+    def record_grad(schedule, data):
+        trained.update(h.tobytes() for h in data.channels)
+        return grad(schedule, data)
+
+    def record_loss(schedule, data):
+        scored.update(h.tobytes() for h in data.channels)
+        return loss(schedule, data)
+
+    monkeypatch.setattr(hybrid_pga, "unrolled_loss_grad", record_grad)
+    monkeypatch.setattr(hybrid_pga, "unrolled_loss", record_loss)
+    train_step_sizes(ds, 2, epochs=2, batch_size=2)
+    assert len(scored) == 1 and len(trained) == B - 1
+    assert not scored & trained
 
 
 def test_learned_schedule_beats_fixed_small_scale():

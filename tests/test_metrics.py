@@ -270,7 +270,7 @@ def test_beampattern_stack_is_the_per_slice_loop(rng, shape):
 def test_beampattern_average_equals_trace(rng):
     # uniform grid in sin(theta): off-diagonal terms integrate out for
     # half-wavelength spacing, leaving exactly trace(cov)
-    geom = ArrayGeometry(6, spacing=0.5)
+    geom = ArrayGeometry(6)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     cov = A @ A.conj().T
     u = np.linspace(-1.0, 1.0, 4001)
@@ -436,6 +436,14 @@ def test_large_constellation_takes_mc_path(rng):
     assert pt.mutual_info >= 0.0
 
 
+@pytest.mark.parametrize("size, method", [(4, "mc"), (128, "auto")])
+def test_monte_carlo_needs_a_generator(size, method):
+    # a hidden default seed made any two such calls share one noise draw
+    pts = np.exp(2j * np.pi * np.arange(size) / size)
+    with pytest.raises(ValueError, match="rng"):
+        awgn_mi_mmse(pts, 1.0, mc_samples=100, method=method)
+
+
 def test_non_normalized_constellation_rejected():
     with pytest.raises(ValueError, match="unit average power"):
         awgn_mi_mmse(2.0 * BPSK, 1.0)
@@ -443,11 +451,12 @@ def test_non_normalized_constellation_rejected():
 
 def test_i_mmse_derivative_identity():
     # complex-channel identity: dI/dgamma = MMSE(gamma), checked by centered
-    # finite differences on a 0.01-wide linear-SNR step. The Monte Carlo path
-    # uses its default seed-0 generator, so the three SNRs share noise draws.
+    # finite differences on a 0.01-wide linear-SNR step. Each Monte Carlo call
+    # draws from a fresh seed-0 generator, so the three SNRs share noise draws.
     curves = [gaussian_mi_mmse]
     curves += [lambda snr, p=p: awgn_mi_mmse(p, snr) for p in (BPSK, QPSK)]
-    curves += [lambda snr, p=p: awgn_mi_mmse(p, snr, mc_samples=20_000, method="mc")
+    curves += [lambda snr, p=p: awgn_mi_mmse(p, snr, mc_samples=20_000,
+                                             rng=np.random.default_rng(0), method="mc")
                for p in (QPSK, QAM16)]
     for point_at in curves:
         for snr in (0.5, 1.0, 3.0):

@@ -321,9 +321,9 @@ def test_make_dataset_contents(rng):
     again = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     redo = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0)
     assert np.array_equal(again.D, redo.D)
-    # a template passed in serves like the one named by "omni"
+    # a template passed in serves like the default isotropic one
     given = make_dataset(5, 3, 2, 4, np.random.default_rng(1234), total_power=2.0,
-                         reference=reference_covariance_omni(2.0, 3))
+                         template=reference_covariance_omni(2.0, 3))
     assert np.array_equal(again.X0.X, given.X0.X)
 
 
@@ -340,14 +340,10 @@ def test_dataset_reference_matches_per_item_procrustes_bitwise(num, M, K, tau):
 def test_make_dataset_validation(rng):
     with pytest.raises(ValueError, match="frame length"):
         make_dataset(2, 4, 2, 3, rng)
-    with pytest.raises(ValueError, match="reference"):
-        make_dataset(2, 2, 2, 3, rng, reference="mystery")
-    with pytest.raises(ValueError, match="reference"):
-        make_dataset(2, 2, 2, 3, rng, reference=np.eye(2))
-    with pytest.raises(ValueError, match="reference template"):
-        make_dataset(2, 2, 2, 3, rng, reference=reference_covariance_omni(1.0, 3))
-    with pytest.raises(ValueError, match="reference template"):
-        make_dataset(2, 2, 2, 3, rng, reference=reference_covariance_omni(2.0, 2))
+    with pytest.raises(ValueError, match="template must have"):
+        make_dataset(2, 2, 2, 3, rng, template=reference_covariance_omni(1.0, 3))
+    with pytest.raises(ValueError, match="template must have"):
+        make_dataset(2, 2, 2, 3, rng, template=reference_covariance_omni(2.0, 2))
     with pytest.raises(ValueError, match="Rician factor"):
         make_dataset(2, 2, 6, 3, rng)
 
