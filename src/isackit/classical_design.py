@@ -302,11 +302,13 @@ def _coefficients(out, W, rho, lam, UX0, target):
     # with boundary value 0: the minimizers put the whole budget there. The
     # eigenspace holds lam[0], and a float sum of its rho is at least rho[0],
     # so a rho[0] at or above the threshold rules the hard case out without
-    # forming it.
+    # forming it. The threshold scales with the target, as rho does, so that
+    # the design is homogeneous in (B, target); it stays above 0 at W == 0.
     lam_min = lam[0]
-    if rho[0] < 1e-20 * max(1.0, rho_sum):
+    floor = 1e-20 * max(target, rho_sum)
+    if rho[0] < floor:
         min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
-        if rho[min_space].sum() < 1e-20 * max(1.0, rho_sum):
+        if rho[min_space].sum() < floor:
             pos = ~min_space
             boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
             if boundary <= target:

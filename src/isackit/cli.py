@@ -108,6 +108,11 @@ def _fmt(x) -> str:
     return "{:.9g}".format(float(x))
 
 
+# Case I runs at unit power, so that snr_db is E|d|^2 / sigma^2 of the unit-
+# modulus symbols; Case II at power 10, so that noise_var 1 is 10 dB
+_CASE2_POWER = 10.0
+
+
 def _noise_from_snr_db(power: float, snr_db: float) -> float:
     return power / (10.0 ** (snr_db / 10.0))
 
@@ -143,14 +148,6 @@ class _Rule(typing.NamedTuple):
         return all(isinstance(v, kinds) and not isinstance(v, bool) and self.lo <= v <= self.hi
                    for v in (value if self.many else [value]))
 
-    def coerce(self, value):
-        """An accepted value as the runners take it: floats unless `integer`.
-        An int power of 2^62 times the frame length leaves int64, and numpy
-        then builds an object array it cannot take the square root of."""
-        if self.integer:
-            return value
-        return [float(v) for v in value] if self.many else float(value)
-
 
 _SEED = _Rule("must be a non-negative integer", 0, math.inf, integer=True)
 
@@ -160,17 +157,15 @@ _RULES = {
                      "num_channels", "trials", "num_chains", "num_layers", "num_test",
                      "epochs", "batch_size", "samples_per_epoch"),
                     _Rule("must be a positive integer", 1, integer=True)),
-    **dict.fromkeys(("carrier_freq", "sample_period", "noise_var"),
-                    _Rule("must be a positive number")),
-    # float64 sums of frame energies overflow near 1e307 (numpy warns in
-    # the case1 designs and WaveformDesign's power check); below 1e-300 the
-    # designs overflow in divides and miss the budget (1e-310, 5e-324)
-    "total_power": _Rule("must be a number in [1e-300, 1e300]", 1e-300, 1e300),
+    **dict.fromkeys(("carrier_freq", "sample_period"), _Rule("must be a positive number")),
+    # a lone user's rate log(total / inter) divides its gain by noise_var
+    # alone, and at unit-scale gains the quotient overflows near 1e-307
+    "noise_var": _Rule("must be a number of at least 1e-300", 1e-300),
     # gains that multiply a signal overflow far below the float maximum: a
     # PGA step size (init_step, or one that Adam moves by about lr per
     # minibatch) near 1e200 overflows ||F W||^2 in the first W step, and the
-    # echo mean echo_gain * v v^T X overflows at the float maximum even at
-    # unit power. case3_sweep's lr shares the limit
+    # echo mean echo_gain * v v^T X overflows at the float maximum.
+    # case3_sweep's lr shares the limit
     **dict.fromkeys(("lr", "init_step", "echo_gain"),
                     _Rule("must be a positive number at most 1e6", hi=1e6)),
     # step-size training holds out at least one instance and trains on the rest
@@ -325,12 +320,12 @@ def _run_mi_mmse(p, rng):
 
 def _run_case1_rate(p, rng):
     ds = make_dataset(p["num_channels"], p["num_antennas"], p["num_users"],
-                      p["frame_length"], rng, total_power=p["total_power"])
+                      p["frame_length"], rng)
     frames = {"reference": ds.X0.X,
-              "tradeoff": tradeoff_design(ds.H, ds.D, ds.X0, p["weight"], p["total_power"]).X}
+              "tradeoff": tradeoff_design(ds.H, ds.D, ds.X0, p["weight"], 1.0).X}
 
     def rates(snr_db):
-        noise = _noise_from_snr_db(p["total_power"], snr_db)
+        noise = _noise_from_snr_db(1.0, snr_db)
         reports = {m: rate_report(ds.H, X, ds.D, noise) for m, X in frames.items()}
         reports["genie"] = genie_rate(ds.D, noise)
         # the channel mean as a left-to-right sum (np.mean sums pairwise)
@@ -340,16 +335,14 @@ def _run_case1_rate(p, rng):
 
 
 def _run_case1_roc(p, rng):
-    sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"],
-                          rng, total_power=p["total_power"])[0]
+    sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"], rng)[0]
     geom = ArrayGeometry(p["num_antennas"])
     angle = np.deg2rad(p["target_angle_deg"])
-    noise = _noise_from_snr_db(p["total_power"], p["snr_db_point"])
+    noise = _noise_from_snr_db(1.0, p["snr_db_point"])
     rows = []
     summary = {}
     for w in p["weights"]:
-        X = tradeoff_design(sample.H, sample.D, sample.X0, w,
-                            p["total_power"]).X
+        X = tradeoff_design(sample.H, sample.D, sample.X0, w, 1.0).X
         h0 = simulate_target_echoes(X, angle, 0.0, noise, geom,
                                     p["trials"], rng)
         h1 = simulate_target_echoes(X, angle, p["echo_gain"], noise, geom,
@@ -366,11 +359,10 @@ def _run_case1_roc(p, rng):
 def _run_case1_beampattern(p, rng):
     geom = ArrayGeometry(p["num_antennas"])
     targets = np.deg2rad(np.asarray(p["target_angles_deg"], dtype=float))
-    template = directional_covariance(targets, p["total_power"], geom)
+    template = directional_covariance(targets, 1.0, geom)
     sample = make_dataset(1, p["num_antennas"], p["num_users"], p["frame_length"],
-                          rng, total_power=p["total_power"], template=template)[0]
-    trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"],
-                            p["total_power"])
+                          rng, template=template)[0]
+    trade = tradeoff_design(sample.H, sample.D, sample.X0, p["weight"], 1.0)
     angles = np.linspace(-np.pi / 2, np.pi / 2, p["grid_points"])
     covs = np.concatenate([template.matrix[None],
                            waveform_covariance(np.stack([sample.X0.X, trade.X]))])
@@ -393,7 +385,7 @@ def _run_case1_aging(p, rng):
     aging = AgingParams(user_speed=p["user_speed"],
                         carrier_freq=p["carrier_freq"],
                         sample_period=p["sample_period"])
-    template = reference_covariance_omni(p["total_power"], M)
+    template = reference_covariance_omni(1.0, M)
 
     n = p["num_channels"]
     H_old = sample_channel_matrix(users, geom, n, rng).entries
@@ -403,19 +395,17 @@ def _run_case1_aging(p, rng):
 
     def design(H):
         X0 = procrustes_waveform(template, H, D, tau)
-        return tradeoff_design(H, D, X0, p["weight"], p["total_power"]).X
+        return tradeoff_design(H, D, X0, p["weight"], 1.0).X
 
     frames = {"matched": design(H_new), "aged": design(H_old),
               "topology": design(H_alt)}
 
     def rates(snr_db):
-        noise = _noise_from_snr_db(p["total_power"], snr_db)
+        noise = _noise_from_snr_db(1.0, snr_db)
         # the channel mean as a left-to-right sum (np.mean sums pairwise)
         means = {m: sum(rate_report(H_new, X, D, noise).sum_rate.tolist()) / n
                  for m, X in frames.items()}
-        # nan against a matched rate of exactly 0 (log2(1 + SINR) rounded to 0)
-        losses = {f"{m}_loss_pct_at_{snr_db:g}dB":
-                  100.0 * (1.0 - means[m] / means["matched"]) if means["matched"] else math.nan
+        losses = {f"{m}_loss_pct_at_{snr_db:g}dB": 100.0 * (1.0 - means[m] / means["matched"])
                   for m in ("aged", "topology")}
         return means, losses
 
@@ -425,10 +415,10 @@ def _run_case1_aging(p, rng):
 def _convergence_curves(p, noise_var, rng):
     train = make_pga_dataset(p["num_train"], p["num_antennas"],
                              p["num_chains"], p["num_users"], rng,
-                             power=p["total_power"], noise_var=noise_var)
+                             power=_CASE2_POWER, noise_var=noise_var)
     test = make_pga_dataset(p["num_test"], p["num_antennas"],
                             p["num_chains"], p["num_users"], rng,
-                            power=p["total_power"], noise_var=noise_var)
+                            power=_CASE2_POWER, noise_var=noise_var)
     learned = train_step_sizes(train, p["num_layers"], lr=p["lr"],
                                epochs=p["epochs"],
                                init_step=p["init_step"],
@@ -462,7 +452,7 @@ def _run_case2_convergence(p, rng):
 
 def _run_case2_snr(p, rng):
     def rates(snr_db):
-        noise = _noise_from_snr_db(p["total_power"], snr_db)
+        noise = _noise_from_snr_db(_CASE2_POWER, snr_db)
         curves = _convergence_curves(p, noise, rng)
         return {m: float(c[:, -1].mean()) / np.log(2.0)
                 for m, c in curves.items()}, {}
@@ -521,34 +511,34 @@ _EXPERIMENTS = {
     }),
     "case1_rate": _Experiment(_run_case1_rate, {
         "num_antennas": 8, "num_users": 2, "frame_length": 8,
-        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
+        "num_channels": 50, "weight": 0.2,
         "snr_db": [-2.0, 2.0, 6.0, 10.0],
     }, _case1_cross_checks),
     "case1_roc": _Experiment(_run_case1_roc, {
         "num_antennas": 8, "num_users": 2, "frame_length": 8,
         "weights": [0.2, 0.5], "snr_db_point": 0.0, "trials": 20000,
-        "target_angle_deg": 0.0, "echo_gain": 0.3, "total_power": 1.0,
+        "target_angle_deg": 0.0, "echo_gain": 0.3,
     }, _case1_cross_checks),
     "case1_beampattern": _Experiment(_run_case1_beampattern, {
         "num_antennas": 10, "num_users": 2, "frame_length": 16,
-        "weight": 0.2, "total_power": 1.0,
+        "weight": 0.2,
         "target_angles_deg": [-60.0, 0.0, 60.0], "grid_points": 361,
     }, _case1_cross_checks),
     "case1_aging": _Experiment(_run_case1_aging, {
         "num_antennas": 8, "num_users": 2, "frame_length": 8,
-        "num_channels": 50, "weight": 0.2, "total_power": 1.0,
+        "num_channels": 50, "weight": 0.2,
         "snr_db": [6.0], "user_speed": 2.0, "carrier_freq": 3.2e9,
         "sample_period": 1e-3,
     }, _case1_cross_checks),
     "case2_convergence": _Experiment(_run_case2_convergence, {
         "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
-        "num_train": 100, "num_test": 30, "total_power": 10.0,
+        "num_train": 100, "num_test": 30,
         "noise_var": 1.0, "lr": 0.005, "epochs": 6, "batch_size": 50,
         "init_step": 0.05,
     }),
     "case2_snr": _Experiment(_run_case2_snr, {
         "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,
-        "num_train": 100, "num_test": 30, "total_power": 10.0,
+        "num_train": 100, "num_test": 30,
         "lr": 0.005, "epochs": 6, "batch_size": 50, "init_step": 0.05,
         "snr_db": [-5.0, 0.0, 5.0, 10.0],
     }),
@@ -578,8 +568,7 @@ def run_experiment(cfg: dict, out_dir) -> RunRecord:
     a runner that raises leaves out_dir as it was."""
     kind = cfg["experiment"]
     spec = _EXPERIMENTS[kind]
-    params = {name: _RULES[name].coerce(value)
-              for name, value in {**spec.defaults, **cfg.get("params", {})}.items()}
+    params = {**spec.defaults, **cfg.get("params", {})}
     out_dir = Path(out_dir)
     rng = np.random.default_rng(cfg["seed"])
     start = time.perf_counter()

@@ -126,11 +126,13 @@ def _re_inner(X, Y) -> np.ndarray:
 
 def _batch_stats(hF, W, noise_var):
     """Cross-gains and per-user totals for a batch, from hF = h^H F (B,K,L)
-    and W (B,L,K) -> (hF, hFW (B,K,K), total (B,K), inter (B,K))."""
+    and W (B,L,K) -> (hF, hFW (B,K,K), total (B,K), inter (B,K)). The
+    interference sums the cross-gains, since total - p_kk would round to 0
+    for one user once p/noise_var passes 1/eps."""
     hFW = hF @ W
     p = np.abs(hFW) ** 2
-    total = p.sum(axis=2) + noise_var
-    inter = total - np.diagonal(p, axis1=1, axis2=2)
+    inter = _offdiag(p).sum(axis=2) + noise_var
+    total = inter + np.diagonal(p, axis1=1, axis2=2)
     return hF, hFW, total, inter
 
 

@@ -957,6 +957,23 @@ def test_tradeoff_stack_is_the_per_channel_loop_bitwise(rng, weight):
                           tradeoff_design(H[1], D[1], X0[1], weight, 2.0).X)
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.4, 1.0 - 2.0 ** -40, 1.0])
+def test_tradeoff_is_homogeneous_in_the_budget(rng, weight):
+    """D and X0 scaled by 2^k and the power by 4^k scale the design by 2^k
+    bit for bit, for every power of 4 from 2^-300 to 2^300: the hard-case
+    screen scales with the target (with an absolute floor it flagged
+    generic channels below 2^-70)."""
+    stacks = [_edge_case_stack(rng)]
+    ds = make_dataset(20, 8, 2, 8, rng)
+    stacks.append((ds.H, ds.D, ds.X0.X))
+    for H, D, X0 in stacks:
+        X = tradeoff_design(H, D, X0, weight, 2.0).X
+        for k in range(-150, 151):
+            c = 2.0 ** k
+            assert np.array_equal(tradeoff_design(H, c * D, c * X0, weight, c * c * 2.0).X,
+                                  c * X), k
+
+
 @pytest.mark.parametrize("B, M, K, tau", [(50, 16, 4, 32), (50, 8, 2, 8), (1, 16, 4, 32)])
 def test_tradeoff_dataset_stack_is_the_per_channel_loop_bitwise(B, M, K, tau):
     ds = make_dataset(B, M, K, tau, np.random.default_rng(B + M))

@@ -408,6 +408,15 @@ def test_power_normalization_at_extreme_ratios(power, size):
     assert np.allclose(sq, power, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("noise_var", [1.0, 7e-243, 1e-300])
+def test_single_user_interference_is_the_noise_exactly(noise_var):
+    # (gain + noise) - gain rounded to 0 once gain / noise passed 1/eps
+    ds = make_pga_dataset(4, 5, 2, 1, np.random.default_rng(19), noise_var=noise_var)
+    _, hFW, total, inter = _batch_stats(ds.channels.conj() @ ds.F0, ds.W0, noise_var)
+    assert np.all(inter == noise_var)
+    assert np.array_equal(total, np.abs(hFW[:, :, 0]) ** 2 + noise_var)
+
+
 def test_dataset_init_is_feasible():
     rng = np.random.default_rng(18)
     ds = make_pga_dataset(6, 5, 3, 2, rng, power=4.0)
