@@ -2,10 +2,14 @@
 one Adam update, and one seeded minibatch loop that scores every epoch on
 held-out data and stops early.
 
-The engine is real-valued float64 throughout; callers that work with complex
+The engine is real-valued and runs in the dtype of a model's parameters,
+float32 or float64 (the default): the forward pass casts its inputs and the
+backward pass its upstream gradient to that dtype, and the gradients, Adam
+moments and scratch space take it too. Callers that work with complex
 quantities stack real and imaginary parts into the feature vector. Losses are
 pluggable: a loss callable receives (network outputs, auxiliary batch data)
-and returns (scalar loss, gradient with respect to the outputs).
+and returns (scalar loss, gradient with respect to the outputs); it may
+compute in float64 whatever the parameters' dtype.
 
 Each `MlpModel` keeps all of its parameters in one contiguous vector
 `params`, laid out layer by layer as W0 (row-major), b0, W1, b1, ...; its
@@ -50,7 +54,9 @@ ACTIVATIONS = ("linear", "relu", "tanh")
 @dataclass
 class MlpModel:
     """Dense network. The weights and biases given are copied into one new
-    `params` vector; afterwards weights[i] and biases[i] are views of it."""
+    `params` vector; afterwards weights[i] and biases[i] are views of it.
+    `params` is float32 when every weight and bias given is float32, and
+    float64 otherwise (integer arrays included)."""
 
     weights: list  # weights[i]: (fan_in, fan_out)
     biases: list  # biases[i]: (fan_out,)
@@ -69,8 +75,10 @@ class MlpModel:
         for i in range(len(self.weights) - 1):
             if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
                 raise ValueError("consecutive layer dimensions must chain")
+        single = all(np.asarray(a).dtype == np.float32 for a in self.weights + self.biases)
         self.params = np.empty(sum(np.size(W) + np.size(b)
-                                   for W, b in zip(self.weights, self.biases)))
+                                   for W, b in zip(self.weights, self.biases)),
+                               dtype=np.float32 if single else np.float64)
         views = self.layer_views(self.params)
         for (W, b), (W_view, b_view) in zip(zip(self.weights, self.biases), views):
             W_view[...] = W
@@ -104,15 +112,20 @@ class MlpModel:
 
 
 def init_mlp(widths: Sequence[int], activations: Sequence[str],
-             rng: np.random.Generator) -> MlpModel:
-    """Uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
+             rng: np.random.Generator, dtype=np.float64) -> MlpModel:
+    """Uniform init scaled by 1/sqrt(fan_in); biases start at zero. The
+    weights are drawn in float64 and rounded to `dtype`, float32 or float64,
+    so both precisions draw the same stream from rng."""
     if len(activations) != len(widths) - 1:
         raise ValueError("need one activation per layer")
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        weights.append(W.astype(dtype, copy=False))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpModel(weights, biases, list(activations))
 
 
@@ -141,8 +154,9 @@ def _activation_vjp(grad: np.ndarray, out: np.ndarray, z: np.ndarray, act: str,
 
 def forward_pass(model: MlpModel, batch: np.ndarray):
     """Returns (output, cache) where cache holds per-layer pre-activations and
-    activations for reuse by backward_pass."""
-    a = np.atleast_2d(np.asarray(batch, dtype=float))
+    activations for reuse by backward_pass, all in the dtype of
+    model.params, to which the batch is cast."""
+    a = np.atleast_2d(np.asarray(batch, dtype=model.params.dtype))
     if a.shape[1] != model.input_dim:
         raise ValueError("batch width does not match model input_dim")
     acts = [a]
@@ -174,7 +188,8 @@ class ParamGrads(tuple):
 
 def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
                   adam: Optional[AdamState] = None):
-    """Exact reverse-mode gradients. Returns (param_grads, grad_input) where
+    """Exact reverse-mode gradients, in the dtype of model.params, to which
+    grad_output is cast. Returns (param_grads, grad_input) where
     param_grads is a `ParamGrads` of (dW, db) matching model.layers: views
     of one fresh flat vector laid out like model.params.
 
@@ -188,11 +203,11 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
     the same way. No parameter-sized gradient is formed.
     """
     acts, zs = cache
-    grad = np.asarray(grad_output, dtype=float)
+    grad = np.asarray(grad_output, dtype=model.params.dtype)
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
     if adam is None:
-        param_grads = ParamGrads(model, np.empty(model.params.size))
+        param_grads = ParamGrads(model, np.empty_like(model.params))
     else:
         c1, c2 = _adam_begin(adam)
     start, last = model.params.size, len(model.weights) - 1
@@ -220,6 +235,11 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
 # of a 2,337,728-element vector took 7.1 / 6.5 / 6.4 ms at blocks of 2^14 /
 # 2^15 / 2^16 elements, 8.3 ms unblocked and 10.8 ms with whole-array
 # temporaries. Blocks near 2^15 are about equally fast; all beat no blocking.
+# Those were float64 elements; a float32 block of 2^15 is half the bytes. On a
+# 2-vCPU VM with a 2 MiB L2 per core (one BLAS thread, best of 7), the float32
+# update of that vector took 8.2-10.2 ms at blocks of 2^15 to 2^17, within
+# noise of each other (9.8-12.1 ms at 2^14), against 20-23 ms for float64; so
+# one constant serves both dtypes.
 _ADAM_BLOCK = 1 << 15
 
 # b1, b2 and eps of adam_update
@@ -243,15 +263,17 @@ class AdamState:
     step_count: int = 0
 
 
-def adam_state(size: int, lr: float = 1e-3) -> AdamState:
-    """Zero moments and scratch space for Adam on a flat vector of `size`
-    elements."""
-    return AdamState(lr=lr, first_moment=np.zeros(size), second_moment=np.zeros(size),
-                     scratch=np.empty((3, min(size, _ADAM_BLOCK))))
+def adam_state(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+    """Zero flat moments and scratch space for Adam on the vector `params`,
+    in its dtype."""
+    size, dtype = params.size, params.dtype
+    return AdamState(lr=lr, first_moment=np.zeros(size, dtype),
+                     second_moment=np.zeros(size, dtype),
+                     scratch=np.empty((3, min(size, _ADAM_BLOCK)), dtype))
 
 
 def init_adam(model: MlpModel, lr: float = 1e-3) -> AdamState:
-    return adam_state(model.params.size, lr)
+    return adam_state(model.params, lr)
 
 
 def _flat_grad(model: MlpModel, param_grads) -> np.ndarray:
@@ -314,7 +336,7 @@ def _adam_layer(state: AdamState, c1: float, c2: float, params: np.ndarray,
     # last bits from those of the whole product
     low = min(fan_in, 2)
     if state.scratch.shape[1] < low * fan_out:
-        state.scratch = np.empty((3, low * fan_out))
+        state.scratch = np.empty((3, low * fan_out), dtype=state.scratch.dtype)
     # whole multiples of 8 rows: on the waveform net at batch 32 (one BLAS
     # thread, 2-core VM), a fused step took 9.2-9.3 ms in blocks of 16 and
     # 32 rows and 9.7-10.0 ms in blocks of 17 and 34, whose matmuls end in
@@ -334,8 +356,10 @@ def _adam_layer(state: AdamState, c1: float, c2: float, params: np.ndarray,
 
 
 def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
-    """Standard bias-corrected Adam update of the flat float64 vector
-    `params` by the flat gradient `grad`, in place.
+    """Standard bias-corrected Adam update of the flat vector `params` by the
+    flat gradient `grad`, in place, in the dtype of the state's moments
+    (float32 or float64). The decay rates, epsilon, learning rate and bias
+    corrections are Python floats, which take the arrays' dtype.
 
     Each block of _ADAM_BLOCK elements runs m += (1-b1)(g-m);
     v += (1-b2)(g^2-v); p -= lr (m/c1) / (sqrt(v/c2) + eps) in that
@@ -395,7 +419,7 @@ def minibatch_adam(params: np.ndarray, n: int, step: Callable,
 
     Returns the history {"train": epoch-mean losses, "val": scores}.
     """
-    state = adam_state(params.size, config.lr)
+    state = adam_state(params, config.lr)
     history = {"train": [], "val": []}
     best, best_score, stale = params.copy(), np.inf, 0
     for _ in range(config.epochs):

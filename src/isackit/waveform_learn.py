@@ -233,6 +233,10 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     """Unsupervised training of the waveform net on a 60/20/20 split of a
     `WaveformSample` stack.
 
+    The net's parameters, Adam moments and matmuls are float32; the
+    features, the projection and its VJP, and the loss stay float64, and
+    the loss gradient is rounded to float32 where it enters the net.
+
     Returns (model, history, (train_idx, val_idx, test_idx)). config.seed
     draws the initial weights, then the split, then the seed of the training
     loop's shuffles and augmentation. Early stopping defaults to
@@ -253,7 +257,7 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     H, D, X0, total_power = dataset.H.entries, dataset.D, dataset.X0.X, dataset.X0.power
     (_, K, M), tau = H.shape, D.shape[2]
 
-    model = init_mlp(*waveform_net_layers(M, K, tau), rng)
+    model = init_mlp(*waveform_net_layers(M, K, tau), rng, dtype=np.float32)
     features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
     # train's shuffles and augmentation draw from a child seed of this stream

@@ -251,7 +251,7 @@ from isackit.waveform_learn import make_dataset, train_waveform_net
 samples = make_dataset(100, 8, 2, 8, np.random.default_rng(7))
 model, history, _ = train_waveform_net(
     samples, 0.2, TrainConfig(epochs=2, batch_size=16, seed=7), augment=True)
-print(hashlib.sha256(model.params.tobytes()).hexdigest())
+print(model.params.dtype, hashlib.sha256(model.params.tobytes()).hexdigest())
 print(np.array(history["train"] + history["val"]).tobytes().hex())
 """
 
@@ -287,10 +287,11 @@ def test_hybrid_pga_identical_across_blas_threads():
 def test_waveform_net_training_identical_across_blas_threads():
     """Reruns are byte-identical across BLAS thread counts, also through the
     in-place matmul gradient kernels of the learned waveform net. Pass rule:
-    training the waveform net (M=8, K=2, tau=8, 100 samples, 2 epochs,
-    augmentation on, seed 7) in fresh processes with OPENBLAS_NUM_THREADS=1
-    and =2 gives the same weights and loss history, byte for byte."""
+    training the waveform net, whose parameters are float32 (M=8, K=2,
+    tau=8, 100 samples, 2 epochs, augmentation on, seed 7), in fresh
+    processes with OPENBLAS_NUM_THREADS=1 and =2 gives the same weights and
+    loss history, byte for byte."""
     one = run_python(["-c", _WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="1")
     two = run_python(["-c", _WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="2")
-    assert len(one.split()) == 2
+    assert one.split()[0] == "float32" and len(one.split()) == 3
     assert one == two

@@ -752,7 +752,7 @@ def frozen_train_step_sizes(dataset, num_layers, lr, epochs, init_step,
     val = dataset.subset(order[:n_val])
     tr = dataset.subset(order[n_val:])
     steps = np.full((num_layers, 2), float(init_step))
-    adam = adam_state(steps.size, lr)
+    adam = adam_state(steps, lr)
     best = np.inf
     best_steps = steps.copy()
     for _ in range(epochs):

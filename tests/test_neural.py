@@ -55,12 +55,13 @@ def _fd_param_grads(model, batch, target, h=1e-6):
 # ------------------------------------------------------------------ oracles
 # The per-layer engine that the flat-buffer one replaced: fresh (dW, db)
 # arrays per layer, and Adam as whole-array expressions on each layer's
-# weights, biases and moments. The flat engine must give the same bits.
+# weights, biases and moments, all in the dtype of the model's params. The
+# flat engine must give the same bits, at float32 as at float64.
 
 
 def _oracle_backward_pass(model, cache, grad_output):
     acts, zs = cache
-    grad = np.asarray(grad_output, dtype=float)
+    grad = np.asarray(grad_output, dtype=model.params.dtype)
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
     param_grads = [None] * len(model.weights)
@@ -326,9 +327,10 @@ def _three_adam_steps(model, x, step, rebuild):
     lambda g: [g[0], (g[1][0].copy(), g[1][1].copy())],  # one pair replaced
     lambda g: [g[1], g[0]],  # views of one vector, out of layout order
 ], ids=["views", "fresh", "patched", "swapped"])
-def test_adam_step_matches_oracle_bitwise(rebuild, rng):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_step_matches_oracle_bitwise(rebuild, dtype, rng):
     # two layers of one shape, so only the data addresses tell them apart
-    model = init_mlp([4, 4, 4], ["tanh", "tanh"], rng)
+    model = init_mlp([4, 4, 4], ["tanh", "tanh"], rng, dtype=dtype)
     x = rng.standard_normal((6, 4))
     assert _three_adam_steps(model, x, adam_step, rebuild) == \
         _three_adam_steps(model, x, _oracle_adam_step, rebuild)
@@ -356,7 +358,8 @@ def _fused_and_unfused_steps(model, x, target, steps):
                          ids=["ragged_tail", "one_row_tail"])
 @pytest.mark.parametrize("block", [None, 200], ids=["default_block", "row_wider_than_block"])
 @pytest.mark.parametrize("act", ACTIVATIONS)
-def test_fused_step_matches_backward_then_adam_step_bitwise(act, block, widths, rng,
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_step_matches_backward_then_adam_step_bitwise(dtype, act, block, widths, rng,
                                                            monkeypatch):
     # at blocks of 2^15 elements the 300 x 250 layer is updated in row blocks
     # of 128, 128 and 44, and the 257 x 250 one in 128, 128 and 1; at blocks
@@ -365,7 +368,7 @@ def test_fused_step_matches_backward_then_adam_step_bitwise(act, block, widths, 
     # both of those layers in one row
     if block is not None:
         monkeypatch.setattr(neural, "_ADAM_BLOCK", block)
-    model = init_mlp(widths, [act] * 3, rng)
+    model = init_mlp(widths, [act] * 3, rng, dtype=dtype)
     x = rng.standard_normal((9, widths[0]))
     target = rng.standard_normal((9, widths[-1]))
     fused, unfused = _fused_and_unfused_steps(model, x, target, steps=4)
@@ -392,27 +395,46 @@ def test_fused_step_allocates_no_parameter_sized_temporaries(rng):
 _BENCHMARK_SIZE_WAVEFORM_DIGEST = """
 import hashlib
 import numpy as np
-from isackit.neural import TrainConfig
-from isackit.waveform_learn import make_dataset, train_waveform_net
+from isackit.neural import TrainConfig, init_mlp, train
+from isackit.waveform_learn import make_dataset, train_waveform_net, waveform_net_layers
+
+def digest(model, history):
+    print(model.params.dtype, hashlib.sha256(model.params.tobytes()).hexdigest())
+    print(np.array(history["train"]).tobytes().hex())
+    print(np.array(history["val"]).tobytes().hex())
+
 samples = make_dataset(1000, 8, 2, 8, np.random.default_rng(3))
-model, history, _ = train_waveform_net(
-    samples, 0.2, TrainConfig(epochs=3, batch_size=32, seed=3), augment=True)
-print(hashlib.sha256(model.params.tobytes()).hexdigest())
-print(np.array(history["train"]).tobytes().hex())
-print(np.array(history["val"]).tobytes().hex())
+digest(*train_waveform_net(
+    samples, 0.2, TrainConfig(epochs=3, batch_size=32, seed=3), augment=True)[:2])
+
+def mean_squared(out, target):
+    diff = out - target
+    return float(np.mean(diff ** 2)), 2 * diff / diff.size
+
+widths, acts = waveform_net_layers(8, 2, 8)
+data = np.random.default_rng(4)
+X = data.standard_normal((520, widths[0]))
+Y = np.tanh(data.standard_normal((520, widths[-1])))
+digest(*train(init_mlp(widths, acts, data), 320, lambda idx, rng: (X[idx], Y[idx]),
+              mean_squared, TrainConfig(epochs=2, batch_size=32, seed=4),
+              (X[320:], Y[320:])))
 """
 
 
 def test_fused_training_identical_across_blas_threads():
     # the waveform net at the sizes of the benchmark's learned_train workload
-    # (1000 samples, batch 32, 3 epochs): its row-block products and updates
-    # give the same weights, training losses and validation losses at 1 and
-    # 2 BLAS threads. The validation loss sums 200 frames (12,800 complex
-    # entries of X - X0), past the size at which a BLAS dot splits its sum
-    # between threads
+    # (1000 samples, batch 32, 3 epochs), which trains in float32, and a
+    # float64 net of the same widths trained through `train` (320 rows,
+    # batch 32, 2 epochs): at both precisions the row-block products and
+    # updates give the same weights, training losses and validation losses
+    # at 1 and 2 BLAS threads. The waveform net's validation loss sums 200
+    # frames (12,800 complex entries of X - X0), past the size at which a
+    # BLAS dot splits its sum between threads
     one = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="1")
     two = run_python(["-c", _BENCHMARK_SIZE_WAVEFORM_DIGEST], OPENBLAS_NUM_THREADS="2")
-    assert len(one.split()) == 3
+    lines = one.splitlines()
+    assert len(lines) == 6
+    assert lines[0].startswith("float32 ") and lines[3].startswith("float64 ")
     assert one == two
 
 
@@ -670,8 +692,9 @@ def test_backward_results_share_no_memory(rng):
     assert all(np.array_equal(a, b) for a, b in zip(*arrays))
 
 
-def test_backward_matches_oracle_bitwise(rng):
-    model = init_mlp([4, 6, 5, 3], ["relu", "tanh", "linear"], rng)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_matches_oracle_bitwise(dtype, rng):
+    model = init_mlp([4, 6, 5, 3], ["relu", "tanh", "linear"], rng, dtype=dtype)
     out, cache = forward_pass(model, rng.standard_normal((7, 4)))
     upstream = rng.standard_normal(out.shape)
     grads, grad_in = backward_pass(model, cache, upstream)
@@ -683,21 +706,26 @@ def test_backward_matches_oracle_bitwise(rng):
 
 def _waveform_training():
     """Weights, history and predicted test frames of a small augmented
-    waveform-net run (M=8, K=2, tau=8, 3 epochs)."""
+    waveform-net run (M=8, K=2, tau=8, 3 epochs), which trains in float32."""
     samples = make_dataset(100, 8, 2, 8, np.random.default_rng(21))
     cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
     model, history, (_, _, test_idx) = train_waveform_net(samples, 0.2, cfg, augment=True)
+    assert model.params.dtype == np.float32
     frames = [predict_waveform(model, samples[i]).X.tobytes() for i in test_idx]
     return _param_bytes(model), np.array(history["train"] + history["val"]).tobytes(), frames
 
 
 def _ae_training():
+    """Weights of a short autoencoder run, which trains in float64."""
     ae = train_isac_ae(0.5, 3, 0.3, 0.5, TrainConfig(epochs=1, batch_size=64, seed=2),
                        samples_per_epoch=64 * 60)
+    assert all(net.params.dtype == np.float64
+               for net in (ae.encoder, ae.comm_decoder, ae.radar_detector))
     return _param_bytes(ae.encoder, ae.comm_decoder, ae.radar_detector)
 
 
 def test_training_matches_per_layer_oracle_bitwise(monkeypatch):
+    # at both precisions: the float32 waveform net and the float64 autoencoder
     flat = _waveform_training(), _ae_training()
     _use_oracle_engine(monkeypatch)
     assert (_waveform_training(), _ae_training()) == flat
@@ -713,3 +741,60 @@ def test_model_validation():
             MlpModel([np.zeros((3, 4))], [np.zeros(4)], [act])
     with pytest.raises(ValueError, match="biases"):
         MlpModel([np.zeros((3, 4))], [np.zeros(3)], ["linear"])
+
+
+# --------------------------------------------------------------- precision
+
+
+@pytest.mark.parametrize("W_dtype,b_dtype,expected", [
+    (np.float32, np.float32, np.float32),
+    (np.float32, np.float64, np.float64),
+    (np.float64, np.float32, np.float64),
+    (np.int64, np.int64, np.float64),
+    (np.int32, np.float32, np.float64),
+    (np.float16, np.float16, np.float64),
+])
+def test_params_are_float32_only_when_every_array_is(W_dtype, b_dtype, expected):
+    # the second layer is float32 throughout; the first sets the dtype
+    model = MlpModel([np.ones((3, 4), dtype=W_dtype), np.ones((4, 2), dtype=np.float32)],
+                     [np.ones(4, dtype=b_dtype), np.ones(2, dtype=np.float32)],
+                     ["relu", "linear"])
+    assert model.params.dtype == expected
+    assert all(a.dtype == expected for a in model.weights + model.biases)
+    assert np.array_equal(model.params, np.ones(3 * 4 + 4 + 4 * 2 + 2))
+    assert MlpModel(model.weights, model.biases, model.activations).params.dtype == expected
+
+
+def test_init_mlp_rounds_one_float64_draw_to_its_dtype():
+    rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+    single = init_mlp([3, 5, 2], ["relu", "linear"], rngs[0], dtype=np.float32)
+    double = init_mlp([3, 5, 2], ["relu", "linear"], rngs[1])
+    assert single.params.dtype == np.float32 and double.params.dtype == np.float64
+    assert np.array_equal(single.params, double.params.astype(np.float32))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128, np.bool_])
+def test_init_mlp_rejects_other_dtypes(dtype, rng):
+    with pytest.raises(ValueError, match=f"got {np.dtype(dtype).name}"):
+        init_mlp([3, 2], ["linear"], rng, dtype=dtype)
+
+
+def test_engine_computes_in_the_dtype_of_params(rng):
+    # float64 inputs, upstream gradients and gradient pairs are cast to the
+    # float32 params; nothing the engine makes is float64
+    model = init_mlp([4, 6, 3], ["tanh", "linear"], rng, dtype=np.float32)
+    x = rng.standard_normal((5, 4))
+    out, (acts, zs) = forward_pass(model, x)
+    assert all(a.dtype == np.float32 for a in [out, *acts, *zs])
+    grads, grad_in = backward_pass(model, (acts, zs), rng.standard_normal(out.shape))
+    assert grads.flat.dtype == np.float32 and grad_in.dtype == np.float32
+    state = init_adam(model)
+    assert all(a.dtype == np.float32
+               for a in (state.first_moment, state.second_moment, state.scratch))
+    adam_step(state, model, [(dW.astype(float), db.astype(float)) for dW, db in grads])
+    backward_pass(model, forward_pass(model, x)[1], np.ones(out.shape), adam=state)
+    assert state.step_count == 2
+    assert all(a.dtype == np.float32 for a in (model.params, state.first_moment,
+                                               state.second_moment, state.scratch))
+    assert all(np.shares_memory(W, model.params) for W in model.weights)
