@@ -32,8 +32,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelMatrix, steering_grid
-from .metrics import RateReport, _as_matrix, _check_dims, _pattern_gains, sum_rate
+from .channel import ArrayGeometry, ChannelMatrix
+from .metrics import (
+    RateReport,
+    _as_matrix,
+    _check_dims,
+    _lag_gains,
+    _lag_table,
+    _lag_toeplitz,
+    sum_rate,
+)
 
 @dataclass(frozen=True)
 class CovarianceTemplate:
@@ -126,12 +134,15 @@ def _project_psd_trace(C: np.ndarray, power: float) -> np.ndarray:
 
 
 # Beampattern matching: the fit grid (1-degree steps over [-90, 90]), the
-# half-width of the mask around each target, and FISTA's iteration limit and
-# relative stopping tolerance on the objective.
+# half-width of the mask around each target, FISTA's iteration limit, the
+# relative slack of its sufficient-decrease test (a few roundings of the
+# objective, which sums 181 squares), and the Frank-Wolfe gap, as a fraction
+# of the objective, at which the fit stops.
 _PATTERN_GRID = np.deg2rad(np.arange(-90.0, 91.0))
 _MASK_HALFWIDTH = np.deg2rad(5.0)
 _FISTA_MAX_ITERS = 8000
-_FISTA_TOL = 1e-13
+_DECREASE_SLACK = 1e-14
+_GAP_TOL = 1e-9
 
 
 def directional_covariance(target_angles, total_power: float,
@@ -139,53 +150,67 @@ def directional_covariance(target_angles, total_power: float,
     """Least-squares beampattern matching over the PSD trace-power set.
 
     Fits v(theta)^H C v(theta) to a rectangular mask around each requested
-    target by accelerated projected gradient descent (monotone-restart FISTA
-    with backtracking). The mask height 4*M*P/n (n targets) sits well above
-    the attainable gain, which makes the fit concentrate one dominant lobe
-    per target instead of splitting into in-mask ripple. The fit is
-    homogeneous in P, so it runs at unit power and the template is scaled by
-    P: its objective stays finite however large P is.
+    target by accelerated projected gradient descent (FISTA with
+    backtracking, restarted whenever its momentum opposes the gradient step:
+    O'Donoghue and Candes, "Adaptive Restart for Accelerated Gradient
+    Schemes", 2015). The mask height 4*M*P/n (n targets) sits well above the
+    attainable gain, which makes the fit concentrate one dominant lobe per
+    target instead of splitting into in-mask ripple. The fit is homogeneous
+    in P, so it runs at unit power and the template is scaled by P: its
+    objective stays finite however large P is.
+
+    Both kernels run on the lag sums of the half-wavelength ULA, in O(M A)
+    work on the A grid angles: the gains are c_0 + 2 Re sum_{d>=1} c_d
+    e^{-j pi d sin theta} with c_d the d-th subdiagonal sum of C, and the
+    gradient 2 V diag(r) V^H of the residual r is the Hermitian Toeplitz
+    matrix with lag-d entry 2 sum_a r_a e^{j pi d sin theta_a}. The fit stops
+    on its Frank-Wolfe gap (Jaggi, ICML 2013) at unit power,
+    Re<grad f(C), C> - lambda_min(grad f(C)) <= _GAP_TOL * f(C): the gap
+    bounds f(C) - min f, and so the squared distance of the gains from the
+    optimal gains.
     """
     targets = np.atleast_1d(np.asarray(target_angles, dtype=float))
     if targets.size == 0:
         raise ValueError("need at least one target direction")
     M = geom.num_antennas
 
-    V = steering_grid(_PATTERN_GRID, geom)  # M x A
+    table = _lag_table(_PATTERN_GRID, M)
     dist = np.min(np.abs(_PATTERN_GRID[:, None] - targets[None, :]), axis=1)
     desired = np.where(dist <= _MASK_HALFWIDTH, 4.0 * M / targets.size, 0.0)
-
-    def residual(Cm):
-        return _pattern_gains(V, Cm) - desired
 
     C = reference_covariance_omni(1.0, M).matrix
     Z = C
     t = 1.0
     step = 1.0 / (2.0 * _PATTERN_GRID.size * M)
-    prev_obj = np.inf
     for it in range(_FISTA_MAX_ITERS):
-        r = residual(Z)
-        fz, gz = float(r @ r), (V * (2.0 * r)) @ V.conj().T
+        r = _lag_gains(Z, table) - desired
+        fz, gz = float(r @ r), _lag_toeplitz(2.0 * r, table)
         while True:  # backtracking on the local quadratic upper bound
             Cn = _project_psd_trace(Z - step * gz, 1.0)
             move = Cn - Z
-            r = residual(Cn)
+            gains = _lag_gains(Cn, table)
+            r = gains - desired
             obj = float(r @ r)
-            if obj <= fz + np.vdot(gz, move).real + np.linalg.norm(move) ** 2 / (2 * step) + 1e-12:
+            bound = fz + np.vdot(gz, move).real + np.linalg.norm(move) ** 2 / (2 * step)
+            if obj <= bound + _DECREASE_SLACK * fz:
                 break
             step *= 0.5
         step *= 1.3
+        # <grad f, Cn> = sum_a 2 r_a gains_a, less the least value of
+        # <grad f, S> over the unit-trace PSD set
+        gap = float(2.0 * r @ gains) - np.linalg.eigvalsh(_lag_toeplitz(2.0 * r, table))[0]
+        if gap <= _GAP_TOL * obj:
+            return CovarianceTemplate(total_power * Cn, total_power)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        if obj > prev_obj:  # restart momentum when it overshoots
+        if np.vdot(Z - Cn, Cn - C).real > 0:  # restart: momentum opposes the step
             Z, t = Cn, 1.0
         else:
             Z, t = Cn + ((t - 1.0) / t_next) * (Cn - C), t_next
-        if it >= 50 and abs(prev_obj - obj) <= _FISTA_TOL * max(1.0, obj):
-            return CovarianceTemplate(total_power * Cn, total_power)
-        C, prev_obj = Cn, obj
+        C = Cn
     raise RuntimeError(
         f"beampattern matching did not converge in {_FISTA_MAX_ITERS} iterations "
-        f"(residual {prev_obj:.3e})")
+        f"(Frank-Wolfe gap {gap / obj:.3e} of the objective {obj:.3e}, "
+        f"tolerance {_GAP_TOL:.0e})")
 
 
 def procrustes_waveform(template: CovarianceTemplate, H, D, tau_d: int) -> WaveformDesign:

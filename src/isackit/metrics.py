@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelMatrix, complex_normal, steering_grid, steering_vector
+from .channel import ArrayGeometry, ChannelMatrix, complex_normal, steering_vector
 
 
 # entries per block of simulate_target_echoes' noise draw, and per (q, M, M)
@@ -125,21 +125,81 @@ def waveform_covariance(X) -> np.ndarray:
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
-def _pattern_gains(V, C) -> np.ndarray:
-    """Re v_a^H C v_a for each column v_a of V (M x A), one row of A gains per
-    covariance of a (..., M, M) stack."""
-    return np.einsum("ma,...mn,na->...a", V.conj(), C, V).real
+# On the half-wavelength ULA, v(theta)_m = e^{j pi m sin theta}, so both
+# beampattern kernels depend on a covariance or a weighting only through its
+# M lag sums, in O(M A) work on A angles instead of O(M^2 A). The kernels
+# contract with elementwise products and numpy reductions, not BLAS, so their
+# bits depend neither on the BLAS thread count nor on the stack around a
+# slice.
+
+
+def _lag_table(angles, M: int) -> np.ndarray:
+    """The lag table of an angle grid: cos(pi d sin theta_a) in rows d - 1 and
+    sin(pi d sin theta_a) in rows M - 2 + d, for lags d = 1..M-1; the real and
+    imaginary parts of e^{j pi d sin theta_a}, (2M - 2) x A, as powers of
+    e^{j pi sin theta_a} formed by doubling, each a product of at most
+    log2(M) factors."""
+    powers = np.empty((M - 1, len(angles)), dtype=complex)
+    powers[:1] = np.exp(1j * np.pi * np.sin(angles))
+    done = 1
+    while done < M - 1:  # rows done..2*done-1 are rows 0..done-1 times row done-1
+        n = min(done, M - 1 - done)
+        np.multiply(powers[:n], powers[done - 1], out=powers[done:done + n])
+        done += n
+    return np.concatenate([powers.real, powers.imag])
+
+
+def _lag_gains(cov, table: np.ndarray) -> np.ndarray:
+    """Re v_a^H C v_a on the grid of `table`, one row of A gains per
+    covariance of a (..., M, M) stack: c_0 + 2 Re sum_{d>=1} c_d e^{-j pi d
+    sin theta_a}, where c_d is the sum of the d-th subdiagonal of C's
+    Hermitian part."""
+    M = cov.shape[-1]
+    lead = cov.shape[:-2]
+    # reversing the columns and padding each row with M zeros puts lag m - n
+    # of C in column M - 1 + m - n of an M x (2M - 1) skewed copy
+    padded = np.zeros(lead + (M, 2 * M), dtype=complex)
+    padded[..., :M] = cov[..., ::-1]
+    skewed = padded.reshape(lead + (2 * M * M,))[..., :-M].reshape(lead + (M, 2 * M - 1))
+    sums = np.add.reduce(skewed, axis=-2)
+    lags = 0.5 * (sums[..., M - 1:] + sums[..., M - 1::-1].conj())
+    parts = np.concatenate([lags[..., 1:].real, lags[..., 1:].imag], axis=-1)
+    return lags[..., :1].real + 2.0 * np.add.reduce(parts[..., None] * table, axis=-2)
+
+
+def _lag_toeplitz(weights, table: np.ndarray) -> np.ndarray:
+    """V diag(w) V^H on the grid of `table` for real weights w (A,): the
+    Hermitian Toeplitz matrix whose lag-d entry (row m, column m - d) is
+    sum_a w_a e^{j pi d sin theta_a}."""
+    M = table.shape[0] // 2 + 1
+    sums = np.add.reduce(table * weights, axis=-1)
+    lags = np.concatenate([[np.add.reduce(weights)], sums[:M - 1] + 1j * sums[M - 1:]])
+    # entry (m, n) is lag m - n of the line of lags -(M-1)..M-1
+    line = np.concatenate([lags[:0:-1].conj(), lags])
+    step = line.strides[0]
+    return np.lib.stride_tricks.as_strided(line[M - 1:], (M, M), (step, -step)).copy()
 
 
 def transmit_beampattern(cov, angles, geom: ArrayGeometry) -> BeampatternCurve:
     """P(theta) = v(theta)^H Sigma v(theta) on the given angle grid, with
     Sigma Hermitian-symmetrized; one row of gains per covariance of a
-    (..., M, M) stack."""
+    (..., M, M) stack.
+
+    Computed from the lag sums: P(theta) = c_0 + 2 Re sum_{d>=1} c_d
+    e^{-j pi d sin theta}, where c_d is the sum of the d-th subdiagonal of
+    Sigma, in O(M A) work per covariance; a stack gives each slice's bytes,
+    at any BLAS thread count. The sum rounds within 4 M eps sum_mn |Sigma_mn|
+    of the gain, and so can fall below zero at a null of a PSD Sigma: a gain
+    that lies below zero by no more than that bound reads 0."""
     cov = np.asarray(cov, dtype=complex)
-    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    V = steering_grid(angles, geom)  # M x A
-    return BeampatternCurve(angles=angles, gains=_pattern_gains(V, cov))
+    M = geom.num_antennas
+    if cov.shape[-2:] != (M, M):
+        raise ValueError(f"covariance must be {M} x {M}, got shape {cov.shape}")
+    gains = _lag_gains(cov, _lag_table(angles, M))
+    bound = 4.0 * M * np.finfo(float).eps * np.abs(cov).sum(axis=(-2, -1))[..., None]
+    gains[(gains < 0.0) & (gains >= -bound)] = 0.0
+    return BeampatternCurve(angles=angles, gains=gains)
 
 
 # ------------------------------------------------------------ GLRT and ROC

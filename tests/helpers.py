@@ -1,5 +1,6 @@
 """Test helpers shared across test modules: a fresh-process runner for this
-checkout's isackit, and the per-instance hybrid sum-rate oracle."""
+checkout's isackit, the per-instance hybrid sum-rate oracle, and the
+steering-grid beampattern oracle."""
 
 import os
 import pathlib
@@ -33,3 +34,10 @@ def hybrid_sum_rate(channels, F, W, noise_var):
     p = np.abs(T) ** 2
     total = p.sum(axis=1) + noise_var
     return float(np.sum(np.log(total / (total - np.diag(p)))))
+
+
+def pattern_gains(V, C):
+    """Re v_a^H C v_a for each column v_a of V (M x A), one row of A gains per
+    covariance of a (..., M, M) stack: the O(M^2 A) einsum that the lag-sum
+    kernel replaced."""
+    return np.einsum("ma,...mn,na->...a", V.conj(), C, V).real

@@ -5,6 +5,8 @@ stochastic training are run on ten seeds at desk scale (the CLI defaults of
 the matching experiment), and the sizes were not chosen to make a claim hold.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,29 +218,34 @@ def test_sensing_weight_raises_pd_and_ser(case3_runs):
 # ------------------------------------------------------------- determinism
 
 
-def _csvs_at_blas_threads(tmp_path, experiment, threads):
-    """The CSV bytes `isackit run` writes for experiment at its defaults and
-    seed 7, in a fresh process with OPENBLAS_NUM_THREADS=threads."""
+def _csvs_at_blas_threads(tmp_path, experiment, threads, params=None):
+    """The CSV bytes `isackit run` writes for experiment at its defaults,
+    overridden by `params`, and seed 7, in a fresh process with
+    OPENBLAS_NUM_THREADS=threads."""
     config = tmp_path / f"{experiment}.json"
-    config.write_text(f'{{"experiment": "{experiment}", "seed": 7}}')
+    config.write_text(json.dumps({"experiment": experiment, "seed": 7, "params": params or {}}))
     out = tmp_path / f"{experiment}_threads{threads}"
     run_python(["-m", "isackit.cli", "run", str(config), "--out", str(out)],
                OPENBLAS_NUM_THREADS=threads)
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
-@pytest.mark.parametrize("experiment, num_csvs", [
-    ("case1_rate", 1), ("case1_roc", 1), ("case1_beampattern", 1),
-    ("case2_convergence", 1), ("case3_sweep", 5)])
-def test_cli_identical_across_blas_threads(tmp_path, experiment, num_csvs):
+@pytest.mark.parametrize("experiment, params, num_csvs", [
+    ("case1_rate", None, 1), ("case1_roc", None, 1), ("case1_beampattern", None, 1),
+    ("case1_beampattern", {"num_antennas": 32, "num_users": 2, "frame_length": 32}, 1),
+    ("case2_convergence", None, 1), ("case3_sweep", None, 5)],
+    ids=["case1_rate-1", "case1_roc-1", "case1_beampattern-1", "case1_beampattern-32-1",
+         "case2_convergence-1", "case3_sweep-5"])
+def test_cli_identical_across_blas_threads(tmp_path, experiment, params, num_csvs):
     """Reruns are byte-identical across BLAS thread counts, also through the
     Case I solvers (Procrustes SVD, the Gram eigh, the secular solve), the
-    FISTA template fit and the GLRT, the PGA layers of Case II and the
-    matmul likelihood kernels of Case III. Pass rule: `isackit run` of the
-    experiment at its defaults and seed 7, in fresh processes with
-    OPENBLAS_NUM_THREADS=1 and =2, writes the same CSVs, byte for byte."""
-    one = _csvs_at_blas_threads(tmp_path, experiment, "1")
-    two = _csvs_at_blas_threads(tmp_path, experiment, "2")
+    FISTA template fit and its lag-sum kernels up to 32 antennas, the GLRT,
+    the PGA layers of Case II and the matmul likelihood kernels of Case III.
+    Pass rule: `isackit run` of the experiment at its defaults (or the given
+    params) and seed 7, in fresh processes with OPENBLAS_NUM_THREADS=1 and
+    =2, writes the same CSVs, byte for byte."""
+    one = _csvs_at_blas_threads(tmp_path, experiment, "1", params)
+    two = _csvs_at_blas_threads(tmp_path, experiment, "2", params)
     assert len(one) == num_csvs
     assert one == two
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from helpers import pattern_gains
 from isackit import classical_design
 from isackit.channel import ArrayGeometry, ChannelMatrix, steering_grid
 from isackit.classical_design import (
@@ -32,8 +33,7 @@ GEOM2 = ArrayGeometry(2)
 
 
 def _pattern_objective(C, desired, V):
-    p = np.einsum("ma,mn,na->a", V.conj(), C, V).real
-    return float(np.sum((p - desired) ** 2))
+    return float(np.sum((pattern_gains(V, C) - desired) ** 2))
 
 
 def _grid_search_2x2(desired, V, power):
@@ -283,8 +283,60 @@ def test_directional_requires_targets_and_converges(monkeypatch):
     with pytest.raises(ValueError, match="target"):
         directional_covariance([], 1.0, GEOM2)
     monkeypatch.setattr(classical_design, "_FISTA_MAX_ITERS", 2)
-    with pytest.raises(RuntimeError, match="converge in 2 iterations"):
+    with pytest.raises(RuntimeError, match="converge in 2 iterations .*Frank-Wolfe gap"):
         directional_covariance([0.3], 1.0, ArrayGeometry(8))
+
+
+# target sets of the gap and uniqueness tests: the case1_beampattern
+# default, two symmetric lobes, one lobe, and four lobes off the degree grid
+_TARGET_SETS = (np.deg2rad([-60.0, 0.0, 60.0]), np.array([0.5, -0.5]), np.array([0.3]),
+                np.array([-0.71, -0.17, 0.44, 0.87]))
+
+
+def _template_gap(C, targets, M, grid=classical_design._PATTERN_GRID):
+    """The Frank-Wolfe gap of a unit-power template and the fit's objective,
+    from the steering-grid oracles: Re<grad f, C> - lambda_min(grad f), with
+    grad f = 2 V diag(r) V^H for the residual r of the gains."""
+    V = steering_grid(grid, ArrayGeometry(M))
+    dist = np.min(np.abs(grid[:, None] - np.asarray(targets)[None, :]), axis=1)
+    desired = np.where(dist <= np.deg2rad(5.0), 4.0 * M / len(targets), 0.0)
+    gains = pattern_gains(V, C)
+    r = gains - desired
+    grad = (V * (2.0 * r)) @ V.conj().T
+    return float(2.0 * r @ gains) - np.linalg.eigvalsh(grad)[0], float(r @ r)
+
+
+@pytest.mark.parametrize("M", [4, 7, 16, 33, 64])
+def test_directional_returns_within_its_gap_bound(M):
+    # the oracle gap differs from the fit's own by rounding, which the
+    # allowance of 1e-12 of the objective covers
+    for targets in _TARGET_SETS:
+        C = directional_covariance(targets, 1.0, ArrayGeometry(M)).matrix
+        gap, obj = _template_gap(C, targets, M)
+        assert gap <= (classical_design._GAP_TOL + 1e-12) * obj, (M, targets)
+
+
+@pytest.mark.parametrize("M", [8, 32])
+def test_directional_gains_unique_within_root_gap(monkeypatch, M):
+    # f = ||gains - desired||^2 is strictly convex in the gains, so any
+    # template C has ||gains(C) - gains*||^2 <= f(C) - f* <= gap(C): two fits
+    # of the grid moved by one ulp agree within the sum of their root gaps
+    geom = ArrayGeometry(M)
+    grid = classical_design._PATTERN_GRID
+    moved = np.nextafter(grid, np.inf)
+    for targets in _TARGET_SETS[1:]:
+        # no grid angle lies within 1e-9 of a mask edge, so the mask stays
+        edge = np.abs(np.abs(grid[:, None] - targets) - np.deg2rad(5.0))
+        assert edge.min() > 1e-9
+        first = directional_covariance(targets, 1.0, geom).matrix
+        with monkeypatch.context() as m:
+            m.setattr(classical_design, "_PATTERN_GRID", moved)
+            second = directional_covariance(targets, 1.0, geom).matrix
+        assert not np.array_equal(first, second)
+        V = steering_grid(grid, geom)
+        bound = (np.sqrt(_template_gap(first, targets, M)[0])
+                 + np.sqrt(_template_gap(second, targets, M, moved)[0]))
+        assert np.linalg.norm(pattern_gains(V, first) - pattern_gains(V, second)) <= bound
 
 
 def test_directional_template_is_the_unit_power_fit_scaled():

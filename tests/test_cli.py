@@ -69,10 +69,22 @@ def test_config_schema_doc_matches_defaults():
 
 def test_shipped_configs_validate():
     configs = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert len(configs) == 8
     loaded = {path.name: cli.load_config(path) for path in configs}
     assert sorted(cfg["experiment"] for cfg in loaded.values()) == sorted(cli._EXPERIMENTS)
     for name, cfg in loaded.items():
         assert validate_config(cfg) == [], name
+
+
+def test_stress_configs_validate(capsys):
+    # configs/stress holds configs at literature-scale sizes, each named for
+    # its experiment; `isackit validate` accepts each, silently
+    configs = sorted((Path(__file__).parents[1] / "configs" / "stress").glob("*.json"))
+    assert configs
+    for path in configs:
+        assert main(["validate", str(path)]) == 0, path.name
+        assert cli.load_config(path)["experiment"] == path.stem
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_missing_seed_names_field(tmp_path, capsys):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from helpers import hybrid_sum_rate
+from helpers import hybrid_sum_rate, pattern_gains
 from isackit import metrics
-from isackit.channel import ArrayGeometry, steering_vector
+from isackit.channel import ArrayGeometry, steering_grid, steering_vector
 from isackit.hybrid_pga import StepSchedule, pga_run_batch
 from isackit.metrics import (
     awgn_mi_mmse,
@@ -277,6 +277,50 @@ def test_beampattern_average_equals_trace(rng):
     curve = transmit_beampattern(cov, np.arcsin(u), geom)
     avg = curve.gains.mean()
     assert abs(avg - np.trace(cov).real) < 0.02 * np.trace(cov).real
+
+
+def test_lag_kernels_match_the_steering_grid_oracles(rng):
+    # every M from 1 to 64, on a grid with both endpoints, against the einsum
+    # of the Hermitian part and the product V diag(w) V^H. Tolerances, set
+    # from the dtype: each gain sums M^2 terms |C_mn| and each Toeplitz entry
+    # A terms |w_a|, and every term carries at most ~log2(M) + 2 roundings
+    eps = np.finfo(float).eps
+    angles = np.concatenate([[-np.pi / 2, np.pi / 2], rng.uniform(-np.pi / 2, np.pi / 2, 35)])
+    for M in range(1, 65):
+        V = steering_grid(angles, ArrayGeometry(M))
+        table = metrics._lag_table(angles, M)
+        covs = rng.standard_normal((3, M, M)) + 1j * rng.standard_normal((3, M, M))
+        oracle = pattern_gains(V, 0.5 * (covs + covs.conj().swapaxes(-1, -2)))
+        gains = metrics._lag_gains(covs, table)
+        scale = np.abs(covs).sum(axis=(-2, -1))[:, None]
+        assert np.all(np.abs(gains - oracle) <= 16 * M * eps * scale), M
+        assert gains.tobytes() == np.stack([metrics._lag_gains(c, table) for c in covs]).tobytes()
+        weights = rng.standard_normal(angles.size)
+        G = metrics._lag_toeplitz(weights, table)
+        assert np.array_equal(G, G.conj().T)
+        assert np.all(np.abs(G - (V * weights) @ V.conj().T)
+                      <= 16 * (M + angles.size) * eps * np.abs(weights).sum()), M
+
+
+def test_beampattern_of_psd_covariance_is_nonnegative_at_its_nulls(rng):
+    # v0 v0^H / M has exact nulls at sin theta = sin theta0 + 2k/M, where the
+    # lag sums (and the einsum before them) round to either side of zero;
+    # an indefinite covariance keeps its negative gains
+    for M in (4, 8, 10, 16, 32):
+        geom = ArrayGeometry(M)
+        for _ in range(20):
+            s0 = rng.uniform(-0.5, 0.5)
+            v0 = steering_vector(np.arcsin(s0), geom)
+            s = s0 + 2.0 * np.arange(1, M) / M
+            nulls = np.arcsin(np.where(s > 1.0, s - 2.0, s))
+            gains = transmit_beampattern(np.outer(v0, v0.conj()) / M, nulls, geom).gains
+            assert np.all(gains >= 0.0) and np.all(gains <= 1e-12)
+        assert np.all(transmit_beampattern(-np.eye(M), nulls, geom).gains == -M)
+
+
+def test_beampattern_rejects_a_covariance_of_another_size():
+    with pytest.raises(ValueError, match="4 x 4"):
+        transmit_beampattern(np.eye(3), np.array([0.0]), ArrayGeometry(4))
 
 
 # ------------------------------------------------------------------ GLRT/ROC
