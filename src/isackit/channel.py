@@ -96,11 +96,11 @@ class AgingParams:
     sample_period: float
 
     def __post_init__(self):
-        if self.user_speed < 0:
+        if not self.user_speed >= 0:
             raise ValueError("user_speed must be nonnegative")
-        if self.carrier_freq <= 0:
+        if not self.carrier_freq > 0:
             raise ValueError("carrier_freq must be positive")
-        if self.sample_period <= 0:
+        if not self.sample_period > 0:
             raise ValueError("sample_period must be positive")
 
 

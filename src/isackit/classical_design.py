@@ -58,17 +58,17 @@ class CovarianceTemplate:
         C.flags.writeable = False
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError("covariance template must be square")
-        if self.power <= 0:
+        if not self.power > 0:
             raise ValueError("power must be positive")
         # Frobenius norms through hypot: np.linalg.norm squares the entries,
         # which overflows from about 1e154
         skew, size = (np.hypot.reduce(np.abs(A).ravel(), initial=0.0)
                       for A in (C - C.conj().T, C))
-        if skew > 1e-8 * size:
+        if not skew <= 1e-8 * size:
             raise ValueError("covariance template must be Hermitian")
-        if abs(np.trace(C).real - self.power) > 1e-8 * self.power:
+        if not abs(np.trace(C).real - self.power) <= 1e-8 * self.power:
             raise ValueError("trace must equal the power budget")
-        if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < -1e-8 * self.power:
+        if not np.linalg.eigvalsh((C + C.conj().T) / 2).min() >= -1e-8 * self.power:
             raise ValueError("covariance template must be PSD")
         object.__setattr__(self, "matrix", C)
 
@@ -98,11 +98,11 @@ class WaveformDesign:
         flat = X.reshape(X.shape[:-2] + (-1,))
         avg = np.vecdot(flat, flat).real / X.shape[-1]
         if exact_power:
-            violated = np.abs(avg - self.power) > 1e-6 * self.power
+            met = np.abs(avg - self.power) <= 1e-6 * self.power
         else:
-            violated = avg > (1 + 1e-6) * self.power
-        if violated.any():
-            raise ValueError("waveform violates the power budget")
+            met = avg <= (1 + 1e-6) * self.power
+        if not met.all():
+            raise ValueError("waveform X violates the power budget")
         object.__setattr__(self, "X", X)
 
     @property
@@ -450,7 +450,7 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     weight is solved twice, and every weight reuses one factorization of
     H^H H.
     """
-    if bound <= 0:
+    if not bound > 0:
         raise ValueError("bound must be positive")
     if mode not in ("comm_priority", "sens_priority"):
         raise ValueError("mode must be comm_priority or sens_priority")
@@ -535,7 +535,7 @@ def _first_feasible_cell(miss, cells: int, f_lo: float, slope) -> int:
 
 def genie_rate(D, noise_var: float) -> RateReport:
     """Interference-free upper bound: SINR_k = E|D_kq|^2 / sigma^2 per channel."""
-    if noise_var <= 0:
+    if not noise_var > 0:
         raise ValueError("noise_var must be positive")
     D = np.asarray(D, dtype=complex)
     gam = np.mean(np.abs(D) ** 2, axis=-1) / noise_var

@@ -64,8 +64,8 @@ class Constellation:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("points must be a vector")
-        if abs(float(np.mean(np.abs(pts) ** 2)) - 1.0) > 1e-6:
-            raise ValueError("constellation must carry unit average power")
+        if not abs(float(np.mean(np.abs(pts) ** 2)) - 1.0) <= 1e-6:
+            raise ValueError("constellation points must carry unit average power")
 
     @property
     def size(self) -> int:

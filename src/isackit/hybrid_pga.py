@@ -18,9 +18,7 @@ runs one hand-written reverse pass through every layer (rate term, power
 renormalization, W step, unit-modulus projection, F step), so a minibatch
 costs O(I) layer evaluations. The evaluation path `pga_run_batch` runs the
 same layer code and keeps no tape. It runs the batch in blocks that fit in
-a core's cache, each through every layer; per block it forms conj(h) once,
-writes each layer's F gradient, F step and projection into one of two
-F-sized buffers that alternate, and F' W into a third.
+a core's cache, each through every layer, and forms conj(h) once per block.
 
 Every contraction is a stacked matmul: the two rate gradients share the
 (B, K, K) factor M = S/total - offdiag(S)/inter of the cross-gains S, and
@@ -73,7 +71,7 @@ class StepSchedule:
 
 
 def _check_noise(noise_var: float):
-    if noise_var <= 0:
+    if not noise_var > 0:
         raise ValueError("noise_var must be positive")
 
 
@@ -97,13 +95,12 @@ def project_unit_modulus(F, out=None) -> np.ndarray:
     return out
 
 
-def normalize_power(F, W, power: float, *, prod=None) -> np.ndarray:
+def normalize_power(F, W, power: float) -> np.ndarray:
     """Rescale W so that ||F W||_F^2 equals the budget exactly, one norm per
-    instance of the (..., N, L) and (..., L, K) stacks. F W is written into
-    `prod` when given."""
+    instance of the (..., N, L) and (..., L, K) stacks."""
     F = np.asarray(F, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    prod = np.matmul(F, W, out=prod)
+    prod = F @ W
     sq = _re_inner(prod, prod)  # ||F W||^2
     if not np.all(sq > 0):
         raise ValueError("degenerate beamformer")
@@ -166,14 +163,12 @@ def _rate_m(stats, scale=1.0) -> np.ndarray:
     return M
 
 
-def grad_F_batch(h, W, stats, out=None) -> np.ndarray:
+def grad_F_batch(h, W, stats) -> np.ndarray:
     """Closed-form gradient of the sum rate (bits) wrt conj(F),
     h^T M W^H with M = `_rate_m` (the rank-1 structure of h_k h_k^H), from
-    the `_batch_stats` `stats` at (F, W). The gradient is written into `out`
-    when given."""
+    the `_batch_stats` `stats` at (F, W)."""
     # 1/ln 2 scales the (B, K, K) factor M, not the (B, N, L) product
-    return np.matmul(np.swapaxes(h, 1, 2),
-                     _rate_m(stats, _INV_LN2) @ _herm(W), out=out)
+    return np.swapaxes(h, 1, 2) @ (_rate_m(stats, _INV_LN2) @ _herm(W))
 
 
 def grad_W_batch(stats) -> np.ndarray:
@@ -183,23 +178,21 @@ def grad_W_batch(stats) -> np.ndarray:
     return _herm(stats[0]) @ _rate_m(stats, _INV_LN2)
 
 
-def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var, out=None,
-           prod=None):
+def _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var):
     """One PGA layer from (F, W), whose `_batch_stats` are `stats`; hc is
     conj(h). Returns the new (F, W), their statistics, and the small
     intermediates the reverse pass reads: statistics at (F', W), grad_W and
-    the W step. grad_F is written into `out` (not F; a fresh array when
-    None), and the F step and the projection overwrite it, so F' is `out`;
-    the reverse pass recomputes grad_F and the F step. F' W goes into `prod`
-    (a dropped temporary when None). Statistics at (F', W') reuse h^H F'."""
-    F1 = grad_F_batch(h, W, stats, out=out)
+    the W step. The F step and the projection overwrite the fresh grad_F in
+    place, so F' is a new array; the reverse pass recomputes grad_F and the
+    F step. Statistics at (F', W') reuse h^H F'."""
+    F1 = grad_F_batch(h, W, stats)
     F1 *= mu_f
     F1 += F
     project_unit_modulus(F1, out=F1)
     mid = _batch_stats(hc @ F1, W, noise_var)
     gW = grad_W_batch(mid)
     Wt = W + mu_w * gW
-    W1 = normalize_power(F1, Wt, power, prod=prod)
+    W1 = normalize_power(F1, Wt, power)
     return F1, W1, _batch_stats(mid[0], W1, noise_var), (mid, gW, Wt)
 
 
@@ -235,15 +228,12 @@ def pga_run_batch(h, F0, W0, schedule: StepSchedule, power: float,
 def _run_block(h, F, W, schedule, power, noise_var):
     """`pga_run_batch` on one block of instances."""
     hc = h.conj()
-    # Layer i writes F' into the buffer that does not hold its input F.
-    bufs = (np.empty_like(F), np.empty_like(F))
-    prod = np.empty(F.shape[:-1] + W.shape[-1:], dtype=complex)
     rates = np.empty((F.shape[0], schedule.num_layers))
     # Layer i's rate statistics are the inputs of layer i+1's F gradient.
     stats = _batch_stats(hc @ F, W, noise_var)
     for i, (mu_f, mu_w) in enumerate(schedule.steps):
-        F, W, stats = _layer(h, hc, F, W, stats, mu_f, mu_w, power, noise_var,
-                             out=bufs[i % 2], prod=prod)[:3]
+        F, W, stats = _layer(h, hc, F, W, stats, mu_f, mu_w, power,
+                             noise_var)[:3]
         rates[:, i] = _batch_rates(stats[2], stats[3])
     return F, W, rates
 
@@ -330,14 +320,19 @@ def _layer_weights(num_layers: int) -> np.ndarray:
     return np.log(1.0 + np.arange(1, num_layers + 1))
 
 
+def _weighted_loss(rates) -> float:
+    """Negative layer-weighted mean of the (B, I) per-layer rates."""
+    I = rates.shape[1]
+    return float(-(rates @ _layer_weights(I)).mean() / I)
+
+
 def unrolled_loss(schedule: StepSchedule, dataset: PgaDataset) -> float:
     """Negative layer-weighted mean rate, weights ln(1+i) for layer i."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     _, _, rates = pga_run_batch(dataset.channels, dataset.F0, dataset.W0,
                                 schedule, dataset.power, dataset.noise_var)
-    I = schedule.num_layers
-    return float(-(rates @ _layer_weights(I)).mean() / I)
+    return _weighted_loss(rates)
 
 
 def unrolled_loss_grad(schedule: StepSchedule,
@@ -356,17 +351,15 @@ def unrolled_loss_grad(schedule: StepSchedule,
     states = [(F, W, _batch_stats(hc @ F, W, noise_var))]
     tape = []
     for mu_f, mu_w in steps:
-        # Fresh arrays per layer: the tape keeps every state.
         F, W, stats, inner = _layer(h, hc, F, W, states[-1][2], mu_f, mu_w,
                                     power, noise_var)
         states.append((F, W, stats))
         tape.append(inner)
-    weights = _layer_weights(I)
     rates = np.stack([_batch_rates(s[2][2], s[2][3]) for s in states[1:]],
                      axis=1)
-    loss = float(-(rates @ weights).mean() / I)
+    loss = _weighted_loss(rates)
 
-    rate_bar = -2.0 * weights / (I * B)  # d loss / d rate, times 2
+    rate_bar = -2.0 * _layer_weights(I) / (I * B)  # d loss / d rate, times 2
     grad = np.empty((I, 2))
     Fb = Wb = 0.0
     Z1 = _rate_z(h, states[I][2])

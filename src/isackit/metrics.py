@@ -91,7 +91,7 @@ def mui_power(H, X, D) -> float | np.ndarray:
 def per_user_sinr(H, X, D, noise_var: float) -> np.ndarray:
     """Per-user SINR, (..., K), with expectations realized as averages over
     the frame columns; assumes D carries a unit-energy constellation."""
-    if noise_var <= 0:
+    if not noise_var > 0:
         raise ValueError("noise_var must be positive")
     mui, D = _interference(H, X, D)
     # the row sums over tau: np.mean's own reduction and division, bit for bit
@@ -216,7 +216,7 @@ def glrt_statistics(echoes, target_angle: float, X, noise_var: float,
     are contracted with the unit-norm weights conj(v)/||v|| and
     conj(s)/||s||, the second divided by sigma, so the statistic is finite
     wherever the echo is."""
-    if noise_var <= 0:
+    if not noise_var > 0:
         raise ValueError("noise_var must be positive")
     echoes = np.asarray(echoes, dtype=complex)
     X = np.asarray(X, dtype=complex)
@@ -282,7 +282,7 @@ def detection_at_false_alarm(curve: RocCurve, pfa_target: float) -> float:
 
 def gaussian_mi_mmse(snr: float) -> MiMmsePoint:
     """Closed-form Gaussian-input reference: I = ln(1+snr), MMSE = 1/(1+snr)."""
-    if snr < 0:
+    if not snr >= 0:
         raise ValueError("snr must be nonnegative")
     return MiMmsePoint(mutual_info=float(np.log1p(snr)), mmse=float(1.0 / (1.0 + snr)))
 
@@ -346,12 +346,13 @@ def awgn_mi_mmse(points, snr: float, probs=None, quad_order: int = 20,
         probs = np.full(points.size, 1.0 / points.size)
     else:
         probs = np.asarray(probs, dtype=float).ravel()
-        if probs.shape != points.shape or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if (probs.shape != points.shape or not np.all(probs >= 0)
+                or not abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be a probability vector matching points")
-    if snr < 0:
+    if not snr >= 0:
         raise ValueError("snr must be nonnegative")
-    if abs(float(np.sum(probs * np.abs(points) ** 2)) - 1.0) > 1e-6:
-        raise ValueError("constellation must have unit average power")
+    if not abs(float(np.sum(probs * np.abs(points) ** 2)) - 1.0) <= 1e-6:
+        raise ValueError("constellation points must have unit average power")
     if method == "auto":
         method = "mc" if points.size > 64 else "quadrature"
     if method == "quadrature":

@@ -15,21 +15,18 @@ Each `MlpModel` keeps all of its parameters in one contiguous vector
 `params`, laid out layer by layer as W0 (row-major), b0, W1, b1, ...; its
 `weights[i]` and `biases[i]` are reshaped views into that vector, so writes
 to either side are seen by the other, and they are updated in place.
-`backward_pass` writes the gradients into one fresh vector of the same
-layout per call and returns them as a `ParamGrads`, a tuple of (dW, db)
-views of that vector; a view keeps its vector alive for as long as the view
-lives, and two calls never share memory. Given an `AdamState`,
-`backward_pass` instead spends each layer's dW and db on an Adam update as
-they are produced, in blocks of rows that stay in cache, and forms no
-parameter-sized gradient; `train` takes its steps this way.
-`adam_update` keeps its moments as two flat vectors and updates any flat
-parameter vector block by block in place, with no parameter-sized
-temporaries; `adam_step` applies it to a model's `params`, reading the
-vector of a `ParamGrads` directly and copying any other list of pairs. The
-fused step and `adam_update` run one block kernel, so a fused step has the
-bits of `backward_pass` followed by `adam_step`. Adam's decay rates and
-epsilon are the constants of Kingma and Ba (ICLR 2015); only the learning
-rate is set per run.
+`backward_pass` returns the gradients as fresh (dW, db) pairs, one per
+layer. Given an `AdamState`, `backward_pass` instead spends each layer's dW
+and db on an Adam update as they are produced, in blocks of rows that stay
+in cache, and forms no parameter-sized gradient; `train` takes its steps
+this way. `adam_update` keeps its moments as two flat vectors and updates
+any flat parameter vector block by block in place, with no parameter-sized
+temporaries; `adam_step` applies it to a model's `params`, after copying
+the pairs into one flat vector laid out like `params`. The fused step and
+`adam_update` run one block kernel, so a fused step has the bits of
+`backward_pass` followed by `adam_step`. Adam's decay rates and epsilon are
+the constants of Kingma and Ba (ICLR 2015); only the learning rate is set
+per run.
 
 `minibatch_adam` is the one loop over a finite training set: it shuffles,
 batches, scores every epoch on held-out data, keeps the best-scoring
@@ -175,23 +172,11 @@ def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return out
 
 
-class ParamGrads(tuple):
-    """The (dW, db) pairs that backward_pass returns, one per layer: views of
-    the one flat vector `flat`, laid out like the model's params. A tuple,
-    so the pairs keep tiling `flat` for as long as they live."""
-
-    def __new__(cls, model: MlpModel, flat: np.ndarray):
-        self = super().__new__(cls, model.layer_views(flat))
-        self.flat = flat
-        return self
-
-
 def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
                   adam: Optional[AdamState] = None):
     """Exact reverse-mode gradients, in the dtype of model.params, to which
     grad_output is cast. Returns (param_grads, grad_input) where
-    param_grads is a `ParamGrads` of (dW, db) matching model.layers: views
-    of one fresh flat vector laid out like model.params.
+    param_grads is a list of fresh (dW, db) pairs matching model.layers.
 
     With `adam`, an AdamState for model.params, the gradients are spent on
     one `adam_update` of model.params instead, with the same bits, and
@@ -207,7 +192,7 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
     if adam is None:
-        param_grads = ParamGrads(model, np.empty_like(model.params))
+        param_grads = [None] * len(model.weights)
     else:
         c1, c2 = _adam_begin(adam)
     start, last = model.params.size, len(model.weights) - 1
@@ -218,9 +203,7 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
                                in_place=i < last)
         grad_in = grad @ model.weights[i].T if adam is None or i > 0 else None
         if adam is None:
-            dW, db = param_grads[i]
-            np.matmul(acts[i].T, grad, out=dW)
-            grad.sum(axis=0, out=db)
+            param_grads[i] = (acts[i].T @ grad, grad.sum(axis=0))
         else:
             _adam_layer(adam, c1, c2, model.params, start, acts[i], grad)
         grad = grad_in
@@ -277,14 +260,9 @@ def init_adam(model: MlpModel, lr: float = 1e-3) -> AdamState:
 
 
 def _flat_grad(model: MlpModel, param_grads) -> np.ndarray:
-    """The flat gradient vector laid out like model.params: the one that a
-    `ParamGrads` of the model's layer shapes views, else a fresh copy of
-    the pairs."""
+    """A fresh flat copy of the (dW, db) pairs, laid out like model.params."""
     if len(param_grads) != len(model.weights):
         raise ValueError("need one (dW, db) pair per layer")
-    if isinstance(param_grads, ParamGrads) and all(
-            dW.shape == W.shape for (dW, _), W in zip(param_grads, model.weights)):
-        return param_grads.flat
     flat = np.empty_like(model.params)
     for (dW, db), (W_copy, b_copy) in zip(param_grads, model.layer_views(flat)):
         if np.shape(dW) != W_copy.shape or np.shape(db) != b_copy.shape:
@@ -372,9 +350,9 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
 
 
 def adam_step(state: AdamState, model: MlpModel, param_grads) -> MlpModel:
-    """`adam_update` of model.params, in place. param_grads holds one
-    (dW, db) pair per layer: a `ParamGrads` from `backward_pass`, whose
-    vector is read directly, or any other sequence, copied per call."""
+    """`adam_update` of model.params, in place, by param_grads: one (dW, db)
+    pair per layer, as `backward_pass` returns them, copied into one flat
+    vector per call."""
     adam_update(state, model.params, _flat_grad(model, param_grads))
     return model
 

@@ -258,7 +258,6 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     (_, K, M), tau = H.shape, D.shape[2]
 
     model = init_mlp(*waveform_net_layers(M, K, tau), rng, dtype=np.float32)
-    features = build_features(H, D, X0)
     train_idx, val_idx, test_idx = split_dataset(len(dataset), rng)
     # train's shuffles and augmentation draw from a child seed of this stream
     config = dataclasses.replace(config, seed=int(rng.integers(0, 2 ** 31 - 1)))
@@ -266,9 +265,8 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
     def batch(idx, loop_rng):
         rows = train_idx[idx]
         Hb, Db, X0b = H[rows], D[rows], X0[rows]
-        if not augment:
-            return features[rows], (Hb, Db, X0b)
-        Db, X0b = symmetry_augment(Db, X0b, loop_rng)
+        if augment:
+            Db, X0b = symmetry_augment(Db, X0b, loop_rng)
         return build_features(Hb, Db, X0b), (Hb, Db, X0b)
 
     def loss_fn(out, aux):
@@ -276,8 +274,9 @@ def train_waveform_net(dataset, weight: float, config: TrainConfig,
             power_projection(out, total_power, tau), *aux, weight)
         return value, _projection_vjp(out, grad, total_power, tau)
 
+    val = H[val_idx], D[val_idx], X0[val_idx]
     model, history = train(model, len(train_idx), batch, loss_fn, config,
-                           (features[val_idx], (H[val_idx], D[val_idx], X0[val_idx])))
+                           (build_features(*val), val))
     return model, history, (train_idx, val_idx, test_idx)
 
 

@@ -6,6 +6,7 @@ the matching experiment), and the sizes were not chosen to make a claim hold.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from isackit.hybrid_pga import (
 )
 from isackit.metrics import mui_power
 from isackit.waveform_learn import make_dataset
+
+_STRESS = Path(__file__).parents[1] / "configs" / "stress"
 
 # ----------------------------------------------------------------- Case I
 
@@ -233,14 +236,16 @@ def _csvs_at_blas_threads(tmp_path, experiment, threads, params=None):
 @pytest.mark.parametrize("experiment, params, num_csvs", [
     ("case1_rate", None, 1), ("case1_roc", None, 1), ("case1_beampattern", None, 1),
     ("case1_beampattern", {"num_antennas": 32, "num_users": 2, "frame_length": 32}, 1),
-    ("case2_convergence", None, 1), ("case3_sweep", None, 5)],
+    ("case2_convergence", None, 1), ("case3_sweep", None, 5),
+    ("case3_sweep", json.loads((_STRESS / "case3_sweep.json").read_text())["params"], 5)],
     ids=["case1_rate-1", "case1_roc-1", "case1_beampattern-1", "case1_beampattern-32-1",
-         "case2_convergence-1", "case3_sweep-5"])
+         "case2_convergence-1", "case3_sweep-5", "stress_case3_sweep-5"])
 def test_cli_identical_across_blas_threads(tmp_path, experiment, params, num_csvs):
     """Reruns are byte-identical across BLAS thread counts, also through the
     Case I solvers (Procrustes SVD, the Gram eigh, the secular solve), the
     FISTA template fit and its lag-sum kernels up to 32 antennas, the GLRT,
-    the PGA layers of Case II and the matmul likelihood kernels of Case III.
+    the PGA layers of Case II and the matmul likelihood kernels of Case III,
+    also at the params of configs/stress/case3_sweep.json.
     Pass rule: `isackit run` of the experiment at its defaults (or the given
     params) and seed 7, in fresh processes with OPENBLAS_NUM_THREADS=1 and
     =2, writes the same CSVs, byte for byte."""

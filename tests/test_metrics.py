@@ -7,7 +7,14 @@ from scipy.stats import norm
 
 from helpers import hybrid_sum_rate, pattern_gains
 from isackit import metrics
-from isackit.channel import ArrayGeometry, steering_grid, steering_vector
+from isackit.channel import AgingParams, ArrayGeometry, steering_grid, steering_vector
+from isackit.classical_design import (
+    CovarianceTemplate,
+    WaveformDesign,
+    epsilon_design,
+    genie_rate,
+)
+from isackit.constellation_ae import Constellation
 from isackit.hybrid_pga import StepSchedule, pga_run_batch
 from isackit.metrics import (
     awgn_mi_mmse,
@@ -623,3 +630,42 @@ def test_qpsk_ser_closed_form_oracle(rng):
     oracle = 2 * q - q**2
     measured = np.mean(labels != decided)
     assert abs(measured - oracle) < 3 * np.sqrt(oracle / n)
+
+
+# ------------------------------------------------------------ range checks
+
+_NAN = float("nan")
+_H = np.array([[1.0, 0.5j], [0.2, -1.0]])
+_D = np.ones((2, 4), dtype=complex)
+_X = np.ones((2, 4), dtype=complex)  # unit power per antenna and column
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: WaveformDesign(np.full((2, 2), _NAN), 1.0), "waveform X"),
+    (lambda: WaveformDesign(_X, _NAN), "power budget"),
+    (lambda: WaveformDesign(_X, _NAN, exact_power=False), "power budget"),
+    (lambda: Constellation(np.array([_NAN, 1.0])), "constellation points"),
+    (lambda: CovarianceTemplate(np.array([[1.0, _NAN], [_NAN, 1.0]]), 2.0),
+     "covariance template"),
+    (lambda: CovarianceTemplate(np.eye(2), _NAN), "power"),
+    (lambda: AgingParams(_NAN, 3e9, 1e-3), "user_speed"),
+    (lambda: AgingParams(10.0, _NAN, 1e-3), "carrier_freq"),
+    (lambda: AgingParams(10.0, 3e9, _NAN), "sample_period"),
+    (lambda: per_user_sinr(_H, _X, _D, _NAN), "noise_var"),
+    (lambda: glrt_statistics(np.ones((1, 2, 4)), 0.0, _X, _NAN, ArrayGeometry(2)),
+     "noise_var"),
+    (lambda: genie_rate(_D, _NAN), "noise_var"),
+    (lambda: pga_run_batch(np.ones((1, 1, 2)), np.ones((1, 2, 1)), np.ones((1, 1, 1)),
+                           StepSchedule.fixed(0.1, 1), 1.0, _NAN), "noise_var"),
+    (lambda: gaussian_mi_mmse(_NAN), "snr"),
+    (lambda: awgn_mi_mmse([_NAN, 1.0], 1.0), "constellation points"),
+    (lambda: awgn_mi_mmse(BPSK, _NAN), "snr"),
+    (lambda: awgn_mi_mmse(BPSK, 1.0, probs=[_NAN, 0.5]), "probs"),
+    (lambda: epsilon_design(_H, _D, _X, _NAN, "comm_priority", 1.0), "bound"),
+], ids=["design_X", "design_power", "learned_design_power", "constellation",
+        "template_matrix", "template_power", "aging_speed", "aging_carrier",
+        "aging_period", "sinr_noise", "glrt_noise", "genie_noise", "pga_noise",
+        "gaussian_snr", "awgn_points", "awgn_snr", "awgn_probs", "epsilon_bound"])
+def test_nan_fails_every_range_check(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()

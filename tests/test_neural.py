@@ -304,8 +304,9 @@ def test_adam_step_allocates_no_parameter_sized_temporaries(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # the one packed gradient vector, and nothing else parameter-sized
     assert model.params.nbytes > 15e6  # one whole-array temporary would be this size
-    assert peak < 1e6
+    assert peak < model.params.nbytes + 1e6
 
 
 def _three_adam_steps(model, x, step, rebuild):
@@ -321,11 +322,11 @@ def _three_adam_steps(model, x, step, rebuild):
 
 
 @pytest.mark.parametrize("rebuild", [
-    lambda g: g,  # the views backward_pass returns
+    lambda g: g,  # the pairs backward_pass returns
     # fresh pairs, built like those of perfbench's selftest
     lambda g: [(np.ones_like(dW) * dW, np.ones_like(db) * db) for dW, db in g],
     lambda g: [g[0], (g[1][0].copy(), g[1][1].copy())],  # one pair replaced
-    lambda g: [g[1], g[0]],  # views of one vector, out of layout order
+    lambda g: [g[1], g[0]],  # the pairs out of layout order
 ], ids=["views", "fresh", "patched", "swapped"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_adam_step_matches_oracle_bitwise(rebuild, dtype, rng):
@@ -461,19 +462,6 @@ def test_adam_step_copies_non_tiling_gradients_per_call(rng):
         with pytest.raises(ValueError, match="gradient shapes"):
             adam_step(state, model, wrong)
     assert state.step_count == 0 and np.array_equal(model.params, before)
-
-
-def test_adam_step_reads_the_vector_of_param_grads(rng):
-    model = init_mlp([1, 5, 2], ["tanh", "linear"], rng)
-    out, cache = forward_pass(model, rng.standard_normal((4, 1)))
-    grads, _ = backward_pass(model, cache, out)
-    assert isinstance(grads, tuple) and neural._flat_grad(model, grads) is grads.flat
-    # a model of the same size and depth but other layer shapes
-    other = init_mlp([1, 2, 6], ["tanh", "linear"], rng)
-    assert other.params.size == model.params.size
-    out, cache = forward_pass(other, rng.standard_normal((4, 1)))
-    with pytest.raises(ValueError, match="gradient shapes"):
-        adam_step(init_adam(model), model, backward_pass(other, cache, out)[0])
 
 
 def _mean_squared_loss(out, target):
@@ -788,7 +776,8 @@ def test_engine_computes_in_the_dtype_of_params(rng):
     out, (acts, zs) = forward_pass(model, x)
     assert all(a.dtype == np.float32 for a in [out, *acts, *zs])
     grads, grad_in = backward_pass(model, (acts, zs), rng.standard_normal(out.shape))
-    assert grads.flat.dtype == np.float32 and grad_in.dtype == np.float32
+    assert all(dW.dtype == db.dtype == np.float32 for dW, db in grads)
+    assert grad_in.dtype == np.float32
     state = init_adam(model)
     assert all(a.dtype == np.float32
                for a in (state.first_moment, state.second_moment, state.scratch))
