@@ -119,7 +119,9 @@ def steering_grid(angles, geom: ArrayGeometry) -> np.ndarray:
 
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """CN(0, 1) entries: real parts drawn first, then imaginary parts."""
+    """CN(0, 1) entries, real parts drawn first. Every CN(0, sigma^2) draw
+    scales these but two: `simulate_target_echoes` fills its output in
+    blocks, for memory; `train_isac_ae` draws (re, im) rows, for stream order."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= np.sqrt(2.0)
     return z

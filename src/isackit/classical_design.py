@@ -37,6 +37,7 @@ from .metrics import (
     RateReport,
     _as_matrix,
     _check_dims,
+    _frame_norm,
     _lag_gains,
     _lag_table,
     _lag_toeplitz,
@@ -95,8 +96,7 @@ class WaveformDesign:
         X = np.asarray(self.X, dtype=complex)
         if X.ndim not in (2, 3):
             raise ValueError("waveform must be a matrix or a stack of matrices")
-        flat = X.reshape(X.shape[:-2] + (-1,))
-        avg = np.vecdot(flat, flat).real / X.shape[-1]
+        avg = _frame_norm(X) ** 2 / X.shape[-1]
         if exact_power:
             met = np.abs(avg - self.power) <= 1e-6 * self.power
         else:
@@ -191,7 +191,7 @@ def directional_covariance(target_angles, total_power: float,
             gains = _lag_gains(Cn, table)
             r = gains - desired
             obj = float(r @ r)
-            bound = fz + np.vdot(gz, move).real + np.linalg.norm(move) ** 2 / (2 * step)
+            bound = fz + np.vdot(gz, move).real + _frame_norm(move) ** 2 / (2 * step)
             if obj <= bound + _DECREASE_SLACK * fz:
                 break
             step *= 0.5
@@ -342,7 +342,7 @@ def _coefficients(out, W, rho, lam, UX0, target):
                 fill = np.where(min_space[:, None], UX0, 0.0)
                 if not fill.any():
                     fill[np.argmax(min_space)] = 1.0
-                out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
+                out[...] = coeff + fill * np.sqrt((target - boundary) / _frame_norm(fill) ** 2)
                 return math.nan
     # rho / target against 1 has the same root, and phi' does not underflow
     # at small targets (1e-300)
@@ -358,7 +358,7 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     tau_d = f.X0.shape[-1]
     target = tau_d * total_power
     W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
-    rho = np.linalg.norm(W, axis=-1) ** 2
+    rho = np.linalg.norm(W, axis=-1) ** 2  # of each row, not a frame norm
     # ascending like g, as weight lies in [0, 1]
     lam = weight * f.g + (1.0 - weight)
     coeff = np.empty_like(W)
@@ -367,10 +367,8 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     for i in itertools.product(*map(range, rho.shape[:-1])):
         mu[i] = _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target)
     X = f.U @ coeff
-    # divide by np.linalg.norm of each frame, bit for bit: the rescale kills
-    # the solver's roundoff
-    flat = X.reshape(X.shape[:-2] + (-1,))
-    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    # the rescale to the budget kills the solver's roundoff
+    norm = _frame_norm(X)
     X *= np.sqrt(target)
     X /= norm[..., None, None]
     return X, mu
@@ -464,7 +462,7 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
         j = _WEIGHT_CELLS - x if comm else x
         X, mu = _tradeoff_solve(f, j / _WEIGHT_CELLS, total_power)
         mus[x] = float(mu)
-        return X, float(np.linalg.norm(X - f.X0 if comm else f.H @ X - f.D) ** 2)
+        return X, float(_frame_norm(X - f.X0 if comm else f.H @ X - f.D) ** 2)
 
     # x = 0 is the priority extreme, where the constrained metric is at its
     # worst, and x = _WEIGHT_CELLS the other extreme, where it is at its best

@@ -222,6 +222,7 @@ def train_isac_ae(weight: float, num_bits: int, comm_noise_var: float,
         for _ in range(steps):
             labels = rng.integers(0, M, size=B)
             T = rng.integers(0, 2, size=B)
+            # (re, im) row by row: the stream order the nets were trained on
             noise_c = np.sqrt(comm_noise_var / 2.0) \
                 * rng.standard_normal((B, 2))
             noise_r = np.sqrt(radar_noise_var / 2.0) \
@@ -293,14 +294,11 @@ def evaluate_isac(const: Constellation, comm_noise_var: float,
     """Monte-Carlo (SER, Pd, Pfa) under matched receivers."""
     pts = const.points
     idx = rng.integers(0, pts.size, size=trials)
-    noise = np.sqrt(comm_noise_var / 2.0) * (
-        rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    noise = np.sqrt(comm_noise_var) * complex_normal(trials, rng)
     ser = float(np.mean(ml_decode(pts[idx] + noise, pts) != idx))
     idx1 = rng.integers(0, pts.size, size=trials)
-    n1 = np.sqrt(radar_noise_var / 2.0) * (
-        rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
-    n0 = np.sqrt(radar_noise_var / 2.0) * (
-        rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    n1 = np.sqrt(radar_noise_var) * complex_normal(trials, rng)
+    n0 = np.sqrt(radar_noise_var) * complex_normal(trials, rng)
     s1 = detection_statistic(pts[idx1] + n1, pts, radar_noise_var)
     s0 = detection_statistic(n0, pts, radar_noise_var)
     pd = float(np.mean(s1 > threshold))

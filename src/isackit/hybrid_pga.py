@@ -21,8 +21,10 @@ same layer code and keeps no tape. It runs the batch in blocks that fit in
 a core's cache, each through every layer, and forms conj(h) once per block.
 
 Every contraction is a stacked matmul: the two rate gradients share the
-(B, K, K) factor M = S/total - offdiag(S)/inter of the cross-gains S, and
-the squared norm of F W is a real dot of its float view with itself.
+(B, K, K) factor M = S/total - offdiag(S)/inter of the cross-gains S.
+Every real inner product (||F W||^2, the step-size gradients) is a
+per-instance dot, `_re_inner`, summed pairwise over a minibatch: no BLAS
+thread count moves its bits.
 Internal rates are in nats; the closed-form gradients keep the 1/ln 2 factor
 of the log2 formulation, folded into M, so they are exact gradients of the
 rate in bits.
@@ -311,8 +313,7 @@ def make_pga_dataset(num: int, num_antennas: int, num_chains: int,
     B, N, L, K = num, num_antennas, num_chains, num_users
     h = complex_normal((B, K, N), rng)
     F0 = np.exp(2j * np.pi * rng.random((B, N, L)))
-    W0 = (rng.standard_normal((B, L, K)) + 1j * rng.standard_normal((B, L, K)))
-    W0 = normalize_power(F0, W0, power)
+    W0 = normalize_power(F0, complex_normal((B, L, K), rng), power)
     return PgaDataset(h, F0, W0, float(power), float(noise_var))
 
 
@@ -379,7 +380,7 @@ def unrolled_loss_grad(schedule: StepSchedule,
         Wtb = scale * (Wb - alpha / sq * (_herm(F1) @ Y))
         Fb = Fb - scale * alpha / sq * (Y @ _herm(Wt))
         # Wt = W + mu_w grad_W(F1, W)
-        grad[i, 1] = np.vdot(Wtb, gW).real
+        grad[i, 1] = _re_inner(Wtb, gW).sum()
         dgF, dgW = _grad_jvp(h, hc, F1, W, mid, _rate_z(h, mid), dW=Wtb)
         Fb = Fb + mu_w * dgF
         Wb = Wtb + mu_w * dgW
@@ -390,7 +391,7 @@ def unrolled_loss_grad(schedule: StepSchedule,
         np.divide(1.0, inv, out=inv, where=inv > 0)  # 0 where Ft = 0
         Ftb = Fb - F1 * (F1.conj() * Fb).real
         Ftb *= inv
-        grad[i, 0] = np.vdot(Ftb, gF).real
+        grad[i, 0] = _re_inner(Ftb, gF).sum()
         if i == 0:
             break
         Z1 = _rate_z(h, stats)

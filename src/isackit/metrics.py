@@ -77,14 +77,17 @@ def _interference(H, X, D):
     return Hm @ X - D, D
 
 
+def _frame_norm(X) -> np.ndarray:
+    """||X||_F of each frame of a complex (..., m, n) stack, read in C order
+    from the real and imaginary parts' dots: np.linalg.norm's bits."""
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
 def mui_power(H, X, D) -> float | np.ndarray:
-    """Multi-user interference power ||H X - D||_F^2 over the last two
-    axes: a float for one channel, an array for a stack. Squared from the
-    norm of the real and imaginary dot products, bit for bit
-    np.linalg.norm(H X - D) ** 2 of one frame."""
-    mui = _interference(H, X, D)[0]
-    flat = mui.reshape(*mui.shape[:-2], -1)
-    power = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) ** 2
+    """Multi-user interference power ||H X - D||_F^2 over the last two axes,
+    `_frame_norm` squared: a float for one channel, an array for a stack."""
+    power = _frame_norm(_interference(H, X, D)[0]) ** 2
     return float(power) if power.ndim == 0 else power
 
 
@@ -238,7 +241,8 @@ def simulate_target_echoes(X, target_angle: float, alpha: complex, noise_var: fl
 
     The noise draws the real parts of every trial, then the imaginary parts,
     each straight into the output in blocks of about _ECHO_BLOCK entries:
-    the same stream as two whole-array draws, without their temporaries."""
+    the stream of `complex_normal`, without the echo-sized temporaries of
+    its two draws and their sum."""
     X = np.asarray(X, dtype=complex)
     v = steering_vector(target_angle, geom)
     mean = alpha * np.outer(v, v @ X)

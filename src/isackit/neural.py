@@ -15,6 +15,8 @@ Each `MlpModel` keeps all of its parameters in one contiguous vector
 `params`, laid out layer by layer as W0 (row-major), b0, W1, b1, ...; its
 `weights[i]` and `biases[i]` are reshaped views into that vector, so writes
 to either side are seen by the other, and they are updated in place.
+`forward_pass` caches the input and each layer's activation, computed over
+its pre-activation (ReLU's mask out > 0 is z > 0; tanh' is 1 - out^2).
 `backward_pass` returns the gradients as fresh (dW, db) pairs, one per
 layer. Given an `AdamState`, `backward_pass` instead spends each layer's dW
 and db on an Adam update as they are produced, in blocks of rows that stay
@@ -127,44 +129,38 @@ def init_mlp(widths: Sequence[int], activations: Sequence[str],
 
 
 def _activate(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "linear":
-        return z
     if act == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if act == "tanh":
-        return np.tanh(z)
-    raise ValueError(f"unknown activation {act!r}")
+        return np.tanh(z, out=z)
+    return z
 
 
-def _activation_vjp(grad: np.ndarray, out: np.ndarray, z: np.ndarray, act: str,
+def _activation_vjp(grad: np.ndarray, out: np.ndarray, act: str,
                     in_place: bool = False) -> np.ndarray:
-    """The gradient at the pre-activation z; in_place writes it into grad."""
+    """The gradient at the pre-activation, read from the activation out;
+    in_place writes it into grad."""
     into = grad if in_place else None
-    if act == "linear":
-        return grad
     if act == "relu":
-        return np.multiply(grad, z > 0, out=into)
+        return np.multiply(grad, out > 0, out=into)
     if act == "tanh":
         return np.multiply(grad, 1.0 - out**2, out=into)
-    raise ValueError(f"unknown activation {act!r}")
+    return grad
 
 
 def forward_pass(model: MlpModel, batch: np.ndarray):
-    """Returns (output, cache) where cache holds per-layer pre-activations and
-    activations for reuse by backward_pass, all in the dtype of
+    """Returns (output, cache): cache lists the input and each layer's
+    activation, computed over its pre-activation, all in the dtype of
     model.params, to which the batch is cast."""
     a = np.atleast_2d(np.asarray(batch, dtype=model.params.dtype))
     if a.shape[1] != model.input_dim:
         raise ValueError("batch width does not match model input_dim")
     acts = [a]
-    zs = []
     for W, b, act in model.layers:
-        z = a @ W
+        z = acts[-1] @ W
         z += b
-        a = _activate(z, act)
-        zs.append(z)
-        acts.append(a)
-    return a, (acts, zs)
+        acts.append(_activate(z, act))
+    return acts[-1], acts
 
 
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -187,7 +183,7 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
     of W and of both moments while it is in cache; db updates the biases
     the same way. No parameter-sized gradient is formed.
     """
-    acts, zs = cache
+    acts = cache
     grad = np.asarray(grad_output, dtype=model.params.dtype)
     if grad.shape != acts[-1].shape:
         raise ValueError("upstream gradient shape mismatch")
@@ -199,7 +195,7 @@ def backward_pass(model: MlpModel, cache, grad_output: np.ndarray,
     for i in reversed(range(len(model.weights))):
         start -= model.weights[i].size + model.biases[i].size
         # below the last layer, grad is the input gradient formed here
-        grad = _activation_vjp(grad, acts[i + 1], zs[i], model.activations[i],
+        grad = _activation_vjp(grad, acts[i + 1], model.activations[i],
                                in_place=i < last)
         grad_in = grad @ model.weights[i].T if adam is None or i > 0 else None
         if adam is None:

@@ -236,16 +236,21 @@ def _csvs_at_blas_threads(tmp_path, experiment, threads, params=None):
 @pytest.mark.parametrize("experiment, params, num_csvs", [
     ("case1_rate", None, 1), ("case1_roc", None, 1), ("case1_beampattern", None, 1),
     ("case1_beampattern", {"num_antennas": 32, "num_users": 2, "frame_length": 32}, 1),
-    ("case2_convergence", None, 1), ("case3_sweep", None, 5),
+    ("case2_convergence", None, 1),
+    ("case2_convergence", json.loads((_STRESS / "case2_convergence.json").read_text())["params"],
+     1),
+    ("case3_sweep", None, 5),
     ("case3_sweep", json.loads((_STRESS / "case3_sweep.json").read_text())["params"], 5)],
     ids=["case1_rate-1", "case1_roc-1", "case1_beampattern-1", "case1_beampattern-32-1",
-         "case2_convergence-1", "case3_sweep-5", "stress_case3_sweep-5"])
+         "case2_convergence-1", "stress_case2_convergence-1", "case3_sweep-5",
+         "stress_case3_sweep-5"])
 def test_cli_identical_across_blas_threads(tmp_path, experiment, params, num_csvs):
     """Reruns are byte-identical across BLAS thread counts, also through the
     Case I solvers (Procrustes SVD, the Gram eigh, the secular solve), the
     FISTA template fit and its lag-sum kernels up to 32 antennas, the GLRT,
     the PGA layers of Case II and the matmul likelihood kernels of Case III,
-    also at the params of configs/stress/case3_sweep.json.
+    also at the params of configs/stress/case2_convergence.json (minibatches
+    of 50 instances at N=64, L=K=4) and configs/stress/case3_sweep.json.
     Pass rule: `isackit run` of the experiment at its defaults (or the given
     params) and seed 7, in fresh processes with OPENBLAS_NUM_THREADS=1 and
     =2, writes the same CSVs, byte for byte."""
@@ -293,6 +298,30 @@ def test_hybrid_pga_identical_across_blas_threads():
     one = run_python(["-c", _PGA_DIGEST], OPENBLAS_NUM_THREADS="1")
     two = run_python(["-c", _PGA_DIGEST], OPENBLAS_NUM_THREADS="2")
     assert len(one.split()) == 4
+    assert one == two
+
+
+_PGA_GRAD_DIGEST = """
+import hashlib
+import numpy as np
+from isackit.hybrid_pga import StepSchedule, make_pga_dataset, unrolled_loss_grad
+data = make_pga_dataset(50, 64, 4, 4, np.random.default_rng(7))
+loss, grad = unrolled_loss_grad(StepSchedule.fixed(0.05, 8), data)
+print(float(loss).hex(), hashlib.sha256(grad.tobytes()).hexdigest())
+"""
+
+
+def test_unrolled_loss_grad_identical_across_blas_threads():
+    """Reruns are byte-identical across BLAS thread counts, also through the
+    step-size gradient's inner products over a minibatch of 50 instances,
+    whose 12,800 complex entries a single BLAS dot would split between
+    threads. Pass rule: `unrolled_loss_grad` (N=64, L=K=4, I=8, 50
+    instances, fixed steps 0.05, seed 7), in fresh processes with
+    OPENBLAS_NUM_THREADS=1 and =2, gives the same loss and gradient, byte
+    for byte."""
+    one = run_python(["-c", _PGA_GRAD_DIGEST], OPENBLAS_NUM_THREADS="1")
+    two = run_python(["-c", _PGA_GRAD_DIGEST], OPENBLAS_NUM_THREADS="2")
+    assert len(one.split()) == 2
     assert one == two
 
 

@@ -123,6 +123,17 @@ def test_sum_rate_values():
                           [2.0, 2.0, 0.0])
 
 
+def test_frame_norm_is_np_linalg_norm_of_each_frame_bitwise(rng):
+    # the one frame norm of Case I: the MUI, the trade-off rescale, the
+    # epsilon design's metrics, the template fit's step test and the power
+    # check of WaveformDesign all read it
+    for shape in ((7, 9), (3, 4, 5), (2, 5, 64, 64), (1, 1, 3)):
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        frames = X.reshape((-1,) + shape[-2:])
+        expected = np.reshape([np.linalg.norm(x) for x in frames], shape[:-2])
+        assert np.array_equal(metrics._frame_norm(X), expected)
+
+
 def test_rate_report_stack_is_the_per_channel_loop_bitwise(rng):
     # (8, 3, 8, 8) has B = M = tau: only the last axes may be reduced
     for B, K, M, tau in ((9, 3, 5, 6), (40, 4, 16, 32), (1, 1, 2, 7), (8, 3, 8, 8)):
