@@ -16,6 +16,11 @@ from typing import Sequence
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+# the aging scenario: a 3.2 GHz carrier and snapshots 1 ms apart
+CARRIER_FREQ = 3.2e9  # Hz
+SAMPLE_PERIOD = 1e-3  # s
+# the Jakes argument 2*pi*f_D*T_s per unit speed, f_D = v*f_c/c: about 0.067 s/m
+_JAKES_PER_SPEED = 2 * math.pi * CARRIER_FREQ * SAMPLE_PERIOD / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -86,24 +91,6 @@ class ChannelMatrix:
         return g, U
 
 
-@dataclass(frozen=True)
-class AgingParams:
-    """Mobility description for one aging step: user speed (m/s), carrier
-    frequency (Hz) and the time between the two snapshots (s)."""
-
-    user_speed: float
-    carrier_freq: float
-    sample_period: float
-
-    def __post_init__(self):
-        if not self.user_speed >= 0:
-            raise ValueError("user_speed must be nonnegative")
-        if not self.carrier_freq > 0:
-            raise ValueError("carrier_freq must be positive")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be positive")
-
-
 def steering_vector(theta: float, geom: ArrayGeometry) -> np.ndarray:
     """Array response at angle theta; element m is exp(j*pi*m*sin(theta)),
     the phase 2*pi*m*sin(theta)/2 of half-wavelength spacing."""
@@ -146,32 +133,28 @@ def sample_channel_matrix(users: Sequence[RicianParams], geom: ArrayGeometry,
     return ChannelMatrix(los * hbar + scatter * complex_normal((num,) + hbar.shape, rng))
 
 
-def jakes_correlation(aging: AgingParams) -> float:
-    """Temporal correlation J0(2*pi*f_D*T_s) with Doppler f_D = v*f_c/c.
+def jakes_correlation(user_speed: float) -> float:
+    """Temporal correlation J0(2*pi*f_D*T_s) of two snapshots SAMPLE_PERIOD
+    apart, with Doppler f_D = v*f_c/c at the carrier CARRIER_FREQ and the
+    user speed v (m/s). The argument is v times a constant, so it is finite
+    for every finite speed.
 
     J0 is scipy.special's, loaded here on first call: scipy is loaded only by
     case1_aging (through `age_channel`) and by the tests."""
+    if not 0.0 <= user_speed < math.inf:
+        raise ValueError("user_speed must be a nonnegative finite number")
     # importing scipy.special costs about 0.24 s and 25 MB; only case1_aging needs it
     from scipy.special import j0
 
-    # 2*pi*v*f_c*T/c in that order on the mantissas, scaled by the exponents:
-    # the bits of the plain product where no intermediate leaves the float
-    # range, and an overflow only when the argument itself does (v*f_c may
-    # overflow at a tiny T). J0 tends to 0 as its argument grows
-    (v, ev), (f, ef), (t, et) = map(math.frexp, (aging.user_speed, aging.carrier_freq,
-                                                 aging.sample_period))
-    try:
-        x = math.ldexp(2 * math.pi * (v * f / SPEED_OF_LIGHT) * t, ev + ef + et)
-    except OverflowError:
-        return 0.0
-    return float(j0(x))
+    return float(j0(user_speed * _JAKES_PER_SPEED))
 
 
 def age_channel(prev: np.ndarray, users: Sequence[RicianParams], geom: ArrayGeometry,
-                aging: AgingParams, rng: np.random.Generator) -> np.ndarray:
-    """One aging step of a (..., K, M) channel stack: rotate each row's LoS
-    part by exp(j*theta'), with theta' drawn uniformly on [-pi, pi] per row,
-    and evolve its scattered part as chi*old + sqrt(1-chi^2)*innovation.
+                user_speed: float, rng: np.random.Generator) -> np.ndarray:
+    """One aging step of a (..., K, M) channel stack at `user_speed` (m/s):
+    rotate each row's LoS part by exp(j*theta'), with theta' drawn uniformly
+    on [-pi, pi] per row, and evolve its scattered part as
+    chi*old + sqrt(1-chi^2)*innovation, with chi = jakes_correlation(user_speed).
 
     Row k of `prev` must be an (unrotated) draw of `users[k]`; the LoS/scatter
     split is recovered from the known weights, which is exact under that
@@ -181,7 +164,7 @@ def age_channel(prev: np.ndarray, users: Sequence[RicianParams], geom: ArrayGeom
     hbar, los, scatter = _user_terms(users, geom)
     if prev.shape[-2:] != hbar.shape:
         raise ValueError("prev must be (..., K, M) for K users and M antennas")
-    chi = jakes_correlation(aging)  # |J0| <= 1 on the real line
+    chi = jakes_correlation(user_speed)  # |J0| <= 1 on the real line
     phase = rng.uniform(-np.pi, np.pi, size=prev.shape[:-1] + (1,))
     # a scatter weight that underflows to 0 leaves no scattered part to age
     htilde = np.divide(prev - los * hbar, scatter, out=np.zeros_like(prev), where=scatter > 0)

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import AgingParams, ArrayGeometry, RicianParams, age_channel, sample_channel_matrix
+from .channel import ArrayGeometry, RicianParams, age_channel, sample_channel_matrix
 from .classical_design import (
     directional_covariance,
     genie_rate,
@@ -111,6 +111,10 @@ def _fmt(x) -> str:
 # Case I runs at unit power, so that snr_db is E|d|^2 / sigma^2 of the unit-
 # modulus symbols; Case II at power 10, so that noise_var 1 is 10 dB
 _CASE2_POWER = 10.0
+# the amplitude of case1_roc's target echo; its GLRT reads the echo gain and
+# the SNR only through |alpha|^2 ||v||^2 ||s||^2 / sigma^2, which
+# snr_db_point sets
+_CASE1_ECHO_GAIN = 0.3
 
 
 def _noise_from_snr_db(power: float, snr_db: float) -> float:
@@ -157,16 +161,13 @@ _RULES = {
                      "num_channels", "trials", "num_chains", "num_layers", "num_test",
                      "epochs", "batch_size", "samples_per_epoch"),
                     _Rule("must be a positive integer", 1, integer=True)),
-    **dict.fromkeys(("carrier_freq", "sample_period"), _Rule("must be a positive number")),
     # a lone user's rate log(total / inter) divides its gain by noise_var
     # alone, and at unit-scale gains the quotient overflows near 1e-307
     "noise_var": _Rule("must be a number of at least 1e-300", 1e-300),
-    # gains that multiply a signal overflow far below the float maximum: a
-    # PGA step size (init_step, or one that Adam moves by about lr per
-    # minibatch) near 1e200 overflows ||F W||^2 in the first W step, and the
-    # echo mean echo_gain * v v^T X overflows at the float maximum.
+    # a PGA step size (init_step, or one that Adam moves by about lr per
+    # minibatch) near 1e200 overflows ||F W||^2 in the first W step.
     # case3_sweep's lr shares the limit
-    **dict.fromkeys(("lr", "init_step", "echo_gain"),
+    **dict.fromkeys(("lr", "init_step"),
                     _Rule("must be a positive number at most 1e6", hi=1e6)),
     # step-size training holds out at least one instance and trains on the rest
     "num_train": _Rule("must be an integer of at least 2", 2, integer=True),
@@ -301,6 +302,11 @@ def _rate_table(snr_grid, rates, key="{}_at_{:g}dB"):
     return {"rate.csv": ("snr_db,method,sum_rate_bits", rows)}, summary
 
 
+def _channel_mean(rates) -> float:
+    """Mean over the channels as a left-to-right sum (np.mean sums pairwise)."""
+    return sum(rates.tolist()) / len(rates)
+
+
 def _run_mi_mmse(p, rng):
     qpsk = baseline_constellation("PSK", 4).points
     bpsk = np.array([-1.0 + 0j, 1.0 + 0j])
@@ -328,8 +334,7 @@ def _run_case1_rate(p, rng):
         noise = _noise_from_snr_db(1.0, snr_db)
         reports = {m: rate_report(ds.H, X, ds.D, noise) for m, X in frames.items()}
         reports["genie"] = genie_rate(ds.D, noise)
-        # the channel mean as a left-to-right sum (np.mean sums pairwise)
-        return {m: sum(r.sum_rate.tolist()) / len(ds) for m, r in reports.items()}, {}
+        return {m: _channel_mean(r.sum_rate) for m, r in reports.items()}, {}
 
     return _rate_table(p["snr_db"], rates)
 
@@ -345,7 +350,7 @@ def _run_case1_roc(p, rng):
         X = tradeoff_design(sample.H, sample.D, sample.X0, w, 1.0).X
         h0 = simulate_target_echoes(X, angle, 0.0, noise, geom,
                                     p["trials"], rng)
-        h1 = simulate_target_echoes(X, angle, p["echo_gain"], noise, geom,
+        h1 = simulate_target_echoes(X, angle, _CASE1_ECHO_GAIN, noise, geom,
                                     p["trials"], rng)
         curve = roc_curve(glrt_statistics(h0, angle, X, noise, geom),
                           glrt_statistics(h1, angle, X, noise, geom))
@@ -382,14 +387,11 @@ def _run_case1_aging(p, rng):
     alt_angles = np.linspace(-np.pi / 2.1, -np.pi / 18, K)
     alt_users = [RicianParams(rician_factor=u.rician_factor, departure_angle=a)
                  for u, a in zip(users, alt_angles)]
-    aging = AgingParams(user_speed=p["user_speed"],
-                        carrier_freq=p["carrier_freq"],
-                        sample_period=p["sample_period"])
     template = reference_covariance_omni(1.0, M)
 
     n = p["num_channels"]
     H_old = sample_channel_matrix(users, geom, n, rng).entries
-    H_new = age_channel(H_old, users, geom, aging, rng)
+    H_new = age_channel(H_old, users, geom, p["user_speed"], rng)
     H_alt = sample_channel_matrix(alt_users, geom, n, rng).entries
     D = QPSK[rng.integers(0, 4, size=(n, K, tau))]
 
@@ -402,8 +404,7 @@ def _run_case1_aging(p, rng):
 
     def rates(snr_db):
         noise = _noise_from_snr_db(1.0, snr_db)
-        # the channel mean as a left-to-right sum (np.mean sums pairwise)
-        means = {m: sum(rate_report(H_new, X, D, noise).sum_rate.tolist()) / n
+        means = {m: _channel_mean(rate_report(H_new, X, D, noise).sum_rate)
                  for m, X in frames.items()}
         losses = {f"{m}_loss_pct_at_{snr_db:g}dB": 100.0 * (1.0 - means[m] / means["matched"])
                   for m in ("aged", "topology")}
@@ -517,7 +518,7 @@ _EXPERIMENTS = {
     "case1_roc": _Experiment(_run_case1_roc, {
         "num_antennas": 8, "num_users": 2, "frame_length": 8,
         "weights": [0.2, 0.5], "snr_db_point": 0.0, "trials": 20000,
-        "target_angle_deg": 0.0, "echo_gain": 0.3,
+        "target_angle_deg": 0.0,
     }, _case1_cross_checks),
     "case1_beampattern": _Experiment(_run_case1_beampattern, {
         "num_antennas": 10, "num_users": 2, "frame_length": 16,
@@ -527,8 +528,7 @@ _EXPERIMENTS = {
     "case1_aging": _Experiment(_run_case1_aging, {
         "num_antennas": 8, "num_users": 2, "frame_length": 8,
         "num_channels": 50, "weight": 0.2,
-        "snr_db": [6.0], "user_speed": 2.0, "carrier_freq": 3.2e9,
-        "sample_period": 1e-3,
+        "snr_db": [6.0], "user_speed": 2.0,
     }, _case1_cross_checks),
     "case2_convergence": _Experiment(_run_case2_convergence, {
         "num_antennas": 8, "num_chains": 3, "num_users": 2, "num_layers": 8,

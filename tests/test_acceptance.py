@@ -234,26 +234,31 @@ def _csvs_at_blas_threads(tmp_path, experiment, threads, params=None):
 
 
 @pytest.mark.parametrize("experiment, params, num_csvs", [
+    ("mi_mmse", None, 1),
     ("case1_rate", None, 1), ("case1_roc", None, 1), ("case1_beampattern", None, 1),
     ("case1_beampattern", {"num_antennas": 32, "num_users": 2, "frame_length": 32}, 1),
+    ("case1_aging", None, 1),
     ("case2_convergence", None, 1),
     ("case2_convergence", json.loads((_STRESS / "case2_convergence.json").read_text())["params"],
      1),
+    ("case2_snr", None, 1),
     ("case3_sweep", None, 5),
     ("case3_sweep", json.loads((_STRESS / "case3_sweep.json").read_text())["params"], 5)],
-    ids=["case1_rate-1", "case1_roc-1", "case1_beampattern-1", "case1_beampattern-32-1",
-         "case2_convergence-1", "stress_case2_convergence-1", "case3_sweep-5",
-         "stress_case3_sweep-5"])
+    ids=["mi_mmse-1", "case1_rate-1", "case1_roc-1", "case1_beampattern-1",
+         "case1_beampattern-32-1", "case1_aging-1", "case2_convergence-1",
+         "stress_case2_convergence-1", "case2_snr-1", "case3_sweep-5", "stress_case3_sweep-5"])
 def test_cli_identical_across_blas_threads(tmp_path, experiment, params, num_csvs):
-    """Reruns are byte-identical across BLAS thread counts, also through the
-    Case I solvers (Procrustes SVD, the Gram eigh, the secular solve), the
-    FISTA template fit and its lag-sum kernels up to 32 antennas, the GLRT,
-    the PGA layers of Case II and the matmul likelihood kernels of Case III,
-    also at the params of configs/stress/case2_convergence.json (minibatches
-    of 50 instances at N=64, L=K=4) and configs/stress/case3_sweep.json.
-    Pass rule: `isackit run` of the experiment at its defaults (or the given
-    params) and seed 7, in fresh processes with OPENBLAS_NUM_THREADS=1 and
-    =2, writes the same CSVs, byte for byte."""
+    """Reruns of every kind at its defaults are byte-identical across BLAS
+    thread counts: through the MI/MMSE quadrature, the Case I solvers
+    (Procrustes SVD, the Gram eigh, the secular solve), the FISTA template
+    fit and its lag-sum kernels up to 32 antennas, the GLRT, the channel
+    aging, the PGA layers of Case II and the matmul likelihood kernels of
+    Case III. So are reruns at the params of
+    configs/stress/case2_convergence.json (minibatches of 50 instances at
+    N=64, L=K=4) and configs/stress/case3_sweep.json. Pass rule: `isackit
+    run` of the experiment at its defaults (or the given params) and seed 7,
+    in fresh processes with OPENBLAS_NUM_THREADS=1 and =2, writes the same
+    CSVs, byte for byte."""
     one = _csvs_at_blas_threads(tmp_path, experiment, "1", params)
     two = _csvs_at_blas_threads(tmp_path, experiment, "2", params)
     assert len(one) == num_csvs

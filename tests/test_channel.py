@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from isackit.channel import (
+    CARRIER_FREQ,
+    SAMPLE_PERIOD,
     SPEED_OF_LIGHT,
-    AgingParams,
     ArrayGeometry,
     ChannelMatrix,
     RicianParams,
@@ -189,48 +190,39 @@ def test_channel_matrix_empty_users_rejected(rng):
         sample_channel_matrix([], ArrayGeometry(4), 1, rng)
 
 
-def _aging_for_argument(argument, speed=2.0, carrier=3.2e9):
-    # choose the sample period so 2*pi*f_D*T_s hits the requested argument
-    f_d = speed * carrier / SPEED_OF_LIGHT
-    return AgingParams(
-        user_speed=speed,
-        carrier_freq=carrier,
-        sample_period=argument / (2 * np.pi * f_d),
-    )
+def _speed_for_argument(argument):
+    # the user speed at which 2*pi*f_D*T_s, f_D = v*f_c/c, hits the argument
+    return argument * SPEED_OF_LIGHT / (2 * np.pi * CARRIER_FREQ * SAMPLE_PERIOD)
 
 
 def test_jakes_is_scipy_j0():
-    aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3)
-    assert jakes_correlation(aging) == 1.0
-    # exactly scipy's J0 at 2*pi*f_D*T_s, with f_D = v*f_c/c
-    for speed, carrier, period in [(2.0, 3.2e9, 1e-3), (30.0, 28e9, 2e-4),
-                                   (120.0, 2.4e9, 5e-3)]:
-        aging = AgingParams(user_speed=speed, carrier_freq=carrier,
-                            sample_period=period)
-        f_d = speed * carrier / SPEED_OF_LIGHT
-        assert jakes_correlation(aging) == j0(2 * np.pi * f_d * period)
+    assert jakes_correlation(0.0) == 1.0
+    # exactly scipy's J0 at v times 2*pi*f_c*T_s/c; 2 m/s is the default
+    per_speed = 2 * np.pi * CARRIER_FREQ * SAMPLE_PERIOD / SPEED_OF_LIGHT
+    for speed in [0.5, 2.0, 7.3, 30.0, 120.0, 1e5]:
+        assert jakes_correlation(speed) == j0(speed * per_speed)
 
 
-def test_jakes_at_float_max_fields():
-    # v*f_c, or 2*pi*v*f_c*T/c itself, overflowed to inf, whose scipy J0 is
-    # nan; J0 tends to 0 as its argument grows
-    big = sys.float_info.max
-    for fields in [(big, 3.2e9, 1e-3), (2.0, big, 1e-3), (2.0, 3.2e9, big)]:
-        assert abs(jakes_correlation(AgingParams(*fields))) < 1e-150
-    # v*f_c overflows, though the argument is about 0.38
-    arg = 2 * np.pi * (big / SPEED_OF_LIGHT) * 10.0 * 1e-302
-    assert jakes_correlation(AgingParams(big, 10.0, 1e-302)) == pytest.approx(j0(arg), rel=1e-14)
+def test_jakes_at_float_max_speed():
+    # the argument is finite at every finite speed, and J0 tends to 0 as it
+    # grows
+    assert abs(jakes_correlation(sys.float_info.max)) < 1e-150
+
+
+# NaN is one case of tests/test_metrics.py::test_nan_fails_every_range_check
+@pytest.mark.parametrize("speed", [-1.0, float("inf")])
+def test_jakes_rejects_a_negative_or_infinite_speed(speed):
+    with pytest.raises(ValueError, match="user_speed"):
+        jakes_correlation(speed)
 
 
 def test_jakes_first_bessel_zero():
-    aging = _aging_for_argument(2.404826)
-    assert abs(jakes_correlation(aging)) < 1e-4
+    assert abs(jakes_correlation(_speed_for_argument(2.404826))) < 1e-4
 
 
 def test_jakes_small_argument_series():
     arg = 0.08
-    aging = _aging_for_argument(arg)
-    assert abs(jakes_correlation(aging) - (1 - arg**2 / 4)) < 1e-6
+    assert abs(jakes_correlation(_speed_for_argument(arg)) - (1 - arg**2 / 4)) < 1e-6
 
 
 def test_age_channel_identity_when_static(rng):
@@ -238,8 +230,7 @@ def test_age_channel_identity_when_static(rng):
     users = [RicianParams(rician_factor=2.0, departure_angle=0.2),
              RicianParams(rician_factor=0.5, departure_angle=-0.7)]
     prev = sample_channel_matrix(users, geom, 3, rng).entries
-    aging = AgingParams(user_speed=0.0, carrier_freq=3.2e9, sample_period=1e-3)
-    out = age_channel(prev, users, geom, aging, np.random.default_rng(5))
+    out = age_channel(prev, users, geom, 0.0, np.random.default_rng(5))
     # at zero speed (chi = 1) the scattered part is unchanged, and the LoS
     # part turns by the phase drawn first from the same generator
     phases = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, 2, 1))
@@ -254,9 +245,8 @@ def test_age_channel_decorrelates_at_bessel_zero(rng):
     # chi ~ 0: aged scatter component must be nearly independent of the input
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=0.0)]  # pure scatter channel
-    aging = _aging_for_argument(2.404826)
     prev = sample_channel_matrix(users, geom, 100_000, rng).entries
-    aged = age_channel(prev, users, geom, aging, rng)
+    aged = age_channel(prev, users, geom, _speed_for_argument(2.404826), rng)
     num = np.abs(np.vdot(prev.ravel(), aged.ravel()))
     den = np.linalg.norm(prev) * np.linalg.norm(aged)
     assert num / den < 0.02
@@ -265,9 +255,9 @@ def test_age_channel_decorrelates_at_bessel_zero(rng):
 def test_age_channel_preserves_scatter_power(rng):
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=0.0)]
-    aging = _aging_for_argument(1.0)  # chi ~ 0.7652
+    speed = _speed_for_argument(1.0)  # chi ~ 0.7652
     prev = sample_channel_matrix(users, geom, 50_000, rng).entries
-    pooled = np.abs(age_channel(prev, users, geom, aging, rng)) ** 2
+    pooled = np.abs(age_channel(prev, users, geom, speed, rng)) ** 2
     three_sigma = 3 * 1.0 / np.sqrt(pooled.size)
     assert abs(pooled.mean() - 1.0) < three_sigma
 
@@ -276,8 +266,7 @@ def test_age_channel_paper_speed_runs(rng):
     geom = ArrayGeometry(8)
     users = [RicianParams(rician_factor=1.5, departure_angle=0.1)]
     prev = sample_channel_matrix(users, geom, 2, rng).entries
-    aging = AgingParams(user_speed=2.0, carrier_freq=3.2e9, sample_period=1e-3)
-    out = age_channel(prev, users, geom, aging, rng)
+    out = age_channel(prev, users, geom, 2.0, rng)
     assert out.shape == prev.shape
     assert np.all(np.isfinite(out))
 
@@ -288,13 +277,13 @@ def test_age_channel_matches_per_row_oracle(rng):
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=1.5, departure_angle=0.4),
              RicianParams(rician_factor=2.7, departure_angle=-0.2)]
-    aging = _aging_for_argument(1.0)
+    speed = _speed_for_argument(1.0)
     prev = sample_channel_matrix(users, geom, 3, rng).entries
-    out = age_channel(prev, users, geom, aging, np.random.default_rng(5))
+    out = age_channel(prev, users, geom, speed, np.random.default_rng(5))
     draw = np.random.default_rng(5)
     phases = draw.uniform(-np.pi, np.pi, size=(3, 2))
     innovation = complex_normal((3, 2, 4), draw)
-    chi = jakes_correlation(aging)
+    chi = jakes_correlation(speed)
     for b in range(3):
         for k, u in enumerate(users):
             hbar = steering_vector(u.departure_angle, geom)
@@ -307,15 +296,6 @@ def test_age_channel_matches_per_row_oracle(rng):
 def test_age_channel_rejects_a_stack_of_other_users(rng):
     geom = ArrayGeometry(4)
     users = [RicianParams(rician_factor=1.0)] * 2
-    aging = AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=1e-3)
     with pytest.raises(ValueError, match="K users"):
-        age_channel(np.zeros((5, 3, 4)), users, geom, aging, rng)
+        age_channel(np.zeros((5, 3, 4)), users, geom, 1.0, rng)
 
-
-def test_aging_params_validation():
-    with pytest.raises(ValueError):
-        AgingParams(user_speed=-1.0, carrier_freq=1e9, sample_period=1e-3)
-    with pytest.raises(ValueError):
-        AgingParams(user_speed=1.0, carrier_freq=0.0, sample_period=1e-3)
-    with pytest.raises(ValueError):
-        AgingParams(user_speed=1.0, carrier_freq=1e9, sample_period=0.0)

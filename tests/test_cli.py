@@ -179,7 +179,7 @@ def _past_bounds():
     # JSON integers beyond float range: validate once raised a TypeError on
     # one in a float field, and passed one in an integer field, which run
     # then failed to allocate
-    pytest.param("case1_aging", "carrier_freq", 10 ** 400, id="case1_aging-carrier_freq-1e400"),
+    pytest.param("case1_aging", "user_speed", 10 ** 400, id="case1_aging-user_speed-1e400"),
     pytest.param("case1_roc", "trials", 10 ** 400, id="case1_roc-trials-1e400")])
 def test_validate_matches_run_one_step_past_each_bound(tmp_path, capsys, kind, field, value):
     assert _refused(tmp_path, capsys, kind, {field: value}) \
@@ -328,11 +328,10 @@ def test_mi_and_case3_run_at_every_validate_bound(tmp_path, kind, params):
     _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], **params}, range(10))
 
 
-@pytest.mark.parametrize("field", ["user_speed", "carrier_freq", "sample_period"])
-def test_case1_aging_runs_at_a_float_max_doppler_field(tmp_path, field):
-    # the Doppler argument 2*pi*v*f_c*T/c overflowed to inf, whose J0 is nan,
-    # and the run ended with "SVD did not converge"
-    params = {**_SMALL["case1_aging"], field: sys.float_info.max}
+def test_case1_aging_runs_at_a_float_max_user_speed(tmp_path):
+    # a Doppler argument that overflowed to inf would have a J0 of nan, and
+    # the run would end with "SVD did not converge"
+    params = {**_SMALL["case1_aging"], "user_speed": sys.float_info.max}
     assert not validate_config({"experiment": "case1_aging", "seed": 0, "params": params})
     _runs_or_is_rejected(tmp_path, "case1_aging", params, range(10))
 
@@ -388,13 +387,29 @@ def test_every_config_that_validates_runs(kind, data):
         _assert_finite_csvs(Path(out))
 
 
-@pytest.mark.parametrize("kind", [kind for kind in cli._EXPERIMENTS
-                                  if kind.startswith(("case1_", "case2_"))])
-def test_total_power_is_not_a_parameter(tmp_path, capsys, kind):
-    # Case I runs at unit power and Case II at 10; snr_db, snr_db_point and
-    # noise_var set the SNR
-    assert _refused(tmp_path, capsys, kind, {"total_power": 1.0}) \
-        == f"params.total_power: unknown parameter for {kind}\n"
+# Retired parameters by kind, each at the value every run used, because
+# another knob carries its degree of freedom: snr_db, snr_db_point or
+# noise_var sets the SNR (total_power, echo_gain), and user_speed the Jakes
+# argument (carrier_freq, sample_period).
+_RETIRED = {
+    **{kind: ("total_power",) for kind in cli._EXPERIMENTS
+       if kind.startswith(("case1_", "case2_"))},
+    "case1_roc": ("total_power", "echo_gain"),
+    "case1_aging": ("total_power", "carrier_freq", "sample_period"),
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, names in _RETIRED.items()
+                                        for name in names])
+def test_retired_parameters_are_refused(tmp_path, capsys, kind, name):
+    assert _refused(tmp_path, capsys, kind, {name: 1.0}) \
+        == f"params.{name}: unknown parameter for {kind}\n"
+
+
+def test_every_rule_belongs_to_an_experiment():
+    # a retired parameter takes its rule with it
+    used = {name for spec in cli._EXPERIMENTS.values() for name in spec.defaults}
+    assert set(cli._RULES) <= used
 
 
 def _integral_ends():

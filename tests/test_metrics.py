@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from helpers import hybrid_sum_rate, pattern_gains
 from isackit import metrics
-from isackit.channel import AgingParams, ArrayGeometry, steering_grid, steering_vector
+from isackit.channel import ArrayGeometry, jakes_correlation, steering_grid, steering_vector
 from isackit.classical_design import (
     CovarianceTemplate,
     WaveformDesign,
@@ -659,9 +659,7 @@ _X = np.ones((2, 4), dtype=complex)  # unit power per antenna and column
     (lambda: CovarianceTemplate(np.array([[1.0, _NAN], [_NAN, 1.0]]), 2.0),
      "covariance template"),
     (lambda: CovarianceTemplate(np.eye(2), _NAN), "power"),
-    (lambda: AgingParams(_NAN, 3e9, 1e-3), "user_speed"),
-    (lambda: AgingParams(10.0, _NAN, 1e-3), "carrier_freq"),
-    (lambda: AgingParams(10.0, 3e9, _NAN), "sample_period"),
+    (lambda: jakes_correlation(_NAN), "user_speed"),
     (lambda: per_user_sinr(_H, _X, _D, _NAN), "noise_var"),
     (lambda: glrt_statistics(np.ones((1, 2, 4)), 0.0, _X, _NAN, ArrayGeometry(2)),
      "noise_var"),
@@ -674,9 +672,8 @@ _X = np.ones((2, 4), dtype=complex)  # unit power per antenna and column
     (lambda: awgn_mi_mmse(BPSK, 1.0, probs=[_NAN, 0.5]), "probs"),
     (lambda: epsilon_design(_H, _D, _X, _NAN, "comm_priority", 1.0), "bound"),
 ], ids=["design_X", "design_power", "learned_design_power", "constellation",
-        "template_matrix", "template_power", "aging_speed", "aging_carrier",
-        "aging_period", "sinr_noise", "glrt_noise", "genie_noise", "pga_noise",
-        "gaussian_snr", "awgn_points", "awgn_snr", "awgn_probs", "epsilon_bound"])
+        "template_matrix", "template_power", "aging_speed", "sinr_noise", "glrt_noise",
+        "genie_noise", "pga_noise", "gaussian_snr", "awgn_points", "awgn_snr", "awgn_probs", "epsilon_bound"])
 def test_nan_fails_every_range_check(call, field):
     with pytest.raises(ValueError, match=field):
         call()
