@@ -216,6 +216,14 @@ def test_jakes_rejects_a_negative_or_infinite_speed(speed):
         jakes_correlation(speed)
 
 
+# the argument 2*pi*(v*f_c/c)*T_s in that order, the form case1_aging's CSVs
+# were first written with; one constant per speed gives the same bits here
+@pytest.mark.parametrize("speed", [0.5, 2.0, 7.3, 30.0, 1e5])
+def test_jakes_keeps_the_bits_of_the_speed_carrier_period_product(speed):
+    arg = 2 * np.pi * (speed * CARRIER_FREQ / SPEED_OF_LIGHT) * SAMPLE_PERIOD
+    assert jakes_correlation(speed) == float(j0(arg))
+
+
 def test_jakes_first_bessel_zero():
     assert abs(jakes_correlation(_speed_for_argument(2.404826))) < 1e-4
 
@@ -299,3 +307,13 @@ def test_age_channel_rejects_a_stack_of_other_users(rng):
     with pytest.raises(ValueError, match="K users"):
         age_channel(np.zeros((5, 3, 4)), users, geom, 1.0, rng)
 
+
+@pytest.mark.parametrize("speed", [-1.0, float("inf"), float("nan")])
+def test_age_channel_rejects_a_bad_speed_before_drawing(rng, speed):
+    geom = ArrayGeometry(4)
+    users = [RicianParams(rician_factor=1.0)]
+    prev = sample_channel_matrix(users, geom, 2, rng).entries
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="user_speed"):
+        age_channel(prev, users, geom, speed, rng)
+    assert rng.bit_generator.state == state
