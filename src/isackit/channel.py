@@ -82,13 +82,28 @@ class ChannelMatrix:
 
     @cached_property
     def gram_eigh(self):
-        """(g, U) with H^H H = U diag(g) U^H per channel, g ascending;
-        computed on first use and read-only."""
-        G = np.swapaxes(self.entries.conj(), -1, -2) @ self.entries
-        g, U = np.linalg.eigh((G + np.swapaxes(G.conj(), -1, -2)) / 2)
-        g.flags.writeable = False
-        U.flags.writeable = False
-        return g, U
+        """(g, V, Q) per channel, n = min(K, M): the factor H H^H = V diag(g)
+        V^H of the K x K Gram matrix (V K x n, g ascending) and the
+        orthonormal basis Q = H^H V diag(g)^(-1/2) (M x n) of the range of
+        H^H, so that H^H H = Q diag(g) Q^H. Computed on first use and
+        read-only.
+
+        The three come from one SVD H = V diag(sqrt g) Q^H, which keeps Q
+        orthonormal to working precision however ill-conditioned H is (an
+        eigh of H H^H squares the condition number). A singular value at or
+        below max(K, M) eps times the largest counts as 0, as in
+        `np.linalg.matrix_rank`: its g and its column of Q are 0, so a
+        rank-deficient H adds no direction to the range."""
+        V, s, Qh = np.linalg.svd(self.entries, full_matrices=False)
+        s = s[..., ::-1]
+        kept = s > s[..., -1:] * (max(self.entries.shape[-2:]) * np.finfo(float).eps)
+        s = np.where(kept, s, 0.0)
+        g = s * s
+        V = np.ascontiguousarray(V[..., ::-1])
+        Q = np.ascontiguousarray(np.swapaxes(Qh[..., ::-1, :].conj(), -1, -2)) * kept[..., None, :]
+        for a in (g, V, Q):
+            a.flags.writeable = False
+        return g, V, Q
 
 
 def steering_vector(theta: float, geom: ArrayGeometry) -> np.ndarray:

@@ -5,7 +5,8 @@ Covers the classical baselines: an omnidirectional covariance template, a
 beampattern-matched directional template, the covariance-constrained MUI
 minimizer (an orthogonal-Procrustes problem solved by one SVD), the weighted
 radar/communication trade-off under a total power constraint (a trust-region
-subproblem solved exactly through the secular equation), the epsilon-constraint
+subproblem solved exactly through its secular equation, on the range of H^H:
+K+1 poles, whatever the antenna count), the epsilon-constraint
 variants (safeguarded Newton steps on a 2^-40 grid of the trade-off weight,
 with the closed-form slope of the constrained metric, returning the feasible
 weight nearest the priority extreme), and the zero-interference genie rate
@@ -16,9 +17,10 @@ The Procrustes and trade-off designs and the genie bound take one channel
 `epsilon_design` takes one channel, as its weight search is sequential.
 
 `ChannelMatrix` is an immutable value that carries its factorization: the
-eigendecomposition of H^H H is computed once per ChannelMatrix, one batched
-eigh for a stack, and shared by every trade-off and epsilon design on it (a
-plain-array H is wrapped in one per call). `CovarianceTemplate` carries only
+K x K factor H H^H = V diag(g) V^H and the orthonormal basis Q of the range of
+H^H, from one SVD of H per ChannelMatrix (one batched SVD for a stack), shared
+by every trade-off and epsilon design on it (a plain-array H is wrapped in one
+per call). `CovarianceTemplate` carries only
 its validated matrix; `procrustes_waveform` takes the template's Hermitian
 square root per call, once for a whole stack of channels.
 """
@@ -248,9 +250,9 @@ _WEIGHT_TOL = 1e-12
 _WEIGHT_CELLS = 2 ** math.ceil(-math.log2(_WEIGHT_TOL))
 
 
-def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
+def _secular_solve(lam, rho, target: float) -> float:
     """Root of sum_i rho_i / (lam_i + mu)^2 = target on (-lam[0], inf), for
-    ascending lam.
+    ascending lam: the K+1 poles of a trade-off solve, as Python floats.
 
     Newton iteration on psi(mu) = phi(mu)^(-1/2) - target^(-1/2) (More &
     Sorensen 1983). psi is increasing and concave on (-lam_min, inf), since
@@ -260,16 +262,22 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
     alone already reaches the target. It stops when phi meets the target to
     within a few ulps, or when a step no longer moves mu to the right, never
     on step size alone.
+
+    A step is a loop over the poles, which costs less than numpy calls on
+    arrays of five; it sums the terms in order, as np.add.reduce does below
+    8 terms, so it has the bits of the same iteration on arrays.
     """
     lam_min = lam[0]
-    mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
-             float(np.max(np.sqrt(rho / target) - lam)))
-    inv, terms = np.empty(lam.shape), np.empty(lam.shape)
+    mu = -lam_min + 1e-14 * max(1.0, abs(lam_min))
+    for l, r in zip(lam, rho):
+        mu = max(mu, math.sqrt(r / target) - l)
     while True:
-        np.divide(1.0, np.add(lam, mu, out=inv), out=inv)
-        np.multiply(np.multiply(rho, inv, out=terms), inv, out=terms)
-        value = float(np.add.reduce(terms))
-        cubic = float(np.add.reduce(np.multiply(terms, inv, out=terms)))  # -phi'(mu) / 2
+        value = cubic = 0.0  # phi(mu) and -phi'(mu) / 2
+        for l, r in zip(lam, rho):
+            inv = 1.0 / (l + mu)
+            term = r * inv * inv
+            value += term
+            cubic += term * inv
         # a few ulps of the target, plus what one ulp of mu moves phi by: on
         # a steep branch the float grid of mu cannot bring phi any closer
         if abs(value - target) <= 4.0 * _EPS * (target + 2.0 * cubic * abs(mu)):
@@ -284,24 +292,33 @@ def _secular_solve(lam: np.ndarray, rho: np.ndarray, target: float) -> float:
 
 
 class _GramFactor(NamedTuple):
-    """Validated trade-off inputs and the eigendecomposition H^H H = U g U^H,
-    of one channel or of each channel of a stack (leading axes on every field).
+    """Validated trade-off inputs and their parts on the range of H^H, of one
+    channel or of each channel of a stack (leading axes on every field).
 
-    For every weight eta, A(eta) = eta H^H H + (1-eta) I has the eigenvectors
-    U and the eigenvalues eta g + (1-eta), and U^H B(eta) is the same mix of
-    U^H H^H D and U^H X0, so one factorization serves any number of weights.
-    (g, U) is the `ChannelMatrix.gram_eigh` of the channel: an immutable
-    value that carries its factorization, so every design on one
-    ChannelMatrix shares one eigh.
+    With (g, V, Q) the `ChannelMatrix.gram_eigh` of the channel (H H^H = V
+    diag(g) V^H, Q = H^H V diag(g)^(-1/2) an orthonormal basis of range(H^H),
+    n = min(K, M) columns), A(eta) = eta H^H H + (1-eta) I has only the
+    eigenvalues eta g + 1 - eta on range(H^H) and 1 - eta on its complement.
+    B(eta) = eta H^H D + (1-eta) X0 is Q (eta P + (1-eta) R) on the range,
+    with P = diag(g)^(1/2) V^H D = Q^H H^H D and R = Q^H X0, and (1-eta)
+    X0perp on the complement, X0perp = X0 - Q R, as H^H D has no part there.
+    So every weight's solve has K+1 rows: the complement first, with gain 0,
+    then one per column of Q. The complement is missing where H has full
+    rank M <= K: `first`, the index of the first row that exists, is then 1,
+    and X0perp is 0. (g, V, Q) are the channel's, shared by every design on
+    one ChannelMatrix; P, R and X0perp are formed per call.
     """
 
     H: np.ndarray
     D: np.ndarray
     X0: np.ndarray
     g: np.ndarray  # ascending
-    U: np.ndarray
-    UHD: np.ndarray  # U^H H^H D
-    UX0: np.ndarray  # U^H X0
+    Q: np.ndarray
+    P: np.ndarray  # Q^H H^H D
+    R: np.ndarray  # Q^H X0
+    X0perp: np.ndarray  # X0 - Q R, 0 where the complement is missing
+    rho_perp: np.ndarray  # ||X0perp||^2, formed from X0perp itself
+    first: np.ndarray  # 0, or 1 where the complement is missing
 
 
 def _factor(H, D, X0) -> _GramFactor:
@@ -311,62 +328,138 @@ def _factor(H, D, X0) -> _GramFactor:
     D = np.asarray(D, dtype=complex)
     X0m = X0.X if isinstance(X0, WaveformDesign) else np.asarray(X0, dtype=complex)
     _check_dims(Hm, X0m, D, "X0")
-    g, U = H.gram_eigh
-    return _GramFactor(Hm, D, X0m, g, U, (Hm @ U).conj().mT @ D, U.conj().mT @ X0m)
+    g, V, Q = H.gram_eigh
+    R = Q.conj().mT @ X0m
+    X0perp = X0m - Q @ R
+    first = np.zeros(g.shape[:-1], dtype=int)
+    if g.shape[-1] == Hm.shape[-1]:
+        # the complement of range(H^H) is missing where H has rank M <= K:
+        # g > 0, and g ascending, so its first entry tells
+        first[g[..., 0] > 0] = 1
+        X0perp[first == 1] = 0.0
+    flat = X0perp.reshape(X0perp.shape[:-2] + (-1,))
+    return _GramFactor(Hm, D, X0m, g, Q, (V * np.sqrt(g)[..., None, :]).conj().mT @ D, R,
+                       X0perp, np.vecdot(flat, flat).real, first)
 
 
-def _coefficients(out, W, rho, lam, UX0, target):
-    """One channel's U^H X into `out`, for ascending lam. Returns the
-    multiplier mu that meets the budget; nan in the hard case, where mu is
-    -lam[0], on the pole."""
-    rho_sum = rho.sum()
-    # hard case: no weight on the minimal eigenspace and the boundary value
-    # already undershoots the budget; fill the gap inside that eigenspace,
-    # along X0's part there (the limit as the weight goes to 1), or along its
-    # first eigenvector when X0 has no part there. W == 0 is a hard case
-    # with boundary value 0: the minimizers put the whole budget there. The
-    # eigenspace holds lam[0], and a float sum of its rho is at least rho[0],
-    # so a rho[0] at or above the threshold rules the hard case out without
-    # forming it. The threshold scales with the target, as rho does, so that
-    # the design is homogeneous in (B, target); it stays above 0 at W == 0.
-    lam_min = lam[0]
+def _hard_case(lam, rho, target):
+    """One channel's boundary value if its trade-off solve is the hard case,
+    else None; lam (ascending) and rho are the poles and weights of the rows
+    that exist, as Python floats.
+
+    The hard case: no weight on the minimal eigenspace and the boundary
+    value already undershoots the budget. W == 0 is a hard case with
+    boundary value 0. The eigenspace holds lam[0], and a float sum of its rho
+    is at least rho[0], so a rho[0] at or above the threshold rules the hard
+    case out without forming it. The threshold scales with the target, as
+    rho does, so that the design is homogeneous in (B, target); it stays
+    above 0 at W == 0.
+    """
+    rho_sum = 0.0
+    for r in rho:
+        rho_sum += r
     floor = 1e-20 * max(target, rho_sum)
-    if rho[0] < floor:
-        min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
-        if rho[min_space].sum() < floor:
-            pos = ~min_space
-            boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
-            if boundary <= target:
-                coeff = np.zeros_like(W)
-                coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
-                fill = np.where(min_space[:, None], UX0, 0.0)
-                if not fill.any():
-                    fill[np.argmax(min_space)] = 1.0
-                out[...] = coeff + fill * np.sqrt((target - boundary) / _frame_norm(fill) ** 2)
-                return math.nan
-    # rho / target against 1 has the same root, and phi' does not underflow
-    # at small targets (1e-300)
-    mu = _secular_solve(lam, rho / target, 1.0)
-    np.divide(W, (lam + mu)[:, None], out=out)
-    return mu
+    if not rho[0] < floor:
+        return None
+    lam_min = lam[0]
+    tol = 1e-12 * max(1.0, abs(lam_min))
+    min_sum = boundary = 0.0
+    for l, r in zip(lam, rho):
+        if l - lam_min < tol:
+            min_sum += r
+        else:
+            boundary += r / ((l - lam_min) * (l - lam_min))
+    return boundary if min_sum < floor and boundary <= target else None
+
+
+def _hard_case_frame(Q, W, R, X0perp, lam, lam_min: float, complement: bool,
+                     boundary: float, target: float):
+    """One channel's frame in the hard case, before its rescale, from the
+    poles lam of its rows of Q: the least-norm solution on the rows above
+    the minimal eigenvalue lam_min (1 - eta where the complement of
+    range(H^H) exists), plus the rest of the budget inside the minimal
+    eigenspace, along X0's part there (the limit as the weight goes to 1).
+    Where X0 has no part there, the fill is a canonical direction: the
+    longest column (I - Q Q^H) e_j, the j of the row of Q of least norm, if
+    the complement exists, else the first minimal row of Q.
+
+    X0perp is projected off range(H^H) again until a projection keeps at
+    least half its norm ("twice is enough", Parlett, The Symmetric
+    Eigenvalue Problem, 1980): where X0 lies in range(H^H), X0perp is
+    roundoff, and only its second projection lies in the null space of H to
+    working precision."""
+    gap = lam - lam_min
+    low = gap < 1e-12 * max(1.0, abs(lam_min))  # rows of Q in the minimal eigenspace
+    coeff = np.divide(W, gap[:, None], out=np.zeros_like(W), where=~low[:, None])
+    fill = np.where(low[:, None], R, 0.0)
+    perp, size = X0perp, np.vdot(X0perp, X0perp).real
+    while True:
+        perp = perp - Q @ (Q.conj().T @ perp)
+        kept, size = size, np.vdot(perp, perp).real
+        if size >= 0.25 * kept:
+            break
+    if not (fill.any() or perp.any()):
+        if complement:
+            j = np.argmin(np.vecdot(Q, Q).real)  # the row of Q of least norm
+            perp[:] = (-Q @ Q[j].conj())[:, None]
+            perp[j] += 1.0
+            size = np.vdot(perp, perp).real
+        else:
+            fill[np.argmax(low)] = 1.0
+    t = math.sqrt((target - boundary) / (np.vdot(fill, fill).real + size))
+    return Q @ (coeff + t * fill) + t * perp
 
 
 def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
     """Trade-off minimizer at one weight for every channel of the shared
     factorization: a frame (M x tau_d) per channel, stacked like f.X0, and
-    each channel's multiplier mu (nan in the hard case)."""
+    each channel's multiplier mu (nan in the hard case).
+
+    The stationarity system (A + mu I) X = B splits along range(H^H): X =
+    Q diag(1/(eta g + 1 - eta + mu)) W + (1-eta) / (1-eta+mu) X0perp, with W
+    = Q^H B = eta P + (1-eta) R, where mu is the root of the secular
+    equation on the K+1 rows: poles 1 - eta and eta g + 1 - eta, weights
+    (1-eta)^2 ||X0perp||^2 and the ||W_i||^2."""
     tau_d = f.X0.shape[-1]
     target = tau_d * total_power
-    W = weight * f.UHD + (1.0 - weight) * f.UX0  # U^H B
-    rho = np.linalg.norm(W, axis=-1) ** 2  # of each row, not a frame norm
-    # ascending like g, as weight lies in [0, 1]
-    lam = weight * f.g + (1.0 - weight)
-    coeff = np.empty_like(W)
-    mu = np.empty(rho.shape[:-1])
-    # one scalar Newton solve per channel (itertools.product costs less than np.ndindex)
-    for i in itertools.product(*map(range, rho.shape[:-1])):
-        mu[i] = _coefficients(coeff[i], W[i], rho[i], lam[i], f.UX0[i], target)
-    X = f.U @ coeff
+    v = 1.0 - weight
+    W = weight * f.P + v * f.R
+    lam = weight * f.g + v  # ascending, as weight lies in [0, 1]
+    shape = lam.shape[:-1]
+    mu = np.empty(shape)
+    # the coefficients of W and of X0perp, 1/(lam + mu) and (1-eta) /
+    # (1-eta+mu); 0 where the complement is missing (its X0perp is 0) and in
+    # the hard case, whose frame is formed below
+    scale = np.zeros(lam.shape)
+    cperp = np.zeros(shape)
+    hard = {}
+    lams, rhos = lam.tolist(), np.vecdot(W, W).real.tolist()
+    perps, firsts = f.rho_perp.tolist(), f.first.tolist()
+    # one scalar solve per channel, on Python floats (itertools.product
+    # costs less than np.ndindex)
+    for i in itertools.product(*map(range, shape)):
+        lam_i, rho_i, perp, k = lams, rhos, perps, firsts
+        for j in i:
+            lam_i, rho_i, perp, k = lam_i[j], rho_i[j], perp[j], k[j]
+        poles = ([v] + lam_i)[k:]
+        weights = ([v * v * perp] + rho_i)[k:]
+        boundary = _hard_case(poles, weights, target)
+        if boundary is not None:
+            mu[i] = math.nan
+            hard[i] = poles[0], k == 0, boundary
+            continue
+        # rho / target against 1 has the same root, and phi' does not
+        # underflow at small targets (1e-300)
+        m = _secular_solve(poles, [r / target for r in weights], 1.0)
+        mu[i] = m
+        scale[i] = [1.0 / (l + m) for l in lam_i]
+        if k == 0:
+            cperp[i] = v / (v + m)
+    X = f.Q @ (scale[..., None] * W)
+    X += cperp[..., None, None] * f.X0perp
+    for i, (lam_min, complement, boundary) in hard.items():
+        X[i] = _hard_case_frame(f.Q[i], W[i], f.R[i], f.X0perp[i], lam[i], lam_min,
+                                complement, boundary, target)
     # the rescale to the budget kills the solver's roundoff
     norm = _frame_norm(X)
     X *= np.sqrt(target)
@@ -375,10 +468,17 @@ def _tradeoff_solve(f: _GramFactor, weight: float, total_power: float):
 
 
 def _row_products(f: _GramFactor):
-    """Per row i of P = U^H H^H D and Q = U^H X0 (one channel): ||P_i||^2,
-    Re<P_i, Q_i> and ||Q_i||^2, the inner products `_metric_slope` reads."""
-    P, Q = f.UHD, f.UX0
-    return np.vecdot(P, P).real, np.vecdot(P, Q).real, np.vecdot(Q, Q).real
+    """Per row i of one channel's solve, the rows that exist from f.first
+    on: ||P_i||^2, Re<P_i, R_i> and ||R_i||^2 as lists of Python floats,
+    the inner products `_metric_slope` reads. The complement is the row of
+    P-products 0 and R-product ||X0perp||^2. Aggregating it into one row is
+    exact: its directions share the gain 0 and enter the slope only through
+    these sums."""
+    P, R = f.P, f.R
+    k = int(f.first)
+    return (([0.0] + np.vecdot(P, P).real.tolist())[k:],
+            ([0.0] + np.vecdot(P, R).real.tolist())[k:],
+            ([float(f.rho_perp)] + np.vecdot(R, R).real.tolist())[k:])
 
 
 def _metric_slope(f: _GramFactor, rows, weight: float, mu: float, comm: bool) -> float:
@@ -386,26 +486,39 @@ def _metric_slope(f: _GramFactor, rows, weight: float, mu: float, comm: bool) ->
     design: the sensing error ||X - X0||^2 if comm, else the MUI
     ||HX - D||^2, from the multiplier mu of the solve at that weight.
 
-    In the eigenbasis, with P = U^H H^H D, Q = U^H X0, W = weight P +
-    (1 - weight) Q, s = lam + mu and c = W / s (rows scaled), the budget
-    sum ||c_i||^2 = tau_d P fixes mu' = [sum Re<c_i, W'_i> / s_i - sum rho_i
-    (g_i - 1) / s_i^3] / sum rho_i / s_i^3, so c' = (W' - c (g - 1 + mu')) /
-    s, and the MUI's slope is 2 sum g_i Re<c_i, c'_i> - 2 Re<c', P> and the
-    sensing error's -2 Re<c', Q>. Every inner product above is a mix of
-    the `_row_products` of f, which `rows` holds.
+    Row by row of the solve (the complement and the columns of Q), with P
+    and R the rows of Q^H H^H D and Q^H X0, W = weight P + (1 - weight) R,
+    s = lam + mu and c = W / s (rows scaled), the budget sum ||c_i||^2 =
+    tau_d P fixes mu' = [sum Re<c_i, W'_i> / s_i - sum rho_i (g_i - 1) /
+    s_i^3] / sum rho_i / s_i^3, so c' = (W' - c (g - 1 + mu')) / s, and the
+    MUI's slope is 2 sum g_i Re<c_i, c'_i> - 2 Re<c', P> and the sensing
+    error's -2 Re<c', R>. Every inner product above is a mix of the
+    `_row_products` of f, which `rows` holds. Like the secular solve, it
+    runs on Python floats, over at most K+1 rows.
     """
-    pp, pq, qq = rows
     v = 1.0 - weight
-    s = weight * f.g + v + mu
-    wp = weight * pp + v * pq  # Re<W_i, P_i>
-    wq = weight * pq + v * qq  # Re<W_i, Q_i>
-    n = (weight * wp + v * wq) / s ** 2  # ||c_i||^2
-    a = (wp - wq) / s  # Re<c_i, W'_i>
-    k = f.g - 1.0  # s' = k + mu'
-    k += ((a / s).sum() - (n * k / s).sum()) / (n / s).sum()
-    if comm:
-        return float(-2.0 * ((pq - qq - k * wq / s) / s).sum())
-    return float(2.0 * ((f.g * (a - k * n) - (pp - pq - k * wp / s)) / s).sum())
+    g = ([0.0] + f.g.tolist())[int(f.first):]  # the complement's gain is 0
+    terms = []
+    sum_a = sum_n = sum_nk = 0.0
+    for g_i, pp, pq, qq in zip(g, *rows):
+        s = weight * g_i + v + mu
+        wp = weight * pp + v * pq  # Re<W_i, P_i>
+        wq = weight * pq + v * qq  # Re<W_i, R_i>
+        n = (weight * wp + v * wq) / (s * s)  # ||c_i||^2
+        a = (wp - wq) / s  # Re<c_i, W'_i>
+        sum_a += a / s
+        sum_n += n / s
+        sum_nk += n * (g_i - 1.0) / s
+        terms.append((g_i, pp, pq, qq, s, wp, wq, n, a))
+    dmu = (sum_a - sum_nk) / sum_n  # mu'
+    total = 0.0
+    for g_i, pp, pq, qq, s, wp, wq, n, a in terms:
+        k = g_i - 1.0 + dmu  # s'
+        if comm:
+            total += (pq - qq - k * wq / s) / s
+        else:
+            total += (g_i * (a - k * n) - (pp - pq - k * wp / s)) / s
+    return -2.0 * total if comm else 2.0 * total
 
 
 def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesign:
@@ -413,9 +526,11 @@ def tradeoff_design(H, D, X0, weight: float, total_power: float) -> WaveformDesi
     sphere ||X||_F^2 = tau_d * P, for one channel or each channel of a stack.
 
     The stationarity system (A + mu I) X = B with A = eta H^H H + (1-eta) I is
-    solved exactly: one eigendecomposition of H^H H, which A shares, then a
-    monotone Newton iteration on the secular equation for the multiplier mu
-    that meets the power budget.
+    solved exactly on the range of H^H: A has only the K+1 distinct
+    eigenvalues eta g + 1 - eta there and 1 - eta on its complement, so the
+    channel's K x K factor serves every weight, and a monotone Newton
+    iteration on the (K+1)-pole secular equation, on Python floats, finds the
+    multiplier mu that meets the power budget.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
@@ -445,8 +560,8 @@ def epsilon_design(H, D, X0, bound: float, mode: str, total_power: float):
     1, where H^H H is singular, so sens_priority's Newton steps start at
     weight 0 and comm_priority's after a first bisection to weight 0.5. The
     design returned is the one solved at the last feasible weight, so no
-    weight is solved twice, and every weight reuses one factorization of
-    H^H H.
+    weight is solved twice, and every weight reuses the channel's factor and
+    one set of its products with D and X0.
     """
     if not bound > 0:
         raise ValueError("bound must be positive")

@@ -1126,18 +1126,19 @@ def _case1_job(H, D, X0, weights):
 
 
 def test_one_gram_eigh_per_channel(monkeypatch):
+    """A case1 job factors its channel once: one SVD of the K x M channel,
+    and no M x M eigendecomposition."""
     s = make_dataset(1, 16, 4, 32, np.random.default_rng(3))[0]
     H = ChannelMatrix(s.H.entries)  # no factorization cached yet
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "svd"):
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, args[0].shape))
+            return _fn(*args, **kwargs)
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, name, counting)
     _case1_job(H, s.D, s.X0, np.linspace(0.0, 1.0, 10))
-    assert calls == [(16, 16)]
+    assert calls == [("svd", (4, 16))]
 
 
 def test_channel_matrix_and_plain_array_designs_agree():
@@ -1159,64 +1160,303 @@ def test_channel_matrix_and_plain_array_designs_agree():
         assert comm_matrix[1] == comm_array[1]
 
 
-def _ref_secular_solve(lam, rho, target):
-    # the solver's per-step arithmetic as it was with fresh temporaries,
-    # ndarray.sum and np.sqrt: a frozen bitwise reference
-    lam_min = lam.min()
+# ------------------------------------------ the M-dimensional oracle of the trade-off
+
+
+def _numpy_secular_solve(lam, rho, target, steps=None):
+    """`_secular_solve` as it ran on arrays: seven ufunc calls per Newton
+    step into two buffers, its sums by np.add.reduce. Each Newton iterate is
+    appended to `steps` if given."""
+    lam_min = lam[0]
     mu = max(-lam_min + 1e-14 * max(1.0, abs(lam_min)),
              float(np.max(np.sqrt(rho / target) - lam)))
+    inv, terms = np.empty(lam.shape), np.empty(lam.shape)
     eps = np.finfo(float).eps
     while True:
-        inv = 1.0 / (lam + mu)
-        terms = rho * inv * inv
-        value = float(terms.sum())
-        cubic = float((terms * inv).sum())
+        np.divide(1.0, np.add(lam, mu, out=inv), out=inv)
+        np.multiply(np.multiply(rho, inv, out=terms), inv, out=terms)
+        value = float(np.add.reduce(terms))
+        cubic = float(np.add.reduce(np.multiply(terms, inv, out=terms)))  # -phi'(mu) / 2
         if abs(value - target) <= 4.0 * eps * (target + 2.0 * cubic * abs(mu)):
             return mu
+        if cubic == 0.0:
+            raise RuntimeError(f"secular solve: phi' underflows to 0 at target {target:.3e}")
         nxt = mu + value / cubic * (np.sqrt(value / target) - 1.0)
         if not nxt > mu:
             return mu
+        if steps is not None:
+            steps.append(nxt)
         mu = nxt
 
 
-def _ref_tradeoff(H, D, X0, weight, power):
-    """Frozen reference of the trade-off design as it was computed per call:
-    a fresh eigh of H^H H, and the boundary sum formed before the hard-case
-    test."""
+def _mm_coefficients(out, W, rho, lam, UX0, target):
+    """One channel's U^H X into `out` in the M-dimensional eigenbasis U of
+    H^H H, for ascending lam; returns the multiplier mu, nan in the hard
+    case, where the gap to the budget is filled inside the minimal
+    eigenspace, along X0's part there or along its first eigenvector."""
+    rho_sum = rho.sum()
+    lam_min = lam[0]
+    floor = 1e-20 * max(target, rho_sum)
+    if rho[0] < floor:
+        min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
+        if rho[min_space].sum() < floor:
+            pos = ~min_space
+            boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
+            if boundary <= target:
+                coeff = np.zeros_like(W)
+                coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
+                fill = np.where(min_space[:, None], UX0, 0.0)
+                if not fill.any():
+                    fill[np.argmax(min_space)] = 1.0
+                out[...] = coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2)
+                return np.nan
+    mu = _numpy_secular_solve(lam, rho / target, 1.0)
+    np.divide(W, (lam + mu)[:, None], out=out)
+    return mu
+
+
+def _mm_tradeoff(H, D, X0, weight, power):
+    """One channel's trade-off design in M dimensions, as it was solved
+    before the range form: the eigendecomposition H^H H = U diag(g) U^H, the
+    M-term secular equation and U @ coeff. Returns (X, mu)."""
+    H, D, X0 = (np.asarray(a, dtype=complex) for a in (H, D, X0))
     G = H.conj().T @ H
     g, U = np.linalg.eigh((G + G.conj().T) / 2)
     UHD, UX0 = (H @ U).conj().T @ D, U.conj().T @ X0
     target = X0.shape[1] * power
     W = weight * UHD + (1.0 - weight) * UX0
-    lam = weight * g + (1.0 - weight)
-    rho = np.linalg.norm(W, axis=1) ** 2
-    lam_min = lam.min()
-    min_space = lam - lam_min < 1e-12 * max(1.0, abs(lam_min))
-    pos = ~min_space
-    boundary = float(np.sum(rho[pos] / (lam[pos] - lam_min) ** 2)) if pos.any() else 0.0
-    if rho[min_space].sum() < 1e-20 * max(1.0, rho.sum()) and boundary <= target:
-        coeff = np.zeros_like(W)
-        coeff[pos] = W[pos] / (lam[pos] - lam_min)[:, None]
-        fill = np.where(min_space[:, None], UX0, 0.0)
-        if not fill.any():
-            fill[np.argmax(min_space)] = 1.0
-        X = U @ (coeff + fill * np.sqrt((target - boundary) / np.linalg.norm(fill) ** 2))
-    else:
-        mu = _ref_secular_solve(lam, rho / target, 1.0)
-        X = U @ (W / (lam + mu)[:, None])
-    return X * np.sqrt(target) / np.linalg.norm(X)
+    coeff = np.empty_like(W)
+    mu = _mm_coefficients(coeff, W, np.linalg.norm(W, axis=1) ** 2, weight * g + (1.0 - weight),
+                          UX0, target)
+    X = U @ coeff
+    return X * (np.sqrt(target) / np.linalg.norm(X)), mu
 
 
-def test_tradeoff_matches_per_call_reference_bitwise(rng):
-    """Designs from the cached factorization and the buffered secular solve
-    have the bits of the per-call computation, in the generic case and in the
-    hard case (weight 1 with K < M)."""
-    for M, K, tau in ((16, 4, 32), (8, 3, 10), (4, 4, 4)):
+def _cn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_tradeoff_matches_the_m_by_m_oracle(rng):
+    """The K+1-pole solve against the M-dimensional one: frames within
+    1e-12 relative at weights 0 to 0.89, 1 - 2^-40 and 1 (measured worst
+    1.3e-13, at (64, 4, 64) and weight 0.89), and the hard case at the same
+    weights. At 1 - 2^-20 they differ by up to 1.7e-8 (measured), the
+    M-dimensional form's own error there (see the extended-precision test
+    below), so the bound is 1e-7."""
+    for M, K, tau in ((16, 4, 32), (8, 3, 10), (4, 4, 4), (2, 3, 4), (64, 4, 64)):
         for _ in range(3):
             s = make_dataset(1, M, K, tau, rng)[0]
-            Hm, X0 = np.array(s.H.entries), s.X0.X
-            for w in (0.0, 0.1, 0.5, 1.0 - 2.0 ** -40, 1.0):
-                ours = tradeoff_design(s.H, s.D, s.X0, w, 1.0).X
-                assert np.array_equal(ours, _ref_tradeoff(Hm, s.D, X0, w, 1.0))
-    for lam, rho, target in _secular_spectra(rng):
-        assert _secular_solve(lam, rho, target) == _ref_secular_solve(lam, rho, target)
+            f = classical_design._factor(s.H, s.D, s.X0)
+            for w in (0.0, 0.1, 0.5, 0.89, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40, 1.0):
+                X, mu = classical_design._tradeoff_solve(f, w, 1.0)
+                X_ref, mu_ref = _mm_tradeoff(s.H.entries, s.D, s.X0.X, w, 1.0)
+                tol = 1e-7 if w == 1.0 - 2.0 ** -20 else 1e-12
+                assert np.linalg.norm(X - X_ref) <= tol * np.linalg.norm(X_ref)
+                assert np.isnan(mu) == np.isnan(mu_ref)
+
+
+def _assert_optimal_as_the_oracle(H, D, X0, weight, power):
+    """tradeoff_design's frame spends the budget, meets the KKT conditions
+    of a global minimizer on the sphere ((A + mu I) X = B with A + mu I
+    PSD, as in test_tradeoff_kkt_optimality) and reaches the M-dimensional
+    oracle's objective, each within 1e-10 of its scale, and takes the
+    oracle's branch (the hard case or the secular equation). Returns the
+    frame and its multiplier."""
+    H, D, X0 = (np.asarray(a, dtype=complex) for a in (H, D, X0))
+    M, tau = X0.shape
+    target = tau * power
+    X, mu = classical_design._tradeoff_solve(classical_design._factor(H, D, X0), weight, power)
+    assert np.array_equal(X, tradeoff_design(H, D, X0, weight, power).X)
+    assert abs(np.linalg.norm(X) ** 2 - target) <= 1e-12 * target
+    A = weight * H.conj().T @ H + (1.0 - weight) * np.eye(M)
+    B = weight * H.conj().T @ D + (1.0 - weight) * X0
+    lam = np.linalg.eigvalsh(A)
+    AX = A @ X
+    kkt_mu = np.vdot(X, B - AX).real / target
+    assert np.linalg.norm(AX + kkt_mu * X - B) <= 1e-10 * max(np.linalg.norm(B),
+                                                               lam[-1] * np.sqrt(target))
+    assert kkt_mu >= -lam[0] - 1e-10 * max(1.0, lam[-1])
+
+    def objective(Y):
+        return (weight * np.linalg.norm(H @ Y - D) ** 2
+                + (1.0 - weight) * np.linalg.norm(Y - X0) ** 2)
+
+    X_ref, mu_ref = _mm_tradeoff(H, D, X0, weight, power)
+    scale = (weight * (np.linalg.norm(H, 2) ** 2 * target + np.linalg.norm(D) ** 2)
+             + (1.0 - weight) * (target + np.linalg.norm(X0) ** 2))
+    assert abs(objective(X) - objective(X_ref)) <= 1e-10 * scale
+    assert np.isnan(mu) == np.isnan(mu_ref)
+    return X, mu
+
+
+def test_tradeoff_hard_case_with_x0_in_the_range_at_weight_one(rng):
+    """X0 = H^H C lies in range(H^H), so X0perp is roundoff. At weight 1
+    with small symbols the hard case fills the budget along it, projected
+    off the range until it lies in the null space of H, so HX = D holds to
+    ||HX - D|| <= 8 eps ||H|| ||X|| (measured worst 3.4 eps over 200 seeds;
+    25 eps with a single projection, 2.2 eps for the M-dimensional form).
+    With X0 on the axes, X0perp is exactly 0 and the fill is the canonical
+    direction (I - Q Q^H) e_j."""
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        H = _cn(rng, (2, 6))
+        X0 = H.conj().T @ _cn(rng, (2, 5))
+        X0 *= np.sqrt(5) / np.linalg.norm(X0)
+        D = 0.01 * _cn(rng, (2, 5))
+        X, mu = _assert_optimal_as_the_oracle(H, D, X0, 1.0, 1.0)
+        assert np.isnan(mu)
+        assert np.linalg.norm(H @ X - D) <= 8 * eps * np.linalg.norm(H, 2) * np.sqrt(5)
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    X0 = np.zeros((3, 4))
+    X0[:2] = 1.0
+    X, mu = _assert_optimal_as_the_oracle(H, 0.01 * X0[:2], X0, 1.0, 1.0)
+    assert np.isnan(mu) and mui_power(H, X, 0.01 * X0[:2]) <= 1e-30
+    assert np.all(X[2] == X[2, 0]) and abs(X[2, 0]) > 0.0  # along e_2, in every column
+
+
+def test_tradeoff_with_x0_in_the_range_below_weight_one(rng):
+    """X0perp = 0 below weight 1: the complement's pole carries no weight.
+    With D = 0 at weight 0.9 the boundary value undershoots the budget and
+    the hard case fills along the complement; at weight 0.02 the secular
+    equation has its root inside the gap."""
+    H = _cn(rng, (2, 6))
+    X0 = H.conj().T @ _cn(rng, (2, 5))
+    X0 *= np.sqrt(5) / np.linalg.norm(X0)
+    for D in (np.zeros((2, 5)), 0.1 * _cn(rng, (2, 5))):
+        assert np.isnan(_assert_optimal_as_the_oracle(H, D, X0, 0.9, 1.0)[1])
+        assert np.isfinite(_assert_optimal_as_the_oracle(H, D, X0, 0.02, 1.0)[1])
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    X0 = np.zeros((3, 4))
+    X0[:2] = 1.0
+    for weight in (0.0, 0.3, 0.9, 1.0 - 2.0 ** -20):
+        _assert_optimal_as_the_oracle(H, np.zeros((2, 4)), X0, weight, 1.0)
+
+
+@pytest.mark.parametrize("K, M, tau", [(3, 6, 8), (3, 3, 4), (4, 3, 4)])
+def test_tradeoff_with_two_equal_user_rows(rng, K, M, tau):
+    """A rank-deficient H: users 0 and 1 share one channel. Its zero
+    singular value drops out of Q, and the complement of range(H^H) grows
+    by one (at (3, 3, 4) it exists only through that drop)."""
+    for _ in range(3):
+        H = _cn(rng, (K, M))
+        H[1] = H[0]
+        X0 = procrustes_waveform(reference_covariance_omni(1.0, M), H, _cn(rng, (K, tau)), tau).X
+        for scale in (1.0, 0.01):
+            D = scale * _cn(rng, (K, tau))
+            for weight in (0.0, 0.5, 0.9, 1.0 - 2.0 ** -20, 1.0):
+                _assert_optimal_as_the_oracle(H, D, X0, weight, 1.0)
+
+
+@pytest.mark.parametrize("M, K, tau", [(2, 3, 4), (3, 3, 4), (3, 4, 6)])
+def test_tradeoff_with_no_more_antennas_than_users(rng, M, K, tau):
+    """M <= K and H of full rank M: range(H^H) is all of C^M, the
+    complement's pole is missing, and the solve has K' = M rows."""
+    for _ in range(3):
+        s = make_dataset(1, M, K, tau, rng)[0]
+        assert classical_design._factor(s.H, s.D, s.X0).first == 1
+        for weight in (0.0, 0.3, 0.9, 1.0 - 2.0 ** -20, 1.0):
+            _assert_optimal_as_the_oracle(s.H.entries, s.D, s.X0.X, weight, 1.0)
+
+
+@pytest.mark.parametrize("K, M", [(2, 5), (3, 3), (3, 2)])
+def test_tradeoff_with_zero_symbols_and_reference(rng, K, M):
+    """D = X0 = 0 leaves W = 0: the hard case with boundary value 0 at every
+    weight. The budget goes to the minimal eigenspace of A: the null space
+    of H where it has one, else the weakest singular direction, along a
+    canonical direction there."""
+    H = _cn(rng, (K, M))
+    for weight in (0.0, 0.5, 1.0):
+        X, mu = _assert_optimal_as_the_oracle(H, np.zeros((K, 3)), np.zeros((M, 3)), weight, 1.0)
+        assert np.isnan(mu)
+
+
+def _longdouble_tradeoff(h, d, X0, weight, power):
+    """One user's (K = 1) trade-off frame in np.longdouble, where g = ||h||^2
+    and Q = h^H / ||h|| are explicit: the two-pole secular equation solved
+    by bisection until the bracket cannot shrink. For weights below 1 with
+    X0perp != 0, where the hard case cannot arise."""
+    cld = np.clongdouble
+    h, d, X0 = np.asarray(h, cld)[0], np.asarray(d, cld)[0], np.asarray(X0, cld)
+    w = np.longdouble(weight)
+    v = 1 - w
+    target = np.longdouble(X0.shape[1]) * np.longdouble(power)
+    g = np.sum(h.real ** 2 + h.imag ** 2)
+    q = h.conj() / np.sqrt(g)
+    R = q.conj() @ X0
+    perp = X0 - np.outer(q, R)
+    W = w * np.sqrt(g) * d + v * R
+    rho0 = v * v * np.sum(perp.real ** 2 + perp.imag ** 2)
+    rho1 = np.sum(W.real ** 2 + W.imag ** 2)
+    lam1 = w * g + v
+
+    def phi(mu):
+        return rho0 / (v + mu) ** 2 + rho1 / (lam1 + mu) ** 2
+
+    lo, hi = max(-v, np.sqrt(rho1 / target) - lam1), np.sqrt((rho0 + rho1) / target) - v
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if phi(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    X = np.outer(q, W / (lam1 + hi)) + (v / (v + hi)) * perp
+    return X * (np.sqrt(target) / np.sqrt(np.sum(X.real ** 2 + X.imag ** 2)))
+
+
+def test_tradeoff_near_weight_one_in_extended_precision(rng):
+    """Near weight 1 the MUI falls toward 0. Against a np.longdouble solve
+    of one-user channels at weights 1 - 2^-10, 2^-20, 2^-30: the frame is
+    within 4 eps of the extended-precision frame (measured worst 2.7 eps;
+    the M-dimensional form's frames were 3.3e-12, 3.4e-9 and 3.5e-6 away),
+    the sensing error within 1e-12 relative (measured worst 1.6e-13; the
+    M-dimensional form's 7.6e-7 at 1 - 2^-30), and the MUI within what a
+    frame e = 8 eps ||h|| ||X|| off can move it, 2 e sqrt(MUI) + e^2 (the
+    MUI is then 1e-11 to 1e-23 of ||D||^2, and its last bits are those of
+    the float64 frame)."""
+    cld = np.clongdouble
+
+    def sq(A):
+        return np.sum(A.real ** 2 + A.imag ** 2)
+
+    eps = np.finfo(float).eps
+    for M, tau in ((4, 8), (8, 8), (16, 32)):
+        for _ in range(4):
+            s = make_dataset(1, M, 1, tau, rng)[0]
+            h, d, X0 = (np.asarray(a, cld) for a in (s.H.entries, s.D, s.X0.X))
+            for k in (10, 20, 30):
+                w = 1.0 - 2.0 ** -k
+                X_ld = _longdouble_tradeoff(h, d, X0, w, 1.0)
+                X = np.asarray(tradeoff_design(s.H, s.D, s.X0, w, 1.0).X, cld)
+                assert np.sqrt(sq(X - X_ld)) <= 4 * eps * np.sqrt(sq(X_ld))
+                sens, sens_ld = sq(X - X0), sq(X_ld - X0)
+                assert abs(sens - sens_ld) <= 1e-12 * sens_ld
+                mui, mui_ld = sq(h @ X - d), sq(h @ X_ld - d)
+                e = 8 * eps * np.sqrt(sq(h) * sq(X_ld))
+                assert abs(mui - mui_ld) <= 2 * e * np.sqrt(mui_ld) + e * e
+
+
+def test_secular_float_newton_matches_numpy_newton(rng):
+    """On spectra of at most 7 poles, the float iteration returns the numpy
+    iteration's mu bit for bit: both start alike and sum their terms in
+    order, as np.add.reduce does below 8 terms. Newton steps, counted on
+    the numpy iteration: at most 8 on generic targets (measured worst 5
+    here, 6 over seeds 0-99), and at most 24 on targets just below or above
+    the boundary value with next to no weight on the minimal pole, where
+    Newton creeps away from the pole (measured worst 17 here, 18 over seeds
+    0-99)."""
+    generic, creeping = [], []
+    for M, K in ((5, 4), (7, 4), (3, 2), (2, 1), (7, 1)):
+        for trial, (lam, rho, target) in enumerate(_secular_spectra(rng, M, K)):
+            steps = []
+            mu = _numpy_secular_solve(lam, rho, target, steps)
+            assert _secular_solve(lam.tolist(), rho.tolist(), target) == mu
+            (generic if trial % 3 == 0 else creeping).append(len(steps))
+    assert max(generic) <= 8 and max(creeping) <= 24
+    # the spectra of the bracketed oracle's test, cut to 7 poles
+    for _ in range(300):
+        M = int(rng.integers(2, 8))
+        lam = np.sort(rng.uniform(0.0, 30.0, M)) + rng.uniform(-5.0, 5.0)
+        lam[:rng.integers(1, M)] = lam[0]
+        rho = 10.0 ** rng.uniform(-16, 3, M)
+        target = float(np.sum(rho / (lam - lam[0] + 10.0 ** rng.uniform(-8, 3)) ** 2))
+        assert _secular_solve(lam.tolist(), rho.tolist(), target) == _numpy_secular_solve(
+            lam, rho, target)

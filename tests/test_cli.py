@@ -256,6 +256,17 @@ def _corners(*prefixes):
     return out
 
 
+def _corner_id(value):
+    """A corner's id from its value, not from its index in the whole list of
+    corners, so that ids stay put when rules come or go: a list as its
+    items (snr_db-[-60.0, 60.0]), params as their field-value pairs."""
+    if isinstance(value, list):
+        return str(value)
+    if isinstance(value, dict):
+        return "-".join(f"{field}-{v}" for field, v in value.items())
+    return None
+
+
 def test_generated_corners_pass_the_field_rules():
     # every corner passes its field's rule, and every experiment has corners
     # that validate accepts in full, so that the tests below run each kind
@@ -311,19 +322,21 @@ _CASE3_PAIRED = [("case3_sweep", params) for params in (
     {"target_pd": 0.999999, "target_pfa": 0.999998})]
 
 
-@pytest.mark.parametrize("kind, field, value", _corners("case1_") + _CASE1_PAIRED)
+@pytest.mark.parametrize("kind, field, value", _corners("case1_") + _CASE1_PAIRED,
+                         ids=_corner_id)
 def test_case1_runs_at_every_validate_bound(tmp_path, kind, field, value):
     _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], field: value}, range(10))
 
 
-@pytest.mark.parametrize("kind, field, value", _corners("case2_"))
+@pytest.mark.parametrize("kind, field, value", _corners("case2_"), ids=_corner_id)
 def test_case2_runs_at_every_validate_bound(tmp_path, kind, field, value):
     _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], field: value}, range(10))
 
 
 # case3's paired corners override two fields, so these corners are params
 @pytest.mark.parametrize("kind, params", [(kind, {field: value}) for kind, field, value
-                                          in _corners("mi_", "case3_")] + _CASE3_PAIRED)
+                                          in _corners("mi_", "case3_")] + _CASE3_PAIRED,
+                         ids=_corner_id)
 def test_mi_and_case3_run_at_every_validate_bound(tmp_path, kind, params):
     _runs_or_is_rejected(tmp_path, kind, {**_SMALL[kind], **params}, range(10))
 
